@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticData, elliptic_K, elliptic_data, quad_adaptive
+from .elliptic import (EllipticData, elliptic_K, elliptic_K_vec, elliptic_data,
+                       quad_adaptive)
 from .errors import ChartError, DegenerateError, DomainError, PoleError
 
 
@@ -101,23 +102,38 @@ class AHMetricBlock:
                          [self.kZUbar, self.kZZbar]])
 
 
-def ah_zvx_from_spherical(k: float, theta: float, phi: float, psi: float,
-                          h: float) -> tuple[complex, complex, float]:
-    """Multiplet coordinates (z, v, x) of the spherical chart point."""
-    K2 = elliptic_K(k) ** 2
-    st, ct = math.sin(theta), math.cos(theta)
-    c2p, s2p = math.cos(2.0 * psi), math.sin(2.0 * psi)
+def ah_zvx_from_spherical(k, theta, phi, psi, h: float):
+    """Multiplet coordinates (z, v, x) of spherical chart points (scalars or arrays)."""
+    K2 = (elliptic_K(float(k)) if np.ndim(k) == 0 else elliptic_K_vec(k)) ** 2
+    st, ct = np.sin(theta), np.cos(theta)
+    c2p, s2p = np.cos(2.0 * psi), np.sin(2.0 * psi)
     tk = 2.0 * k * k - 1.0
     scale = h * h
     w = c2p * (1.0 + ct * ct) + tk * st * st + 2j * s2p * ct
-    z = 2.0 * scale * cmath.exp(2j * phi) * w * K2
-    v = 8.0 * scale * cmath.exp(1j * phi) * st * (s2p - 1j * c2p * ct + 1j * tk * ct) * K2
+    z = 2.0 * scale * np.exp(2j * phi) * w * K2
+    v = 8.0 * scale * np.exp(1j * phi) * st * (s2p - 1j * c2p * ct + 1j * tk * ct) * K2
     x = 4.0 * scale * (-3.0 * c2p * st * st + tk * (1.0 - 3.0 * ct * ct)) * K2
     # on the negative-real-axis locus the principal sqrt branch must not
     # dither with rounding noise; snap a vanishing imaginary part to +0
-    if abs(z.imag) < 1e-12 * abs(z):
-        z = complex(z.real, 0.0)
+    z = np.where(np.abs(z.imag) < 1e-12 * np.abs(z), z.real, z)
+    if z.ndim == 0:
+        return complex(z), complex(v), float(x)
     return z, v, x
+
+
+def ah_xy_from_zvx(z, v, x):
+    """Abel-image data (x_+, x_-, v_+, v_-, y_+, y_-) of multiplet coordinates.
+
+    x_pm = (x +- 6|z|)/3 and v_- + i v_+ = v / sqrt(z) on the principal
+    branch, so y_+ = i v_+ (x_+ - x_-) is pure imaginary and
+    y_- = v_- (x_- - x_+) real.  Scalars or arrays.
+    """
+    az = abs(z)
+    xp = (x + 6.0 * az) / 3.0
+    xm = (x - 6.0 * az) / 3.0
+    ratio = v / np.sqrt(z)
+    vp, vm = ratio.imag, ratio.real
+    return xp, xm, vp, vm, 1j * vp * (xp - xm), vm * (xm - xp)
 
 
 def ah_state_from_zvx(z: complex, v: complex, x: float, data: EllipticData,
@@ -125,19 +141,13 @@ def ah_state_from_zvx(z: complex, v: complex, x: float, data: EllipticData,
     """Assemble the derived point data from multiplet coordinates and curve data."""
     if z == 0:
         raise ChartError("sqrt(z)-based quantities degenerate at z = 0")
-    az = abs(z)
-    xp = (x + 6.0 * az) / 3.0
-    xm = (x - 6.0 * az) / 3.0
-    sq = cmath.sqrt(z)
-    ratio = v / sq
-    vp, vm = ratio.imag, ratio.real
-    yp = 1j * vp * (xp - xm)
-    ym = vm * (xm - xp)
+    xp, xm, vp, vm, yp, ym = ah_xy_from_zvx(z, v, x)
+    xp, xm, vp, vm, ym = map(float, (xp, xm, vp, vm, ym))
     try:
         Ap, Am, Bp, Bm, Vcap = ah_coeffs_raw(xp, xm, yp, ym, data, y_guard)
     except DegenerateError:
         Ap = Am = Bp = Bm = Vcap = None
-    return AHGeomState(z, v, x, sq, xp, xm, vp, vm, complex(yp), float(ym),
+    return AHGeomState(z, v, x, cmath.sqrt(z), xp, xm, vp, vm, yp, ym,
                        Ap, Am, Bp, Bm, Vcap, data)
 
 
@@ -186,14 +196,7 @@ def pi_pair_from_zvx(z: complex, v: complex, x: float, data: EllipticData,
     the cut [e3, e2]; x_- generically lies inside it and the integral is
     taken in the principal-value sense.
     """
-    az = abs(z)
-    xp = (x + 6.0 * az) / 3.0
-    xm = (x - 6.0 * az) / 3.0
-    sq = cmath.sqrt(z)
-    ratio = v / sq
-    vp, vm = ratio.imag, ratio.real
-    yp = 1j * vp * (xp - xm)
-    ym = vm * (xm - xp)
+    xp, xm, vp, vm, yp, ym = ah_xy_from_zvx(z, v, x)
     e2, e3, rho = data.e2, data.e3, data.rho
     span = e2 - e3
     pad = endpoint_guard * span

@@ -20,6 +20,7 @@ from .elliptic import (EllipticData, elliptic_data, elliptic_E, elliptic_K,
                        eta1_quadrature, eta3_quadrature, omega1_quadrature,
                        omega3_quadrature, weierstrass_p,
                        weierstrass_p_half_periods)
+from .errors import ChartError, OutOfRangeError, SlagForgeError
 
 
 def _result(err: float, tol: float, label: str = "max_err"):
@@ -235,7 +236,7 @@ def random_ah_point(rng, p: ah.AHParams, y_guard: float = 1e-3):
                                  rng.uniform(0.05, 0.5 * math.pi - 0.05))
         try:
             state = ah.ah_from_spherical(pt, p, y_guard=y_guard)
-        except Exception:
+        except SlagForgeError:
             continue
         if state.Aplus is None:
             continue
@@ -507,7 +508,7 @@ def check_slag_ah_zero_set(rng) -> tuple[bool, str]:
     for th in np.linspace(0.3, math.pi - 0.3, 40):
         try:
             c2p = sc.ah_cos2psi(th, k, c1, h)
-        except Exception:
+        except (OutOfRangeError, ChartError):
             continue
         psi = 0.5 * math.acos(c2p)
         z0, _, _ = ah.ah_zvx_from_spherical(k, th, 0.0, psi, h)
@@ -620,7 +621,7 @@ def oracle_ah_i1_i2(rng, samples: int = 10) -> tuple[bool, str]:
             pi_p, pi_m = pi_pair_from_zvx(m4.z, m4.v, m4.x, data, tol=1e-12)
             i1 = mp.ah_In_contour_oracle(data, m4, 1, tol=1e-12)
             i2 = mp.ah_In_contour_oracle(data, m4, 2, tol=1e-12)
-        except Exception:
+        except SlagForgeError:
             continue
         base1 = (pi_p + pi_m) / (4.0 * np.sqrt(complex(m4.z)))
         a1, r1 = mp.best_branch_integer(i1, base1, m4.z)

@@ -2,19 +2,17 @@
 
 Exit codes: 0 all requested checks pass, 1 an invariant or oracle failed,
 2 usage or domain error.  All randomness flows from --seed (default 0);
-identical invocations produce byte-identical CSV output.  The environment
-variable SLAG_FORGE_THREADS caps the worker count used to process trace
-families.
+identical invocations produce byte-identical CSV output.  Trace families
+are verified in one thread; the environment variable SLAG_FORGE_THREADS is
+accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -140,19 +138,8 @@ def cmd_verify(args, seed: int) -> int:
 
 def _emit_traces(items, out_dir: Path, fmt: str, preset: str | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("SLAG_FORGE_THREADS", "0")) or None
-
-    def verify_one(item):
-        stem, manifold, trace, params = item
+    for _, manifold, trace, params in items:
         trace.residuals = sc.verify_slag(trace, manifold, params)
-        return item
-
-    items = list(items)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            items = list(pool.map(verify_one, items))
-    else:
-        items = [verify_one(it) for it in items]
 
     written = []
     for stem, manifold, trace, _ in items:

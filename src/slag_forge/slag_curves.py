@@ -198,14 +198,30 @@ def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
 # Atiyah-Hitchin implicit condition
 # ---------------------------------------------------------------------------
 
-def _ah_level_constant(k, c1: float, h: float):
-    """The bracket (3h/(4K^2)) (c1 + 16hK((k^2-2)K/3 + E)) of the cos(2psi) solve."""
-    if np.isscalar(k) or np.ndim(k) == 0:
+def ah_cos2psi_level(theta, k, c1: float, h: float):
+    """Unclamped cos(2 psi) of the moment level set mu = c1 at (theta, k), and K(k).
+
+    cos 2psi = ((2k^2-1)(1-3cos^2 th) + (3h/(4K^2))(c1 + 16hK((k^2-2)K/3 + E)))
+    / (3 sin^2 th), affine in c1 with slope h/(4K^2 sin^2 th).  Scalars or
+    arrays; a scalar k takes the scalar AGM for K and E.  The value may leave
+    [-1, 1] (no real psi) and is not finite where sin theta = 0.
+    """
+    if np.ndim(k) == 0:
         K, E = elliptic_K(float(k)), elliptic_E(float(k))
     else:
         K, E = elliptic_K_vec(k), elliptic_E_vec(k)
-    return (3.0 * h / (4.0 * K * K)) * (
-        c1 + 16.0 * h * K * ((k * k - 2.0) * K / 3.0 + E)), K
+    bracket = (3.0 * h / (4.0 * K * K)) * (
+        c1 + 16.0 * h * K * ((k * k - 2.0) * K / 3.0 + E))
+    st2 = np.sin(theta) ** 2
+    ct = np.cos(theta)
+    tk = 2.0 * k * k - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (tk * (1.0 - 3.0 * ct * ct) + bracket) / (3.0 * st2), K
+
+
+def _in_range(c2p):
+    """Where a real psi exists: |cos 2psi| <= 1 up to rounding (False for NaN)."""
+    return np.abs(c2p) <= 1.0 + 1e-12
 
 
 def ah_cos2psi(theta: float, k: float, c1: float, h: float) -> float:
@@ -215,13 +231,11 @@ def ah_cos2psi(theta: float, k: float, c1: float, h: float) -> float:
     """
     if math.sin(theta) == 0.0:
         raise ChartError("ah_cos2psi needs sin(theta) != 0")
-    bracket, _ = _ah_level_constant(k, c1, h)
-    val = ((2.0 * k * k - 1.0) * (1.0 - 3.0 * math.cos(theta) ** 2) + bracket) \
-        / (3.0 * math.sin(theta) ** 2)
-    if abs(val) > 1.0 + 1e-12:
+    val = float(ah_cos2psi_level(theta, k, c1, h)[0])
+    if not _in_range(val):
         raise OutOfRangeError(
             f"no real psi: cos(2 psi) = {val!r} at theta={theta!r}, k={k!r}, c1={c1!r}")
-    return float(np.clip(val, -1.0, 1.0))
+    return min(1.0, max(-1.0, val))
 
 
 def _ah_condition_arrays(theta, phi, k, c1: float, h: float, sign: int):
@@ -229,25 +243,22 @@ def _ah_condition_arrays(theta, phi, k, c1: float, h: float, sign: int):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     k = np.asarray(k, dtype=float)
-    bracket, K = _ah_level_constant(k, c1, h)
+    c2p, K = ah_cos2psi_level(theta, k, c1, h)
+    ok = _in_range(c2p)
+    c2p = np.clip(c2p, -1.0, 1.0)
     st2 = np.sin(theta) ** 2
     ct = np.cos(theta)
     tk = 2.0 * k * k - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c2p = (tk * (1.0 - 3.0 * ct * ct) + bracket) / (3.0 * st2)
-    bad = ~np.isfinite(c2p) | (np.abs(c2p) > 1.0 + 1e-12)
-    c2p = np.clip(c2p, -1.0, 1.0)
     s2p = sign * np.sqrt(np.maximum(1.0 - c2p * c2p, 0.0))
     w = c2p * (1.0 + ct * ct) + tk * st2 + 2j * s2p * ct
     val = 2.0 * np.real(np.exp(1j * phi) * K * np.sqrt(w))
-    return np.where(bad, np.nan, val)
+    return np.where(ok, val, np.nan)
 
 
 def ah_condition(theta: float, phi: float, k: float, c1: float, h: float,
                  sign: int = 1) -> float:
     """Scalar residual whose zero set is {Re sqrt(z) = 0} on the moment level set."""
-    val = _ah_condition_arrays(theta, phi, k, c1, h, sign)
-    out = float(val)
+    out = float(_ah_condition_arrays(theta, phi, k, c1, h, sign))
     if math.isnan(out):
         raise OutOfRangeError(
             f"no real psi at theta={theta!r}, k={k!r}, c1={c1!r}")
@@ -432,29 +443,20 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
 # Atiyah-Hitchin trace families (theta-phi and theta-k planes)
 # ---------------------------------------------------------------------------
 
-def _ah_sample_ok(theta: float, kmod: float, phi: float, psi: float,
-                  h: float) -> bool:
-    """Reject samples abutting the degenerate loci (x_pm at the cut ends, y_pm -> 0)."""
-    from .elliptic import elliptic_data, elliptic_K
-    try:
-        rho = 16.0 * h * h * elliptic_K(kmod) ** 2
-        data = elliptic_data(kmod, rho)
-        z, v, x = ah.ah_zvx_from_spherical(kmod, theta, phi, psi, h)
-    except Exception:
-        return False
-    if abs(z) < 1e-10 * rho:
-        return False
-    az = abs(z)
-    xp = (x + 6.0 * az) / 3.0
-    xm = (x - 6.0 * az) / 3.0
-    span = data.e2 - data.e3
-    pad = 1e-4 * span
-    if not (data.e3 + pad < xm < data.e2 - pad and xp > data.e2 + pad):
-        return False
-    sq = np.sqrt(complex(z))
-    ratio = v / sq
-    ymag = min(abs(ratio.imag), abs(ratio.real)) * (xp - xm)
-    return ymag > 1e-7 * rho ** 1.5
+def _ah_sample_mask(theta, k, phi, psi, h: float, K) -> np.ndarray:
+    """Samples clear of the degenerate loci (x_pm at the cut ends, y_pm -> 0)."""
+    z, v, x = ah.ah_zvx_from_spherical(k, theta, phi, psi, h)
+    rho = 16.0 * h * h * K ** 2
+    # the cut [e3, e2] of elliptic_data(k, rho)
+    k2 = k * k
+    e2 = (rho / 3.0) * (2.0 * k2 - 1.0)
+    e3 = -(rho / 3.0) * (k2 + 1.0)
+    pad = 1e-4 * (e2 - e3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xp, xm, vp, vm, _, _ = ah.ah_xy_from_zvx(z, v, x)
+    ymag = np.minimum(np.abs(vp), np.abs(vm)) * (xp - xm)
+    return ((np.abs(z) >= 1e-10 * rho) & (e3 + pad < xm) & (xm < e2 - pad)
+            & (xp > e2 + pad) & (ymag > 1e-7 * rho ** 1.5))
 
 
 def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
@@ -463,9 +465,10 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
                              min_run: int = 6) -> list[CurveTrace]:
     """Chart traces from a zero-set polyline, split at degenerate samples.
 
-    Samples abutting the degenerate loci (y_pm -> 0, x_pm at the cut ends)
-    are removed and the polyline is split there: difference quotients must
-    never bridge a locus where the metric coefficients blow up.
+    Samples without a real psi or abutting the degenerate loci (y_pm -> 0,
+    x_pm at the cut ends) are removed and the polyline is split there:
+    difference quotients must never bridge a locus where the metric
+    coefficients blow up.
     """
     if len(pts) > max_samples:
         idx = np.unique(np.linspace(0, len(pts) - 1, max_samples).astype(int))
@@ -481,35 +484,24 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
     else:
         kcol = pts[:, 1]
         phi = np.full_like(theta, phi_fixed % (2.0 * math.pi))
-    psi = np.zeros_like(theta)
-    good = np.ones(len(theta), dtype=bool)
-    for i in range(len(theta)):
-        try:
-            c2p = ah_cos2psi(theta[i], kcol[i], c1, h)
-        except (OutOfRangeError, ChartError):
-            good[i] = False
-            continue
-        half = 0.5 * math.acos(c2p)
-        psi[i] = half if sign > 0 else (math.pi - half)
-        good[i] = _ah_sample_ok(theta[i], kcol[i], phi[i], psi[i], h)
+    c2p, K = ah_cos2psi_level(theta, kcol, c1, h)
+    good = _in_range(c2p)
+    half = 0.5 * np.arccos(np.clip(np.where(good, c2p, 1.0), -1.0, 1.0))
+    psi = half if sign > 0 else math.pi - half
+    good &= _ah_sample_mask(theta, kcol, phi, psi, h, K)
+    # runs of good samples: [starts, ends) from the rising and falling edges
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], good, [0]])))
     traces = []
-    run_start = None
-    bounds = []
-    for i in range(len(theta) + 1):
-        if i < len(theta) and good[i]:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            bounds.append((run_start, i))
-            run_start = None
-    for rdx, (a, b) in enumerate(r for r in bounds if r[1] - r[0] >= min_run):
+    for a, b in zip(edges[::2], edges[1::2]):
+        if b - a < min_run:
+            continue
         sl = slice(a, b)
         traces.append(CurveTrace(
             chart="ah-spherical", action="so2", t=t[sl].copy(),
             cols={"k": kcol[sl].copy(), "theta": theta[sl].copy(),
                   "phi": phi[sl].copy(), "psi": psi[sl].copy()},
             params={"c1": c1, "h": h, "sign": float(sign)},
-            tag=f"{tag}r{rdx}"))
+            tag=f"{tag}r{len(traces)}"))
     return traces
 
 
@@ -547,13 +539,22 @@ def ah_traces_theta_k(phi: float, c1: float, h: float = 1.0, n: int = 256,
 # Residual verification
 # ---------------------------------------------------------------------------
 
-def _omega_value(block_fields, v1u, v1z, v2u, v2z) -> float:
-    kuu, kuz, kzu, kzz = block_fields
-    val = 0.5j * (kuu * (v1u * np.conjugate(v2u) - np.conjugate(v1u) * v2u)
-                  + kuz * (v1u * np.conjugate(v2z) - np.conjugate(v1z) * v2u)
-                  + kzu * (v1z * np.conjugate(v2u) - np.conjugate(v1u) * v2z)
-                  + kzz * (v1z * np.conjugate(v2z) - np.conjugate(v1z) * v2z))
-    return float(np.real(val))
+def _residuals(fields: np.ndarray, v1u, v1z, v2u, v2z, phase: float):
+    """Per-sample omega(v1, v2) and Im(e^{i phase} Omega(v1, v2)).
+
+    fields stacks the metric blocks (K_uu, K_uz, K_zu, K_zz) as rows of
+    length n; the vectors are arrays of length n or scalars.  Both residuals
+    are divided by max(1, (|v1u| + |v1z|)(|v2u| + |v2z|)).
+    """
+    kuu, kuz, kzu, kzz = fields
+    omega = np.real(0.5j * (kuu * (v1u * np.conjugate(v2u) - np.conjugate(v1u) * v2u)
+                            + kuz * (v1u * np.conjugate(v2z) - np.conjugate(v1z) * v2u)
+                            + kzu * (v1z * np.conjugate(v2u) - np.conjugate(v1u) * v2z)
+                            + kzz * (v1z * np.conjugate(v2z) - np.conjugate(v1z) * v2z)))
+    scale = np.maximum(1.0, (np.abs(v1u) + np.abs(v1z)) * (np.abs(v2u) + np.abs(v2z)))
+    ph = complex(math.cos(phase), math.sin(phase))
+    im_omega = (ph * (v1u * v2z - v1z * v2u)).imag
+    return omega / scale, im_omega / scale
 
 
 def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -571,10 +572,6 @@ def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
     d[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * h)
     d[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
     return d
-
-
-def _residual_scale(v1u, v1z, v2u, v2z) -> float:
-    return max(1.0, (abs(v1u) + abs(v1z)) * (abs(v2u) + abs(v2z)))
 
 
 def _is_axis_trace(trace: CurveTrace) -> bool:
@@ -636,33 +633,23 @@ def _verify_tn(trace: CurveTrace, p: tn.TNParams, phase: float) -> dict:
                         extra={"u": u_axis, "z": np.zeros(len(r), dtype=complex)})
     if np.any(np.abs(np.sin(theta)) < 1e-12):
         raise ChartError("trace sample on the axis: holomorphic chart undefined")
-    us = np.empty(len(r), dtype=complex)
-    zs = np.empty(len(r), dtype=complex)
-    for i in range(len(r)):
+    m = len(r)
+    us = np.empty(m, dtype=complex)
+    zs = np.empty(m, dtype=complex)
+    fields = np.empty((4, m), dtype=complex)
+    mu_arr = np.empty(m)
+    for i in range(m):
         pt = tn.tn_chart_spherical_to_holo(
             tn.TNSphericalPoint(r[i], theta[i], phi[i] % (2 * math.pi),
                                 psi[i] % (4 * math.pi)), p)
         us[i], zs[i] = pt.u, pt.z
-    du = _deriv(us, trace.t)
-    dz = _deriv(zs, trace.t)
-    omega_arr = np.empty(len(r))
-    im_omega_arr = np.empty(len(r))
-    mu_arr = np.empty(len(r))
-    ph = complex(math.cos(phase), math.sin(phase))
-    for i in range(len(r)):
-        pt = tn.TNHoloPoint(us[i], zs[i], r[i] * math.cos(theta[i]), r[i])
         blk = tn.tn_metric_holo(pt, p)
-        fields = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
-        if trace.action == "u1":
-            v1u, v1z = 1j, 0j
-            mu_arr[i] = mm.moment_tn_u1(pt)
-        else:
-            v1u, v1z = 0j, -2j * zs[i]
-            mu_arr[i] = mm.moment_tn_so2(pt, p)
-        scale = _residual_scale(v1u, v1z, du[i], dz[i])
-        omega_arr[i] = _omega_value(fields, v1u, v1z, du[i], dz[i]) / scale
-        big_omega = v1u * dz[i] - v1z * du[i]
-        im_omega_arr[i] = (ph * big_omega).imag / scale
+        fields[:, i] = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
+        mu_arr[i] = (mm.moment_tn_u1(pt) if trace.action == "u1"
+                     else mm.moment_tn_so2(pt, p))
+    v1u, v1z = (1j, 0j) if trace.action == "u1" else (0j, -2j * zs)
+    omega_arr, im_omega_arr = _residuals(fields, v1u, v1z, _deriv(us, trace.t),
+                                         _deriv(zs, trace.t), phase)
     return _summary(trace.t, omega_arr, im_omega_arr, mu_arr,
                     extra={"u": us, "z": zs})
 
@@ -693,7 +680,7 @@ def _verify_ah(trace: CurveTrace, p: ah.AHParams, phase: float,
     m = len(trace.t)
     Us = np.empty(m, dtype=complex)
     Zs = np.empty(m, dtype=complex)
-    blocks = []
+    fields = np.empty((4, m), dtype=complex)
     mu_arr = np.empty(m)
     for i in range(m):
         pt = ah.AHSphericalPoint(kcol[i], theta[i], phi[i] % (2 * math.pi),
@@ -701,22 +688,12 @@ def _verify_ah(trace: CurveTrace, p: ah.AHParams, phase: float,
         state = ah.ah_from_spherical(pt, p)
         _, U, Z = ah.ah_u_coordinate(state, p, tol=quad_tol)
         Us[i], Zs[i] = U, Z
-        blocks.append(ah.ah_metric_UZ(state, p))
+        blk = ah.ah_metric_UZ(state, p)
+        fields[:, i] = (blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar)
         mu_arr[i] = mm.moment_ah_so2(state)
     Us, Zs = _continue_sqrt_branch(Us, Zs)
-    dU = _deriv(Us, trace.t)
-    dZ = _deriv(Zs, trace.t)
-    omega_arr = np.empty(m)
-    im_omega_arr = np.empty(m)
-    ph = complex(math.cos(phase), math.sin(phase))
-    for i in range(m):
-        blk = blocks[i]
-        fields = (blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar)
-        v1u, v1z = 0j, -2j * Zs[i]
-        scale = _residual_scale(v1u, v1z, dU[i], dZ[i])
-        omega_arr[i] = _omega_value(fields, v1u, v1z, dU[i], dZ[i]) / scale
-        big_omega = v1u * dZ[i] - v1z * dU[i]
-        im_omega_arr[i] = (ph * big_omega).imag / scale
+    omega_arr, im_omega_arr = _residuals(fields, 0j, -2j * Zs, _deriv(Us, trace.t),
+                                         _deriv(Zs, trace.t), phase)
     return _summary(trace.t, omega_arr, im_omega_arr, mu_arr,
                     extra={"U": Us, "Z": Zs})
 
@@ -726,12 +703,9 @@ def transversality_variation(trace: CurveTrace, manifold: str, params) -> float:
     if manifold == "tn":
         absz = 0.5 * trace.cols["r"] * np.sin(trace.cols["theta"])
         return float(np.sum(np.abs(np.diff(absz))))
-    absZ = np.empty(len(trace.t))
-    for i in range(len(trace.t)):
-        z, _, _ = ah.ah_zvx_from_spherical(
-            trace.cols["k"][i], trace.cols["theta"][i], trace.cols["phi"][i],
-            trace.cols["psi"][i], params.h)
-        absZ[i] = 2.0 * math.sqrt(abs(z))
+    z, _, _ = ah.ah_zvx_from_spherical(trace.cols["k"], trace.cols["theta"],
+                                       trace.cols["phi"], trace.cols["psi"], params.h)
+    absZ = 2.0 * np.sqrt(np.abs(z))
     return float(np.sum(np.abs(np.diff(absZ))))
 
 

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from slag_forge.atiyah_hitchin import AHParams, ah_zvx_from_spherical
+from slag_forge import slag_curves as sc
+from slag_forge.atiyah_hitchin import (AHParams, ah_xy_from_zvx,
+                                       ah_zvx_from_spherical)
+from slag_forge.elliptic import elliptic_data, elliptic_K
 from slag_forge.errors import (ChartError, DomainError, EmptyDomainError,
                                OutOfRangeError)
 from slag_forge.slag_curves import (CurveTrace, ImplicitGrid, ah_condition,
-                                    ah_cos2psi, ah_traces_theta_k,
+                                    ah_cos2psi, ah_cos2psi_level,
+                                    ah_traces_theta_k,
                                     ah_traces_theta_phi, perturb_phi,
                                     tn_so2_curve, tn_so2_r_of_theta,
                                     tn_u1_case1, tn_u1_case2, trace_zero_set,
@@ -163,6 +167,11 @@ def test_ah_cos2psi_affine_in_c1():
     # outside that interval the level set has no real psi (cos 2psi = 1.54)
     with pytest.raises(OutOfRangeError):
         ah_cos2psi(th, k, 1.0, h)
+    # the unclamped level value keeps the same slope there
+    assert ah_cos2psi_level(th, k, 1.0, h)[0] == pytest.approx(1.54, abs=5e-3)
+    slope = (ah_cos2psi_level(th, k, 1.0 + d, h)[0]
+             - ah_cos2psi_level(th, k, 1.0 - d, h)[0]) / (2 * d)
+    assert slope == pytest.approx(expect, rel=1e-9)
 
 
 def test_ah_condition_zero_iff_negative_real_z():
@@ -313,3 +322,114 @@ def test_curve_trace_ordering_guard():
                    t=np.array([0.0, 1.0, 1.0]),
                    cols={"r": np.ones(3), "theta": np.ones(3),
                          "phi": np.ones(3), "psi": np.zeros(3)}, params={})
+
+
+def _reference_sample_ok(theta, kmod, phi, psi, h):
+    """Per-sample degenerate-locus test (x_pm at the cut ends, y_pm -> 0)."""
+    rho = 16.0 * h * h * elliptic_K(kmod) ** 2
+    data = elliptic_data(kmod, rho)
+    z, v, x = ah_zvx_from_spherical(kmod, theta, phi, psi, h)
+    if abs(z) < 1e-10 * rho:
+        return False
+    az = abs(z)
+    xp = (x + 6.0 * az) / 3.0
+    xm = (x - 6.0 * az) / 3.0
+    span = data.e2 - data.e3
+    pad = 1e-4 * span
+    if not (data.e3 + pad < xm < data.e2 - pad and xp > data.e2 + pad):
+        return False
+    ratio = v / np.sqrt(complex(z))
+    ymag = min(abs(ratio.imag), abs(ratio.real)) * (xp - xm)
+    return ymag > 1e-7 * rho ** 1.5
+
+
+def _reference_runs(pts, plane, k_fixed, phi_fixed, c1, h, sign,
+                    max_samples=320, min_run=6):
+    """Polyline to chart runs one sample at a time: scalar ah_cos2psi,
+    math.acos and the scalar sample test.  Returns (t, k, theta, phi, psi)
+    of every run of at least min_run good samples."""
+    if len(pts) > max_samples:
+        idx = np.unique(np.linspace(0, len(pts) - 1, max_samples).astype(int))
+        pts = pts[idx]
+    seg = np.hypot(*np.diff(pts, axis=0).T)
+    t = np.concatenate([[0.0], np.cumsum(seg)])
+    keep = np.concatenate([[True], seg > 0])
+    pts, t = pts[keep], t[keep]
+    theta = pts[:, 0]
+    if plane == "theta-phi":
+        phi = pts[:, 1] % (2.0 * math.pi)
+        kcol = np.full_like(theta, k_fixed)
+    else:
+        kcol = pts[:, 1]
+        phi = np.full_like(theta, phi_fixed % (2.0 * math.pi))
+    psi = np.zeros_like(theta)
+    good = np.ones(len(theta), dtype=bool)
+    for i in range(len(theta)):
+        try:
+            c2p = ah_cos2psi(theta[i], kcol[i], c1, h)
+        except (OutOfRangeError, ChartError):
+            good[i] = False
+            continue
+        half = 0.5 * math.acos(c2p)
+        psi[i] = half if sign > 0 else (math.pi - half)
+        good[i] = _reference_sample_ok(theta[i], kcol[i], phi[i], psi[i], h)
+    runs, start = [], None
+    for i in range(len(theta) + 1):
+        if i < len(theta) and good[i]:
+            if start is None:
+                start = i
+        elif start is not None:
+            if i - start >= min_run:
+                sl = slice(start, i)
+                runs.append((t[sl], kcol[sl], theta[sl], phi[sl], psi[sl]))
+            start = None
+    return runs
+
+
+@pytest.mark.parametrize("family, fixed", [(ah_traces_theta_phi, 0.5),
+                                           (ah_traces_theta_k, math.pi / 4)],
+                         ids=["fig8", "fig9"])
+def test_ah_polyline_traces_match_per_sample_reference(family, fixed, monkeypatch):
+    """The array polyline-to-trace step against the per-sample loop on the
+    fig8 (k = 0.5) and fig9 (phi = pi/4) families at c1 = -3: same runs,
+    bit-identical t, k, theta, phi, and psi within 1e-13."""
+    calls = []
+    original = sc._ah_traces_from_polyline
+
+    def spy(*args):
+        traces = original(*args)
+        calls.append((args, traces))
+        return traces
+
+    monkeypatch.setattr(sc, "_ah_traces_from_polyline", spy)
+    assert family(fixed, -3.0)
+    emitted = 0
+    for args, traces in calls:
+        pts, plane, k_fixed, phi_fixed, c1, h, sign, tag = args
+        runs = _reference_runs(pts, plane, k_fixed, phi_fixed, c1, h, sign)
+        assert [tr.tag for tr in traces] == [f"{tag}r{i}" for i in range(len(runs))]
+        for tr, (t, k, theta, phi, psi) in zip(traces, runs):
+            assert np.array_equal(tr.t, t)
+            assert np.array_equal(tr.cols["k"], k)
+            assert np.array_equal(tr.cols["theta"], theta)
+            assert np.array_equal(tr.cols["phi"], phi)
+            assert np.max(np.abs(tr.cols["psi"] - psi)) <= 1e-13
+            emitted += len(t)
+    assert emitted > 100
+
+
+def test_ah_chart_and_xy_arrays_match_scalar_calls():
+    rng = np.random.default_rng(11)
+    n = 300
+    k = rng.uniform(0.02, 0.98, n)
+    theta = rng.uniform(0.02, math.pi - 0.02, n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    psi = rng.uniform(0.0, 4.0 * math.pi, n)
+    z, v, x = ah_zvx_from_spherical(k, theta, phi, psi, 1.0)
+    xy = ah_xy_from_zvx(z, v, x)
+    for i in range(n):
+        zvx_i = ah_zvx_from_spherical(float(k[i]), float(theta[i]), float(phi[i]),
+                                      float(psi[i]), 1.0)
+        assert (z[i], v[i], x[i]) == pytest.approx(zvx_i, rel=1e-14)
+        xy_i = ah_xy_from_zvx(*zvx_i)
+        assert tuple(q[i] for q in xy) == pytest.approx(xy_i, rel=1e-14)
