@@ -306,8 +306,8 @@ def check_ah_dpi_fd(rng) -> tuple[bool, str]:
             dn[coord] -= step
             s_up = ah.ah_from_spherical(ah.AHSphericalPoint(**up), p)
             s_dn = ah.ah_from_spherical(ah.AHSphericalPoint(**dn), p)
-            pp_u, pm_u = ah.ah_pi_xpm(s_up, tol=1e-12)
-            pp_d, pm_d = ah.ah_pi_xpm(s_dn, tol=1e-12)
+            pp_u, pm_u = ah.ah_pi_xpm(s_up)
+            pp_d, pm_d = ah.ah_pi_xpm(s_dn)
             deta = s_up.elliptic.eta1 - s_dn.elliptic.eta1
             for (pi_u, pi_d, A, B, x_u, x_d) in (
                     (pp_u, pp_d, state.Aplus, state.Bplus, s_up.xplus, s_dn.xplus),
@@ -384,9 +384,9 @@ def check_orbit_constancy(rng) -> tuple[bool, str]:
                                                   pt.psi), pa)
     dn = ah.ah_from_spherical(ah.AHSphericalPoint(pt.k, pt.theta, pt.phi - dphi,
                                                   pt.psi), pa)
-    _, U_u, Z_u = ah.ah_u_coordinate(up, pa, tol=1e-12)
-    _, U_d, Z_d = ah.ah_u_coordinate(dn, pa, tol=1e-12)
-    _, U0, Z0 = ah.ah_u_coordinate(state0, pa, tol=1e-12)
+    _, U_u, Z_u = ah.ah_u_coordinate(up, pa)
+    _, U_d, Z_d = ah.ah_u_coordinate(dn, pa)
+    _, U0, Z0 = ah.ah_u_coordinate(state0, pa)
     dU = (U_u - U_d) / (2.0 * dphi)
     dZ = (Z_u - Z_d) / (2.0 * dphi)
     gen_err = max(abs(dU), abs(dZ - 1j * Z0))
@@ -618,7 +618,7 @@ def oracle_ah_i1_i2(rng, samples: int = 10) -> tuple[bool, str]:
         m4 = _random_o4(rng)
         data = make(mp.o4_modulus(m4), m4.rho)
         try:
-            pi_p, pi_m = pi_pair_from_zvx(m4.z, m4.v, m4.x, data, tol=1e-12)
+            pi_p, pi_m = pi_pair_from_zvx(m4.z, m4.v, m4.x, data)
             i1 = mp.ah_In_contour_oracle(data, m4, 1, tol=1e-12)
             i2 = mp.ah_In_contour_oracle(data, m4, 2, tol=1e-12)
         except SlagForgeError:

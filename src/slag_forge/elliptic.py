@@ -116,6 +116,46 @@ def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
     return K * (1.0 - csum)
 
 
+def elliptic_Pi_vec(n, k) -> np.ndarray:
+    """Vectorized complete elliptic integral of the third kind Pi(n, k).
+
+    Pi(n, k) = int_0^{pi/2} dt / ((1 - n sin^2 t) sqrt(1 - k^2 sin^2 t)),
+    the Cauchy principal value for n > 1, as Bulirsch's general complete
+    integral cel(k', p = 1 - n, 1, 1) (Numer. Math. 13 (1969) 305-315;
+    Numerical Recipes 6.11).  A p < 0 is first mapped to a positive one,
+    then one quadratically convergent AGM-type loop serves both signs.
+    n and k broadcast; requires 0 <= k < 1 and n != 1.
+    """
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    if ((k < 0.0) | (k >= 1.0) | (n == 1.0)).any():
+        raise DomainError("elliptic_Pi_vec requires 0 <= k < 1 and n != 1 elementwise")
+    kc = np.sqrt((1.0 - k) * (1.0 + k))
+    p = 1.0 - n
+    pos = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(pos, np.sqrt(p), np.sqrt((kc * kc - p) / n))
+        b = np.where(pos, 1.0 / p, -(k * k) / (n * p))
+    a = pos * 1.0
+    e = qc = kc
+    em = 1.0
+    for _ in range(_AGM_CAP):
+        f = a
+        a = a + b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p = g + p
+        g = em
+        em = em + qc
+        # quadratic convergence: a gap under sqrt(_AGM_TOL) before this
+        # step leaves the values just updated accurate to _AGM_TOL
+        if (np.abs(g - qc) <= math.sqrt(_AGM_TOL) * g).all():
+            break
+        qc = 2.0 * np.sqrt(e)
+        e = qc * em
+    return (0.5 * math.pi) * (b + a * em) / (em * (em + p))
+
+
 @dataclass(frozen=True)
 class EllipticModulus:
     """Validated modulus pair (k, k') with k^2 + k'^2 = 1."""
@@ -132,7 +172,10 @@ class EllipticModulus:
 
 @dataclass(frozen=True)
 class EllipticData:
-    """Curve data (k, rho, e_j, g_j, discriminant, half- and quasi-half-period)."""
+    """Curve data (k, rho, e_j, g_j, discriminant, half- and quasi-half-period).
+
+    Fields are floats, or arrays of one shape for a batch of curves.
+    """
 
     k: float
     rho: float
@@ -147,15 +190,23 @@ class EllipticData:
 
     @property
     def kprime(self) -> float:
-        return math.sqrt(1.0 - self.k * self.k)
+        return np.sqrt(1.0 - self.k * self.k)
 
 
-def elliptic_data(k: float, rho: float) -> EllipticData:
-    """Build the curve data for modulus k in (0,1) and scale rho > 0."""
-    if not 0.0 < k < 1.0:
+def elliptic_data(k, rho) -> EllipticData:
+    """Build the curve data for modulus k in (0,1) and scale rho > 0 (scalars or arrays).
+
+    omega1 = K / sqrt(rho) and eta1 = sqrt(rho) E - e1 K / sqrt(rho), with K
+    and E evaluated once; a scalar k takes the scalar AGM and gives floats.
+    """
+    if not np.all((0.0 < k) & (k < 1.0)):
         raise DomainError(f"elliptic_data requires 0 < k < 1, got k={k!r}")
-    if rho <= 0.0:
+    if not np.all(rho > 0.0):
         raise DomainError(f"elliptic_data requires rho > 0, got rho={rho!r}")
+    if np.ndim(k) == 0:
+        K, E, sr = elliptic_K(float(k)), elliptic_E(float(k)), math.sqrt(rho)
+    else:
+        K, E, sr = elliptic_K_vec(k), elliptic_E_vec(k), np.sqrt(rho)
     k2 = k * k
     e1 = -(rho / 3.0) * (k2 - 2.0)
     e2 = (rho / 3.0) * (2.0 * k2 - 1.0)
@@ -164,20 +215,14 @@ def elliptic_data(k: float, rho: float) -> EllipticData:
     g3 = (4.0 / 27.0) * rho**3 * (k2 - 2.0) * (2.0 * k2 - 1.0) * (k2 + 1.0)
     # g2^3 - 27 g3^2 in the cancellation-free product form
     delta = 16.0 * rho**6 * k2 * k2 * (1.0 - k2) ** 2
-    omega1 = elliptic_K(k) / math.sqrt(rho)
-    eta1 = eta1_closed(k, rho)
+    omega1 = K / sr
+    eta1 = sr * E - e1 * K / sr
     return EllipticData(k, rho, e1, e2, e3, g2, g3, delta, omega1, eta1)
 
 
 def eta1_closed(k: float, rho: float) -> float:
     """Quasi-half-period from the closed form eta1 = sqrt(rho) E - e1 K / sqrt(rho)."""
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"eta1_closed requires 0 < k < 1, got k={k!r}")
-    if rho <= 0.0:
-        raise DomainError(f"eta1_closed requires rho > 0, got rho={rho!r}")
-    e1 = -(rho / 3.0) * (k * k - 2.0)
-    sr = math.sqrt(rho)
-    return sr * elliptic_E(k) - e1 * elliptic_K(k) / sr
+    return elliptic_data(k, rho).eta1
 
 
 def quad_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -86,7 +86,7 @@ def moment_tn_so2(pt: tn.TNHoloPoint, p: tn.TNParams) -> float:
 
 
 def moment_ah_so2(state: ah.AHGeomState) -> float:
-    """mu = -4 eta1 - 2 (x_+ + x_-) omega1."""
+    """mu = -4 eta1 - 2 (x_+ + x_-) omega1 (an array for a batch state)."""
     d = state.elliptic
     return -4.0 * d.eta1 - 2.0 * (state.xplus + state.xminus) * d.omega1
 
@@ -129,8 +129,7 @@ def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams
 
 def _ah_chart_real(pt: ah.AHSphericalPoint, p: ah.AHParams) -> np.ndarray:
     state = ah.ah_from_spherical(pt, p)
-    # tight quadrature tolerance: these values sit inside difference quotients
-    _, U, Z = ah.ah_u_coordinate(state, p, tol=1e-12)
+    _, U, Z = ah.ah_u_coordinate(state, p)
     return np.array([U.real, U.imag, Z.real, Z.imag])
 
 

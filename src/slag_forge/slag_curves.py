@@ -579,8 +579,7 @@ def _is_axis_trace(trace: CurveTrace) -> bool:
     return bool(np.all(np.abs(np.sin(th)) < 1e-12))
 
 
-def verify_slag(trace: CurveTrace, manifold: str, params, phase: float = 0.0,
-                quad_tol: float = 1e-11) -> dict:
+def verify_slag(trace: CurveTrace, manifold: str, params, phase: float = 0.0) -> dict:
     """Residual report: max |omega(v1,v2)|, max |Im(e^{i phase} Omega(v1,v2))|,
     max |mu - median(mu)| along the trace.
 
@@ -597,7 +596,7 @@ def verify_slag(trace: CurveTrace, manifold: str, params, phase: float = 0.0,
     if manifold == "tn":
         return _verify_tn(trace, params, phase)
     if manifold == "ah":
-        return _verify_ah(trace, params, phase, quad_tol)
+        return _verify_ah(trace, params, phase)
     raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
 
 
@@ -671,26 +670,15 @@ def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
     return Us * sign, Zs * sign
 
 
-def _verify_ah(trace: CurveTrace, p: ah.AHParams, phase: float,
-               quad_tol: float) -> dict:
-    kcol = trace.cols["k"]
-    theta = trace.cols["theta"]
-    phi = trace.cols["phi"]
-    psi = trace.cols["psi"]
-    m = len(trace.t)
-    Us = np.empty(m, dtype=complex)
-    Zs = np.empty(m, dtype=complex)
-    fields = np.empty((4, m), dtype=complex)
-    mu_arr = np.empty(m)
-    for i in range(m):
-        pt = ah.AHSphericalPoint(kcol[i], theta[i], phi[i] % (2 * math.pi),
-                                 psi[i] % (4 * math.pi))
-        state = ah.ah_from_spherical(pt, p)
-        _, U, Z = ah.ah_u_coordinate(state, p, tol=quad_tol)
-        Us[i], Zs[i] = U, Z
-        blk = ah.ah_metric_UZ(state, p)
-        fields[:, i] = (blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar)
-        mu_arr[i] = mm.moment_ah_so2(state)
+def _verify_ah(trace: CurveTrace, p: ah.AHParams, phase: float) -> dict:
+    cols = trace.cols
+    pt = ah.AHSphericalPoint(cols["k"], cols["theta"], cols["phi"] % (2 * math.pi),
+                             cols["psi"] % (4 * math.pi))
+    state = ah.ah_from_spherical(pt, p)
+    _, Us, Zs = ah.ah_u_coordinate(state, p)
+    blk = ah.ah_metric_UZ(state, p)
+    fields = np.array([blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar])
+    mu_arr = mm.moment_ah_so2(state)
     Us, Zs = _continue_sqrt_branch(Us, Zs)
     omega_arr, im_omega_arr = _residuals(fields, 0j, -2j * Zs, _deriv(Us, trace.t),
                                          _deriv(Zs, trace.t), phase)

@@ -1,18 +1,22 @@
 """Atiyah-Hitchin state construction, pi(x_pm), coefficients, metric block."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
                                        ah_check_h_constraint, ah_coeffs,
                                        ah_from_spherical, ah_kahler_potential,
                                        ah_metric_UZ, ah_pi_xpm,
-                                       ah_u_coordinate, ah_zvx_from_spherical,
+                                       ah_state_from_zvx, ah_u_coordinate,
+                                       ah_xy_from_zvx, ah_zvx_from_spherical,
                                        pi_pair_from_zvx)
-from slag_forge.elliptic import elliptic_data, elliptic_K
-from slag_forge.errors import ChartError, DegenerateError, DomainError
+from slag_forge.elliptic import elliptic_data, elliptic_K, elliptic_Pi_vec
+from slag_forge.errors import ChartError, DegenerateError, DomainError, PoleError
 
 
 def regular_point(rng, p=AHParams(1.0, 1), y_guard=1e-3):
@@ -106,8 +110,8 @@ def test_dpi_differential_fd():
             dn[coord] -= step
             s_up = ah_from_spherical(AHSphericalPoint(**up), p)
             s_dn = ah_from_spherical(AHSphericalPoint(**dn), p)
-            pp_u, pm_u = ah_pi_xpm(s_up, tol=1e-12)
-            pp_d, pm_d = ah_pi_xpm(s_dn, tol=1e-12)
+            pp_u, pm_u = ah_pi_xpm(s_up)
+            pp_d, pm_d = ah_pi_xpm(s_dn)
             deta = s_up.elliptic.eta1 - s_dn.elliptic.eta1
             for pi_u, pi_d, A, B, x_u, x_d in (
                     (pp_u, pp_d, state.Aplus, state.Bplus,
@@ -226,3 +230,114 @@ def test_params_and_point_validation():
         AHSphericalPoint(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         AHSphericalPoint(0.5, -0.1, 0.0, 0.0)
+
+
+def chart_data(k):
+    """Curve data at the chart scale rho = 16 K^2 (h = 1)."""
+    return elliptic_data(k, 16.0 * elliptic_K(k) ** 2)
+
+
+def cut_point(xp, xm):
+    """(z, v, x) of the point with abel images x_+ > x_- and v_+ = v_- = 1
+    (y_+ imaginary, y_- real), as bench/workloads.edge_probe builds it."""
+    absz = 0.25 * (xp - xm)
+    return complex(absz, 0.0), math.sqrt(absz) * complex(1.0, 1.0), 1.5 * (xp + xm)
+
+
+def Pi_oracle(n: float, k: float) -> float:
+    """Pi(n, k) by closed forms independent of elliptic_Pi_vec: mpmath's
+    ellippi for n < 1; for n > 1 scipy's R_J, which takes the principal
+    value for p < 0, in Pi = K + (n/3) R_J(0, k'^2, 1, 1 - n), and past
+    n = 1e5, where that sum cancels, K - Pi(k^2/n, k) in 40-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    special = pytest.importorskip("scipy.special")
+    m = k * k
+    if n < 1.0:
+        with mp.workdps(30):
+            return float(mp.ellippi(n, m))
+    if n < 1e5:
+        return float(special.ellipk(m) + (n / 3.0) * special.elliprj(0.0, 1.0 - m, 1.0, 1.0 - n))
+    with mp.workdps(40):
+        mm = mp.mpf(k) ** 2
+        return float(mp.ellipk(mm) - mp.ellippi(mm / mp.mpf(n), mm))
+
+
+def at_share(d, end, share):
+    """x at the given share of the cut span above e2 or e3 (negative: below)."""
+    return getattr(d, end) + share * (d.e2 - d.e3)
+
+
+# (k, x_+ share above e2, x_- end and share): x_- inside the cut within 1e-6
+# of e3 and of e2 and mid-cut, and below the cut; at the k = 0.0402 point a
+# three-piece principal-value quadrature of pi(x_-) was off by 3.9e-3
+PI_POINTS = [(k, sp, end, sm) for k in (0.04, 0.5, 0.997) for sp in (1e-3, 0.3)
+             for end, sm in (("e3", 1e-6), ("e3", 0.5), ("e2", -1e-6), ("e3", -0.2))]
+PI_POINTS.append((0.0402, 0.5, "e3", 1.42e-6))
+
+
+def test_pi_pair_matches_closed_form_oracles():
+    """pi(x_pm) = -2 y_pm Pi(n, k) / ((e3 - x_pm) sqrt(rho)), n = (e2 - e3)/(x_pm - e3),
+    against Pi_oracle at the same x_pm, to 1e-12 of max(1, |pi|)."""
+    for k, sp, end, sm in PI_POINTS:
+        d = chart_data(k)
+        z, v, x = cut_point(at_share(d, "e2", sp), at_share(d, end, sm))
+        pi_pair = pi_pair_from_zvx(z, v, x, d)
+        xp, xm, _, _, yp, ym = ah_xy_from_zvx(z, v, x)
+        for pi, xv, y in zip(pi_pair, (xp, xm), (yp, ym)):
+            n = (d.e2 - d.e3) / (xv - d.e3)
+            ref = -2.0 * y * Pi_oracle(n, k) / ((d.e3 - xv) * math.sqrt(d.rho))
+            assert abs(pi - ref) <= 1e-12 * max(1.0, abs(ref)), (k, xv, n)
+
+
+# Pi(n, k) past n = 1e5, where the R_J sum cancels; each value from
+#   python -c "import mpmath as mp; mp.mp.dps = 40; k, n = mp.mpf('K'), mp.mpf('N');
+#              m = k * k; print(mp.nstr(mp.ellipk(m) - mp.ellippi(m / n, m), 35))"
+PI_LARGE_N = [
+    (0.0402, 704225.3273341771, -1.8034068841710970950063672379535084e-9),
+    (0.04, 1e6, -1.2573918000447423114561367105842459e-9),
+    (0.5, 1e5, -2.1828855974995392554623138029487757e-6),
+    (0.5, 1e8, -2.1828814588744480487908940264569986e-9),
+    (0.997, 1e6, -2.9391314921266104262017497470028145e-6),
+]
+
+
+def test_elliptic_Pi_vec_oracles():
+    """The Pi kernel on both sides of n = 1 and far into the principal-value
+    range; the large-n values are tiny, so they are held to 1e-12 relative."""
+    k = np.array([0.04, 0.5, 0.997])
+    n = np.array([-30.0, 0.0, 0.5, 1.0 - 1e-8, 1.0 + 1e-8, 1.5, 30.0, 9e4])
+    vals = elliptic_Pi_vec(n[:, None], k[None, :])
+    for i, j in np.ndindex(vals.shape):
+        ref = Pi_oracle(n[i], k[j])
+        assert abs(vals[i, j] - ref) <= 1e-12 * max(1.0, abs(ref)), (n[i], k[j])
+    for kk, nn, ref in PI_LARGE_N:
+        assert elliptic_Pi_vec(nn, kk) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    with pytest.raises(DomainError):
+        elliptic_Pi_vec(1.0, 0.5)
+
+
+EDGE_SHARE = st.floats(-9.0, -3.0)     # log10 of the distance, in cut spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.floats(1e-6, 1.0 - 1e-9), lp=EDGE_SHARE, below_e2=st.booleans(),
+       end=st.sampled_from(("e3", "e2")), lm=EDGE_SHARE, below=st.booleans())
+# x_+ = e2 + 4e-8 span at k = 0.997, where adaptive quadrature of pi(x_+) took 65 s
+@example(k=0.997, lp=math.log10(4e-8), below_e2=False, end="e3", lm=-3.0, below=False)
+def test_u_coordinate_bounded_at_cut_ends(k, lp, below_e2, end, lm, below):
+    """Within 1e-9..1e-3 of the span from a cut end, u is finite or a
+    PoleError, in under 50 ms."""
+    sp = -(10.0 ** lp) if below_e2 else 10.0 ** lp
+    sm = -(10.0 ** lm) if below else 10.0 ** lm
+    d = chart_data(k)
+    xp, xm = at_share(d, "e2", sp), at_share(d, end, sm)
+    assume(xp > xm)
+    z, v, x = cut_point(xp, xm)
+    state = ah_state_from_zvx(z, v, x, d)
+    t0 = time.perf_counter()
+    try:
+        _, U, Z = ah_u_coordinate(state, AHParams(1.0, 1))
+        assert np.isfinite(U) and np.isfinite(Z)
+    except PoleError:
+        pass
+    assert time.perf_counter() - t0 < 0.05

@@ -125,9 +125,9 @@ def test_orbit_constancy_ah():
     dphi = 1e-5
     up = ah_from_spherical(AHSphericalPoint(pt.k, pt.theta, pt.phi + dphi, pt.psi), p)
     dn = ah_from_spherical(AHSphericalPoint(pt.k, pt.theta, pt.phi - dphi, pt.psi), p)
-    _, U_u, Z_u = ah_u_coordinate(up, p, tol=1e-12)
-    _, U_d, Z_d = ah_u_coordinate(dn, p, tol=1e-12)
-    _, U0, Z0 = ah_u_coordinate(state0, p, tol=1e-12)
+    _, U_u, Z_u = ah_u_coordinate(up, p)
+    _, U_d, Z_d = ah_u_coordinate(dn, p)
+    _, U0, Z0 = ah_u_coordinate(state0, p)
     assert abs((U_u - U_d) / (2 * dphi)) < 1e-6 * max(1.0, abs(U0))
     assert (Z_u - Z_d) / (2 * dphi) == pytest.approx(1j * Z0, rel=1e-6)
 

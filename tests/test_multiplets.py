@@ -170,7 +170,7 @@ def test_ah_I1_I2_closed_forms():
         m4 = random_o4(rng)
         data = elliptic_data(o4_modulus(m4), m4.rho)
         try:
-            pi_p, pi_m = pi_pair_from_zvx(m4.z, m4.v, m4.x, data, tol=1e-12)
+            pi_p, pi_m = pi_pair_from_zvx(m4.z, m4.v, m4.x, data)
             i1 = ah_In_contour_oracle(data, m4, 1, tol=1e-12)
             i2 = ah_In_contour_oracle(data, m4, 2, tol=1e-12)
         except PoleError:

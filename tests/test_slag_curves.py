@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from slag_forge import slag_curves as sc
-from slag_forge.atiyah_hitchin import (AHParams, ah_xy_from_zvx,
+from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
+                                       ah_from_spherical, ah_metric_UZ,
+                                       ah_u_coordinate, ah_xy_from_zvx,
                                        ah_zvx_from_spherical)
 from slag_forge.elliptic import elliptic_data, elliptic_K
 from slag_forge.errors import (ChartError, DomainError, EmptyDomainError,
-                               OutOfRangeError)
+                               OutOfRangeError, SlagForgeError)
+from slag_forge.moment_maps import moment_ah_so2
 from slag_forge.slag_curves import (CurveTrace, ImplicitGrid, ah_condition,
                                     ah_cos2psi, ah_cos2psi_level,
                                     ah_traces_theta_k,
@@ -433,3 +436,56 @@ def test_ah_chart_and_xy_arrays_match_scalar_calls():
         assert (z[i], v[i], x[i]) == pytest.approx(zvx_i, rel=1e-14)
         xy_i = ah_xy_from_zvx(*zvx_i)
         assert tuple(q[i] for q in xy) == pytest.approx(xy_i, rel=1e-14)
+
+
+def _reference_verify_ah(trace, p):
+    """Atiyah-Hitchin residuals one sample at a time through the public scalar
+    chart, u coordinate, metric block and moment: (U, Z, mu, omega, Im Omega)."""
+    m = len(trace.t)
+    Us = np.empty(m, dtype=complex)
+    Zs = np.empty(m, dtype=complex)
+    fields = np.empty((4, m), dtype=complex)
+    mu = np.empty(m)
+    for i in range(m):
+        k, theta, phi, psi = (float(trace.cols[c][i]) for c in ("k", "theta", "phi", "psi"))
+        state = ah_from_spherical(
+            AHSphericalPoint(k, theta, phi % (2 * math.pi), psi % (4 * math.pi)), p)
+        _, Us[i], Zs[i] = ah_u_coordinate(state, p)
+        blk = ah_metric_UZ(state, p)
+        fields[:, i] = (blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar)
+        mu[i] = moment_ah_so2(state)
+    Us, Zs = sc._continue_sqrt_branch(Us, Zs)
+    omega, im_omega = sc._residuals(fields, 0j, -2j * Zs, sc._deriv(Us, trace.t),
+                                    sc._deriv(Zs, trace.t), 0.0)
+    return Us, Zs, mu, np.abs(omega), np.abs(im_omega)
+
+
+@pytest.mark.parametrize("family, fixed", [(ah_traces_theta_phi, 0.5),
+                                           (ah_traces_theta_k, math.pi / 4)],
+                         ids=["fig8", "fig9"])
+def test_verify_ah_matches_per_sample_reference(family, fixed):
+    """One array pass per trace against the per-sample loop on the fig8
+    (k = 0.5) and fig9 (phi = pi/4) families at c1 = -3; a trace with one
+    degenerate sample raises the error the loop raises."""
+    p = AHParams(1.0, 1)
+    traces = family(fixed, -3.0)
+    assert traces
+    for tr in traces:
+        res = verify_slag(tr, "ah", p)
+        U, Z, mu, omega, im_omega = _reference_verify_ah(tr, p)
+        assert np.all(np.abs(res["U"] - U) <= 1e-12 * np.abs(U))
+        assert np.all(np.abs(res["Z"] - Z) <= 1e-12 * np.abs(Z))
+        assert np.max(np.abs(res["mu"] - mu)) <= 1e-13
+        assert np.max(np.abs(res["omega"] - omega)) <= 1e-10
+        assert np.max(np.abs(res["im_omega"] - im_omega)) <= 1e-10
+    # theta -> 0 with psi = 0 collapses v and y_pm and puts x_- on e3
+    cols = {c: v.copy() for c, v in traces[0].cols.items()}
+    j = len(traces[0].t) // 2
+    cols["theta"][j], cols["psi"][j] = 1e-7, 0.0
+    bad = CurveTrace(chart="ah-spherical", action="so2", t=traces[0].t.copy(),
+                     cols=cols, params=dict(traces[0].params))
+    with pytest.raises(SlagForgeError) as ref_err:
+        _reference_verify_ah(bad, p)
+    with pytest.raises(SlagForgeError) as err:
+        verify_slag(bad, "ah", p)
+    assert type(err.value) is type(ref_err.value)
