@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 
+# a stop test below half an ulp (|a - b| < 1e-16 a) never fires where a and b
+# settle into a 1-ulp cycle, so the AGM loops stop by the quadratic rule instead
 _AGM_TOL = 1e-16
 _AGM_CAP = 60
 
@@ -33,9 +35,12 @@ def elliptic_K(k: float) -> float:
         raise DomainError(f"elliptic_K requires 0 <= k < 1, got k={k!r}")
     a, b = 1.0, math.sqrt(1.0 - k * k)
     for _ in range(_AGM_CAP):
-        if abs(a - b) < _AGM_TOL * a:
-            break
+        # quadratic convergence: a gap under sqrt(_AGM_TOL) before this
+        # step leaves the values just updated accurate to _AGM_TOL
+        last = abs(a - b) <= math.sqrt(_AGM_TOL) * a
         a, b = 0.5 * (a + b), math.sqrt(a * b)
+        if last:
+            break
     return math.pi / (2.0 * a)
 
 
@@ -49,11 +54,12 @@ def elliptic_E(k: float) -> float:
     csum = 0.5 * c * c
     pow2 = 0.5
     for _ in range(_AGM_CAP):
-        if abs(a - b) < _AGM_TOL * a:
-            break
+        last = abs(a - b) <= math.sqrt(_AGM_TOL) * a
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
         csum += pow2 * c * c
+        if last:
+            break
     K = math.pi / (2.0 * a)
     return K * (1.0 - csum)
 
@@ -83,21 +89,25 @@ def jacobi_sn(u: float, k: float) -> float:
 
 
 def elliptic_K_vec(k: np.ndarray) -> np.ndarray:
-    """Vectorized K(k) for arrays with 0 <= k < 1 (AGM on ndarrays)."""
+    """Vectorized K(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_K."""
     k = np.asarray(k, dtype=float)
     if np.any((k < 0.0) | (k >= 1.0)):
         raise DomainError("elliptic_K_vec requires 0 <= k < 1 elementwise")
     a = np.ones_like(k)
     b = np.sqrt(1.0 - k * k)
+    live = np.ones(k.shape, dtype=bool)
     for _ in range(_AGM_CAP):
-        if np.all(np.abs(a - b) < _AGM_TOL * a):
+        # each element takes the steps the scalar loop takes, then holds
+        last = np.abs(a - b) <= math.sqrt(_AGM_TOL) * a
+        a, b = np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b)
+        live &= ~last
+        if not live.any():
             break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
     return math.pi / (2.0 * a)
 
 
 def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
-    """Vectorized E(k) for arrays with 0 <= k < 1."""
+    """Vectorized E(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_E."""
     k = np.asarray(k, dtype=float)
     if np.any((k < 0.0) | (k >= 1.0)):
         raise DomainError("elliptic_E_vec requires 0 <= k < 1 elementwise")
@@ -105,13 +115,16 @@ def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
     b = np.sqrt(1.0 - k * k)
     csum = 0.5 * k * k
     pow2 = 0.5
+    live = np.ones(k.shape, dtype=bool)
     for _ in range(_AGM_CAP):
-        if np.all(np.abs(a - b) < _AGM_TOL * a):
-            break
+        last = np.abs(a - b) <= math.sqrt(_AGM_TOL) * a
         c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        a, b = np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b)
         pow2 *= 2.0
-        csum = csum + pow2 * c * c
+        csum = np.where(live, csum + pow2 * c * c, csum)
+        live &= ~last
+        if not live.any():
+            break
     K = math.pi / (2.0 * a)
     return K * (1.0 - csum)
 

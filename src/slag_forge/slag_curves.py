@@ -203,13 +203,18 @@ def ah_cos2psi_level(theta, k, c1: float, h: float):
 
     cos 2psi = ((2k^2-1)(1-3cos^2 th) + (3h/(4K^2))(c1 + 16hK((k^2-2)K/3 + E)))
     / (3 sin^2 th), affine in c1 with slope h/(4K^2 sin^2 th).  Scalars or
-    arrays; a scalar k takes the scalar AGM for K and E.  The value may leave
-    [-1, 1] (no real psi) and is not finite where sin theta = 0.
+    arrays; a scalar k takes the scalar AGM for K and E, an array k takes the
+    array AGM once per distinct value (a (theta, k) grid has one k per
+    column) and scatters it back, bitwise equal to K and E on every element.
+    The value may leave [-1, 1] (no real psi) and is not finite where
+    sin theta = 0.
     """
     if np.ndim(k) == 0:
         K, E = elliptic_K(float(k)), elliptic_E(float(k))
     else:
-        K, E = elliptic_K_vec(k), elliptic_E_vec(k)
+        ku, inv = np.unique(k, return_inverse=True)
+        K = elliptic_K_vec(ku)[inv].reshape(np.shape(k))
+        E = elliptic_E_vec(ku)[inv].reshape(np.shape(k))
     bracket = (3.0 * h / (4.0 * K * K)) * (
         c1 + 16.0 * h * K * ((k * k - 2.0) * K / 3.0 + E))
     st2 = np.sin(theta) ** 2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slag_forge import elliptic
 from slag_forge.elliptic import (elliptic_data, elliptic_E, elliptic_E_vec,
                                  elliptic_K, elliptic_K_vec, eta1_closed,
                                  eta1_quadrature, eta3_quadrature, jacobi_sn,
@@ -88,12 +89,44 @@ def test_elliptic_E_trivial_and_oracle():
         elliptic_E(1.2)
 
 
+# the 257 k-axis nodes of the fig9 (theta, k) grid, the fig8 moduli and the ends
+K_E_POINTS = np.concatenate([np.linspace(0.02, 0.98, 257),
+                             [1e-6, 0.3, 0.5, 0.7, 0.997, 0.999]])
+
+
 def test_vectorized_K_E_match_scalar():
-    ks = np.linspace(0.0, 0.97, 40)
-    Kv, Ev = elliptic_K_vec(ks), elliptic_E_vec(ks)
-    for i, k in enumerate(ks):
-        assert Kv[i] == pytest.approx(elliptic_K(k), rel=1e-15)
-        assert Ev[i] == pytest.approx(elliptic_E(k), rel=1e-15)
+    ks = np.concatenate([np.linspace(0.0, 0.97, 40), K_E_POINTS])
+    assert np.array_equal(elliptic_K_vec(ks), [elliptic_K(k) for k in ks])
+    assert np.array_equal(elliptic_E_vec(ks), [elliptic_E(k) for k in ks])
+
+
+def test_K_E_match_mpmath():
+    """K and E against 40-digit mpmath to 2e-15 relative (the scalar kernels
+    give the same bits); a stop after the AGM had settled into a 1-ulp cycle
+    read 9.4e-15 on E."""
+    mp = pytest.importorskip("mpmath")
+    Kv, Ev = elliptic_K_vec(K_E_POINTS), elliptic_E_vec(K_E_POINTS)
+    with mp.workdps(40):
+        for k, K, E in zip(K_E_POINTS, Kv, Ev):
+            m = mp.mpf(float(k)) ** 2
+            assert abs(K / mp.ellipk(m) - 1) <= 2e-15, k
+            assert abs(E / mp.ellipe(m) - 1) <= 2e-15, k
+
+
+def test_agm_stops_by_quadratic_rule_before_cap(monkeypatch):
+    """The AGM stops once a step leaves it converged, well before the cap:
+    eight steps give the same bits as sixty over 0 < k < 1 - 1e-9."""
+    ks = np.linspace(1e-6, 1.0 - 1e-9, 5001)
+
+    def run():
+        return (elliptic_K_vec(ks), elliptic_E_vec(ks),
+                np.array([elliptic_K(float(k)) for k in ks]),
+                np.array([elliptic_E(float(k)) for k in ks]))
+
+    default = run()
+    monkeypatch.setattr(elliptic, "_AGM_CAP", 8)
+    for full, capped in zip(default, run()):
+        assert np.array_equal(full, capped)
 
 
 def test_jacobi_sn_degenerate_and_quarter_period():

@@ -1,16 +1,20 @@
 """Curve families, implicit tracer, and the residual verifier."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slag_forge import slag_curves as sc
 from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
                                        ah_from_spherical, ah_metric_UZ,
                                        ah_u_coordinate, ah_xy_from_zvx,
                                        ah_zvx_from_spherical)
-from slag_forge.elliptic import elliptic_data, elliptic_K
+from slag_forge.elliptic import (elliptic_data, elliptic_E_vec, elliptic_K,
+                                 elliptic_K_vec)
 from slag_forge.errors import (ChartError, DomainError, EmptyDomainError,
                                OutOfRangeError, SlagForgeError)
 from slag_forge.moment_maps import moment_ah_so2
@@ -175,6 +179,64 @@ def test_ah_cos2psi_affine_in_c1():
     slope = (ah_cos2psi_level(th, k, 1.0 + d, h)[0]
              - ah_cos2psi_level(th, k, 1.0 - d, h)[0]) / (2 * d)
     assert slope == pytest.approx(expect, rel=1e-9)
+
+
+def _level_full_array(theta, k, c1, h):
+    """ah_cos2psi_level's formula with K and E taken on every element of k."""
+    K, E = elliptic_K_vec(k), elliptic_E_vec(k)
+    bracket = (3.0 * h / (4.0 * K * K)) * (
+        c1 + 16.0 * h * K * ((k * k - 2.0) * K / 3.0 + E))
+    st2 = np.sin(theta) ** 2
+    ct = np.cos(theta)
+    tk = 2.0 * k * k - 1.0
+    return (tk * (1.0 - 3.0 * ct * ct) + bracket) / (3.0 * st2), K
+
+
+def test_ah_cos2psi_level_distinct_k_matches_full_array():
+    """K and E once per distinct k give the bits of K and E on every element:
+    on the fig9 (theta, k) grid, on a bisection-like k with repeats and at a
+    0-d k."""
+    th_axis = np.linspace(0.02, math.pi - 0.02, 257)
+    k_axis = np.linspace(0.02, 0.98, 257)
+    rng = np.random.default_rng(7)
+    cases = [np.meshgrid(th_axis, k_axis, indexing="ij"),
+             (rng.uniform(0.1, 3.0, 300), np.repeat(rng.uniform(0.05, 0.95, 60), 5)),
+             (np.float64(1.1), np.float64(0.4)),
+             (np.linspace(0.3, 2.8, 5), np.array(0.7))]
+    for theta, k in cases:
+        got = ah_cos2psi_level(theta, k, -3.0, 1.0)
+        ref = _level_full_array(theta, np.asarray(k, dtype=float), -3.0, 1.0)
+        for g, r in zip(got, ref):
+            assert np.shape(g) == np.shape(r)
+            assert np.array_equal(g, r)
+
+
+# theta within 1e-12..1e-3 of the poles theta = 0 and theta = pi
+POLE_THETA = st.one_of(st.floats(1e-12, 1e-3),
+                       st.floats(math.pi - 1e-3, math.pi - 1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=POLE_THETA, k=st.floats(1e-6, 1.0 - 1e-9), c1=st.floats(-10.0, 10.0),
+       phi=st.floats(0.0, 2.0 * math.pi), sign=st.sampled_from((1, -1)))
+def test_ah_cos2psi_and_condition_bounded_at_poles(theta, k, c1, phi, sign):
+    """Near theta = 0 or pi, cos 2psi is in [-1, 1] and the condition residual
+    finite, or either raises OutOfRangeError, each call in under 50 ms;
+    theta = 0 itself is off the chart."""
+    t0 = time.perf_counter()
+    try:
+        assert -1.0 <= ah_cos2psi(theta, k, c1, 1.0) <= 1.0
+    except OutOfRangeError:
+        pass
+    t1 = time.perf_counter()
+    try:
+        assert math.isfinite(ah_condition(theta, phi, k, c1, 1.0, sign))
+    except OutOfRangeError:
+        pass
+    t2 = time.perf_counter()
+    assert t1 - t0 < 0.05 and t2 - t1 < 0.05
+    with pytest.raises(ChartError):
+        ah_cos2psi(0.0, k, c1, 1.0)
 
 
 def test_ah_condition_zero_iff_negative_real_z():
