@@ -16,10 +16,6 @@ AH_COLUMNS = ("t", "k", "theta", "phi", "psi", "re_U", "im_U", "re_Z", "im_Z",
               "omega_res", "imOmega_res", "mu")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
-
-
 def trace_to_csv(trace: CurveTrace, manifold: str) -> str:
     """Render a verified trace; floats carry 17 significant digits."""
     if trace.residuals is None:
@@ -47,9 +43,11 @@ def trace_to_csv(trace: CurveTrace, manifold: str) -> str:
                  res["omega"], res["im_omega"], res["mu"]]
     else:
         raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
+    # '%.16e' % v is f"{v:.16e}" for every float, nan, inf and -0.0 included
+    row = ",".join(["%.16e"] * len(table))
     lines = [header, ",".join(cols)]
-    for i in range(m):
-        lines.append(",".join(_fmt(float(col[i])) for col in table))
+    lines.extend(row % vals for vals in
+                 zip(*(np.asarray(col, dtype=float).tolist() for col in table)))
     return "\n".join(lines) + "\n"
 
 

@@ -2,9 +2,11 @@
 
 Closed-form families (the two tri-holomorphic U(1) cases and the rotational
 SO(2) level sets on Taub-NUT), the implicit Atiyah-Hitchin condition in the
-(theta, phi) and (theta, k) planes, a marching-squares zero-set tracer with
-bisection refinement, and the end-to-end Lagrangian / special-Lagrangian
-residual report (omega, Im Omega, moment constancy) for any emitted trace.
+(theta, phi) and (theta, k) planes, a marching-squares zero-set tracer (one
+outer-product evaluation of the condition on the node lattice, crossed edges
+refined by vectorized Illinois steps), and the end-to-end Lagrangian /
+special-Lagrangian residual report (omega, Im Omega, moment constancy) for
+any emitted trace.
 """
 
 from __future__ import annotations
@@ -271,12 +273,19 @@ def ah_condition(theta: float, phi: float, k: float, c1: float, h: float,
 
 
 # ---------------------------------------------------------------------------
-# Implicit zero-set tracing (marching squares + bisection)
+# Implicit zero-set tracing (marching squares + Illinois refinement)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ImplicitGrid:
-    """Rectangle, resolution and a (vectorized) scalar condition f(x, y)."""
+    """Rectangle, resolution and a vectorized scalar condition f(x, y).
+
+    f must broadcast: the node lattice is evaluated in one call with an
+    (n+1, 1) column of x and a (1, n+1) row of y, and the result (which may
+    be a scalar or any shape that broadcasts to (n+1, n+1)) is read as the
+    (n+1) x (n+1) node values; saddle centres and edge refinement call it
+    with equal-length 1-d arrays.
+    """
 
     f: Callable
     rect: tuple[float, float, float, float]   # x0, x1, y0, y1
@@ -291,38 +300,59 @@ class ImplicitGrid:
 
 
 def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
-                  tol: float, iters: int = 80) -> np.ndarray:
-    """Vectorized bisection along segments with a sign change; returns points.
+                  f1s: np.ndarray, tol: float, iters: int = 80) -> np.ndarray:
+    """Vectorized Illinois (safeguarded regula falsi) root refinement.
 
-    Each segment is refined until |f| < tol at its midpoint or the bracket
-    shrinks below 1e-10 of the edge length.
+    Each segment p0 -> p1 carries a sign change between its end values f0,
+    f1 (already known, so no end is evaluated again).  Its bracket [a, b] in
+    the segment parameter starts at [0, 1]; each sweep takes the secant point
+    of the bracket, or the midpoint where that point is not strictly inside
+    it, and keeps the half with the sign change.  When the same end moves
+    twice in a row, the function value kept at the other end is halved (the
+    Illinois step), so both ends converge.  A segment stops at |f| < tol, at
+    a non-finite value, or when the bracket its point came from is under
+    1e-10 of the edge length; f is evaluated only on segments still active.
+    Returns the last point taken on each segment.
     """
-    a = np.zeros(len(p0s))
-    b = np.ones(len(p0s))
-    fa = f0s.copy()
-    done = np.zeros(len(p0s), dtype=bool)
-    mid = 0.5 * np.ones(len(p0s))
+    m = len(p0s)
+    a, b = np.zeros(m), np.ones(m)
+    fa, fb = f0s.astype(float), f1s.astype(float)
+    moved = np.zeros(m, dtype=np.int8)       # end moved last: -1 a, +1 b
+    t = np.full(m, 0.5)
+    active = np.arange(m)
     for _ in range(iters):
-        mid = np.where(done, mid, 0.5 * (a + b))
-        pts = p0s + mid[:, None] * (p1s - p0s)
+        lo, hi, flo, fhi = a[active], b[active], fa[active], fb[active]
         with np.errstate(all="ignore"):
-            fm = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        done = done | ~np.isfinite(fm) | (np.abs(fm) < tol) | ((b - a) < 1e-10)
-        if np.all(done):
+            x = (lo * fhi - hi * flo) / (fhi - flo)
+        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+        t[active] = x
+        pts = p0s[active] + x[:, None] * (p1s[active] - p0s[active])
+        with np.errstate(all="ignore"):
+            fx = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+        done = ~np.isfinite(fx) | (np.abs(fx) < tol) | ((hi - lo) < 1e-10)
+        live = active[~done]
+        x, fx = x[~done], fx[~done]
+        to_a = (fx > 0.0) == (fa[live] > 0.0)
+        ia, ib = live[to_a], live[~to_a]
+        fb[ia[moved[ia] == -1]] *= 0.5
+        fa[ib[moved[ib] == 1]] *= 0.5
+        a[ia], fa[ia], moved[ia] = x[to_a], fx[to_a], -1
+        b[ib], fb[ib], moved[ib] = x[~to_a], fx[~to_a], 1
+        active = live
+        if not len(active):
             break
-        towards_a = (fa > 0.0) != (fm > 0.0)
-        b = np.where(~done & towards_a, mid, b)
-        a = np.where(~done & ~towards_a, mid, a)
-        fa = np.where(~done & ~towards_a, fm, fa)
-    return p0s + mid[:, None] * (p1s - p0s)
+    return p0s + t[:, None] * (p1s - p0s)
 
 
 def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     """Polylines approximating {f = 0} on the grid rectangle.
 
-    Marching squares on an (n+1) x (n+1) node lattice; each crossed cell edge
-    is refined by (batched) bisection to |f| < tol or 1e-10 of the edge
-    length; the resulting segments are chained into polylines.  Cells with
+    Marching squares on an (n+1) x (n+1) node lattice, whose values come
+    from one call f(xs[:, None], ys[None, :]), so a term that depends on one
+    coordinate alone is computed once per grid line; each crossed cell edge
+    is refined by batched Illinois steps (_refine_edges) to |f| < tol or
+    1e-10 of the edge length, starting from the node values already known;
+    the resulting segments are chained into polylines.  Cells with
     any non-finite corner are skipped (flagged region).  The output ordering
     is deterministic: polylines sorted lexicographically by first vertex,
     each oriented so the first vertex is not greater than the last.
@@ -331,9 +361,9 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     n = grid.n
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
     with np.errstate(all="ignore"):
-        F = np.asarray(grid.f(X, Y), dtype=float)
+        F = np.broadcast_to(np.asarray(grid.f(xs[:, None], ys[None, :]), dtype=float),
+                            (n + 1, n + 1))
 
     fin = np.isfinite(F)
     pos = F > 0.0
@@ -344,13 +374,12 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     hi, hj = np.nonzero(h_cross)
     vi, vj = np.nonzero(v_cross)
     p0s = np.concatenate([np.column_stack([xs[hi], ys[hj]]),
-                          np.column_stack([xs[vi], ys[vj]])]) \
-        if len(hi) + len(vi) else np.zeros((0, 2))
+                          np.column_stack([xs[vi], ys[vj]])])
     p1s = np.concatenate([np.column_stack([xs[hi + 1], ys[hj]]),
-                          np.column_stack([xs[vi], ys[vj + 1]])]) \
-        if len(hi) + len(vi) else np.zeros((0, 2))
-    f0s = np.concatenate([F[hi, hj], F[vi, vj]]) if len(hi) + len(vi) else np.zeros(0)
-    refined = _refine_edges(grid.f, p0s, p1s, f0s, tol) if len(p0s) else p0s
+                          np.column_stack([xs[vi], ys[vj + 1]])])
+    f0s = np.concatenate([F[hi, hj], F[vi, vj]])
+    f1s = np.concatenate([F[hi + 1, hj], F[vi, vj + 1]])
+    refined = _refine_edges(grid.f, p0s, p1s, f0s, f1s, tol) if len(p0s) else p0s
     verts: dict[tuple, tuple[float, float]] = {}
     for idx in range(len(hi)):
         verts[("h", int(hi[idx]), int(hj[idx]))] = tuple(refined[idx])
@@ -667,11 +696,16 @@ def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
     samples.  Both name the same point (the metric block is even in the
     branch, and v1 = -2i Z d_Z flips with the tangent, so each sample's
     residuals do not depend on it).  Each sample takes the sign that puts Z
-    nearest its predecessor's continued value.
+    nearest its predecessor's continued value, and the whole trace the sign
+    that makes Im Z > 0 at its first sample: on Re Z = 0, Z ~ +-2i sqrt|z|
+    and the sample mask keeps |z| >= 1e-10 rho, so Im Z_0 is never zero and
+    the emitted branch does not depend on the sign of the noise in Im z.
     """
     flip = np.abs(Zs[1:] + Zs[:-1]) < np.abs(Zs[1:] - Zs[:-1])
     sign = np.ones(len(Zs))
     sign[1:] = np.where(np.cumsum(flip) % 2 == 1, -1.0, 1.0)
+    if Zs[0].imag < 0.0:
+        sign = -sign
     return Us * sign, Zs * sign
 
 

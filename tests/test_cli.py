@@ -1,15 +1,18 @@
 """CLI surface: exit codes, CSV schema and determinism, re-ingestion."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
                               trace_to_csv, write_trace_csv)
-from slag_forge.slag_curves import tn_u1_case1, verify_slag
+from slag_forge.slag_curves import (ah_traces_theta_phi, tn_so2_curve, tn_u1_case1,
+                                    verify_slag)
 from slag_forge.taub_nut import TNParams
 
 
@@ -111,6 +114,60 @@ def test_csv_seventeen_significant_digits():
     assert first == f"{math.sqrt(2.0):.16e}"
     # value survives the round trip exactly
     assert float(first) == math.sqrt(2.0)
+
+
+def test_percent_format_matches_format_spec():
+    """The row template's '%.16e' renders every float as f"{v:.16e}" does."""
+    for v in (math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
+              sys.float_info.max, -2.5, 0.1):
+        assert "%.16e" % v == f"{v:.16e}"
+
+
+def _reference_trace_to_csv(trace, manifold):
+    """The per-value writer: one f"{v:.16e}" call per table entry."""
+    res = trace.residuals
+    params = ";".join(f"{k}={v:.17g}" for k, v in sorted(trace.params.items()))
+    m = len(trace.t)
+    if manifold == "tn":
+        cols = TN_COLUMNS
+        u, z = res.get("u"), res.get("z")
+        table = [trace.t, trace.cols["r"], trace.cols["theta"], trace.cols["phi"],
+                 trace.cols["psi"],
+                 np.real(u) if u is not None else np.full(m, math.nan),
+                 np.imag(u) if u is not None else np.full(m, math.nan),
+                 np.real(z) if z is not None else np.zeros(m),
+                 np.imag(z) if z is not None else np.zeros(m),
+                 res["omega"], res["im_omega"], res["mu"]]
+    else:
+        cols = AH_COLUMNS
+        U, Z = res["U"], res["Z"]
+        table = [trace.t, trace.cols["k"], trace.cols["theta"], trace.cols["phi"],
+                 trace.cols["psi"], np.real(U), np.imag(U), np.real(Z), np.imag(Z),
+                 res["omega"], res["im_omega"], res["mu"]]
+    lines = [f"# slag-forge v1, manifold={manifold}, params={params}", ",".join(cols)]
+    for i in range(m):
+        lines.append(",".join(f"{float(col[i]):.16e}" for col in table))
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_to_csv_matches_per_value_writer():
+    """Byte for byte on a fig7 trace, a fig7-type axis trace (nan re_u) and
+    an Atiyah-Hitchin trace."""
+    p = TNParams(1.0, 1.0)
+    pa = AHParams(1.0, 1)
+    cases = [(tn_so2_curve(3.0, p, branch="plane")[0], "tn", p),
+             (tn_so2_curve(3.0, p, branch="axis", n=50)[0], "tn", p),
+             (ah_traces_theta_phi(0.5, -3.0)[0], "ah", pa)]
+    for trace, manifold, params in cases:
+        trace.residuals = verify_slag(trace, manifold, params)
+        got = trace_to_csv(trace, manifold).splitlines()
+        ref = _reference_trace_to_csv(trace, manifold).splitlines()
+        # report the first differing line: a diff of whole files is slow
+        bad = [i for i, (g, r) in enumerate(zip(got, ref)) if g != r]
+        if bad or len(got) != len(ref):
+            pytest.fail(f"{manifold} CSV differs: {len(got)} vs {len(ref)} lines, "
+                        f"first at {bad[:1]}: {got[bad[0]] if bad else ''!r}")
+    assert "nan" in trace_to_csv(cases[1][0], "tn")
 
 
 def test_trace_preset_fig6_five_files(tmp_path, capsys):
