@@ -17,8 +17,8 @@ from . import multiplets as mp
 from . import slag_curves as sc
 from . import taub_nut as tn
 from .elliptic import (EllipticData, elliptic_data, elliptic_E, elliptic_K,
-                       eta1_quadrature, eta3_quadrature, omega1_quadrature,
-                       omega3_quadrature, weierstrass_p,
+                       elliptic_K_vec, eta1_quadrature, eta3_quadrature,
+                       omega1_quadrature, omega3_quadrature, weierstrass_p,
                        weierstrass_p_half_periods)
 from .errors import ChartError, OutOfRangeError, SlagForgeError
 
@@ -158,26 +158,34 @@ def check_o4_roots(rng) -> tuple[bool, str]:
 
 # --------------------------------------------------------------- taub_nut
 
+# (r, polar angle, phase of z, Im u) of a random Taub-NUT point, drawn in that order
+_TN_POINT_BOX = ((0.05, 0.0, -3.0), (math.pi - 0.05, 2.0 * math.pi, 3.0))
+
+
+def _tn_point(p, r, ang, phase, im_u):
+    """Holomorphic point at radius r and polar angle ang (scalars or arrays)."""
+    az = r * np.sin(ang) / 2.0
+    z = az * (np.cos(phase) + 1j * np.sin(phase))
+    return tn.tn_point_from_xz(r * np.cos(ang), z, p, im_u=im_u)
+
+
 def _random_tn_point(rng, p, r_lo=0.1, r_hi=100.0):
-    r = rng.uniform(r_lo, r_hi)
-    ang = rng.uniform(0.05, math.pi - 0.05)
-    x = r * math.cos(ang)
-    az = r * math.sin(ang) / 2.0
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    z = az * complex(math.cos(phase), math.sin(phase))
-    return tn.tn_point_from_xz(x, z, p, im_u=rng.uniform(-3.0, 3.0))
+    lo, hi = _TN_POINT_BOX
+    return _tn_point(p, *rng.uniform((r_lo,) + lo, (r_hi,) + hi))
 
 
 def check_tn_monge_ampere(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(1000):
-        p = tn.TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0))
-        pt = _random_tn_point(rng, p)
-        blk = tn.tn_metric_holo(pt, p)
-        worst = max(worst, abs(blk.det() - 1.0))
-        if not (blk.kuubar.real > 0 and blk.det().real > 0):
-            return False, "positivity violated"
-        worst = max(worst, abs(blk.kuzbar - np.conjugate(blk.kzubar)))
+    lo, hi = _TN_POINT_BOX
+    # one row per sample: h, m, then the point, as drawn one sample at a time
+    h, m, *point = rng.uniform((0.5, 0.0, 0.1) + lo, (2.0, 2.0, 100.0) + hi,
+                               size=(1000, 6)).T
+    p = tn.TNParams(h, m)
+    blk = tn.tn_metric_holo(_tn_point(p, *point), p)
+    det = blk.det()
+    if not np.all((blk.kuubar > 0) & (det.real > 0)):
+        return False, "positivity violated"
+    worst = max(np.max(np.abs(det - 1.0)),
+                np.max(np.abs(blk.kuzbar - np.conjugate(blk.kzubar))))
     return _result(worst, 1e-10)
 
 
@@ -227,68 +235,69 @@ def check_tn_kuu_vs_fxx(rng) -> tuple[bool, str]:
 
 # ---------------------------------------------------------- atiyah_hitchin
 
-def random_ah_point(rng, p: ah.AHParams, y_guard: float = 1e-3):
-    """Regular spherical point: |y_pm| above the guard, x_pm clear of the cut ends."""
-    for _ in range(500):
-        pt = ah.AHSphericalPoint(rng.uniform(0.15, 0.85),
-                                 rng.uniform(0.25, math.pi - 0.25),
-                                 rng.uniform(0.0, 2.0 * math.pi),
-                                 rng.uniform(0.05, 0.5 * math.pi - 0.05))
-        try:
-            state = ah.ah_from_spherical(pt, p, y_guard=y_guard)
-        except SlagForgeError:
-            continue
-        if state.Aplus is None:
-            continue
-        d = state.elliptic
-        span = d.e2 - d.e3
-        if (state.xminus - d.e3 > 1e-4 * span and d.e2 - state.xminus > 1e-4 * span
-                and state.xplus - d.e2 > 1e-4 * span):
-            return pt, state
-    raise RuntimeError("could not sample a regular Atiyah-Hitchin point")
+# per-column [low, high) of the (k, theta, phi, psi) candidates of random_ah_point
+_AH_POINT_BOX = ((0.15, 0.25, 0.0, 0.05),
+                 (0.85, math.pi - 0.25, 2.0 * math.pi, 0.5 * math.pi - 0.05))
+
+
+def random_ah_point(rng, p: ah.AHParams, n: int, y_guard: float = 1e-3):
+    """n regular spherical points and their state as one batch.
+
+    Regular: the chart map succeeds, |y_pm| is above the guard (so the
+    coefficients exist) and x_pm is clear of the cut ends by 1e-4 of its
+    span.  The 2n + 16 candidates are drawn as one array, the stream of
+    drawing them one point at a time, and the first n regular ones are kept.
+    """
+    k, theta, phi, psi = rng.uniform(*_AH_POINT_BOX, size=(2 * n + 16, 4)).T
+    rho = 16.0 * p.h * p.h * elliptic_K_vec(k) ** 2
+    d = elliptic_data(k, rho)
+    z, v, x = ah.ah_zvx_from_spherical(k, theta, phi, psi, p.h)
+    xp, xm, _, _, yp, ym = ah.ah_xy_from_zvx(z, v, x)
+    span, guard = d.e2 - d.e3, y_guard * rho ** 1.5
+    ok = ((np.abs(z) >= 1e-12 * rho) & (12.0 * d.eta1**2 - d.g2 * d.omega1**2 != 0)
+          & (np.abs(yp) >= guard) & (np.abs(ym) >= guard) & (xm - d.e3 > 1e-4 * span)
+          & (d.e2 - xm > 1e-4 * span) & (xp - d.e2 > 1e-4 * span))
+    keep = np.flatnonzero(ok)[:n]
+    if len(keep) < n:
+        raise RuntimeError("could not sample regular Atiyah-Hitchin points")
+    pt = ah.AHSphericalPoint(k[keep], theta[keep], phi[keep], psi[keep])
+    return pt, ah.ah_from_spherical(pt, p, y_guard=y_guard)
 
 
 def check_ah_monge_ampere(rng) -> tuple[bool, str]:
     p = ah.AHParams(1.0, 1)
-    worst_det = worst_herm = 0.0
-    for _ in range(500):
-        _, state = random_ah_point(rng, p)
-        blk = ah.ah_metric_UZ(state, p)
-        worst_det = max(worst_det, abs(blk.det() - 1.0))
-        worst_herm = max(worst_herm, abs(blk.kUZbar - np.conjugate(blk.kZUbar))
-                         / max(1.0, abs(blk.kUZbar)))
-        if not (blk.kUUbar.real > 0 and blk.kZZbar.real > 0
-                and (blk.kUUbar * blk.kZZbar
-                     - abs(blk.kUZbar) ** 2).real > 0):
-            return False, "positivity violated"
+    _, state = random_ah_point(rng, p, 500)
+    blk = ah.ah_metric_UZ(state, p)
+    if not np.all((blk.kUUbar.real > 0) & (blk.kZZbar.real > 0)
+                  & ((blk.kUUbar * blk.kZZbar - abs(blk.kUZbar) ** 2).real > 0)):
+        return False, "positivity violated"
+    worst_det = np.max(np.abs(blk.det() - 1.0))
+    worst_herm = np.max(np.abs(blk.kUZbar - np.conjugate(blk.kZUbar))
+                        / np.maximum(1.0, np.abs(blk.kUZbar)))
     ok = worst_det <= 1e-8 and worst_herm <= 1e-10
     return ok, f"det_err={worst_det:.3e} herm_err={worst_herm:.3e} tol=1e-8/1e-10"
 
 
 def check_ah_xz_identities(rng) -> tuple[bool, str]:
     p = ah.AHParams(1.0, 1)
-    worst = 0.0
-    for _ in range(100):
-        _, state = random_ah_point(rng, p)
-        d = state.elliptic
-        scale = d.rho
-        worst = max(worst, abs(state.xplus - state.xminus - 4.0 * abs(state.z)) / scale)
-        worst = max(worst, abs(state.x - 1.5 * (state.xplus + state.xminus)) / scale)
-        for xv, yv in ((state.xplus, state.yplus), (state.xminus, state.yminus)):
-            cubic = 4.0 * xv**3 - d.g2 * xv - d.g3
-            worst = max(worst, abs(complex(yv) ** 2 - cubic) / scale**3)
-    return _result(worst, 1e-12)
+    _, state = random_ah_point(rng, p, 100)
+    d = state.elliptic
+    scale = d.rho
+    errs = [np.abs(state.xplus - state.xminus - 4.0 * np.abs(state.z)) / scale,
+            np.abs(state.x - 1.5 * (state.xplus + state.xminus)) / scale]
+    for xv, yv in ((state.xplus, state.yplus), (state.xminus, state.yminus)):
+        cubic = 4.0 * xv**3 - d.g2 * xv - d.g3
+        errs.append(np.abs(yv**2 - cubic) / scale**3)
+    return _result(np.max(errs), 1e-12)
 
 
 def check_ah_pi_typing(rng) -> tuple[bool, str]:
     p = ah.AHParams(1.0, 1)
-    worst = 0.0
-    for _ in range(100):
-        _, state = random_ah_point(rng, p)
-        pi_p, pi_m = ah.ah_pi_xpm(state)
-        if abs(pi_p) > 0:
-            worst = max(worst, abs(pi_p.real) / abs(pi_p))
-        worst = max(worst, abs(complex(pi_m).imag) / max(1.0, abs(pi_m)))
+    _, state = random_ah_point(rng, p, 100)
+    pi_p, pi_m = ah.ah_pi_xpm(state)
+    nz = np.abs(pi_p) > 0
+    worst = max(np.max(np.abs(pi_p.real[nz]) / np.abs(pi_p[nz]), initial=0.0),
+                np.max(np.abs(np.imag(pi_m)) / np.maximum(1.0, np.abs(pi_m))))
     return _result(worst, 1e-10)
 
 
@@ -296,25 +305,24 @@ def check_ah_dpi_fd(rng) -> tuple[bool, str]:
     """d pi(x_pm) = 4 A_pm dx_pm - 8 B_pm d eta1 against finite differences."""
     p = ah.AHParams(1.0, 1)
     step = 1e-5
+    pt, state = random_ah_point(rng, p, 20)
     worst = 0.0
-    for _ in range(20):
-        pt, state = random_ah_point(rng, p)
-        for coord in ("theta", "psi", "k"):
-            vals = {"k": pt.k, "theta": pt.theta, "phi": pt.phi, "psi": pt.psi}
-            up, dn = dict(vals), dict(vals)
-            up[coord] += step
-            dn[coord] -= step
-            s_up = ah.ah_from_spherical(ah.AHSphericalPoint(**up), p)
-            s_dn = ah.ah_from_spherical(ah.AHSphericalPoint(**dn), p)
-            pp_u, pm_u = ah.ah_pi_xpm(s_up)
-            pp_d, pm_d = ah.ah_pi_xpm(s_dn)
-            deta = s_up.elliptic.eta1 - s_dn.elliptic.eta1
-            for (pi_u, pi_d, A, B, x_u, x_d) in (
-                    (pp_u, pp_d, state.Aplus, state.Bplus, s_up.xplus, s_dn.xplus),
-                    (pm_u, pm_d, state.Aminus, state.Bminus, s_up.xminus, s_dn.xminus)):
-                dpi = (pi_u - pi_d) / (2.0 * step)
-                rhs = (4.0 * A * (x_u - x_d) - 8.0 * B * deta) / (2.0 * step)
-                worst = max(worst, abs(dpi - rhs) / max(1.0, abs(dpi)))
+    vals = {"k": pt.k, "theta": pt.theta, "phi": pt.phi, "psi": pt.psi}
+    for coord in ("theta", "psi", "k"):
+        up, dn = dict(vals), dict(vals)
+        up[coord] = vals[coord] + step
+        dn[coord] = vals[coord] - step
+        s_up = ah.ah_from_spherical(ah.AHSphericalPoint(**up), p)
+        s_dn = ah.ah_from_spherical(ah.AHSphericalPoint(**dn), p)
+        pp_u, pm_u = ah.ah_pi_xpm(s_up)
+        pp_d, pm_d = ah.ah_pi_xpm(s_dn)
+        deta = s_up.elliptic.eta1 - s_dn.elliptic.eta1
+        for (pi_u, pi_d, A, B, x_u, x_d) in (
+                (pp_u, pp_d, state.Aplus, state.Bplus, s_up.xplus, s_dn.xplus),
+                (pm_u, pm_d, state.Aminus, state.Bminus, s_up.xminus, s_dn.xminus)):
+            dpi = (pi_u - pi_d) / (2.0 * step)
+            rhs = (4.0 * A * (x_u - x_d) - 8.0 * B * deta) / (2.0 * step)
+            worst = max(worst, np.max(np.abs(dpi - rhs) / np.maximum(1.0, np.abs(dpi))))
     return _result(worst, 1e-4)
 
 
@@ -351,11 +359,8 @@ def check_hamiltonicity_tn_so2(rng) -> tuple[bool, str]:
 
 def check_hamiltonicity_ah(rng, n_points: int = 100) -> tuple[bool, str]:
     p = ah.AHParams(1.0, 1)
-    worst = 0.0
-    for _ in range(n_points):
-        pt, _ = random_ah_point(rng, p, y_guard=3e-3)
-        worst = max(worst, mm.verify_hamiltonian_ah(pt, p))
-    return _result(worst, 1e-4)
+    pt, _ = random_ah_point(rng, p, n_points, y_guard=3e-3)
+    return _result(np.max(mm.verify_hamiltonian_ah(pt, p)), 1e-4)
 
 
 def check_orbit_constancy(rng) -> tuple[bool, str]:
@@ -378,21 +383,19 @@ def check_orbit_constancy(rng) -> tuple[bool, str]:
         worst = max(worst, float(np.max(mus) - np.min(mus)))
     # Atiyah-Hitchin: the orbit is the phi-circle; check the pushforward and mu
     pa = ah.AHParams(1.0, 1)
-    pt, state0 = random_ah_point(rng, pa)
+    pt, _ = random_ah_point(rng, pa, 1)
     dphi = 1e-5
-    up = ah.ah_from_spherical(ah.AHSphericalPoint(pt.k, pt.theta, pt.phi + dphi,
-                                                  pt.psi), pa)
-    dn = ah.ah_from_spherical(ah.AHSphericalPoint(pt.k, pt.theta, pt.phi - dphi,
-                                                  pt.psi), pa)
-    _, U_u, Z_u = ah.ah_u_coordinate(up, pa)
-    _, U_d, Z_d = ah.ah_u_coordinate(dn, pa)
-    _, U0, Z0 = ah.ah_u_coordinate(state0, pa)
-    dU = (U_u - U_d) / (2.0 * dphi)
-    dZ = (Z_u - Z_d) / (2.0 * dphi)
+    # phi +- dphi, then 20 orbit points from phi itself (shift 0) on
+    phis = np.concatenate([pt.phi + (dphi, -dphi), (pt.phi + np.linspace(
+        0.0, 2.0 * math.pi, 20, endpoint=False)) % (2.0 * math.pi)])
+    k, theta, psi = (np.full(len(phis), c[0]) for c in (pt.k, pt.theta, pt.psi))
+    state = ah.ah_from_spherical(ah.AHSphericalPoint(k, theta, phis, psi), pa)
+    _, U, Z = ah.ah_u_coordinate(state, pa)
+    Z0 = Z[2]
+    dU = (U[0] - U[1]) / (2.0 * dphi)
+    dZ = (Z[0] - Z[1]) / (2.0 * dphi)
     gen_err = max(abs(dU), abs(dZ - 1j * Z0))
-    mus = [mm.moment_ah_so2(ah.ah_from_spherical(
-        ah.AHSphericalPoint(pt.k, pt.theta, (pt.phi + s) % (2.0 * math.pi), pt.psi),
-        pa)) for s in np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)]
+    mus = mm.moment_ah_so2(state)[2:]
     worst = max(worst, float(np.max(mus) - np.min(mus)))
     ok = worst <= 1e-8 and gen_err <= 1e-6 * max(1.0, abs(Z0))
     return ok, f"mu_span={worst:.3e} gen_err={gen_err:.3e} tol=1e-8"
@@ -521,24 +524,20 @@ def check_slag_ah_zero_set(rng) -> tuple[bool, str]:
             assert z.real <= 0 and abs(z.imag) <= 1e-9 * abs(z)
             worst_f = max(worst_f, abs(f) / max(1.0, abs(z0)) ** 0.5)
             count += 1
-        # converse: scan the condition for sign changes and test z there
+        # converse: scan the row for sign changes, bisect them all, test z there
         phis = np.linspace(0.0, 2.0 * math.pi, 257)
-        vals = np.array([sc.ah_condition(th, p_, k, c1, h, sign=1) for p_ in phis])
-        for i in range(len(phis) - 1):
-            if (vals[i] > 0) != (vals[i + 1] > 0):
-                a, b = phis[i], phis[i + 1]
-                fa = vals[i]
-                for _ in range(60):
-                    mid = 0.5 * (a + b)
-                    fm = sc.ah_condition(th, mid, k, c1, h, sign=1)
-                    if (fa > 0) != (fm > 0):
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                root = 0.5 * (a + b)
-                z, _, _ = ah.ah_zvx_from_spherical(k, th, root, psi, h)
-                worst_conv = max(worst_conv, abs(z.imag) / abs(z),
-                                 max(z.real, 0.0) / abs(z))
+        vals = sc._ah_condition_arrays(th, phis, k, c1, h, 1)
+        i = np.flatnonzero((vals[:-1] > 0) != (vals[1:] > 0))
+        a, b, fa = phis[i], phis[i + 1], vals[i]
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            fm = sc._ah_condition_arrays(th, mid, k, c1, h, 1)
+            left = (fa > 0) != (fm > 0)
+            b = np.where(left, mid, b)
+            a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+        z, _, _ = ah.ah_zvx_from_spherical(k, th, 0.5 * (a + b), psi, h)
+        worst_conv = max(worst_conv, np.max(np.abs(z.imag) / np.abs(z), initial=0.0),
+                         np.max(np.maximum(z.real, 0.0) / np.abs(z), initial=0.0))
     if count == 0:
         return False, "locus not sampled"
     ok = worst_f <= 1e-7 and worst_conv <= 1e-7

@@ -9,11 +9,18 @@ counterparts); the Kahler form
 becomes the antisymmetric matrix assembled by `omega_matrix`.  The check
 iota_X omega = d mu is done with the metric block on one side and finite
 differences of the scalar moment on the other.
+
+The moment maps, fields and omega matrices take one point or a batch (the
+real components then run along the last axes).  verify_hamiltonian_ah
+evaluates a batch of Atiyah-Hitchin points together with their perturbed
+points as one batch and returns one residual per point; its chart Jacobian
+and d mu are differenced from the same perturbed states.
+verify_hamiltonian_tn takes one Taub-NUT point, whose perturbed points go
+through the scalar x-solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,24 +55,27 @@ class ActionSpec:
         U1_triholo: X = i(d_u - d_ubar)  ->  d/d(im u).
         SO2_rot:    X = -2i(z d_z - zbar d_zbar) (same form in Z).
         """
+        X = np.zeros(np.shape(w1) + (4,))
         if self.generator == "U1_triholo":
-            return np.array([0.0, 1.0, 0.0, 0.0])
+            X[..., 1] = 1.0
+            return X
         if self.generator == "SO2_rot":
-            return np.array([0.0, 0.0, 2.0 * w1.imag, -2.0 * w1.real])
+            X[..., 2], X[..., 3] = 2.0 * np.imag(w1), -2.0 * np.real(w1)
+            return X
         raise DomainError("SO3_rot acts on the cotangent fixture, not a chart")
 
 
 def omega_matrix(kuu: complex, kuz: complex, kzu: complex, kzz: complex) -> np.ndarray:
     """Kahler 2-form as a real antisymmetric 4x4 matrix in (u1, u2, z1, z2)."""
-    p1, p2 = kzu.real, kzu.imag
-    w = np.zeros((4, 4))
-    w[0, 1] = kuu.real
-    w[0, 2] = p2
-    w[0, 3] = p1
-    w[1, 2] = -p1
-    w[1, 3] = p2
-    w[2, 3] = kzz.real
-    return w - w.T
+    p1, p2 = np.real(kzu), np.imag(kzu)
+    w = np.zeros(np.shape(p1) + (4, 4))
+    w[..., 0, 1] = np.real(kuu)
+    w[..., 0, 2] = p2
+    w[..., 0, 3] = p1
+    w[..., 1, 2] = -p1
+    w[..., 1, 3] = p2
+    w[..., 2, 3] = np.real(kzz)
+    return w - np.swapaxes(w, -1, -2)
 
 
 def omega_of_block(block) -> np.ndarray:
@@ -76,12 +86,12 @@ def omega_of_block(block) -> np.ndarray:
 
 
 def moment_tn_u1(pt: tn.TNHoloPoint) -> float:
-    """mu = x / 2 for the tri-holomorphic U(1)."""
+    """mu = x / 2 for the tri-holomorphic U(1) (an array for a batch point)."""
     return 0.5 * pt.x
 
 
 def moment_tn_so2(pt: tn.TNHoloPoint, p: tn.TNParams) -> float:
-    """mu = 2 m r + 2 |z|^2 / h for the rotational SO(2)."""
+    """mu = 2 m r + 2 |z|^2 / h for the rotational SO(2) (an array for a batch point)."""
     return 2.0 * p.m * pt.r + 2.0 * abs(pt.z) ** 2 / p.h
 
 
@@ -98,7 +108,7 @@ def so3_cotangent_moment(q, p) -> np.ndarray:
 
 def _iota_omega(action: ActionSpec, block, w0: complex, w1: complex) -> np.ndarray:
     X = action.field(w0, w1)
-    return X @ omega_of_block(block)
+    return (X[..., None, :] @ omega_of_block(block))[..., 0, :]
 
 
 def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams,
@@ -127,63 +137,40 @@ def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams
     return float(np.max(np.abs(lhs - dmu)))
 
 
-def _ah_chart_real(pt: ah.AHSphericalPoint, p: ah.AHParams) -> np.ndarray:
-    state = ah.ah_from_spherical(pt, p)
-    _, U, Z = ah.ah_u_coordinate(state, p)
-    return np.array([U.real, U.imag, Z.real, Z.imag])
-
-
-def ah_chart_jacobian(pt: ah.AHSphericalPoint, p: ah.AHParams,
-                      eps: float = 1e-5) -> np.ndarray:
-    """J[i, a] = d(U1, U2, Z1, Z2)_i / d(k, theta, phi, psi)_a by central differences."""
-    angles = np.array([pt.k, pt.theta, pt.phi, pt.psi])
-    J = np.zeros((4, 4))
-    for a in range(4):
-        step = max(eps * abs(angles[a]), 1e-6)
-        up, dn = angles.copy(), angles.copy()
-        up[a] += step
-        dn[a] -= step
-        f_up = _ah_chart_real(ah.AHSphericalPoint(*up), p)
-        f_dn = _ah_chart_real(ah.AHSphericalPoint(*dn), p)
-        J[:, a] = (f_up - f_dn) / (2.0 * step)
-    return J
-
-
 def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams,
-                          eps: float = 1e-5) -> float:
-    """max-component residual of iota_X omega - d mu at an Atiyah-Hitchin point.
+                          eps: float = 1e-5):
+    """max-component residual of iota_X omega - d mu at Atiyah-Hitchin points.
 
-    d mu is differenced in the spherical chart and pushed to the (U, Z)
-    components through the finite-difference chart Jacobian; the metric side
-    is evaluated directly from the closed-form block.
+    d mu is differenced in the spherical chart (step max(eps |q_a|, 1e-6) in
+    each angle q_a) and pushed to the (U, Z) components through the chart
+    Jacobian differenced from the same perturbed states; the metric side is
+    evaluated directly from the closed-form block.  A batch point gives one
+    residual per point, a scalar point a float.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise DomainError(f"eps must lie in [1e-7, 1e-3], got {eps!r}")
-    angles = np.array([pt.k, pt.theta, pt.phi, pt.psi])
-
-    def mu_of(a_vec):
-        return moment_ah_so2(ah.ah_from_spherical(ah.AHSphericalPoint(*a_vec), p))
-
-    dmu_ang = np.zeros(4)
-    for a in range(4):
-        step = max(eps * abs(angles[a]), 1e-6)
-        up, dn = angles.copy(), angles.copy()
-        up[a] += step
-        dn[a] -= step
-        dmu_ang[a] = (mu_of(up) - mu_of(dn)) / (2.0 * step)
-    J = ah_chart_jacobian(pt, p, eps)
-    dmu = np.linalg.solve(J.T, dmu_ang)
-
-    state = ah.ah_from_spherical(pt, p)
+    q = np.array([pt.k, pt.theta, pt.phi, pt.psi], dtype=float).reshape(4, -1)
+    n = q.shape[1]
+    step = np.maximum(eps * np.abs(q), 1e-6)
+    # the centre, then q + step e_a for a = 0..3, then q - step e_a
+    offsets = np.hstack([np.zeros((4, 1)), np.eye(4), -np.eye(4)])
+    batch = q[:, None, :] + offsets[:, :, None] * step[:, None, :]
+    state = ah.ah_from_spherical(ah.AHSphericalPoint(*batch.reshape(4, -1)), p)
     _, U, Z = ah.ah_u_coordinate(state, p)
-    block = ah.ah_metric_UZ(state, p)
+    mu = moment_ah_so2(state).reshape(9, n)
+    chart = np.array([U.real, U.imag, Z.real, Z.imag]).reshape(4, 9, n)
+    dmu_ang = (mu[1:5] - mu[5:]) / (2.0 * step)
+    J = (chart[:, 1:5] - chart[:, 5:]) / (2.0 * step)       # [i, a, point]
+    dmu = np.linalg.solve(J.transpose(2, 1, 0), dmu_ang.T[..., None])[..., 0]
     action = ActionSpec("AtiyahHitchin", "SO2_rot")
-    lhs = _iota_omega(action, block, U, Z)
-    return float(np.max(np.abs(lhs - dmu)))
+    lhs = _iota_omega(action, ah.ah_metric_UZ(state, p), U, Z)[:n]
+    res = np.max(np.abs(lhs - dmu), axis=-1)
+    return float(res[0]) if np.ndim(pt.k) == 0 else res
 
 
-def verify_hamiltonian(action: ActionSpec, pt, params, eps: float = 1e-5) -> float:
-    """Dispatch on the action's manifold (Taub-NUT holo point or AH spherical point)."""
+def verify_hamiltonian(action: ActionSpec, pt, params, eps: float = 1e-5):
+    """Dispatch on the action's manifold (Taub-NUT holo point, or AH spherical
+    point or batch)."""
     if action.manifold == "TaubNUT":
         return verify_hamiltonian_tn(action, pt, params, eps)
     if action.manifold == "AtiyahHitchin":

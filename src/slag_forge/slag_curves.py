@@ -55,9 +55,10 @@ def tn_u1_case1(c1: float, c2: float, r_range: tuple[float, float] | None = None
     """Curves (r, theta(r), phi(r)) with r cos(theta) = c1, cos(phi) = 2c2/sqrt(r^2-c1^2).
 
     Both arccos branches are emitted, tagged "+" and "-"; psi is recorded as 0.
-    The trace parameter is phi (in which every column is smooth, including at
-    the turning point r = sqrt(c1^2 + 4 c2^2) where dphi/dr diverges); rows
-    still run from the smallest admissible r upward.
+    The trace parameter is phi of the "+" branch, negated for c2 < 0 (every
+    column is smooth in it, including at the turning point
+    r = sqrt(c1^2 + 4 c2^2) where dphi/dr diverges); rows run from the
+    smallest admissible r upward.
     """
     r0 = math.sqrt(c1 * c1 + 4.0 * c2 * c2)
     if r_range is None:
@@ -72,14 +73,14 @@ def tn_u1_case1(c1: float, c2: float, r_range: tuple[float, float] | None = None
     def phi_of_r(r):
         return math.acos(min(1.0, 2.0 * c2 / math.sqrt(max(r * r - c1 * c1, 1e-300))))
 
-    if c2 > 0.0:
-        t = np.linspace(phi_of_r(lo), phi_of_r(hi), n)
+    if c2 != 0.0:
+        # phi rises with r for c2 > 0 and falls for c2 < 0: t = +-phi increases
+        sign = math.copysign(1.0, c2)
+        t = sign * np.linspace(phi_of_r(lo), phi_of_r(hi), n)
         r = np.sqrt(c1 * c1 + 4.0 * c2 * c2 / np.cos(t) ** 2)
     else:
-        t = np.full(n, math.pi / 2.0) if c2 == 0.0 else None
         r = np.linspace(lo, hi, n)
-        if c2 == 0.0:
-            t = r.copy()  # constant-phi curve; parametrize by r itself
+        t = r.copy()  # constant-phi curve; parametrize by r itself
     theta = np.arccos(np.clip(c1 / r, -1.0, 1.0))
     phi_plus = np.arccos(np.clip(
         2.0 * c2 / np.sqrt(np.maximum(r * r - c1 * c1, 1e-300)), -1.0, 1.0))
@@ -666,20 +667,12 @@ def _verify_tn(trace: CurveTrace, p: tn.TNParams, phase: float) -> dict:
                         extra={"u": u_axis, "z": np.zeros(len(r), dtype=complex)})
     if np.any(np.abs(np.sin(theta)) < 1e-12):
         raise ChartError("trace sample on the axis: holomorphic chart undefined")
-    m = len(r)
-    us = np.empty(m, dtype=complex)
-    zs = np.empty(m, dtype=complex)
-    fields = np.empty((4, m), dtype=complex)
-    mu_arr = np.empty(m)
-    for i in range(m):
-        pt = tn.tn_chart_spherical_to_holo(
-            tn.TNSphericalPoint(r[i], theta[i], phi[i] % (2 * math.pi),
-                                psi[i] % (4 * math.pi)), p)
-        us[i], zs[i] = pt.u, pt.z
-        blk = tn.tn_metric_holo(pt, p)
-        fields[:, i] = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
-        mu_arr[i] = (mm.moment_tn_u1(pt) if trace.action == "u1"
-                     else mm.moment_tn_so2(pt, p))
+    pt = tn.tn_chart_spherical_to_holo(
+        tn.TNSphericalPoint(r, theta, phi % (2 * math.pi), psi % (4 * math.pi)), p)
+    us, zs = pt.u, pt.z
+    blk = tn.tn_metric_holo(pt, p)
+    fields = np.array([blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar])
+    mu_arr = mm.moment_tn_u1(pt) if trace.action == "u1" else mm.moment_tn_so2(pt, p)
     v1u, v1z = (1j, 0j) if trace.action == "u1" else (0j, -2j * zs)
     omega_arr, im_omega_arr = _residuals(fields, v1u, v1z, _deriv(us, trace.t),
                                          _deriv(zs, trace.t), phase)

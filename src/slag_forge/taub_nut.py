@@ -9,6 +9,11 @@ drives every metric component.  The chart to spherical coordinates
     u = -2 i m psi - 2 r cos(theta)/h - 2 m log((1+cos theta)/sin theta),
 
 valid away from the axis sin(theta) = 0.
+
+The parameters, points, potential, forward map Re(u), chart map, metric
+block (and the moment maps built on them) take one point as scalars or a
+batch as equal-length arrays; scalar input gives scalars back.  The x-solve
+(tn_solve_x, tn_point_from_uz) takes one point.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ class TNParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if self.h <= 0:
+        if np.any(self.h <= 0):
             raise DomainError(f"TNParams requires h > 0, got {self.h!r}")
-        if self.m < 0:
+        if np.any(self.m < 0):
             raise DomainError(f"TNParams requires m >= 0, got {self.m!r}")
 
 
@@ -51,19 +56,22 @@ class TNSphericalPoint:
     psi: float
 
     def __post_init__(self):
-        if self.r <= 0:
+        if np.any(self.r <= 0):
             raise DomainError(f"r must be positive, got {self.r!r}")
-        if not 0.0 <= self.theta <= math.pi:
+        if not np.all((0.0 <= self.theta) & (self.theta <= math.pi)):
             raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
+        if not np.all((0.0 <= self.phi) & (self.phi < 2.0 * math.pi)):
             raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi!r}")
-        if not 0.0 <= self.psi < 4.0 * math.pi:
+        if not np.all((0.0 <= self.psi) & (self.psi < 4.0 * math.pi)):
             raise DomainError(f"psi must lie in [0, 4 pi), got {self.psi!r}")
 
 
 @dataclass(frozen=True)
 class MetricBlock:
-    """2x2 Hermitian block of mixed second derivatives of the Kahler potential."""
+    """2x2 Hermitian block of mixed second derivatives of the Kahler potential.
+
+    The diagonal entries are real; each entry is an array for a batch.
+    """
 
     kuubar: complex
     kuzbar: complex
@@ -82,14 +90,21 @@ def potential(r: float, p: TNParams) -> float:
     return 1.0 / p.h + 2.0 * p.m / r
 
 
+def _complex(re, im):
+    """re + i im with both parts kept bit for bit (signed zeros too)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out[()]
+
+
 def re_u_from_xz(x: float, absz: float, p: TNParams) -> float:
     """Forward map Re(u) = -x/h - 2m log((r+x)/(2|z|)), i.e. u + ubar = F_x.
 
     This is the transform-consistent chart: d(2 Re u)/dx = -2V and
     d(2 Re u)/dz = 2mx/(rz), matching the closed-form metric block.
     """
-    r = math.sqrt(x * x + 4.0 * absz * absz)
-    return -x / p.h - 2.0 * p.m * math.log((r + x) / (2.0 * absz))
+    r = np.sqrt(x * x + 4.0 * absz * absz)
+    return -x / p.h - 2.0 * p.m * np.log((r + x) / (2.0 * absz))
 
 
 def tn_solve_x(re_u: float, absz: float, p: TNParams) -> float:
@@ -143,21 +158,21 @@ def tn_point_from_uz(u: complex, z: complex, p: TNParams) -> TNHoloPoint:
 
 def tn_point_from_xz(x: float, z: complex, p: TNParams, im_u: float = 0.0) -> TNHoloPoint:
     """Holomorphic-chart point with x given and Re(u) filled in by the forward map."""
-    if z == 0:
+    if np.any(z == 0):
         raise ChartError("holomorphic chart excludes z = 0")
-    u = complex(re_u_from_xz(x, abs(z), p), im_u)
-    r = math.sqrt(x * x + 4.0 * abs(z) ** 2)
-    return TNHoloPoint(u, complex(z), x, r)
+    u = _complex(re_u_from_xz(x, abs(z), p), im_u)
+    r = np.sqrt(x * x + 4.0 * abs(z) ** 2)
+    return TNHoloPoint(u, np.asarray(z, dtype=complex)[()], x, r)
 
 
 def tn_chart_spherical_to_holo(pt: TNSphericalPoint, p: TNParams) -> TNHoloPoint:
-    st, ct = math.sin(pt.theta), math.cos(pt.theta)
-    if st == 0.0:
+    st, ct = np.sin(pt.theta), np.cos(pt.theta)
+    if np.any(st == 0.0):
         raise ChartError("holomorphic chart excludes theta in {0, pi}")
-    z = 0.5 * pt.r * st * complex(math.cos(pt.phi), math.sin(pt.phi))
+    z = 0.5 * pt.r * st * _complex(np.cos(pt.phi), np.sin(pt.phi))
     # (r+x)/(2|z|) = (1+cos theta)/sin theta
-    re_u = -pt.r * ct / p.h - 2.0 * p.m * math.log((1.0 + ct) / st)
-    u = complex(re_u, -2.0 * p.m * pt.psi)
+    re_u = -pt.r * ct / p.h - 2.0 * p.m * np.log((1.0 + ct) / st)
+    u = _complex(re_u, -2.0 * p.m * pt.psi)
     return TNHoloPoint(u, z, pt.r * ct, pt.r)
 
 
@@ -175,7 +190,7 @@ def tn_chart_holo_to_spherical(pt: TNHoloPoint, p: TNParams) -> TNSphericalPoint
 
 def tn_metric_holo(pt: TNHoloPoint, p: TNParams) -> MetricBlock:
     """Kahler metric block in (u, z): K_uu = V^{-1}/2, K_zz = 2V + 2m^2x^2 V^{-1}/(r^2|z|^2)."""
-    if pt.z == 0:
+    if np.any(pt.z == 0):
         raise ChartError("tn_metric_holo: chart excludes z = 0")
     V = potential(pt.r, p)
     Vinv = 1.0 / V
@@ -184,7 +199,7 @@ def tn_metric_holo(pt: TNHoloPoint, p: TNParams) -> MetricBlock:
     kzu = -(p.m * pt.x / (pt.r * pt.z)) * Vinv
     kuz = -(p.m * pt.x / (pt.r * np.conjugate(pt.z))) * Vinv
     kuu = 0.5 * Vinv
-    return MetricBlock(complex(kuu), complex(kuz), complex(kzu), complex(kzz))
+    return MetricBlock(kuu, kuz, kzu, kzz)
 
 
 def tn_calabi_yau_residual(pt: TNHoloPoint, p: TNParams) -> float:

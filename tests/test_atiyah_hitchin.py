@@ -20,6 +20,8 @@ from slag_forge.errors import ChartError, DegenerateError, DomainError, PoleErro
 
 
 def regular_point(rng, p=AHParams(1.0, 1), y_guard=1e-3):
+    """The per-point rejection loop; the reference for checks.random_ah_point,
+    which draws the same candidates as one array."""
     for _ in range(500):
         pt = AHSphericalPoint(rng.uniform(0.15, 0.85),
                               rng.uniform(0.25, math.pi - 0.25),

@@ -80,6 +80,16 @@ def test_trace_case1_csv_contract(tmp_path, capsys):
     assert cols["mu"] == pytest.approx(0.5)
 
 
+def test_trace_case1_negative_c2(tmp_path, capsys):
+    rc = main(["trace", "--tn-u1-case1", "--c1", "1", "--c2", "-0.5",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    for tag in ("plus", "minus"):
+        trace, _ = read_trace_csv(tmp_path / f"tn_u1_case1_c1_1_c2_-0.5_{tag}.csv")
+        assert np.all(np.diff(trace.t) > 0)
+        assert trace.cols["phi"][0] == pytest.approx(math.pi, abs=1e-7)
+
+
 def test_trace_csv_byte_determinism(tmp_path):
     rc1 = main(["trace", "--tn-u1-case2", "--c", "2",
                 "--out", str(tmp_path / "a")])

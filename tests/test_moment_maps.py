@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slag_forge import atiyah_hitchin, checks
 from slag_forge.atiyah_hitchin import AHParams, AHSphericalPoint, ah_from_spherical
 from slag_forge.errors import DomainError
 from slag_forge.moment_maps import (ActionSpec, moment_ah_so2, moment_tn_so2,
@@ -82,6 +83,28 @@ def test_hamiltonicity_ah():
         pt, _ = regular_point(rng, p, y_guard=3e-3)
         worst = max(worst, verify_hamiltonian_ah(pt, p))
     assert worst < 1e-4
+
+
+def test_hamiltonicity_ah_batch_one_state_call(monkeypatch):
+    """A batch and its 8 perturbed copies go through one chart call; one
+    residual per point, a float for a scalar point."""
+    p = AHParams(1.0, 1)
+    pt, _ = checks.random_ah_point(np.random.default_rng(42), p, 50, y_guard=3e-3)
+    sizes = []
+    original = atiyah_hitchin.ah_from_spherical
+
+    def spy(q, params, *args):
+        sizes.append(np.size(q.k))
+        return original(q, params, *args)
+
+    monkeypatch.setattr(atiyah_hitchin, "ah_from_spherical", spy)
+    res = verify_hamiltonian_ah(pt, p)
+    assert sizes == [9 * 50]
+    assert res.shape == (50,) and np.max(res) < 1e-4
+    one = verify_hamiltonian_ah(
+        AHSphericalPoint(*(float(c[3]) for c in (pt.k, pt.theta, pt.phi, pt.psi))), p)
+    # both are finite-difference noise; pi(x_pm) rounds with the batch it is in
+    assert type(one) is float and one == pytest.approx(res[3], abs=1e-6)
 
 
 def test_hamiltonicity_eps_validation():

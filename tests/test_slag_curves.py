@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slag_forge import presets
 from slag_forge import slag_curves as sc
 from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
                                        ah_from_spherical, ah_metric_UZ,
@@ -17,7 +18,7 @@ from slag_forge.elliptic import (elliptic_data, elliptic_E_vec, elliptic_K,
                                  elliptic_K_vec)
 from slag_forge.errors import (ChartError, DomainError, EmptyDomainError,
                                OutOfRangeError, SlagForgeError)
-from slag_forge.moment_maps import moment_ah_so2
+from slag_forge.moment_maps import moment_ah_so2, moment_tn_so2, moment_tn_u1
 from slag_forge.slag_curves import (CurveTrace, ImplicitGrid, ah_condition,
                                     ah_cos2psi, ah_cos2psi_level,
                                     ah_traces_theta_k,
@@ -25,7 +26,8 @@ from slag_forge.slag_curves import (CurveTrace, ImplicitGrid, ah_condition,
                                     tn_so2_curve, tn_so2_r_of_theta,
                                     tn_u1_case1, tn_u1_case2, trace_zero_set,
                                     transversality_variation, verify_slag)
-from slag_forge.taub_nut import TNParams
+from slag_forge.taub_nut import (TNParams, TNSphericalPoint,
+                                 tn_chart_spherical_to_holo, tn_metric_holo)
 
 TN_TOL = 1e-5
 AH_TOL = 1e-4
@@ -49,6 +51,23 @@ def test_case1_constant_phi_when_c2_zero():
         tn_u1_case1(1.0, 0.0, r_range=(0.5, 5.0))
     with pytest.raises(EmptyDomainError):
         tn_u1_case1(1.0, 0.5, r_range=(0.1, 1.0))
+
+
+def test_case1_negative_c2_parametrized_by_minus_phi():
+    """c2 < 0: phi falls from pi as r grows, so t = -phi keeps t increasing."""
+    p = TNParams(1.0, 1.0)
+    traces = tn_u1_case1(1.0, -0.5, n=300)
+    assert [tr.tag for tr in traces] == ["+", "-"]
+    for trace in traces:
+        r, th, ph = trace.cols["r"], trace.cols["theta"], trace.cols["phi"]
+        assert np.all(np.diff(trace.t) > 0) and np.all(np.diff(r) > 0)
+        assert r[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert np.allclose(r * np.cos(th), 1.0, atol=1e-12)
+        assert np.allclose(0.5 * r * np.sin(th) * np.cos(ph), -0.5, atol=1e-12)
+        res = verify_slag(trace, "tn", p)
+        assert max(res["omega_max"], res["im_omega_max"]) < TN_TOL
+        assert res["mu_max_dev"] < 1e-6 * max(1.0, abs(res["mu_median"]))
+    assert np.allclose(traces[0].t, -traces[0].cols["phi"])
 
 
 def test_case1_level_sets_exact():
@@ -618,6 +637,56 @@ def test_ah_chart_and_xy_arrays_match_scalar_calls():
         assert (z[i], v[i], x[i]) == pytest.approx(zvx_i, rel=1e-14)
         xy_i = ah_xy_from_zvx(*zvx_i)
         assert tuple(q[i] for q in xy) == pytest.approx(xy_i, rel=1e-14)
+
+
+def _reference_verify_tn(trace, p):
+    """Taub-NUT residuals one sample at a time through the public scalar
+    point, chart, metric block and moment: (u, z, mu, omega, Im Omega)."""
+    r, theta, phi, psi = (trace.cols[c] for c in ("r", "theta", "phi", "psi"))
+    m = len(r)
+    if sc._is_axis_trace(trace):
+        return (np.full(m, math.nan) - 2j * p.m * psi, np.zeros(m, dtype=complex),
+                2.0 * p.m * r + 0.0, np.zeros(m), np.zeros(m))
+    us = np.empty(m, dtype=complex)
+    zs = np.empty(m, dtype=complex)
+    fields = np.empty((4, m), dtype=complex)
+    mu = np.empty(m)
+    for i in range(m):
+        pt = tn_chart_spherical_to_holo(
+            TNSphericalPoint(float(r[i]), float(theta[i]), float(phi[i]) % (2 * math.pi),
+                             float(psi[i]) % (4 * math.pi)), p)
+        us[i], zs[i] = pt.u, pt.z
+        blk = tn_metric_holo(pt, p)
+        fields[:, i] = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
+        mu[i] = moment_tn_u1(pt) if trace.action == "u1" else moment_tn_so2(pt, p)
+    v1u, v1z = (1j, 0j) if trace.action == "u1" else (0j, -2j * zs)
+    omega, im_omega = sc._residuals(fields, v1u, v1z, sc._deriv(us, trace.t),
+                                    sc._deriv(zs, trace.t), 0.0)
+    return us, zs, mu, np.abs(omega), np.abs(im_omega)
+
+
+def test_verify_tn_matches_per_sample_reference():
+    """One array pass per Taub-NUT trace against the per-sample loop on the
+    fig5-fig7 presets, both tn_so2_curve branches (and the psi_rate != 0
+    plane case) and a c2 < 0 case-1 trace."""
+    p = TNParams(1.0, 1.0)
+    items = [(tr, pp) for name in ("fig5", "fig6", "fig7")
+             for _, _, tr, pp in presets.preset_traces(name)]
+    items += [(tr, p) for tr in (tn_so2_curve(3.0, p, branch="plane", n=200)
+                                 + tn_so2_curve(3.0, p, branch="axis", n=64)
+                                 + tn_so2_curve(3.0, p, psi_rate=0.5, n=200)
+                                 + tn_u1_case1(1.0, -0.5, n=200))]
+    assert len(items) == 33
+    for tr, pp in items:
+        res = verify_slag(tr, "tn", pp)
+        u, z, mu, omega, im_omega = _reference_verify_tn(tr, pp)
+        # the chart is the same arithmetic; |z| and the complex divisions of
+        # the metric block may round differently for numpy scalars and arrays
+        assert np.array_equal(res["u"], u, equal_nan=True)
+        assert np.array_equal(res["z"], z)
+        assert np.all(np.abs(res["mu"] - mu) <= 1e-15 * np.abs(mu))
+        assert np.max(np.abs(res["omega"] - omega)) <= 1e-14
+        assert np.max(np.abs(res["im_omega"] - im_omega)) <= 1e-14
 
 
 def _reference_verify_ah(trace, p):

@@ -1,14 +1,16 @@
 """Taub-NUT chart, metric block, spherical closed form, volume-form residual."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from slag_forge.errors import ChartError, DomainError
+from slag_forge.moment_maps import moment_tn_so2, moment_tn_u1
 from slag_forge.multiplets import O2Multiplet, tn_Fxx_contour_oracle
 from slag_forge.taub_nut import (TNHoloPoint, TNParams, TNSphericalPoint,
-                                 re_u_from_xz, tn_calabi_yau_residual,
+                                 potential, re_u_from_xz, tn_calabi_yau_residual,
                                  tn_chart_holo_to_spherical,
                                  tn_chart_spherical_to_holo, tn_metric_holo,
                                  tn_metric_spherical,
@@ -190,3 +192,47 @@ def test_spherical_point_ranges():
         TNSphericalPoint(1.0, 1.0, 7.0, 0.0)
     with pytest.raises(DomainError):
         TNSphericalPoint(1.0, 1.0, 0.0, 13.0)
+
+
+def _layer_values(sph, p):
+    """Chart point, metric block, the x-given point, moments, V, Re u, det."""
+    hol = tn_chart_spherical_to_holo(sph, p)
+    blk = tn_metric_holo(hol, p)
+    xz = tn_point_from_xz(hol.x, hol.z, p, im_u=hol.u.imag)
+    return (*dataclasses.astuple(hol), *dataclasses.astuple(blk),
+            *dataclasses.astuple(xz), moment_tn_u1(hol), moment_tn_so2(hol, p),
+            potential(hol.r, p), re_u_from_xz(hol.x, abs(hol.z), p), blk.det())
+
+
+def test_arrays_match_scalar_calls():
+    """Array chart map, metric block and moments against elementwise scalar
+    calls; scalar input gives scalars back, never 0-d arrays."""
+    rng = np.random.default_rng(26)
+    n = 300
+    p = TNParams(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0, n))
+    sph = TNSphericalPoint(rng.uniform(0.1, 50.0, n), rng.uniform(0.01, math.pi - 0.01, n),
+                           rng.uniform(0.0, 2.0 * math.pi, n),
+                           rng.uniform(0.0, 4.0 * math.pi, n))
+    batch = _layer_values(sph, p)
+    assert all(np.shape(v) == (n,) for v in batch)
+    for i in range(n):
+        sph_i = TNSphericalPoint(*(float(c[i]) for c in dataclasses.astuple(sph)))
+        one = _layer_values(sph_i, TNParams(float(p.h[i]), float(p.m[i])))
+        assert not any(isinstance(v, np.ndarray) for v in one)
+        # the chart is the same arithmetic; |z| and complex division may
+        # round differently for numpy scalars and arrays
+        assert tuple(v[i] for v in batch[:4]) == one[:4]
+        assert tuple(v[i] for v in batch[4:-1]) == pytest.approx(one[4:-1], rel=4e-15,
+                                                                 abs=1e-15)
+        assert batch[-1][i] == pytest.approx(one[-1], abs=1e-12)
+
+
+def test_batch_validation_flags_one_bad_entry():
+    ok = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        TNParams(ok, np.array([1.0, -0.1, 1.0]))
+    with pytest.raises(DomainError):
+        TNSphericalPoint(ok, np.array([0.5, 4.0, 0.5]), ok, ok)
+    with pytest.raises(ChartError):
+        tn_chart_spherical_to_holo(TNSphericalPoint(ok, np.array([0.5, 0.0, 0.5]), ok, ok),
+                                   TNParams())
