@@ -68,21 +68,21 @@ def check_wp_half_periods(rng) -> tuple[bool, str]:
 
 
 def check_elliptic_data_invariants(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(1000):
-        k = rng.uniform(0.01, 0.99)
-        rho = rng.uniform(0.1, 10.0)
-        d = elliptic_data(k, rho)
-        kp = d.kprime
-        r1 = abs(d.e1 + d.e2 + d.e3) / rho
-        r2 = abs(d.e1 * d.e2 + d.e2 * d.e3 + d.e3 * d.e1 + d.g2 / 4.0) / rho**2
-        r3 = abs(d.e1 * d.e2 * d.e3 - d.g3 / 4.0) / rho**3
-        r4 = abs(d.e1 - d.e3 - rho) / rho
-        r5 = abs((d.e2 - d.e3) / (d.e1 - d.e3) - k * k)
-        r6 = abs(d.delta - 16.0 * rho**6 * k**4 * kp**4) / rho**6
-        if not (d.e3 < d.e2 < d.e1):
-            return False, f"root ordering violated at k={k}, rho={rho}"
-        worst = max(worst, r1, r2, r3, r4, r5, r6)
+    # one (k, rho) row per sample, as drawn one sample at a time
+    k, rho = rng.uniform((0.01, 0.1), (0.99, 10.0), size=(1000, 2)).T
+    d = elliptic_data(k, rho)
+    bad = np.flatnonzero(~((d.e3 < d.e2) & (d.e2 < d.e1)))
+    if len(bad):
+        i = bad[0]
+        return False, f"root ordering violated at k={float(k[i])}, rho={float(rho[i])}"
+    kp = d.kprime
+    worst = max(np.max(np.abs(d.e1 + d.e2 + d.e3) / rho),
+                np.max(np.abs(d.e1 * d.e2 + d.e2 * d.e3 + d.e3 * d.e1 + d.g2 / 4.0)
+                       / rho**2),
+                np.max(np.abs(d.e1 * d.e2 * d.e3 - d.g3 / 4.0) / rho**3),
+                np.max(np.abs(d.e1 - d.e3 - rho) / rho),
+                np.max(np.abs((d.e2 - d.e3) / (d.e1 - d.e3) - k * k)),
+                np.max(np.abs(d.delta - 16.0 * rho**6 * k**4 * kp**4) / rho**6))
     return _result(worst, 1e-12)
 
 
@@ -204,19 +204,19 @@ def check_tn_pullback(rng) -> tuple[bool, str]:
 
 
 def check_tn_chart_roundtrip(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(50):
-        p = tn.TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0))
-        sph = tn.TNSphericalPoint(rng.uniform(0.2, 20.0),
-                                  rng.uniform(0.1, math.pi - 0.1),
-                                  rng.uniform(0.0, 2.0 * math.pi),
-                                  rng.uniform(0.0, 4.0 * math.pi))
-        holo = tn.tn_chart_spherical_to_holo(sph, p)
-        back = tn.tn_chart_holo_to_spherical(holo, p)
-        worst = max(worst, abs(back.r - sph.r) / sph.r, abs(back.theta - sph.theta),
-                    abs(back.phi - sph.phi), abs(back.psi - sph.psi))
-        x = tn.tn_solve_x(holo.u.real, abs(holo.z), p)
-        worst = max(worst, abs(x - holo.x) / max(1.0, abs(holo.x)))
+    # one row per sample: h, m, then (r, theta, phi, psi)
+    h, m, *sph = rng.uniform((0.5, 0.2, 0.2, 0.1, 0.0, 0.0),
+                             (2.0, 2.0, 20.0, math.pi - 0.1, 2.0 * math.pi, 4.0 * math.pi),
+                             size=(50, 6)).T
+    p = tn.TNParams(h, m)
+    sph = tn.TNSphericalPoint(*sph)
+    holo = tn.tn_chart_spherical_to_holo(sph, p)
+    back = tn.tn_chart_holo_to_spherical(holo, p)
+    x = tn.tn_solve_x(holo.u.real, np.abs(holo.z), p)
+    worst = max(np.max(np.abs(back.r - sph.r) / sph.r),
+                np.max(np.abs(back.theta - sph.theta)), np.max(np.abs(back.phi - sph.phi)),
+                np.max(np.abs(back.psi - sph.psi)),
+                np.max(np.abs(x - holo.x) / np.maximum(1.0, np.abs(holo.x))))
     return _result(worst, 1e-9)
 
 
@@ -337,24 +337,22 @@ def check_ah_h_constraint(rng) -> tuple[bool, str]:
 
 # -------------------------------------------------------------- moment maps
 
+def _hamiltonicity_tn(rng, generator: str) -> tuple[bool, str]:
+    lo, hi = _TN_POINT_BOX
+    # one row per sample: h, m, then the point, as drawn one sample at a time
+    h, m, *point = rng.uniform((0.5, 0.1, 0.3) + lo, (2.0, 2.0, 20.0) + hi,
+                               size=(100, 6)).T
+    p = tn.TNParams(h, m)
+    action = mm.ActionSpec("TaubNUT", generator)
+    return _result(np.max(mm.verify_hamiltonian(action, _tn_point(p, *point), p)), 1e-5)
+
+
 def check_hamiltonicity_tn_u1(rng) -> tuple[bool, str]:
-    action = mm.ActionSpec("TaubNUT", "U1_triholo")
-    worst = 0.0
-    for _ in range(100):
-        p = tn.TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
-        pt = _random_tn_point(rng, p, 0.3, 20.0)
-        worst = max(worst, mm.verify_hamiltonian(action, pt, p))
-    return _result(worst, 1e-5)
+    return _hamiltonicity_tn(rng, "U1_triholo")
 
 
 def check_hamiltonicity_tn_so2(rng) -> tuple[bool, str]:
-    action = mm.ActionSpec("TaubNUT", "SO2_rot")
-    worst = 0.0
-    for _ in range(100):
-        p = tn.TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
-        pt = _random_tn_point(rng, p, 0.3, 20.0)
-        worst = max(worst, mm.verify_hamiltonian(action, pt, p))
-    return _result(worst, 1e-5)
+    return _hamiltonicity_tn(rng, "SO2_rot")
 
 
 def check_hamiltonicity_ah(rng, n_points: int = 100) -> tuple[bool, str]:
@@ -374,12 +372,10 @@ def check_orbit_constancy(rng) -> tuple[bool, str]:
         def field(q, a=action):
             return a.field(complex(q[0], q[1]), complex(q[2], q[3]))
 
-        path = mm.rk4_orbit(field, q0, 1.0, 2000)
-        mus = []
-        for q in path[:: len(path) // 20]:
-            point = tn.tn_point_from_uz(complex(q[0], q[1]), complex(q[2], q[3]), p)
-            mus.append(mm.moment_tn_u1(point) if action_name == "U1_triholo"
-                       else mm.moment_tn_so2(point, p))
+        q = mm.rk4_orbit(field, q0, 1.0, 2000)[::100].T
+        point = tn.tn_point_from_uz(q[0] + 1j * q[1], q[2] + 1j * q[3], p)
+        mus = (mm.moment_tn_u1(point) if action_name == "U1_triholo"
+               else mm.moment_tn_so2(point, p))
         worst = max(worst, float(np.max(mus) - np.min(mus)))
     # Atiyah-Hitchin: the orbit is the phi-circle; check the pushforward and mu
     pa = ah.AHParams(1.0, 1)
@@ -402,33 +398,31 @@ def check_orbit_constancy(rng) -> tuple[bool, str]:
 
 
 def check_lie_derivative(rng) -> tuple[bool, str]:
-    """d(iota_X omega) = 0 by second differences for both Taub-NUT actions."""
+    """d(iota_X omega) = 0 by second differences for both Taub-NUT actions.
+
+    Five points per action (U(1) first), each with the 8 points q +- h e_a
+    that its central differences need, evaluated as one batch.
+    """
     p = tn.TNParams(1.0, 1.0)
+    lo, hi = _TN_POINT_BOX
+    pt = _tn_point(p, *rng.uniform((1.0,) + lo, (10.0,) + hi, size=(10, 4)).T)
+    q = np.array([pt.u.real, pt.u.imag, pt.z.real, pt.z.imag])
+    h = 1e-4
+    # q + h e_a for a = 0..3, then q - h e_a
+    offsets = np.hstack([np.eye(4), -np.eye(4)])
+    batch = q[:, None, :] + h * offsets[:, :, None]
+    point = tn.tn_point_from_uz(batch[0] + 1j * batch[1], batch[2] + 1j * batch[3], p)
+    blk = tn.tn_metric_holo(point, p)
+    sigma = np.concatenate(
+        [mm._iota_omega(mm.ActionSpec("TaubNUT", name), blk, point.u, point.z)[:, cols]
+         for name, cols in (("U1_triholo", slice(0, 5)), ("SO2_rot", slice(5, 10)))],
+        axis=1)                                      # [shifted point, point, component]
     worst = 0.0
-    for action_name in ("U1_triholo", "SO2_rot"):
-        action = mm.ActionSpec("TaubNUT", action_name)
-        for _ in range(5):
-            pt = _random_tn_point(rng, p, 1.0, 10.0)
-            q0 = np.array([pt.u.real, pt.u.imag, pt.z.real, pt.z.imag])
-
-            def sigma(q):
-                point = tn.tn_point_from_uz(complex(q[0], q[1]),
-                                            complex(q[2], q[3]), p)
-                blk = tn.tn_metric_holo(point, p)
-                return mm._iota_omega(action, blk, point.u, point.z)
-
-            h = 1e-4
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    qa_p, qa_m = q0.copy(), q0.copy()
-                    qa_p[a] += h
-                    qa_m[a] -= h
-                    qb_p, qb_m = q0.copy(), q0.copy()
-                    qb_p[b] += h
-                    qb_m[b] -= h
-                    d_ab = (sigma(qa_p)[b] - sigma(qa_m)[b]) / (2 * h) \
-                        - (sigma(qb_p)[a] - sigma(qb_m)[a]) / (2 * h)
-                    worst = max(worst, abs(d_ab))
+    for a in range(4):
+        for b in range(a + 1, 4):
+            d_ab = (sigma[a, :, b] - sigma[4 + a, :, b]) / (2 * h) \
+                - (sigma[b, :, a] - sigma[4 + b, :, a]) / (2 * h)
+            worst = max(worst, np.max(np.abs(d_ab)))
     return _result(worst, 1e-3)
 
 

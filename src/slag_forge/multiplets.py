@@ -11,6 +11,7 @@ against them without sharing any code path.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,11 +111,23 @@ def tn_Fxx_contour_oracle(m: O2Multiplet, h: float, mcharge: float,
     return (fp - 2.0 * f0 + fm) / (step * step)
 
 
+@functools.lru_cache(maxsize=8)
+def _trig_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(i th), cos th and sin th on n equispaced nodes th in [0, 2 pi), read-only.
+
+    Shared by every oracle call with the same node count.
+    """
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    nodes = (np.exp(1j * th), np.cos(th), np.sin(th))
+    for arr in nodes:
+        arr.setflags(write=False)
+    return nodes
+
+
 def _tn_F_value(x: float, z: complex, h: float, mcharge: float,
                 nodes_circle: int, nodes_loop: int) -> float:
     zb = np.conjugate(z)
-    th = np.linspace(0.0, 2.0 * math.pi, nodes_circle, endpoint=False)
-    zeta = np.exp(1j * th)
+    zeta = _trig_nodes(nodes_circle)[0]
     eta = zb / zeta + x - z * zeta
     # Gamma_0 term: -(1/(2 pi i h)) oint (dzeta/zeta) eta^2, dzeta/zeta = i dth
     f_quad = np.real(-(1.0 / (2.0 * math.pi * 1j * h))
@@ -130,9 +143,9 @@ def _tn_F_value(x: float, z: complex, h: float, mcharge: float,
     center = 0.5 * zm
     a_ax = 0.5 * abs(zm) + pad
     b_ax = pad
-    th = np.linspace(0.0, 2.0 * math.pi, nodes_loop, endpoint=False)
-    loop = center + a_ax * np.cos(th) * u_hat + b_ax * np.sin(th) * (1j * u_hat)
-    dloop = (-a_ax * np.sin(th) * u_hat + b_ax * np.cos(th) * (1j * u_hat)) \
+    _, cos_th, sin_th = _trig_nodes(nodes_loop)
+    loop = center + a_ax * cos_th * u_hat + b_ax * sin_th * (1j * u_hat)
+    dloop = (-a_ax * sin_th * u_hat + b_ax * cos_th * (1j * u_hat)) \
         * (2.0 * math.pi / nodes_loop)
     eta_l = zb / loop + x - z * loop
     log_eta = np.log(np.abs(eta_l)) + 1j * np.unwrap(np.angle(eta_l))

@@ -345,6 +345,11 @@ def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
     return p0s + t[:, None] * (p1s - p0s)
 
 
+def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of a 2-d mask (same indices, same C order), several times faster."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     """Polylines approximating {f = 0} on the grid rectangle.
 
@@ -354,7 +359,10 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     is refined by batched Illinois steps (_refine_edges) to |f| < tol or
     1e-10 of the edge length, starting from the node values already known;
     the resulting segments are chained into polylines.  Cells with
-    any non-finite corner are skipped (flagged region).  The output ordering
+    any non-finite corner are skipped (flagged region).  A crossing is a
+    sign change between finite node values, so a jump without a zero (f
+    changing sign across a branch cut, say) is traced as a crossing too;
+    its vertex keeps |f| of the size of the jump.  The output ordering
     is deterministic: polylines sorted lexicographically by first vertex,
     each oriented so the first vertex is not greater than the last.
     """
@@ -372,8 +380,8 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     # crossed edges with both ends finite
     h_cross = (pos[:-1, :] != pos[1:, :]) & fin[:-1, :] & fin[1:, :]
     v_cross = (pos[:, :-1] != pos[:, 1:]) & fin[:, :-1] & fin[:, 1:]
-    hi, hj = np.nonzero(h_cross)
-    vi, vj = np.nonzero(v_cross)
+    hi, hj = _nonzero(h_cross)
+    vi, vj = _nonzero(v_cross)
     p0s = np.concatenate([np.column_stack([xs[hi], ys[hj]]),
                           np.column_stack([xs[vi], ys[vj]])])
     p1s = np.concatenate([np.column_stack([xs[hi + 1], ys[hj]]),
@@ -391,7 +399,7 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     crossings = (h_cross[:, :-1].astype(int) + h_cross[:, 1:]
                  + v_cross[:-1, :] + v_cross[1:, :]) * cell_ok
     # saddle-cell centers evaluated in one batch
-    si, sj = np.nonzero(crossings == 4)
+    si, sj = _nonzero(crossings == 4)
     if len(si):
         cx = 0.5 * (xs[si] + xs[si + 1])
         cy = 0.5 * (ys[sj] + ys[sj + 1])
@@ -403,7 +411,7 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
         saddle_pos = {}
 
     segments: list[tuple[tuple, tuple]] = []
-    ci, cj = np.nonzero((crossings == 2) | (crossings == 4))
+    ci, cj = _nonzero((crossings == 2) | (crossings == 4))
     for i_, j_ in zip(ci, cj):
         i, j = int(i_), int(j_)
         crossed = []

@@ -10,10 +10,12 @@ drives every metric component.  The chart to spherical coordinates
 
 valid away from the axis sin(theta) = 0.
 
-The parameters, points, potential, forward map Re(u), chart map, metric
-block (and the moment maps built on them) take one point as scalars or a
-batch as equal-length arrays; scalar input gives scalars back.  The x-solve
-(tn_solve_x, tn_point_from_uz) takes one point.
+The parameters, points, potential, forward map Re(u), both chart maps, the
+metric block, the x-solve (tn_solve_x, tn_point_from_uz) and the moment maps
+built on them take one point as scalars or a batch as equal-length arrays;
+scalar input gives scalars back.  The x-solve runs every element of a batch
+through the same bracket doubling and Newton steps, each held once it
+converges, so an element's iterates do not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -101,59 +103,70 @@ def re_u_from_xz(x: float, absz: float, p: TNParams) -> float:
     """Forward map Re(u) = -x/h - 2m log((r+x)/(2|z|)), i.e. u + ubar = F_x.
 
     This is the transform-consistent chart: d(2 Re u)/dx = -2V and
-    d(2 Re u)/dz = 2mx/(rz), matching the closed-form metric block.
+    d(2 Re u)/dz = 2mx/(rz), matching the closed-form metric block.  For
+    x < 0 the equal argument 2|z|/(r-x) is used, since r + x cancels when
+    x << -|z|.
     """
     r = np.sqrt(x * x + 4.0 * absz * absz)
-    return -x / p.h - 2.0 * p.m * np.log((r + x) / (2.0 * absz))
+    s = r + np.abs(x)
+    arg = np.where(x < 0.0, 2.0 * absz / s, s / (2.0 * absz))
+    return -x / p.h - 2.0 * p.m * np.log(arg)
 
 
 def tn_solve_x(re_u: float, absz: float, p: TNParams) -> float:
     """Invert Re(u) = -x/h - 2m log((r+x)/(2|z|)) for x (strictly decreasing).
 
-    Bracketed Newton with bisection fallback; the derivative is exactly
-    -V(r) < 0 so the root is unique.
+    Bracket doubling, then Newton with bisection fallback; the derivative is
+    exactly -V(r) < 0 so the root is unique.  Arrays run every element
+    through these steps at once, each one held once its bracket is found
+    and again once it converges, so its iterates are those of a lone solve.
+    One element that fails raises for the whole batch.
     """
-    if absz <= 0:
+    if np.any(absz <= 0):
         raise DomainError(f"tn_solve_x requires |z| > 0, got {absz!r}")
+    shape = np.broadcast_shapes(np.shape(re_u), np.shape(absz), np.shape(p.h),
+                                np.shape(p.m))
+    re_u = np.broadcast_to(np.asarray(re_u, dtype=float), shape)
+    absz = np.broadcast_to(np.asarray(absz, dtype=float), shape)
 
     def f(x):
         return re_u_from_xz(x, absz, p) - re_u
 
-    bound = 10.0 * (abs(re_u) * p.h / 2.0 + 2.0 * absz + 1.0)
+    bound = 10.0 * (np.abs(re_u) * p.h / 2.0 + 2.0 * absz + 1.0)
     lo, hi = -bound, bound
     for _ in range(200):
-        if f(lo) > 0.0 >= f(hi):
+        found = (f(lo) > 0.0) & (f(hi) <= 0.0)
+        if found.all():
             break
-        lo *= 2.0
-        hi *= 2.0
+        lo, hi = np.where(found, lo, 2.0 * lo), np.where(found, hi, 2.0 * hi)
     else:
         raise ConvergenceError("tn_solve_x: bracket search failed")
 
-    x = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    x = np.where((lo < 0.0) & (0.0 < hi), 0.0, 0.5 * (lo + hi))
+    fx = f(x)
+    tol = 1e-13 * np.maximum(1.0, np.abs(re_u))
+    live = np.ones(shape, dtype=bool)
     for _ in range(200):
-        fx = f(x)
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        r = math.sqrt(x * x + 4.0 * absz * absz)
-        step = fx / (1.0 / p.h + 2.0 * p.m / r)
-        x_new = x + step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(f(x_new)) < 1e-13 * max(1.0, abs(re_u)):
-            return x_new
-        x = x_new
+        up = fx > 0.0
+        lo, hi = np.where(live & up, x, lo), np.where(live & ~up, x, hi)
+        r = np.sqrt(x * x + 4.0 * absz * absz)
+        x_new = x + fx / (1.0 / p.h + 2.0 * p.m / r)
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        f_new = f(x_new)
+        x, fx = np.where(live, x_new, x), np.where(live, f_new, fx)
+        live &= ~(np.abs(f_new) < tol)
+        if not live.any():
+            return x[()]
     raise ConvergenceError("tn_solve_x: Newton/bisection did not converge")
 
 
 def tn_point_from_uz(u: complex, z: complex, p: TNParams) -> TNHoloPoint:
     """Holomorphic-chart point from (u, z); solves the x-condition."""
-    if z == 0:
+    if np.any(z == 0):
         raise ChartError("holomorphic chart excludes z = 0")
-    x = tn_solve_x(u.real, abs(z), p)
-    r = math.sqrt(x * x + 4.0 * abs(z) ** 2)
-    return TNHoloPoint(complex(u), complex(z), x, r)
+    u, z = np.asarray(u, dtype=complex)[()], np.asarray(z, dtype=complex)[()]
+    x = tn_solve_x(np.real(u), np.abs(z), p)
+    return TNHoloPoint(u, z, x, np.sqrt(x * x + 4.0 * np.abs(z) ** 2))
 
 
 def tn_point_from_xz(x: float, z: complex, p: TNParams, im_u: float = 0.0) -> TNHoloPoint:
@@ -177,15 +190,13 @@ def tn_chart_spherical_to_holo(pt: TNSphericalPoint, p: TNParams) -> TNHoloPoint
 
 
 def tn_chart_holo_to_spherical(pt: TNHoloPoint, p: TNParams) -> TNSphericalPoint:
-    if pt.z == 0:
+    if np.any(pt.z == 0):
         raise ChartError("axis points have no holomorphic representative")
-    theta = math.acos(max(-1.0, min(1.0, pt.x / pt.r)))
-    phi = math.atan2(pt.z.imag, pt.z.real) % (2.0 * math.pi)
-    if p.m == 0:
-        psi = 0.0
-    else:
-        psi = (-pt.u.imag / (2.0 * p.m)) % (4.0 * math.pi)
-    return TNSphericalPoint(pt.r, theta, phi, psi)
+    theta = np.arccos(np.clip(pt.x / pt.r, -1.0, 1.0))
+    phi = np.arctan2(np.imag(pt.z), np.real(pt.z)) % (2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = np.where(p.m == 0, 0.0, (-np.imag(pt.u) / (2.0 * p.m)) % (4.0 * math.pi))
+    return TNSphericalPoint(pt.r, theta, phi, psi[()])
 
 
 def tn_metric_holo(pt: TNHoloPoint, p: TNParams) -> MetricBlock:

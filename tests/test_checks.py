@@ -1,11 +1,13 @@
 """Batched sample draws of the invariant checks, and the verdicts they feed."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slag_forge import checks, taub_nut as tn
+from slag_forge import checks, moment_maps as mm, taub_nut as tn
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 
@@ -74,3 +76,137 @@ def test_verify_fail_lines_at_seeds(seed, fails, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines] == list(checks.VERIFY_CHECKS)
     assert {line.split()[1] for line in lines if line.startswith("FAIL")} == fails
+
+
+_LO, _HI = checks._TN_POINT_BOX
+
+
+def _per_sample_hamiltonicity_tn(rng):
+    """h, m, then (r, angle, phase, Im u) as one uniform call."""
+    return [rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0),
+            *rng.uniform((0.3,) + _LO, (20.0,) + _HI)]
+
+
+def _per_sample_lie_derivative(rng):
+    return list(rng.uniform((1.0,) + _LO, (10.0,) + _HI))
+
+
+@pytest.mark.parametrize("name, n, per_sample", [
+    ("hamiltonicity-tn-u1", 100, _per_sample_hamiltonicity_tn),
+    ("hamiltonicity-tn-so2", 100, _per_sample_hamiltonicity_tn),
+    ("lie-derivative", 10, _per_sample_lie_derivative),
+])
+def test_tn_point_draws_match_per_sample_loop(name, n, per_sample, monkeypatch):
+    """One draw for all sample points gives the parameters and points that
+    drawing them one sample at a time gave."""
+    seen = []
+    original = checks._tn_point
+
+    def spy(p, *point):
+        seen.append(np.column_stack(np.broadcast_arrays(
+            *([p.h, p.m] if np.ndim(p.h) else []), *point)))
+        return original(p, *point)
+
+    monkeypatch.setattr(checks, "_tn_point", spy)
+    checks.VERIFY_CHECKS[name](np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    (got,) = seen
+    assert np.array_equal(got, [per_sample(rng) for _ in range(n)])
+
+
+def test_elliptic_data_draw_matches_per_sample_loop(monkeypatch):
+    seen = []
+    original = checks.elliptic_data
+
+    def spy(k, rho):
+        seen.append((k, rho))
+        return original(k, rho)
+
+    monkeypatch.setattr(checks, "elliptic_data", spy)
+    assert checks.check_elliptic_data_invariants(np.random.default_rng(3))[0]
+    rng = np.random.default_rng(3)
+    want = [(rng.uniform(0.01, 0.99), rng.uniform(0.1, 10.0)) for _ in range(1000)]
+    ((k, rho),) = seen
+    assert np.array_equal(np.column_stack([k, rho]), want)
+
+
+def test_tn_chart_roundtrip_draw_matches_per_sample_loop(monkeypatch):
+    seen = []
+    original = tn.tn_chart_spherical_to_holo
+
+    def spy(sph, p):
+        seen.append(np.column_stack([p.h, p.m, sph.r, sph.theta, sph.phi, sph.psi]))
+        return original(sph, p)
+
+    monkeypatch.setattr(tn, "tn_chart_spherical_to_holo", spy)
+    assert checks.check_tn_chart_roundtrip(np.random.default_rng(4))[0]
+    rng = np.random.default_rng(4)
+    want = [(rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.2, 20.0),
+             rng.uniform(0.1, math.pi - 0.1), rng.uniform(0.0, 2.0 * math.pi),
+             rng.uniform(0.0, 4.0 * math.pi)) for _ in range(50)]
+    assert np.array_equal(seen[0], want)
+
+
+def _lie_derivative_per_point(rng):
+    """The check one point and one sigma call at a time."""
+    p = tn.TNParams(1.0, 1.0)
+    worst = 0.0
+    for action_name in ("U1_triholo", "SO2_rot"):
+        action = mm.ActionSpec("TaubNUT", action_name)
+        for _ in range(5):
+            pt = checks._random_tn_point(rng, p, 1.0, 10.0)
+            q0 = np.array([pt.u.real, pt.u.imag, pt.z.real, pt.z.imag])
+
+            def sigma(q):
+                point = tn.tn_point_from_uz(complex(q[0], q[1]), complex(q[2], q[3]), p)
+                return mm._iota_omega(action, tn.tn_metric_holo(point, p), point.u, point.z)
+
+            h = 1e-4
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    qa_p, qa_m = q0.copy(), q0.copy()
+                    qa_p[a] += h
+                    qa_m[a] -= h
+                    qb_p, qb_m = q0.copy(), q0.copy()
+                    qb_p[b] += h
+                    qb_m[b] -= h
+                    d_ab = (sigma(qa_p)[b] - sigma(qa_m)[b]) / (2 * h) \
+                        - (sigma(qb_p)[a] - sigma(qb_m)[a]) / (2 * h)
+                    worst = max(worst, abs(d_ab))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lie_derivative_batch_matches_per_point_loop(seed):
+    """The 8 shifted points of each base point form the batch; the worst
+    second difference is the per-point loop's up to metric-block rounding
+    amplified by 1/h (h = 1e-4)."""
+    ok, detail = checks.check_lie_derivative(np.random.default_rng(seed))
+    worst = float(detail.split()[0].split("=")[1])
+    assert worst == pytest.approx(_lie_derivative_per_point(np.random.default_rng(seed)),
+                                  rel=2e-3)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def _verdict(name, seed, capsys):
+    argv = (["--seed", str(seed), "oracle"] if name in checks.ORACLE_CHECKS
+            else ["--seed", str(seed), "verify", "--only", name])
+    main(argv)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    (verdict,) = [words[0] for words in lines if words[1:2] == [name]]
+    return verdict
+
+
+def test_benchmark_check_reference_verdicts(capsys):
+    """The (check, seed) pairs that bench/reference.json leaves out of the
+    checks workload still FAIL, and the same checks PASS at seeds it keeps,
+    so a verdict flip shows here and not only in the benchmark's shares."""
+    ref = json.loads(REFERENCE.read_text())["checks"]
+    assert ref["excluded"]
+    for entry in ref["excluded"]:
+        assert _verdict(entry["check"], entry["seed"], capsys) == "FAIL", entry
+    for name in {entry["check"] for entry in ref["excluded"]}:
+        for seed in ref["seeds"][:3]:
+            assert _verdict(name, seed, capsys) == "PASS", (name, seed)

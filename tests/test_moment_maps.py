@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from slag_forge import atiyah_hitchin, checks
+from slag_forge import atiyah_hitchin, checks, taub_nut
 from slag_forge.atiyah_hitchin import AHParams, AHSphericalPoint, ah_from_spherical
 from slag_forge.errors import DomainError
-from slag_forge.moment_maps import (ActionSpec, moment_ah_so2, moment_tn_so2,
-                                    moment_tn_u1, omega_of_block, rk4_orbit,
-                                    so3_cotangent_moment, verify_hamiltonian,
-                                    verify_hamiltonian_ah)
+from slag_forge.moment_maps import (ActionSpec, _iota_omega, moment_ah_so2,
+                                    moment_tn_so2, moment_tn_u1, omega_of_block,
+                                    rk4_orbit, so3_cotangent_moment,
+                                    verify_hamiltonian, verify_hamiltonian_ah,
+                                    verify_hamiltonian_tn)
 from slag_forge.taub_nut import TNParams, tn_metric_holo, tn_point_from_uz, \
     tn_point_from_xz
 
 from test_atiyah_hitchin import regular_point
+from test_taub_nut import solve_x_reference
 
 
 def random_tn_point(rng, p, r_lo=0.3, r_hi=20.0):
@@ -73,6 +75,63 @@ def test_hamiltonicity_tn_so2():
         p = TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
         worst = max(worst, verify_hamiltonian(action, random_tn_point(rng, p), p))
     assert worst < 1e-5
+
+
+def verify_hamiltonian_tn_reference(action, pt, p, eps=1e-5):
+    """verify_hamiltonian_tn one point at a time: each of the 8 perturbed
+    points through the scalar x-solve loop.  |z| is NumPy's complex
+    absolute value, as in the batch, since libm's hypot rounds differently
+    and central differences turn one ulp of mu into ~1e-10 of d mu."""
+    def mu_of(q):
+        absz = np.abs(complex(q[2], q[3]))
+        x = solve_x_reference(q[0], absz, p)
+        if action.generator == "U1_triholo":
+            return 0.5 * x
+        return (2.0 * p.m * math.sqrt(x * x + 4.0 * (absz * absz))
+                + 2.0 * (absz * absz) / p.h)
+
+    q0 = np.array([pt.u.real, pt.u.imag, pt.z.real, pt.z.imag])
+    dmu = np.zeros(4)
+    for a in range(4):
+        step = max(eps * abs(q0[a]), 1e-7)
+        qp, qm = q0.copy(), q0.copy()
+        qp[a] += step
+        qm[a] -= step
+        dmu[a] = (mu_of(qp) - mu_of(qm)) / (2.0 * step)
+    lhs = _iota_omega(action, tn_metric_holo(pt, p), pt.u, pt.z)
+    return float(np.max(np.abs(lhs - dmu)))
+
+
+@pytest.mark.parametrize("generator", ["U1_triholo", "SO2_rot"])
+def test_hamiltonicity_tn_batch_matches_per_point_reference(generator, monkeypatch):
+    """One x-solve for the 8 perturbed copies of all points, and one residual
+    per point: d mu is the per-point loop's bit for bit, so the residuals
+    differ only by the rounding of the metric block (scalar or array)."""
+    rng = np.random.default_rng(47)
+    n = 60
+    p = TNParams(rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 2.0, n))
+    pt = checks._tn_point(p, rng.uniform(0.3, 20.0, n), rng.uniform(0.05, math.pi - 0.05, n),
+                          rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(-3.0, 3.0, n))
+    action = ActionSpec("TaubNUT", generator)
+    sizes = []
+    original = taub_nut.tn_solve_x
+
+    def spy(re_u, absz, params):
+        sizes.append(np.shape(re_u))
+        return original(re_u, absz, params)
+
+    monkeypatch.setattr(taub_nut, "tn_solve_x", spy)
+    res = verify_hamiltonian_tn(action, pt, p)
+    assert sizes == [(8, n)]
+    assert res.shape == (n,) and np.max(res) < 1e-5
+    for i in range(n):
+        p_i = TNParams(float(p.h[i]), float(p.m[i]))
+        pt_i = taub_nut.TNHoloPoint(complex(pt.u[i]), complex(pt.z[i]), float(pt.x[i]),
+                                    float(pt.r[i]))
+        assert res[i] == pytest.approx(verify_hamiltonian_tn_reference(action, pt_i, p_i),
+                                       rel=0.0, abs=1e-14)
+    one = verify_hamiltonian_tn(action, pt_i, p_i)
+    assert type(one) is float and one == pytest.approx(res[-1], rel=0.0, abs=1e-14)
 
 
 def test_hamiltonicity_ah():

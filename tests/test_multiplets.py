@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slag_forge import multiplets
 from slag_forge.atiyah_hitchin import pi_pair_from_zvx
 from slag_forge.elliptic import elliptic_data
 from slag_forge.errors import DegenerateError, PoleError
@@ -122,6 +123,45 @@ def test_fxx_contour_oracle_random_points():
         rel = abs(tn_Fxx_contour_oracle(m, h, mc) - target) / abs(target)
         worst = max(worst, rel)
     assert worst < 1e-5
+
+
+def _tn_F_value_reference(x, z, h, mcharge, nodes_circle=4096, nodes_loop=8192):
+    """The contour F-function with its nodes built on every call."""
+    zb = np.conjugate(z)
+    th = np.linspace(0.0, 2.0 * math.pi, nodes_circle, endpoint=False)
+    zeta = np.exp(1j * th)
+    eta = zb / zeta + x - z * zeta
+    f_quad = np.real(-(1.0 / (2.0 * math.pi * 1j * h))
+                     * np.sum(eta * eta * 1j) * (2.0 * math.pi / nodes_circle))
+    r = math.sqrt(x * x + 4.0 * abs(z) ** 2)
+    zm = (x - r) / (2.0 * z)
+    zp = (x + r) / (2.0 * z)
+    pad = min(0.2 * abs(zm), 0.45 * abs(zp))
+    u_hat = zm / abs(zm)
+    a_ax, b_ax = 0.5 * abs(zm) + pad, pad
+    th = np.linspace(0.0, 2.0 * math.pi, nodes_loop, endpoint=False)
+    loop = 0.5 * zm + a_ax * np.cos(th) * u_hat + b_ax * np.sin(th) * (1j * u_hat)
+    dloop = (-a_ax * np.sin(th) * u_hat + b_ax * np.cos(th) * (1j * u_hat)) \
+        * (2.0 * math.pi / nodes_loop)
+    eta_l = zb / loop + x - z * loop
+    log_eta = np.log(np.abs(eta_l)) + 1j * np.unwrap(np.angle(eta_l))
+    s_val = np.sum(eta_l * log_eta / loop * dloop) / (2.0 * math.pi * 1j)
+    return float(f_quad + np.real(-2.0 * mcharge * (s_val + np.conjugate(s_val))))
+
+
+def test_fxx_contour_oracle_matches_per_call_nodes():
+    """The shared read-only nodes give the oracle bit for bit."""
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        m = random_o2(rng)
+        h, mc = rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0)
+        step = 1e-4 * m.r
+        f0, fp, fm = (_tn_F_value_reference(m.x + d, m.z, h, mc) for d in (0.0, step, -step))
+        assert tn_Fxx_contour_oracle(m, h, mc) == (fp - 2.0 * f0 + fm) / (step * step)
+    for arr in multiplets._trig_nodes(4096) + multiplets._trig_nodes(8192):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_o2_root_separation_invariant():

@@ -501,6 +501,30 @@ def test_ah_traces_im_omega_defect_reproducible():
     assert max(res["im_omega_max"] for res in results) > 1e-2
 
 
+def test_fig9_jump_on_theta_pi_2_traced_as_crossing():
+    """Pins a known tracer defect on fig9 (phi = pi/4, c1 = -3, n = 256).
+
+    Node column 128 of the theta axis is exactly pi/2, where Im w = 0 and
+    sqrt(w) sits on its cut: the condition changes sign across that column
+    without vanishing, and trace_zero_set joins true zero segments through
+    vertices on it with |f| ~ 1.2.  Every other vertex is a zero, and the
+    sample mask keeps all of them out of the emitted traces.
+    """
+    phi, c1 = math.pi / 4, -3.0
+    for sign, on_column in ((1, 97), (-1, 96)):
+        grid = ImplicitGrid(
+            f=lambda th, kk, s=sign: sc._ah_condition_arrays(th, phi, kk, c1, 1.0, s),
+            rect=(0.02, math.pi - 0.02, 0.02, 0.98), n=256)
+        pts = np.vstack(trace_zero_set(grid, tol=1e-10))
+        f = np.abs(grid.f(pts[:, 0], pts[:, 1]))
+        on = np.abs(pts[:, 0] - math.pi / 2) <= 1e-12
+        assert on.sum() == on_column
+        assert f[on].max() > 1.0
+        assert f[~on].max() <= 1e-9
+    theta = np.concatenate([tr.cols["theta"] for tr in ah_traces_theta_k(phi, c1)])
+    assert np.min(np.abs(theta - math.pi / 2)) > 1e-3
+
+
 def test_ah_theta_k_traces():
     p = AHParams(1.0, 1)
     traces = ah_traces_theta_k(math.pi / 4, -2.0, n=160)

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from slag_forge.errors import ChartError, DomainError
+from slag_forge.errors import ChartError, ConvergenceError, DomainError
 from slag_forge.moment_maps import moment_tn_so2, moment_tn_u1
 from slag_forge.multiplets import O2Multiplet, tn_Fxx_contour_oracle
 from slag_forge.taub_nut import (TNHoloPoint, TNParams, TNSphericalPoint,
@@ -17,6 +19,38 @@ from slag_forge.taub_nut import (TNHoloPoint, TNParams, TNSphericalPoint,
                                  tn_metric_spherical_from_holo,
                                  tn_point_from_uz, tn_point_from_xz,
                                  tn_solve_x)
+
+
+def solve_x_reference(re_u, absz, p):
+    """The one-point x-solve as a scalar loop: bracket doubling, then Newton
+    with bisection fallback, stopping at |f| < 1e-13 max(1, |Re u|)."""
+    def f(x):
+        return re_u_from_xz(x, absz, p) - re_u
+
+    bound = 10.0 * (abs(re_u) * p.h / 2.0 + 2.0 * absz + 1.0)
+    lo, hi = -bound, bound
+    for _ in range(200):
+        if f(lo) > 0.0 >= f(hi):
+            break
+        lo *= 2.0
+        hi *= 2.0
+    else:
+        raise ConvergenceError("bracket search failed")
+    x = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    for _ in range(200):
+        fx = f(x)
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        r = math.sqrt(x * x + 4.0 * absz * absz)
+        x_new = x + fx / (1.0 / p.h + 2.0 * p.m / r)
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(f(x_new)) < 1e-13 * max(1.0, abs(re_u)):
+            return x_new
+        x = x_new
+    raise ConvergenceError("Newton/bisection did not converge")
 
 
 def random_point(rng, p, r_lo=0.1, r_hi=100.0):
@@ -54,6 +88,58 @@ def test_solve_x_roundtrip():
         absz = rng.uniform(0.05, 10.0)
         assert tn_solve_x(re_u_from_xz(x, absz, pp), absz, pp) == \
             pytest.approx(x, abs=1e-9 * max(1, abs(x)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(re_u=st.floats(-30.0, 30.0), absz=st.floats(1e-3, 20.0),
+       h=st.floats(0.5, 2.0), m=st.floats(0.0, 2.0))
+@example(re_u=20.0, absz=3e-3, h=1.0, m=1.0)
+@example(re_u=10.0, absz=1e-3, h=1.0, m=1.0)
+@example(re_u=30.0, absz=1e-3, h=1.0, m=1.0)
+def test_solve_x_roundtrip_property(re_u, absz, h, m):
+    """The solve converges on the whole chart, x << -|z| included, where
+    r + x cancels in the forward map's log argument."""
+    p = TNParams(h, m)
+    x = tn_solve_x(re_u, absz, p)
+    assert abs(re_u_from_xz(x, absz, p) - re_u) < 1e-13 * max(1.0, abs(re_u))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batch_solve_x_matches_scalar_loop(seed):
+    """A batch runs each element through the scalar loop's steps: bitwise."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    p = TNParams(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2.0, n))
+    re_u = rng.uniform(-30.0, 30.0, n)
+    absz = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), n))
+    got = tn_solve_x(re_u, absz, p)
+    want = [solve_x_reference(float(re_u[i]), float(absz[i]),
+                              TNParams(float(p.h[i]), float(p.m[i]))) for i in range(n)]
+    assert np.array_equal(got, want)
+    # the same points in another batch (another shape, scalar params) agree too
+    one = TNParams(float(p.h[0]), float(p.m[0]))
+    assert tn_solve_x(re_u[:7].reshape(7, 1), absz[0], one)[0, 0] == \
+        solve_x_reference(float(re_u[0]), float(absz[0]), one)
+
+
+def test_solve_x_scalar_in_scalar_out():
+    p = TNParams(1.3, 0.7)
+    x = tn_solve_x(-2.0, 0.5, p)
+    assert not isinstance(x, np.ndarray) and x == solve_x_reference(-2.0, 0.5, p)
+    pt = tn_point_from_uz(complex(-2.0, 0.5), 0.4 + 0.3j, p)
+    sph = tn_chart_holo_to_spherical(pt, p)
+    values = (*dataclasses.astuple(pt), *dataclasses.astuple(sph))
+    assert not any(isinstance(v, np.ndarray) for v in values)
+
+
+def test_solve_x_one_bad_entry_raises_for_the_batch():
+    p = TNParams(1.0, 1.0)
+    with pytest.raises(DomainError):
+        tn_solve_x(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0]), p)
+    with pytest.raises(ConvergenceError):
+        tn_solve_x(np.array([0.0, np.nan, 2.0]), np.ones(3), p)
+    with pytest.raises(ChartError):
+        tn_point_from_uz(np.zeros(3, dtype=complex), np.array([1.0, 0.0, 1j]), p)
 
 
 def test_metric_block_equatorial():
@@ -199,8 +285,10 @@ def _layer_values(sph, p):
     hol = tn_chart_spherical_to_holo(sph, p)
     blk = tn_metric_holo(hol, p)
     xz = tn_point_from_xz(hol.x, hol.z, p, im_u=hol.u.imag)
+    back = tn_chart_holo_to_spherical(hol, p)
     return (*dataclasses.astuple(hol), *dataclasses.astuple(blk),
-            *dataclasses.astuple(xz), moment_tn_u1(hol), moment_tn_so2(hol, p),
+            *dataclasses.astuple(xz), *dataclasses.astuple(back),
+            moment_tn_u1(hol), moment_tn_so2(hol, p),
             potential(hol.r, p), re_u_from_xz(hol.x, abs(hol.z), p), blk.det())
 
 
