@@ -5,9 +5,8 @@ from .atiyah_hitchin import (AHGeomState, AHMetricBlock, AHParams,
                              AHSphericalPoint, ah_coeffs, ah_from_spherical,
                              ah_kahler_potential, ah_metric_UZ, ah_pi_xpm,
                              ah_u_coordinate)
-from .elliptic import (EllipticData, EllipticModulus, elliptic_data, elliptic_E,
-                       elliptic_K, eta1_closed, eta1_quadrature, jacobi_sn,
-                       quad_adaptive, weierstrass_p)
+from .elliptic import (EllipticData, elliptic_data, elliptic_E, elliptic_K,
+                       eta1_quadrature, jacobi_sn, quad_adaptive, weierstrass_p)
 from .errors import (ChartError, ContourCollisionError, ConvergenceError,
                      DegenerateError, DomainError, EmptyDomainError,
                      OutOfRangeError, PoleError, SlagForgeError)

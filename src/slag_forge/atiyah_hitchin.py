@@ -265,7 +265,7 @@ def ah_metric_UZ(state: AHGeomState, p: AHParams) -> AHMetricBlock:
     return AHMetricBlock(kUU, kUZ, kZU, kZZ)
 
 
-def ah_check_h_constraint(p: AHParams, k: float, tol: float = 1e-12) -> float:
+def ah_check_h_constraint(p: AHParams, k: float) -> float:
     """|1/h - 4 omega1| for the chart's rho = 16 h^2 K^2; zero by construction."""
     rho = 16.0 * p.h * p.h * elliptic_K(k) ** 2
     om1 = elliptic_K(k) / math.sqrt(rho)

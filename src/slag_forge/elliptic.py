@@ -170,20 +170,6 @@ def elliptic_Pi_vec(n, k) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EllipticModulus:
-    """Validated modulus pair (k, k') with k^2 + k'^2 = 1."""
-
-    k: float
-    kprime: float
-
-    @classmethod
-    def from_k(cls, k: float) -> "EllipticModulus":
-        if not 0.0 <= k < 1.0:
-            raise DomainError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
-        return cls(k, math.sqrt(1.0 - k * k))
-
-
-@dataclass(frozen=True)
 class EllipticData:
     """Curve data (k, rho, e_j, g_j, discriminant, half- and quasi-half-period).
 
@@ -231,11 +217,6 @@ def elliptic_data(k, rho) -> EllipticData:
     omega1 = K / sr
     eta1 = sr * E - e1 * K / sr
     return EllipticData(k, rho, e1, e2, e3, g2, g3, delta, omega1, eta1)
-
-
-def eta1_closed(k: float, rho: float) -> float:
-    """Quasi-half-period from the closed form eta1 = sqrt(rho) E - e1 K / sqrt(rho)."""
-    return elliptic_data(k, rho).eta1
 
 
 def quad_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -301,7 +301,7 @@ class ImplicitGrid:
 
 
 def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
-                  f1s: np.ndarray, tol: float, iters: int = 80) -> np.ndarray:
+                  f1s: np.ndarray, tol: float) -> np.ndarray:
     """Vectorized Illinois (safeguarded regula falsi) root refinement.
 
     Each segment p0 -> p1 carries a sign change between its end values f0,
@@ -312,8 +312,8 @@ def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
     twice in a row, the function value kept at the other end is halved (the
     Illinois step), so both ends converge.  A segment stops at |f| < tol, at
     a non-finite value, or when the bracket its point came from is under
-    1e-10 of the edge length; f is evaluated only on segments still active.
-    Returns the last point taken on each segment.
+    1e-10 of the edge length; f is evaluated only on segments still active,
+    for at most 80 sweeps.  Returns the last point taken on each segment.
     """
     m = len(p0s)
     a, b = np.zeros(m), np.ones(m)
@@ -321,7 +321,7 @@ def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
     moved = np.zeros(m, dtype=np.int8)       # end moved last: -1 a, +1 b
     t = np.full(m, 0.5)
     active = np.arange(m)
-    for _ in range(iters):
+    for _ in range(80):
         lo, hi, flo, fhi = a[active], b[active], fa[active], fb[active]
         with np.errstate(all="ignore"):
             x = (lo * fhi - hi * flo) / (fhi - flo)
@@ -357,14 +357,19 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     from one call f(xs[:, None], ys[None, :]), so a term that depends on one
     coordinate alone is computed once per grid line; each crossed cell edge
     is refined by batched Illinois steps (_refine_edges) to |f| < tol or
-    1e-10 of the edge length, starting from the node values already known;
-    the resulting segments are chained into polylines.  Cells with
-    any non-finite corner are skipped (flagged region).  A crossing is a
-    sign change between finite node values, so a jump without a zero (f
-    changing sign across a branch cut, say) is traced as a crossing too;
-    its vertex keeps |f| of the size of the jump.  The output ordering
-    is deterministic: polylines sorted lexicographically by first vertex,
-    each oriented so the first vertex is not greater than the last.
+    1e-10 of the edge length, starting from the node values already known.
+    A crossed edge is named by its row in the refined-vertex array
+    (horizontal edges first, then vertical, each in C order of the lattice).
+    A two-crossing cell joins its two crossed edges; a saddle cell joins two
+    pairs chosen by the sign of f at its centre.  Cells with any non-finite
+    corner are skipped (flagged region).  A crossing is a sign change
+    between finite node values, so a jump without a zero (f changing sign
+    across a branch cut, say) is traced as a crossing too; its vertex keeps
+    |f| of the size of the jump.  The output ordering is deterministic:
+    polylines sorted lexicographically by first vertex, each open one
+    oriented so the first vertex is not greater than the last; a closed
+    loop starts and ends at its smallest vertex and runs from it toward the
+    neighbour across the earlier cell (in C order of the cell lattice).
     """
     x0, x1, y0, y1 = grid.rect
     n = grid.n
@@ -377,104 +382,81 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
     fin = np.isfinite(F)
     pos = F > 0.0
 
-    # crossed edges with both ends finite
+    # crossed edges with both ends finite, and their ids (-1: not crossed)
     h_cross = (pos[:-1, :] != pos[1:, :]) & fin[:-1, :] & fin[1:, :]
     v_cross = (pos[:, :-1] != pos[:, 1:]) & fin[:, :-1] & fin[:, 1:]
     hi, hj = _nonzero(h_cross)
     vi, vj = _nonzero(v_cross)
+    nh, nv = len(hi), len(vi)
+    hid = np.full(h_cross.shape, -1, dtype=np.int32)
+    hid[hi, hj] = np.arange(nh)
+    vid = np.full(v_cross.shape, -1, dtype=np.int32)
+    vid[vi, vj] = np.arange(nh, nh + nv)
     p0s = np.concatenate([np.column_stack([xs[hi], ys[hj]]),
                           np.column_stack([xs[vi], ys[vj]])])
     p1s = np.concatenate([np.column_stack([xs[hi + 1], ys[hj]]),
                           np.column_stack([xs[vi], ys[vj + 1]])])
     f0s = np.concatenate([F[hi, hj], F[vi, vj]])
     f1s = np.concatenate([F[hi + 1, hj], F[vi, vj + 1]])
-    refined = _refine_edges(grid.f, p0s, p1s, f0s, f1s, tol) if len(p0s) else p0s
-    verts: dict[tuple, tuple[float, float]] = {}
-    for idx in range(len(hi)):
-        verts[("h", int(hi[idx]), int(hj[idx]))] = tuple(refined[idx])
-    for idx in range(len(vi)):
-        verts[("v", int(vi[idx]), int(vj[idx]))] = tuple(refined[len(hi) + idx])
+    refined = _refine_edges(grid.f, p0s, p1s, f0s, f1s, tol) if nh + nv else p0s
 
     cell_ok = fin[:-1, :-1] & fin[1:, :-1] & fin[:-1, 1:] & fin[1:, 1:]
-    crossings = (h_cross[:, :-1].astype(int) + h_cross[:, 1:]
+    crossings = (h_cross[:, :-1].astype(np.int8) + h_cross[:, 1:]
                  + v_cross[:-1, :] + v_cross[1:, :]) * cell_ok
-    # saddle-cell centers evaluated in one batch
-    si, sj = _nonzero(crossings == 4)
-    if len(si):
+    ci, cj = _nonzero((crossings == 2) | (crossings == 4))
+    # each cell's edge ids in bottom, top, left, right order, and its one or
+    # two segments (a (-1, -1) row pads a two-crossing cell)
+    edges = np.column_stack([hid[ci, cj], hid[ci, cj + 1], vid[ci, cj], vid[ci + 1, cj]])
+    saddle = crossings[ci, cj] == 4
+    segs = np.full((len(ci), 2, 2), -1)
+    two = edges[~saddle]
+    segs[~saddle, 0] = two[two >= 0].reshape(-1, 2)
+    if saddle.any():
+        si, sj = ci[saddle], cj[saddle]
         cx = 0.5 * (xs[si] + xs[si + 1])
         cy = 0.5 * (ys[sj] + ys[sj + 1])
         with np.errstate(all="ignore"):
-            fc_vals = np.asarray(grid.f(cx, cy), dtype=float)
-        saddle_pos = {(int(a), int(b)): bool(v > 0.0)
-                      for a, b, v in zip(si, sj, fc_vals)}
-    else:
-        saddle_pos = {}
+            fc = np.asarray(grid.f(cx, cy), dtype=float)
+        bottom, top, left, right = edges[saddle].T
+        same = (fc > 0.0) == pos[si, sj]
+        segs[saddle, 0] = np.column_stack([bottom, np.where(same, right, left)])
+        segs[saddle, 1] = np.column_stack([top, np.where(same, left, right)])
+    segs = segs.reshape(-1, 2)
+    segs = segs[segs[:, 0] >= 0]
 
-    segments: list[tuple[tuple, tuple]] = []
-    ci, cj = _nonzero((crossings == 2) | (crossings == 4))
-    for i_, j_ in zip(ci, cj):
-        i, j = int(i_), int(j_)
-        crossed = []
-        if h_cross[i, j]:
-            crossed.append(("h", i, j))
-        if h_cross[i, j + 1]:
-            crossed.append(("h", i, j + 1))
-        if v_cross[i, j]:
-            crossed.append(("v", i, j))
-        if v_cross[i + 1, j]:
-            crossed.append(("v", i + 1, j))
-        if len(crossed) == 2:
-            segments.append((crossed[0], crossed[1]))
-        else:
-            bottom, top = ("h", i, j), ("h", i, j + 1)
-            left, right = ("v", i, j), ("v", i + 1, j)
-            if saddle_pos[(i, j)] == bool(pos[i, j]):
-                pairs = [(bottom, right), (top, left)]
-            else:
-                pairs = [(bottom, left), (top, right)]
-            segments.extend(pairs)
+    # an edge borders at most two cells: its neighbours, in segment order
+    ends = segs.ravel()
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    slot = np.concatenate([[0], ends[1:] == ends[:-1]]).astype(int)
+    nbr = np.full((len(refined), 2), -1)
+    nbr[ends, slot] = segs[:, ::-1].ravel()[order]
+    deg = (nbr >= 0).sum(axis=1)
+    n0, n1 = nbr[:, 0].tolist(), nbr[:, 1].tolist()
 
-    # chain segments into polylines via the edge-key adjacency
-    adj: dict[tuple, list[tuple]] = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    def walk(start, stop):
+        chain, prev, cur = [start], start, n0[start]
+        while cur != stop:
+            chain.append(cur)
+            prev, cur = cur, (n1[cur] if n0[cur] == prev else n0[cur])
+        return chain
 
-    unused = {frozenset((a, b)) for a, b in segments if a != b}
-
-    def walk(start):
-        chain = [start]
-        current = start
-        while True:
-            nxt = None
-            for nb in adj.get(current, ()):
-                key = frozenset((current, nb))
-                if key in unused:
-                    nxt = nb
-                    unused.remove(key)
-                    break
-            if nxt is None:
-                return chain
-            chain.append(nxt)
-            current = nxt
-
-    endpoints = sorted((k for k, nbrs in adj.items() if len(nbrs) == 1),
-                       key=lambda k: verts[k])
+    seen = np.zeros(len(refined), dtype=bool)
     chains = []
-    for ep in endpoints:
-        if any(frozenset((ep, nb)) in unused for nb in adj[ep]):
-            chains.append(walk(ep))
-    # remaining segments belong to closed loops
-    while unused:
-        start = min(unused, key=lambda s: sorted(verts[k] for k in s)[0])
-        a = min(start, key=lambda k: verts[k])
-        chains.append(walk(a))
+    for tip in np.flatnonzero(deg == 1).tolist():
+        if not seen[tip]:
+            chains.append(walk(tip, -1))
+            seen[chains[-1]] = True
+    # what is left are closed loops, each walked from its smallest vertex
+    rest = np.flatnonzero((deg == 2) & ~seen)
+    for start in rest[np.lexsort(refined[rest].T[::-1])].tolist():
+        if not seen[start]:
+            chains.append(walk(start, start) + [start])
+            seen[chains[-1]] = True
 
     polylines = []
     for chain in chains:
-        pts = np.array([verts[k] for k in chain])
-        if len(pts) < 2:
-            continue
+        pts = refined[chain]
         if tuple(pts[0]) > tuple(pts[-1]):
             pts = pts[::-1]
         polylines.append(pts)
@@ -485,6 +467,10 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Atiyah-Hitchin trace families (theta-phi and theta-k planes)
 # ---------------------------------------------------------------------------
+
+_MAX_SAMPLES = 320   # vertices kept per polyline
+_MIN_RUN = 6         # shortest run of good samples emitted as a trace
+
 
 def _ah_sample_mask(theta, k, phi, psi, h: float, K) -> np.ndarray:
     """Samples clear of the degenerate loci (x_pm at the cut ends, y_pm -> 0)."""
@@ -504,17 +490,17 @@ def _ah_sample_mask(theta, k, phi, psi, h: float, K) -> np.ndarray:
 
 def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
                              phi_fixed: float | None, c1: float, h: float,
-                             sign: int, tag: str, max_samples: int = 320,
-                             min_run: int = 6) -> list[CurveTrace]:
+                             sign: int, tag: str) -> list[CurveTrace]:
     """Chart traces from a zero-set polyline, split at degenerate samples.
 
     Samples without a real psi or abutting the degenerate loci (y_pm -> 0,
     x_pm at the cut ends) are removed and the polyline is split there:
     difference quotients must never bridge a locus where the metric
-    coefficients blow up.
+    coefficients blow up.  A polyline is thinned to at most _MAX_SAMPLES
+    evenly spaced vertices, and runs shorter than _MIN_RUN are dropped.
     """
-    if len(pts) > max_samples:
-        idx = np.unique(np.linspace(0, len(pts) - 1, max_samples).astype(int))
+    if len(pts) > _MAX_SAMPLES:
+        idx = np.unique(np.linspace(0, len(pts) - 1, _MAX_SAMPLES).astype(int))
         pts = pts[idx]
     seg = np.hypot(*np.diff(pts, axis=0).T)
     t = np.concatenate([[0.0], np.cumsum(seg)])
@@ -536,7 +522,7 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
     edges = np.flatnonzero(np.diff(np.concatenate([[0], good, [0]])))
     traces = []
     for a, b in zip(edges[::2], edges[1::2]):
-        if b - a < min_run:
+        if b - a < _MIN_RUN:
             continue
         sl = slice(a, b)
         traces.append(CurveTrace(
@@ -548,11 +534,11 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
     return traces
 
 
-def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0, n: int = 256,
-                        signs: tuple[int, ...] = (1, -1)) -> list[CurveTrace]:
+def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0,
+                        n: int = 256) -> list[CurveTrace]:
     """Solution curves of the implicit condition in the (theta, phi)-plane at fixed k."""
     traces = []
-    for sign in signs:
+    for sign in (1, -1):
         grid = ImplicitGrid(
             f=lambda th, ph, s=sign: _ah_condition_arrays(th, ph, k, c1, h, s),
             rect=(0.02, math.pi - 0.02, 0.0, 2.0 * math.pi), n=n)
@@ -563,11 +549,11 @@ def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0, n: int = 256,
     return traces
 
 
-def ah_traces_theta_k(phi: float, c1: float, h: float = 1.0, n: int = 256,
-                      signs: tuple[int, ...] = (1, -1)) -> list[CurveTrace]:
+def ah_traces_theta_k(phi: float, c1: float, h: float = 1.0,
+                      n: int = 256) -> list[CurveTrace]:
     """Solution curves of the implicit condition in the (theta, k)-plane at fixed phi."""
     traces = []
-    for sign in signs:
+    for sign in (1, -1):
         grid = ImplicitGrid(
             f=lambda th, kk, s=sign: _ah_condition_arrays(th, phi, kk, c1, h, s),
             rect=(0.02, math.pi - 0.02, 0.02, 0.98), n=n)

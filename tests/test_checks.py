@@ -210,3 +210,30 @@ def test_benchmark_check_reference_verdicts(capsys):
     for name in {entry["check"] for entry in ref["excluded"]}:
         for seed in ref["seeds"][:3]:
             assert _verdict(name, seed, capsys) == "PASS", (name, seed)
+
+
+def test_violated_so3_moment_reports_fail(monkeypatch, capsys):
+    """A wrong moment map (mu = p x q) is a FAIL line and exit code 1 from
+    `verify`, not an AssertionError; it is still SO(3)-equivariant, so only
+    the basis identity mu(e1, e2) = e3 catches it."""
+    monkeypatch.setattr(mm, "so3_cotangent_moment",
+                        lambda q, p: np.cross(np.asarray(p, float), np.asarray(q, float)))
+    assert main(["--seed", "0", "verify", "--only", "so3-equivariance"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL so3-equivariance mu(q=e1, p=e2)=[0.0, 0.0, -1.0]")
+
+
+def test_forward_point_off_locus_reports_fail(monkeypatch, capsys):
+    """A chart that turns z by e^{i phi}, where the true one turns it by
+    e^{2 i phi}, puts z off the negative real axis at phi*: a FAIL line of
+    `slag-ah-zero-set`, not an AssertionError."""
+    zvx = checks.ah.ah_zvx_from_spherical
+
+    def rotated(k, theta, phi, psi, h):
+        z, v, x = zvx(k, theta, phi, psi, h)
+        return z * np.exp(-1j * phi), v, x
+
+    monkeypatch.setattr(checks.ah, "ah_zvx_from_spherical", rotated)
+    assert main(["--seed", "0", "verify", "--only", "slag-ah-zero-set"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL slag-ah-zero-set forward point theta=")

@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 from slag_forge import elliptic
 from slag_forge.elliptic import (elliptic_data, elliptic_E, elliptic_E_vec,
-                                 elliptic_K, elliptic_K_vec, eta1_closed,
-                                 eta1_quadrature, eta3_quadrature, jacobi_sn,
-                                 omega1_quadrature, omega3_quadrature,
-                                 quad_adaptive, weierstrass_p,
-                                 weierstrass_p_half_periods, EllipticModulus)
+                                 elliptic_K, elliptic_K_vec, eta1_quadrature,
+                                 eta3_quadrature, jacobi_sn, omega1_quadrature,
+                                 omega3_quadrature, quad_adaptive, weierstrass_p,
+                                 weierstrass_p_half_periods)
 from slag_forge.errors import ConvergenceError, DomainError, PoleError
 
 K_SQRT_HALF = 1.8540746773013714      # midpoint oracle, 1e6 nodes
@@ -147,10 +146,10 @@ def test_jacobi_sn_bounded():
 
 
 def test_elliptic_modulus():
-    m = EllipticModulus.from_k(0.6)
+    m = elliptic_data(0.6, 1.0)
     assert m.k**2 + m.kprime**2 == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(DomainError):
-        EllipticModulus.from_k(1.0)
+        elliptic_data(1.0, 1.0)
 
 
 def test_weierstrass_p_at_omega1():
@@ -218,7 +217,7 @@ def test_elliptic_data_invariants(k, rho):
 
 def test_eta1_trivial_small_k_limit():
     # e1 -> 2 rho/3 as k -> 0, so eta1 -> (pi/2)(1 - 2/3) sqrt(rho) = pi/6 at rho=1
-    assert eta1_closed(1e-8, 1.0) == pytest.approx(math.pi / 6, rel=1e-6)
+    assert elliptic_data(1e-8, 1.0).eta1 == pytest.approx(math.pi / 6, rel=1e-6)
 
 
 def test_eta1_quadrature_vs_closed_form():

@@ -399,6 +399,157 @@ def test_trace_zero_set_matches_bisection_reference(case, monkeypatch):
     assert vertices > 100
 
 
+def _reference_trace_zero_set(grid, tol=1e-10):
+    """The edge-key tracer: ("h"|"v", i, j) tuple keys, a per-cell loop, an
+    edge-key adjacency dict and frozenset chaining, on the same node
+    lattice, refine and saddle rule as slag_curves.trace_zero_set."""
+    x0, x1, y0, y1 = grid.rect
+    n = grid.n
+    xs = np.linspace(x0, x1, n + 1)
+    ys = np.linspace(y0, y1, n + 1)
+    with np.errstate(all="ignore"):
+        F = np.broadcast_to(np.asarray(grid.f(xs[:, None], ys[None, :]), dtype=float),
+                            (n + 1, n + 1))
+    fin = np.isfinite(F)
+    pos = F > 0.0
+    h_cross = (pos[:-1, :] != pos[1:, :]) & fin[:-1, :] & fin[1:, :]
+    v_cross = (pos[:, :-1] != pos[:, 1:]) & fin[:, :-1] & fin[:, 1:]
+    hi, hj = np.nonzero(h_cross)
+    vi, vj = np.nonzero(v_cross)
+    p0s = np.concatenate([np.column_stack([xs[hi], ys[hj]]),
+                          np.column_stack([xs[vi], ys[vj]])])
+    p1s = np.concatenate([np.column_stack([xs[hi + 1], ys[hj]]),
+                          np.column_stack([xs[vi], ys[vj + 1]])])
+    f0s = np.concatenate([F[hi, hj], F[vi, vj]])
+    f1s = np.concatenate([F[hi + 1, hj], F[vi, vj + 1]])
+    refined = sc._refine_edges(grid.f, p0s, p1s, f0s, f1s, tol) if len(p0s) else p0s
+    verts = {}
+    for idx in range(len(hi)):
+        verts[("h", int(hi[idx]), int(hj[idx]))] = tuple(refined[idx])
+    for idx in range(len(vi)):
+        verts[("v", int(vi[idx]), int(vj[idx]))] = tuple(refined[len(hi) + idx])
+
+    cell_ok = fin[:-1, :-1] & fin[1:, :-1] & fin[:-1, 1:] & fin[1:, 1:]
+    crossings = (h_cross[:, :-1].astype(int) + h_cross[:, 1:]
+                 + v_cross[:-1, :] + v_cross[1:, :]) * cell_ok
+    si, sj = np.nonzero(crossings == 4)
+    saddle_pos = {}
+    if len(si):
+        cx = 0.5 * (xs[si] + xs[si + 1])
+        cy = 0.5 * (ys[sj] + ys[sj + 1])
+        with np.errstate(all="ignore"):
+            fc_vals = np.asarray(grid.f(cx, cy), dtype=float)
+        saddle_pos = {(int(a), int(b)): bool(v > 0.0) for a, b, v in zip(si, sj, fc_vals)}
+
+    segments = []
+    for i_, j_ in zip(*np.nonzero((crossings == 2) | (crossings == 4))):
+        i, j = int(i_), int(j_)
+        bottom, top = ("h", i, j), ("h", i, j + 1)
+        left, right = ("v", i, j), ("v", i + 1, j)
+        crossed = [e for e, c in ((bottom, h_cross[i, j]), (top, h_cross[i, j + 1]),
+                                  (left, v_cross[i, j]), (right, v_cross[i + 1, j])) if c]
+        if len(crossed) == 2:
+            segments.append((crossed[0], crossed[1]))
+        elif saddle_pos[(i, j)] == bool(pos[i, j]):
+            segments.extend([(bottom, right), (top, left)])
+        else:
+            segments.extend([(bottom, left), (top, right)])
+
+    adj = {}
+    for a, b in segments:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    unused = {frozenset((a, b)) for a, b in segments if a != b}
+
+    def walk(start):
+        chain = [start]
+        current = start
+        while True:
+            nxt = None
+            for nb in adj.get(current, ()):
+                key = frozenset((current, nb))
+                if key in unused:
+                    nxt = nb
+                    unused.remove(key)
+                    break
+            if nxt is None:
+                return chain
+            chain.append(nxt)
+            current = nxt
+
+    endpoints = sorted((k for k, nbrs in adj.items() if len(nbrs) == 1),
+                       key=lambda k: verts[k])
+    chains = []
+    for ep in endpoints:
+        if any(frozenset((ep, nb)) in unused for nb in adj[ep]):
+            chains.append(walk(ep))
+    while unused:
+        start = min(unused, key=lambda s: sorted(verts[k] for k in s)[0])
+        chains.append(walk(min(start, key=lambda k: verts[k])))
+
+    polylines = []
+    for chain in chains:
+        pts = np.array([verts[k] for k in chain])
+        if len(pts) < 2:
+            continue
+        if tuple(pts[0]) > tuple(pts[-1]):
+            pts = pts[::-1]
+        polylines.append(pts)
+    polylines.sort(key=lambda p: (tuple(p[0]), tuple(p[-1]), len(p)))
+    return polylines
+
+
+def _saddle_cells(grid):
+    """Cells whose four corners are finite and alternate in sign."""
+    xs = np.linspace(grid.rect[0], grid.rect[1], grid.n + 1)
+    ys = np.linspace(grid.rect[2], grid.rect[3], grid.n + 1)
+    with np.errstate(all="ignore"):
+        F = np.broadcast_to(grid.f(xs[:, None], ys[None, :]), (grid.n + 1, grid.n + 1))
+    pos, fin = F > 0.0, np.isfinite(F)
+    return int(np.sum((pos[:-1, :-1] == pos[1:, 1:]) & (pos[1:, :-1] == pos[:-1, 1:])
+                      & (pos[:-1, :-1] != pos[1:, :-1])
+                      & fin[:-1, :-1] & fin[1:, 1:] & fin[1:, :-1] & fin[:-1, 1:]))
+
+
+def _synthetic_grid(f):
+    return lambda: sc.trace_zero_set(ImplicitGrid(f=f, rect=(-2, 2, -2, 2), n=64))
+
+
+CHAINING_CASES = {
+    "fig8": TRACER_CASES["fig8"],
+    "fig9": TRACER_CASES["fig9"],
+    "saddles": _synthetic_grid(lambda x, y: np.sin(5 * x) * np.cos(5 * y)),
+    "loops": _synthetic_grid(lambda x, y: np.sin(5 * x) * np.cos(4 * y) - 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAINING_CASES))
+def test_trace_zero_set_matches_edge_key_reference(case, monkeypatch):
+    """Integer edge ids against the tuple-keyed, frozenset-chained tracer:
+    every polyline bit for bit equal and in the same order, on the fig8
+    (k = 0.5) and fig9 (phi = pi/4) grids at c1 = -3 and on two synthetic
+    grids, one with 36 saddle cells and one with 15 closed loops.  Each
+    closed loop starts and ends at its smallest vertex."""
+    calls = _spy_calls(monkeypatch, "trace_zero_set", CHAINING_CASES[case])
+    assert calls
+    loops = saddles = 0
+    for args, kwargs in calls:
+        got = trace_zero_set(*args, **kwargs)
+        ref = _reference_trace_zero_set(*args, **kwargs)
+        assert len(got) == len(ref) > 0
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+            if np.array_equal(g[0], g[-1]):
+                loops += 1
+                smallest = g[np.lexsort(g.T[::-1])[0]]
+                assert np.array_equal(g[0], smallest)
+        saddles += _saddle_cells(args[0])
+    if case == "saddles":
+        assert saddles == 36
+    if case == "loops":
+        assert loops == 15
+
+
 # the most sweeps one refine call takes, measured on these grids: 8 (fig8),
 # 26 (fig9, a sqrt-type zero on the theta = pi/2 node column, where only the
 # 1e-10 bracket rule stops); bisection takes 32 and 35
