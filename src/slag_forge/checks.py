@@ -327,11 +327,8 @@ def check_ah_dpi_fd(rng) -> tuple[bool, str]:
 
 
 def check_ah_h_constraint(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for h in (0.5, 1.0, 2.0):
-        p = ah.AHParams(h, 1)
-        for k in (0.2, 0.5, 0.8):
-            worst = max(worst, ah.ah_check_h_constraint(p, k))
+    worst = max(ah.ah_check_h_constraint(ah.AHParams(h, 1), np.array([0.2, 0.5, 0.8]))
+                for h in (0.5, 1.0, 2.0))
     return _result(worst, 1e-14)
 
 
@@ -362,19 +359,29 @@ def check_hamiltonicity_ah(rng, n_points: int = 100) -> tuple[bool, str]:
 
 
 def check_orbit_constancy(rng) -> tuple[bool, str]:
+    """mu is constant along RK4 orbits and the AH generator is d/dphi.
+
+    Taub-NUT: one U(1) and one SO(2) orbit (in that order, one point drawn
+    for each) are stepped together as the rows of one (2, 4) state.
+    """
     worst = 0.0
     p = tn.TNParams(1.0, 1.0)
-    for action_name in ("U1_triholo", "SO2_rot"):
-        action = mm.ActionSpec("TaubNUT", action_name)
-        pt = _random_tn_point(rng, p, 0.5, 10.0)
-        q0 = np.array([pt.u.real, pt.u.imag, pt.z.real, pt.z.imag])
+    actions = [mm.ActionSpec("TaubNUT", name) for name in ("U1_triholo", "SO2_rot")]
+    pts = [_random_tn_point(rng, p, 0.5, 10.0) for _ in actions]
+    q0 = np.array([[pt.u.real, pt.u.imag, pt.z.real, pt.z.imag] for pt in pts])
 
-        def field(q, a=action):
-            return a.field(complex(q[0], q[1]), complex(q[2], q[3]))
+    def field(q):
+        X = np.zeros((2, 4))
+        for row, action in enumerate(actions):
+            for a, value in action.components(q[row, 2], q[row, 3]):
+                X[row, a] = value
+        return X
 
-        q = mm.rk4_orbit(field, q0, 1.0, 2000)[::100].T
+    path = mm.rk4_orbit(field, q0, 1.0, 2000)[::100]     # [sample, orbit, component]
+    for row, action in enumerate(actions):
+        q = path[:, row].T
         point = tn.tn_point_from_uz(q[0] + 1j * q[1], q[2] + 1j * q[3], p)
-        mus = (mm.moment_tn_u1(point) if action_name == "U1_triholo"
+        mus = (mm.moment_tn_u1(point) if action.generator == "U1_triholo"
                else mm.moment_tn_so2(point, p))
         worst = max(worst, float(np.max(mus) - np.min(mus)))
     # Atiyah-Hitchin: the orbit is the phi-circle; check the pushforward and mu
@@ -499,11 +506,13 @@ def check_slag_ah_zero_set(rng) -> tuple[bool, str]:
 
     Forward: at phi* = pi/2 - arg(w)/2 (mod pi) the coordinate z is negative
     real and the condition residual must vanish.  Converse: every phi-root of
-    the condition found by scan+bisection must land on z in R_{<=0}.
+    the condition found by scan+bisection must land on z in R_{<=0}; the scan
+    of all theta rows is one (rows, 257) evaluation, and the brackets of all
+    rows are bisected together.
     """
     k, c1, h = 0.5, 0.0, 1.0
-    worst_f = worst_conv = 0.0
-    count = 0
+    worst_f = 0.0
+    rows = []           # (theta, psi) of each row with a real psi
     for th in np.linspace(0.3, math.pi - 0.3, 40):
         try:
             c2p = sc.ah_cos2psi(th, k, c1, h)
@@ -521,26 +530,28 @@ def check_slag_ah_zero_set(rng) -> tuple[bool, str]:
                 return False, (f"forward point theta={th:.6f} phi*={phi_star:.6f} "
                                f"off z <= 0: z={complex(z):.3e}")
             worst_f = max(worst_f, abs(f) / max(1.0, abs(z0)) ** 0.5)
-            count += 1
-        # converse: scan the row for sign changes, bisect them all, test z there
-        phis = np.linspace(0.0, 2.0 * math.pi, 257)
-        vals = sc._ah_condition_arrays(th, phis, k, c1, h, 1)
-        i = np.flatnonzero((vals[:-1] > 0) != (vals[1:] > 0))
-        a, b, fa = phis[i], phis[i + 1], vals[i]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            fm = sc._ah_condition_arrays(th, mid, k, c1, h, 1)
-            left = (fa > 0) != (fm > 0)
-            b = np.where(left, mid, b)
-            a, fa = np.where(left, a, mid), np.where(left, fa, fm)
-        z, _, _ = ah.ah_zvx_from_spherical(k, th, 0.5 * (a + b), psi, h)
-        worst_conv = max(worst_conv, np.max(np.abs(z.imag) / np.abs(z), initial=0.0),
-                         np.max(np.maximum(z.real, 0.0) / np.abs(z), initial=0.0))
-    if count == 0:
+        rows.append((th, psi))
+    if not rows:
         return False, "locus not sampled"
+    # converse: scan the rows for sign changes, bisect them all, test z there
+    th, psi = np.array(rows).T
+    phis = np.linspace(0.0, 2.0 * math.pi, 257)
+    vals = sc._ah_condition_arrays(th[:, None], phis, k, c1, h, 1)
+    row, i = np.nonzero((vals[:, :-1] > 0) != (vals[:, 1:] > 0))
+    th, psi = th[row], psi[row]
+    a, b, fa = phis[i], phis[i + 1], vals[row, i]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = sc._ah_condition_arrays(th, mid, k, c1, h, 1)
+        left = (fa > 0) != (fm > 0)
+        b = np.where(left, mid, b)
+        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+    z, _, _ = ah.ah_zvx_from_spherical(k, th, 0.5 * (a + b), psi, h)
+    worst_conv = max(np.max(np.abs(z.imag) / np.abs(z), initial=0.0),
+                     np.max(np.maximum(z.real, 0.0) / np.abs(z), initial=0.0))
     ok = worst_f <= 1e-7 and worst_conv <= 1e-7
     return ok, (f"forward_resid={worst_f:.3e} converse_resid={worst_conv:.3e} "
-                f"tol=1e-7 ({count} locus pts)")
+                f"tol=1e-7 ({2 * len(rows)} locus pts)")
 
 
 def check_slag_ah_traces(rng) -> tuple[bool, str]:

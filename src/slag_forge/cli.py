@@ -10,6 +10,7 @@ accepted and ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -27,7 +28,10 @@ from .errors import SlagForgeError
 from .svg import write_svg
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main() call; parse_args gives each call a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="slag-forge",
         description="hyperkahler metric evaluation, invariant suites, and "
@@ -192,7 +196,11 @@ def cmd_trace(args) -> int:
             stem = f"ah_thetak_phi_{args.phi:g}_c1_{args.c1:g}_{trace.tag}"
             items.append((stem.replace("+", "p").replace("-", "m"), "ah", trace, p))
     if not items:
-        print("nothing to trace: pass --preset or a family flag", file=sys.stderr)
+        if (args.tn_u1_case1 or args.tn_u1_case2 or args.tn_so2 or args.ah_theta_phi
+                or args.ah_theta_k):
+            print("no trace found for the given family parameters", file=sys.stderr)
+        else:
+            print("nothing to trace: pass --preset or a family flag", file=sys.stderr)
         return 2
     return _emit_traces(items, out_dir, args.format, None)
 

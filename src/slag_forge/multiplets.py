@@ -93,10 +93,13 @@ def tn_Fxx_contour_oracle(m: O2Multiplet, h: float, mcharge: float,
 
     F(x) is evaluated as the unit-circle trapezoid of the quadratic term plus
     the log term integrated along a closed ellipse enclosing the cut segment
-    [0, zeta_minus] (log branch tracked by continuous unwrapping), doubled
-    with its reality image.  For the Taub-NUT F-function this must reproduce
-    F_xx = -2(1/h + 2 mcharge / r).  The loop uses more nodes than the
-    circle: its clearance pinches as x -> -r.
+    [0, zeta_minus], doubled with its reality image.  The log branch is
+    continued along the loop by unwrapping arg eta at its jumps only: the
+    phase steps by less than pi between neighbouring nodes except at a few
+    (usually none), and only there is a 2 pi correction computed, bit for
+    bit what np.unwrap gives on the whole loop.  For the Taub-NUT
+    F-function this must reproduce F_xx = -2(1/h + 2 mcharge / r).  The
+    loop uses more nodes than the circle: its clearance pinches as x -> -r.
     """
     if m.z == 0 or m.r == 0:
         raise DegenerateError("tn_Fxx_contour_oracle: z = 0 or r = 0")
@@ -124,6 +127,30 @@ def _trig_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes
 
 
+def _unwrap_jumps(phase: np.ndarray) -> np.ndarray:
+    """np.unwrap(phase) for a 1-d float array, bit for bit, from its jumps alone.
+
+    np.unwrap adds to each entry the running sum of the corrections of the
+    steps before it, and a step's correction is zero unless |step| >= pi.
+    Here the correction (np.unwrap's mod formula and its tie rule at -pi) is
+    computed at those steps only and summed in the same order; the first
+    entry is kept as it is.
+    """
+    dd = np.diff(phase)
+    jump = np.flatnonzero(~(np.abs(dd) < math.pi))
+    dj = dd[jump]
+    low, period = -math.pi, 2.0 * math.pi
+    ddmod = np.mod(dj - low, period) + low
+    ddmod[(ddmod == low) & (dj > 0)] = math.pi
+    offset = np.cumsum(np.concatenate(([0.0], ddmod - dj)))
+    up = phase.copy()
+    # entry i > 0 takes the running sum over steps 0 .. i-1, constant between jumps
+    runs = np.concatenate(([1], jump + 1, [phase.size]))
+    for lo, hi, value in zip(runs[:-1], runs[1:], offset):
+        up[lo:hi] += value
+    return up
+
+
 def _tn_F_value(x: float, z: complex, h: float, mcharge: float,
                 nodes_circle: int, nodes_loop: int) -> float:
     zb = np.conjugate(z)
@@ -148,7 +175,7 @@ def _tn_F_value(x: float, z: complex, h: float, mcharge: float,
     dloop = (-a_ax * sin_th * u_hat + b_ax * cos_th * (1j * u_hat)) \
         * (2.0 * math.pi / nodes_loop)
     eta_l = zb / loop + x - z * loop
-    log_eta = np.log(np.abs(eta_l)) + 1j * np.unwrap(np.angle(eta_l))
+    log_eta = np.log(np.abs(eta_l)) + 1j * _unwrap_jumps(np.angle(eta_l))
     s_val = np.sum(eta_l * log_eta / loop * dloop) / (2.0 * math.pi * 1j)
     # the second loop (around the image cut through infinity) contributes the
     # complex conjugate by the reality condition

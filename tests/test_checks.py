@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slag_forge import checks, moment_maps as mm, taub_nut as tn
+from slag_forge import atiyah_hitchin as ah, checks, moment_maps as mm
+from slag_forge import slag_curves as sc, taub_nut as tn
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
+from slag_forge.errors import ChartError, OutOfRangeError
 
 from test_atiyah_hitchin import regular_point
 
@@ -237,3 +239,109 @@ def test_forward_point_off_locus_reports_fail(monkeypatch, capsys):
     assert main(["--seed", "0", "verify", "--only", "slag-ah-zero-set"]) == 1
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("FAIL slag-ah-zero-set forward point theta=")
+
+
+def _orbit_paths_per_action(rng):
+    """The Taub-NUT orbits of orbit-constancy one action at a time: four
+    scalar field calls per RK4 step, each building complex coordinates and
+    a zero row, and the path kept as a list of states."""
+    p = tn.TNParams(1.0, 1.0)
+    paths = []
+    for name in ("U1_triholo", "SO2_rot"):
+        pt = checks._random_tn_point(rng, p, 0.5, 10.0)
+        q = np.array([pt.u.real, pt.u.imag, pt.z.real, pt.z.imag])
+
+        def field(q, name=name):
+            X = np.zeros(4)
+            if name == "U1_triholo":
+                X[1] = 1.0
+            else:
+                w1 = complex(q[2], q[3])
+                X[2], X[3] = 2.0 * np.imag(w1), -2.0 * np.real(w1)
+            return X
+
+        path = [q.copy()]
+        dt = 1.0 / 2000
+        for _ in range(2000):
+            k1 = field(q)
+            k2 = field(q + 0.5 * dt * k1)
+            k3 = field(q + 0.5 * dt * k2)
+            k4 = field(q + dt * k3)
+            q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            path.append(q.copy())
+        paths.append(np.array(path))
+    return paths
+
+
+@pytest.mark.parametrize("seed", [0, 1, 14])
+def test_orbit_stack_matches_per_action_loops(seed, monkeypatch):
+    """Both Taub-NUT orbits stepped as one (2, 4) state give, row by row,
+    the paths of the two scalar loops bit for bit."""
+    paths = []
+    original = mm.rk4_orbit
+
+    def spy(*args):
+        paths.append(original(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(mm, "rk4_orbit", spy)
+    assert checks.check_orbit_constancy(np.random.default_rng(seed))[0]
+    (path,) = paths
+    assert path.shape == (2001, 2, 4)
+    for row, want in enumerate(_orbit_paths_per_action(np.random.default_rng(seed))):
+        assert np.array_equal(path[:, row], want)
+
+
+def _zero_set_roots_per_row():
+    """The converse scan of slag-ah-zero-set one theta row at a time: the
+    phi-roots and z there."""
+    k, c1, h = 0.5, 0.0, 1.0
+    roots, zs = [], []
+    for th in np.linspace(0.3, math.pi - 0.3, 40):
+        try:
+            c2p = sc.ah_cos2psi(th, k, c1, h)
+        except (OutOfRangeError, ChartError):
+            continue
+        psi = 0.5 * math.acos(c2p)
+        phis = np.linspace(0.0, 2.0 * math.pi, 257)
+        vals = sc._ah_condition_arrays(th, phis, k, c1, h, 1)
+        i = np.flatnonzero((vals[:-1] > 0) != (vals[1:] > 0))
+        a, b, fa = phis[i], phis[i + 1], vals[i]
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            fm = sc._ah_condition_arrays(th, mid, k, c1, h, 1)
+            left = (fa > 0) != (fm > 0)
+            b = np.where(left, mid, b)
+            a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+        roots.append(0.5 * (a + b))
+        zs.append(ah.ah_zvx_from_spherical(k, th, roots[-1], psi, h)[0])
+    return np.concatenate(roots), np.concatenate(zs)
+
+
+def test_zero_set_row_batch_matches_per_row_loop(monkeypatch):
+    """One (rows, 257) scan and one bisection over every row's brackets find
+    the per-row loop's phi-roots, and z at them, bit for bit."""
+    calls = []
+    original = ah.ah_zvx_from_spherical
+
+    def spy(k, theta, phi, psi, h):
+        calls.append((phi, original(k, theta, phi, psi, h)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ah, "ah_zvx_from_spherical", spy)
+    ok, detail = checks.check_slag_ah_zero_set(np.random.default_rng(0))
+    assert ok, detail
+    phi, (z, _, _) = calls[-1]
+    want_phi, want_z = _zero_set_roots_per_row()
+    assert want_phi.size > 0
+    assert np.array_equal(phi, want_phi) and np.array_equal(z, want_z)
+
+
+def test_h_constraint_fails_on_a_broken_chart_rho(monkeypatch, capsys):
+    """ah-h-constraint reads omega1 from the curve data the chart map builds,
+    so a chart whose rho is off 16 h^2 K^2 by 1 % is a FAIL line and exit 1."""
+    elliptic_data = ah.elliptic_data
+    monkeypatch.setattr(ah, "elliptic_data", lambda k, rho: elliptic_data(k, 1.01 * rho))
+    assert main(["verify", "--only", "ah-h-constraint"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL ah-h-constraint max_err=")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slag_forge import cli
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
@@ -237,3 +238,28 @@ def test_threads_env_cap(tmp_path, monkeypatch):
     rc = main(["trace", "--preset", "fig6", "--out", str(tmp_path)])
     assert rc == 0
     assert len(list(tmp_path.glob("*.csv"))) == 5
+
+
+def test_parser_built_once_with_a_fresh_namespace_per_call(monkeypatch):
+    """main() reuses one parser, and each call gets its own namespace: a
+    --seed or --only of one call does not leak into the next."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, seed: seen.append((args, seed)) or 0)
+    assert cli.build_parser() is cli.build_parser()
+    main(["--seed", "7", "verify", "--only", "legendre-relation"])
+    main(["verify", "--list"])
+    (first, seed1), (second, seed2) = seen
+    assert first is not second
+    assert (seed1, first.only, first.list) == (7, "legendre-relation", False)
+    assert (seed2, second.only, second.list) == (0, None, True)
+
+
+def test_trace_family_without_traces_says_so(tmp_path, capsys):
+    """A family flag whose level set is empty exits 2 naming the family, not
+    asking for a family flag."""
+    rc = main(["trace", "--ah-theta-phi", "--k", "0.5", "--c1", "3", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "no trace found for the given family" in err and "--preset" not in err
+    assert main(["trace"]) == 2
+    assert "nothing to trace: pass --preset or a family flag" in capsys.readouterr().err

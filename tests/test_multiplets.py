@@ -245,3 +245,43 @@ def test_ah_In_pole_on_path():
     if abs(Xinf.imag) < 1e-10 and data.e3 <= Xinf.real <= data.e2:
         with pytest.raises(PoleError):
             ah_In_contour_oracle(data, m4, 1)
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("phase", [
+    [0.0, math.pi, 0.0, -math.pi, 0.0, 1.0],
+    [3.0, -3.0, 3.0, -0.5, 2.9, -2.9, 0.1],
+    list(np.linspace(-3.0, 3.0, 64)),
+    [-0.0, 0.25, -0.0, 0.5, -0.0],
+    [0.5],
+], ids=["steps-of-exactly-pi", "jumps-both-signs", "no-jump", "negative-zero", "one-node"])
+def test_unwrap_jumps_matches_np_unwrap(phase):
+    """The jump-only unwrap gives np.unwrap's array bit for bit, the sign of
+    zero included; a step of exactly +pi or -pi takes np.unwrap's tie rule."""
+    phase = np.array(phase)
+    _assert_same_bits(multiplets._unwrap_jumps(phase), np.unwrap(phase))
+
+
+def test_unwrap_jumps_on_oracle_loops(monkeypatch):
+    """The loop phases of the F_xx oracle, and a loop phase that winds seven
+    times, unwrap as np.unwrap unwraps them."""
+    phases = []
+    original = multiplets._unwrap_jumps
+
+    def spy(phase):
+        phases.append(phase)
+        return original(phase)
+
+    monkeypatch.setattr(multiplets, "_unwrap_jumps", spy)
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        tn_Fxx_contour_oracle(random_o2(rng), rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
+    assert len(phases) == 15
+    _, cos_th, sin_th = multiplets._trig_nodes(8192)
+    wound = np.angle((cos_th + 1j * sin_th) ** 7)
+    assert np.count_nonzero(np.abs(np.diff(wound)) >= math.pi) == 7
+    for phase in phases + [wound]:
+        _assert_same_bits(original(phase), np.unwrap(phase))
