@@ -58,14 +58,21 @@ class AHSphericalPoint:
     psi: float
 
     def __post_init__(self):
-        if not np.all((0.0 < self.k) & (self.k < 1.0)):
+        in_k = (0.0 < self.k) & (self.k < 1.0)
+        in_theta = (0.0 <= self.theta) & (self.theta <= math.pi)
+        in_phi = (0.0 <= self.phi) & (self.phi < 2.0 * math.pi)
+        in_psi = (0.0 <= self.psi) & (self.psi < 4.0 * math.pi)
+        ok = in_k & in_theta & in_phi & in_psi
+        # a plain bool for float fields, where np.all alone costs ~5 us
+        if ok is True or np.all(ok):
+            return
+        if not np.all(in_k):
             raise DomainError(f"k must lie in (0, 1), got {self.k!r}")
-        if not np.all((0.0 <= self.theta) & (self.theta <= math.pi)):
+        if not np.all(in_theta):
             raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not np.all((0.0 <= self.phi) & (self.phi < 2.0 * math.pi)):
+        if not np.all(in_phi):
             raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi!r}")
-        if not np.all((0.0 <= self.psi) & (self.psi < 4.0 * math.pi)):
-            raise DomainError(f"psi must lie in [0, 4 pi), got {self.psi!r}")
+        raise DomainError(f"psi must lie in [0, 4 pi), got {self.psi!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ All downstream geometry is driven by the data of the real elliptic curve
 parametrized by a modulus k in (0,1) and a scale rho = e1 - e3 > 0.  The
 half-period omega1 and quasi-half-period eta1 are the cycle integrals of
 dX/Y and -X dX/Y over the cut [e3, e2]; both admit closed forms in K(k),
-E(k) which the quadrature routines here cross-check.
+E(k) which the quadrature routines here cross-check.  Where an array of
+moduli needs both, elliptic_KE_vec takes K and E from one extended-AGM
+sequence (DLMF 19.8).
 """
 
 from __future__ import annotations
@@ -89,7 +91,10 @@ def jacobi_sn(u: float, k: float) -> float:
 
 
 def elliptic_K_vec(k: np.ndarray) -> np.ndarray:
-    """Vectorized K(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_K."""
+    """Vectorized K(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_K.
+
+    The lean AGM for callers that need K alone; elliptic_KE_vec gives K and E.
+    """
     k = np.asarray(k, dtype=float)
     if np.any((k < 0.0) | (k >= 1.0)):
         raise DomainError("elliptic_K_vec requires 0 <= k < 1 elementwise")
@@ -106,11 +111,17 @@ def elliptic_K_vec(k: np.ndarray) -> np.ndarray:
     return math.pi / (2.0 * a)
 
 
-def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
-    """Vectorized E(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_E."""
+def elliptic_KE_vec(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (K(k), E(k)) from one extended-AGM sequence (DLMF 19.8.5-6),
+    for arrays with 0 <= k < 1.
+
+    The a, b recursion is elliptic_K_vec's step for step, so K = pi/(2a) has
+    its bits and those of elliptic_K; E = K (1 - sum 2^(j-1) c_j^2) has the
+    bits of elliptic_E.
+    """
     k = np.asarray(k, dtype=float)
     if np.any((k < 0.0) | (k >= 1.0)):
-        raise DomainError("elliptic_E_vec requires 0 <= k < 1 elementwise")
+        raise DomainError("elliptic_KE_vec requires 0 <= k < 1 elementwise")
     a = np.ones_like(k)
     b = np.sqrt(1.0 - k * k)
     csum = 0.5 * k * k
@@ -126,7 +137,12 @@ def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
         if not live.any():
             break
     K = math.pi / (2.0 * a)
-    return K * (1.0 - csum)
+    return K, K * (1.0 - csum)
+
+
+def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
+    """Vectorized E(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_E."""
+    return elliptic_KE_vec(k)[1]
 
 
 def elliptic_Pi_vec(n, k) -> np.ndarray:
@@ -196,16 +212,20 @@ def elliptic_data(k, rho) -> EllipticData:
     """Build the curve data for modulus k in (0,1) and scale rho > 0 (scalars or arrays).
 
     omega1 = K / sqrt(rho) and eta1 = sqrt(rho) E - e1 K / sqrt(rho), with K
-    and E evaluated once; a scalar k takes the scalar AGM and gives floats.
+    and E evaluated once; a scalar k takes the scalar AGM and gives floats,
+    an array k one elliptic_KE_vec sequence.
     """
-    if not np.all((0.0 < k) & (k < 1.0)):
-        raise DomainError(f"elliptic_data requires 0 < k < 1, got k={k!r}")
-    if not np.all(rho > 0.0):
+    in_k = (0.0 < k) & (k < 1.0)
+    ok = in_k & (rho > 0.0)
+    # a plain bool for float input, where np.all alone costs ~5 us
+    if ok is not True and not np.all(ok):
+        if not np.all(in_k):
+            raise DomainError(f"elliptic_data requires 0 < k < 1, got k={k!r}")
         raise DomainError(f"elliptic_data requires rho > 0, got rho={rho!r}")
     if np.ndim(k) == 0:
         K, E, sr = elliptic_K(float(k)), elliptic_E(float(k)), math.sqrt(rho)
     else:
-        K, E, sr = elliptic_K_vec(k), elliptic_E_vec(k), np.sqrt(rho)
+        (K, E), sr = elliptic_KE_vec(k), np.sqrt(rho)
     k2 = k * k
     e1 = -(rho / 3.0) * (k2 - 2.0)
     e2 = (rho / 3.0) * (2.0 * k2 - 1.0)

@@ -2,11 +2,12 @@
 
 Closed-form families (the two tri-holomorphic U(1) cases and the rotational
 SO(2) level sets on Taub-NUT), the implicit Atiyah-Hitchin condition in the
-(theta, phi) and (theta, k) planes, a marching-squares zero-set tracer (one
-outer-product evaluation of the condition on the node lattice, crossed edges
-refined by vectorized Illinois steps), and the end-to-end Lagrangian /
-special-Lagrangian residual report (omega, Im Omega, moment constancy) for
-any emitted trace.
+(theta, phi) and (theta, k) planes (both sin 2psi signs of a family read one
+sign-free evaluation of its node lattice), a marching-squares zero-set
+tracer (one outer-product evaluation of the condition on the node lattice,
+crossed edges refined by vectorized Illinois steps), and the end-to-end
+Lagrangian / special-Lagrangian residual report (omega, Im Omega, moment
+constancy) for any emitted trace.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 from . import atiyah_hitchin as ah
 from . import moment_maps as mm
 from . import taub_nut as tn
-from .elliptic import elliptic_E, elliptic_E_vec, elliptic_K, elliptic_K_vec
+from .elliptic import elliptic_E, elliptic_K, elliptic_KE_vec
+# unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
+from .elliptic import elliptic_E_vec, elliptic_K_vec  # noqa: F401
 from .errors import ChartError, DomainError, EmptyDomainError, OutOfRangeError
 
 
@@ -206,9 +209,10 @@ def ah_cos2psi_level(theta, k, c1: float, h: float):
 
     cos 2psi = ((2k^2-1)(1-3cos^2 th) + (3h/(4K^2))(c1 + 16hK((k^2-2)K/3 + E)))
     / (3 sin^2 th), affine in c1 with slope h/(4K^2 sin^2 th).  Scalars or
-    arrays; a scalar k takes the scalar AGM for K and E, an array k takes the
-    array AGM once per distinct value (a (theta, k) grid has one k per
-    column) and scatters it back, bitwise equal to K and E on every element.
+    arrays; a scalar k takes the scalar AGM for K and E, an array k takes
+    K and E from one extended-AGM sequence (elliptic_KE_vec) once per
+    distinct value (a (theta, k) grid has one k per column) and scatters
+    them back, bitwise equal to K and E on every element.
     The value may leave [-1, 1] (no real psi) and is not finite where
     sin theta = 0.
     """
@@ -216,8 +220,8 @@ def ah_cos2psi_level(theta, k, c1: float, h: float):
         K, E = elliptic_K(float(k)), elliptic_E(float(k))
     else:
         ku, inv = np.unique(k, return_inverse=True)
-        K = elliptic_K_vec(ku)[inv].reshape(np.shape(k))
-        E = elliptic_E_vec(ku)[inv].reshape(np.shape(k))
+        K, E = elliptic_KE_vec(ku)
+        K, E = K[inv].reshape(np.shape(k)), E[inv].reshape(np.shape(k))
     bracket = (3.0 * h / (4.0 * K * K)) * (
         c1 + 16.0 * h * K * ((k * k - 2.0) * K / 3.0 + E))
     st2 = np.sin(theta) ** 2
@@ -246,8 +250,13 @@ def ah_cos2psi(theta: float, k: float, c1: float, h: float) -> float:
     return min(1.0, max(-1.0, val))
 
 
-def _ah_condition_arrays(theta, phi, k, c1: float, h: float, sign: int):
-    """Vectorized condition residual 2 Re(e^{i phi} K sqrt(w)); NaN where no psi."""
+def _ah_condition_root(theta, phi, k, c1: float, h: float):
+    """Sign-free part of the condition: (in range, e^{i phi} K, sqrt(w) at s = +1, w real).
+
+    w = cos 2psi (1 + cos^2 th) + (2k^2 - 1) sin^2 th + 2i s sin 2psi cos th
+    with sin 2psi = sqrt(1 - cos^2 2psi) >= 0, at s = +1.  The last entry
+    marks where sin 2psi = 0, so that w is the same at both signs.
+    """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -257,10 +266,37 @@ def _ah_condition_arrays(theta, phi, k, c1: float, h: float, sign: int):
     st2 = np.sin(theta) ** 2
     ct = np.cos(theta)
     tk = 2.0 * k * k - 1.0
-    s2p = sign * np.sqrt(np.maximum(1.0 - c2p * c2p, 0.0))
+    s2p = np.sqrt(np.maximum(1.0 - c2p * c2p, 0.0))
     w = c2p * (1.0 + ct * ct) + tk * st2 + 2j * s2p * ct
-    val = 2.0 * np.real(np.exp(1j * phi) * K * np.sqrt(w))
-    return np.where(ok, val, np.nan)
+    return ok, np.exp(1j * phi) * K, np.sqrt(w), s2p == 0.0
+
+
+def _ah_condition_signed(root, sign: int):
+    """Condition residual 2 Re(e^{i phi} K sqrt(w)) at sign s from its sign-free root.
+
+    sqrt(w) at s = -1 is the conjugate of sqrt(w) at s = +1, except where
+    sin 2psi = 0 (see _ah_condition_arrays).  NaN where no psi.
+    """
+    ok, ek, sq, real_w = root
+    if sign < 0:
+        sq = np.where(real_w, sq, np.conjugate(sq))
+    return np.where(ok, 2.0 * np.real(ek * sq), np.nan)
+
+
+def _ah_condition_arrays(theta, phi, k, c1: float, h: float, sign: int):
+    """Vectorized condition residual 2 Re(e^{i phi} K sqrt(w)); NaN where no psi.
+
+    The sign enters only through sqrt(w).  w at s = -1 is the conjugate of
+    w at s = +1 wherever sin 2psi != 0 (cos theta is never exactly 0 at a
+    float theta, so Im w does not vanish there), and csqrt commutes with
+    conjugation.  Where sin 2psi = 0 both signs give the same w, with
+    Im w = +0, whose conjugate would flip the branch at cos 2psi = -1.  So
+    both signs are read from one root (_ah_condition_root), bit for bit the
+    per-sign arithmetic; test_shared_root_matches_per_sign_reference and
+    test_ah_families_match_per_sign_reference in tests/test_slag_curves.py
+    pin it on the fig8 and fig9 lattices, refine points and both range edges.
+    """
+    return _ah_condition_signed(_ah_condition_root(theta, phi, k, c1, h), sign)
 
 
 def ah_condition(theta: float, phi: float, k: float, c1: float, h: float,
@@ -534,13 +570,37 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
     return traces
 
 
+def _lattice_memo(root: Callable) -> Callable:
+    """root(x, y) that keeps its last node-lattice evaluation, keyed by the values of x and y.
+
+    A node lattice is evaluated with a 2-d column of x and a 2-d row of y
+    (ImplicitGrid); saddle centres and refine points (1-d) are evaluated
+    afresh and leave the memo as it is, so the second sign grid of a family
+    reads the root the first one computed.
+    """
+    last = None
+
+    def memo(x, y):
+        nonlocal last
+        if (last is not None and np.shape(x) == last[0].shape
+                and np.shape(y) == last[1].shape
+                and np.array_equal(x, last[0]) and np.array_equal(y, last[1])):
+            return last[2]
+        value = root(x, y)
+        if np.ndim(x) == 2:
+            last = (np.array(x), np.array(y), value)
+        return value
+    return memo
+
+
 def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0,
                         n: int = 256) -> list[CurveTrace]:
     """Solution curves of the implicit condition in the (theta, phi)-plane at fixed k."""
+    root = _lattice_memo(lambda th, ph: _ah_condition_root(th, ph, k, c1, h))
     traces = []
     for sign in (1, -1):
         grid = ImplicitGrid(
-            f=lambda th, ph, s=sign: _ah_condition_arrays(th, ph, k, c1, h, s),
+            f=lambda th, ph, s=sign: _ah_condition_signed(root(th, ph), s),
             rect=(0.02, math.pi - 0.02, 0.0, 2.0 * math.pi), n=n)
         for idx, pts in enumerate(trace_zero_set(grid, tol=1e-10)):
             s_tag = "s+" if sign > 0 else "s-"
@@ -552,10 +612,11 @@ def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0,
 def ah_traces_theta_k(phi: float, c1: float, h: float = 1.0,
                       n: int = 256) -> list[CurveTrace]:
     """Solution curves of the implicit condition in the (theta, k)-plane at fixed phi."""
+    root = _lattice_memo(lambda th, kk: _ah_condition_root(th, phi, kk, c1, h))
     traces = []
     for sign in (1, -1):
         grid = ImplicitGrid(
-            f=lambda th, kk, s=sign: _ah_condition_arrays(th, phi, kk, c1, h, s),
+            f=lambda th, kk, s=sign: _ah_condition_signed(root(th, kk), s),
             rect=(0.02, math.pi - 0.02, 0.02, 0.98), n=n)
         for idx, pts in enumerate(trace_zero_set(grid, tol=1e-10)):
             s_tag = "s+" if sign > 0 else "s-"
@@ -590,7 +651,7 @@ def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Derivative along the trace: 4th-order stencils on uniform grids,
     np.gradient (2nd-order) otherwise."""
     dt = np.diff(t)
-    if len(vals) < 7 or not np.allclose(dt, dt[0], rtol=1e-10, atol=0.0):
+    if len(vals) < 7 or not np.all(np.abs(dt - dt[0]) <= 1e-10 * abs(dt[0])):
         return np.gradient(vals, t, edge_order=2)
     h = dt[0]
     d = np.empty_like(vals)

@@ -234,6 +234,26 @@ def test_params_and_point_validation():
         AHSphericalPoint(0.5, -0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((1.0, 1.0, 0.0, 0.0), "k must lie in (0, 1), got 1.0"),
+    ((float("nan"), -1.0, 7.0, 13.0), "k must lie in (0, 1), got nan"),
+    ((0.5, -0.1, 7.0, 13.0), "theta must lie in [0, pi], got -0.1"),
+    ((0.5, 1.0, 2.0 * math.pi, 13.0), "phi must lie in [0, 2 pi), got 6.28"),
+    ((0.5, 1.0, 0.5, 4.0 * math.pi), "psi must lie in [0, 4 pi), got 12.56"),
+    ((0.5, 1.0, 0.5, float("nan")), "psi must lie in [0, 4 pi), got nan"),
+    ((np.array([0.5, 0.6]), np.array([1.0, 4.0]), np.array([0.5, 0.5]),
+      np.array([0.3, 0.3])), "theta must lie in [0, pi], got array([1., 4.])"),
+])
+def test_point_validation_names_the_bad_field(fields, message):
+    """One combined range check; on failure the first bad field, in the
+    order k, theta, phi, psi, raises with its own message."""
+    with pytest.raises(DomainError) as err:
+        AHSphericalPoint(*fields)
+    assert message in str(err.value)
+    AHSphericalPoint(np.array([0.5, 0.6]), np.array([0.0, math.pi]),
+                     np.array([0.0, 6.28]), np.array([0.0, 12.56]))
+
+
 def chart_data(k):
     """Curve data at the chart scale rho = 16 K^2 (h = 1)."""
     return elliptic_data(k, 16.0 * elliptic_K(k) ** 2)
@@ -328,7 +348,7 @@ EDGE_SHARE = st.floats(-9.0, -3.0)     # log10 of the distance, in cut spans
 @example(k=0.997, lp=math.log10(4e-8), below_e2=False, end="e3", lm=-3.0, below=False)
 def test_u_coordinate_bounded_at_cut_ends(k, lp, below_e2, end, lm, below):
     """Within 1e-9..1e-3 of the span from a cut end, u is finite or a
-    PoleError, in under 50 ms."""
+    PoleError, in under 50 ms of CPU time."""
     sp = -(10.0 ** lp) if below_e2 else 10.0 ** lp
     sm = -(10.0 ** lm) if below else 10.0 ** lm
     d = chart_data(k)
@@ -336,10 +356,12 @@ def test_u_coordinate_bounded_at_cut_ends(k, lp, below_e2, end, lm, below):
     assume(xp > xm)
     z, v, x = cut_point(xp, xm)
     state = ah_state_from_zvx(z, v, x, d)
-    t0 = time.perf_counter()
+    # CPU time of this process: a wall-clock bound also counts time other
+    # processes take on a busy host
+    t0 = time.process_time()
     try:
         _, U, Z = ah_u_coordinate(state, AHParams(1.0, 1))
         assert np.isfinite(U) and np.isfinite(Z)
     except PoleError:
         pass
-    assert time.perf_counter() - t0 < 0.05
+    assert time.process_time() - t0 < 0.05

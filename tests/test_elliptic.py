@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from slag_forge import elliptic
 from slag_forge.elliptic import (elliptic_data, elliptic_E, elliptic_E_vec,
-                                 elliptic_K, elliptic_K_vec, eta1_quadrature,
+                                 elliptic_K, elliptic_K_vec, elliptic_KE_vec,
+                                 eta1_quadrature,
                                  eta3_quadrature, jacobi_sn, omega1_quadrature,
                                  omega3_quadrature, quad_adaptive, weierstrass_p,
                                  weierstrass_p_half_periods)
@@ -99,6 +100,21 @@ def test_vectorized_K_E_match_scalar():
     assert np.array_equal(elliptic_E_vec(ks), [elliptic_E(k) for k in ks])
 
 
+@pytest.mark.parametrize("ks", [K_E_POINTS, np.linspace(1e-6, 1.0 - 1e-9, 5001)],
+                         ids=["fig-moduli", "grid-5001"])
+def test_KE_vec_one_agm_matches_separate_kernels(ks):
+    """K and E from one extended-AGM sequence have the bits of the lean K
+    loop and of the scalar E, in any shape."""
+    K, E = elliptic_KE_vec(ks)
+    assert np.array_equal(K, elliptic_K_vec(ks))
+    assert np.array_equal(E, [elliptic_E(float(k)) for k in ks])
+    assert np.array_equal(E, elliptic_E_vec(ks))
+    K2, E2 = elliptic_KE_vec(ks[:12].reshape(3, 4))
+    assert np.array_equal(K2, K[:12].reshape(3, 4)) and np.array_equal(E2, E[:12].reshape(3, 4))
+    with pytest.raises(DomainError):
+        elliptic_KE_vec(np.array([0.5, 1.0]))
+
+
 def test_K_E_match_mpmath():
     """K and E against 40-digit mpmath to 2e-15 relative (the scalar kernels
     give the same bits); a stop after the AGM had settled into a 1-ulp cycle
@@ -118,7 +134,7 @@ def test_agm_stops_by_quadratic_rule_before_cap(monkeypatch):
     ks = np.linspace(1e-6, 1.0 - 1e-9, 5001)
 
     def run():
-        return (elliptic_K_vec(ks), elliptic_E_vec(ks),
+        return (elliptic_K_vec(ks), elliptic_E_vec(ks), *elliptic_KE_vec(ks),
                 np.array([elliptic_K(float(k)) for k in ks]),
                 np.array([elliptic_E(float(k)) for k in ks]))
 
@@ -150,6 +166,22 @@ def test_elliptic_modulus():
     assert m.k**2 + m.kprime**2 == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(DomainError):
         elliptic_data(1.0, 1.0)
+
+
+@pytest.mark.parametrize("k, rho, message", [
+    (1.0, 1.0, "elliptic_data requires 0 < k < 1, got k=1.0"),
+    (float("nan"), -1.0, "elliptic_data requires 0 < k < 1, got k=nan"),
+    (0.5, 0.0, "elliptic_data requires rho > 0, got rho=0.0"),
+    (0.5, float("nan"), "elliptic_data requires rho > 0, got rho=nan"),
+    (np.array([0.5, 0.0]), np.array([1.0, 1.0]), "requires 0 < k < 1, got k=array([0.5, 0. ])"),
+    (np.array([0.5, 0.6]), np.array([1.0, -2.0]), "requires rho > 0, got rho=array([ 1., -2.])"),
+])
+def test_elliptic_data_names_the_bad_field(k, rho, message):
+    """One combined check, and on failure the message of the first bad
+    field (k before rho), for scalars and arrays."""
+    with pytest.raises(DomainError) as err:
+        elliptic_data(k, rho)
+    assert message in str(err.value)
 
 
 def test_weierstrass_p_at_omega1():
