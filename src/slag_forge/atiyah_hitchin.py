@@ -31,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (EllipticData, elliptic_K, elliptic_K_vec, elliptic_data,
-                       elliptic_Pi_vec)
-# unused here: bench/tracing.py wraps it by name, tests/test_bench_bindings.py checks it
-from .elliptic import quad_adaptive  # noqa: F401
+from .elliptic import (EllipticData, _check_curve, _curve_data, _elliptic_KE,
+                       elliptic_K, elliptic_K_vec, elliptic_Pi_vec)
+# unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
+from .elliptic import elliptic_data, quad_adaptive  # noqa: F401
 from .errors import ChartError, DegenerateError, DomainError, PoleError
+from .masks import mask_all, mask_any
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,13 @@ class AHSphericalPoint:
         in_theta = (0.0 <= self.theta) & (self.theta <= math.pi)
         in_phi = (0.0 <= self.phi) & (self.phi < 2.0 * math.pi)
         in_psi = (0.0 <= self.psi) & (self.psi < 4.0 * math.pi)
-        ok = in_k & in_theta & in_phi & in_psi
-        # a plain bool for float fields, where np.all alone costs ~5 us
-        if ok is True or np.all(ok):
+        if mask_all(in_k & in_theta & in_phi & in_psi):
             return
-        if not np.all(in_k):
+        if not mask_all(in_k):
             raise DomainError(f"k must lie in (0, 1), got {self.k!r}")
-        if not np.all(in_theta):
+        if not mask_all(in_theta):
             raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not np.all(in_phi):
+        if not mask_all(in_phi):
             raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi!r}")
         raise DomainError(f"psi must lie in [0, 4 pi), got {self.psi!r}")
 
@@ -124,7 +123,12 @@ def _elliptic_K(k):
 
 def ah_zvx_from_spherical(k, theta, phi, psi, h: float):
     """Multiplet coordinates (z, v, x) of spherical chart points (scalars or arrays)."""
-    K2 = _elliptic_K(k) ** 2
+    return _zvx(k, theta, phi, psi, h, _elliptic_K(k))
+
+
+def _zvx(k, theta, phi, psi, h: float, K):
+    """(z, v, x) of spherical chart points with K(k) already at hand."""
+    K2 = K ** 2
     st, ct = np.sin(theta), np.cos(theta)
     c2p, s2p = np.cos(2.0 * psi), np.sin(2.0 * psi)
     tk = 2.0 * k * k - 1.0
@@ -158,7 +162,7 @@ def ah_xy_from_zvx(z, v, x):
 
 def ah_state_from_zvx(z, v, x, data: EllipticData, y_guard: float = 1e-12) -> AHGeomState:
     """Assemble the derived point data from multiplet coordinates and curve data."""
-    if np.any(z == 0):
+    if mask_any(z == 0):
         raise ChartError("sqrt(z)-based quantities degenerate at z = 0")
     xp, xm, vp, vm, yp, ym = ah_xy_from_zvx(z, v, x)
     try:
@@ -170,11 +174,17 @@ def ah_state_from_zvx(z, v, x, data: EllipticData, y_guard: float = 1e-12) -> AH
 
 def ah_from_spherical(pt: AHSphericalPoint, p: AHParams,
                       y_guard: float = 1e-12) -> AHGeomState:
-    """Chart map: spherical point -> geometric state (rho = 16 h^2 K^2)."""
-    rho = 16.0 * p.h * p.h * _elliptic_K(pt.k) ** 2
-    data = elliptic_data(pt.k, rho)
-    z, v, x = ah_zvx_from_spherical(pt.k, pt.theta, pt.phi, pt.psi, p.h)
-    if np.any(np.abs(z) < 1e-12 * rho):
+    """Chart map: spherical point -> geometric state (rho = 16 h^2 K^2).
+
+    K(k) and E(k) are evaluated once and serve rho, the curve data and
+    (z, v, x): what elliptic_data(k, rho) and ah_zvx_from_spherical give.
+    """
+    K, E = _elliptic_KE(pt.k)
+    rho = 16.0 * p.h * p.h * K ** 2
+    _check_curve(pt.k, rho)
+    data = _curve_data(pt.k, rho, K, E)
+    z, v, x = _zvx(pt.k, pt.theta, pt.phi, pt.psi, p.h, K)
+    if mask_any(np.abs(z) < 1e-12 * rho):
         raise ChartError("chart point has z = 0 (sqrt(z) quantities degenerate)")
     return ah_state_from_zvx(z, v, x, data, y_guard)
 
@@ -182,11 +192,11 @@ def ah_from_spherical(pt: AHSphericalPoint, p: AHParams,
 def ah_coeffs_raw(xp, xm, yp, ym, data: EllipticData, y_guard: float = 1e-12):
     """A_pm = (x_pm om1 + eta1)/y_pm, B_pm = (x_pm + V om1)/y_pm and the V ratio."""
     den = 12.0 * data.eta1**2 - data.g2 * data.omega1**2
-    if np.any(den == 0):
+    if mask_any(den == 0):
         raise DegenerateError("ah_coeffs: 12 eta1^2 - g2 omega1^2 vanishes")
     Vcap = (-3.0 * data.g3 * data.omega1 + 2.0 * data.g2 * data.eta1) / den
     guard = y_guard * data.rho ** 1.5
-    if np.any((np.abs(yp) < guard) | (np.abs(ym) < guard)):
+    if mask_any((np.abs(yp) < guard) | (np.abs(ym) < guard)):
         raise DegenerateError(
             f"ah_coeffs: y_pm too small (|y+|={np.min(np.abs(yp)):.3e}, "
             f"|y-|={np.min(np.abs(ym)):.3e})")
@@ -222,9 +232,9 @@ def pi_pair_from_zvx(z, v, x, data: EllipticData):
     span = e2 - e3
     pad = _CUT_END_PAD * span
     live = (vp != 0.0) | (vm != 0.0)
-    if np.any(live & (e3 - pad <= xp) & (xp <= e2 + pad)):
+    if mask_any(live & (e3 - pad <= xp) & (xp <= e2 + pad)):
         raise PoleError("pi(x_+): x_+ lies on the integration cut")
-    if np.any(live & ((np.abs(xm - e3) < pad) | (np.abs(xm - e2) < pad))):
+    if mask_any(live & ((np.abs(xm - e3) < pad) | (np.abs(xm - e2) < pad))):
         raise PoleError(f"pi(x_-): x_- within {_CUT_END_PAD} of the span of a cut end")
     # y_pm = 0 where v = 0; park those x_pm off the cut so pi is a plain 0
     xs = np.where(live, [xp, xm], e3 - span)
@@ -259,11 +269,11 @@ def ah_metric_UZ(state: AHGeomState, p: AHParams) -> AHMetricBlock:
     """Metric block in (U, Z) coordinates; det = 1 by the K_UU closure."""
     Ap, Am, Bp, Bm, _ = ah_coeffs(state)
     den = Am * Bp - Ap * Bm
-    if np.any(np.abs(den) < 1e-14):
+    if mask_any(np.abs(den) < 1e-14):
         raise DegenerateError("ah_metric_UZ: A_- B_+ - A_+ B_- vanishes")
     om1 = state.elliptic.omega1
     Z = 2.0 * state.sqrt_z
-    if np.any(Z == 0):
+    if mask_any(Z == 0):
         raise ChartError("ah_metric_UZ: Z = 0")
     kZZ = -(2.0 * (Ap * Am) + 2.0 * (Am * Bp + Ap * Bm) * om1) / den
     kUZ = -(1.0 / (2.0 * np.conjugate(Z))) * (Am - Ap + 2.0 * (-Bp + Bm) * om1) / den

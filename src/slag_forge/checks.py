@@ -21,6 +21,7 @@ from .elliptic import (EllipticData, elliptic_data, elliptic_E, elliptic_K,
                        omega1_quadrature, omega3_quadrature, weierstrass_p,
                        weierstrass_p_half_periods)
 from .errors import ChartError, OutOfRangeError, SlagForgeError
+from .masks import mask_all
 
 
 def _result(err: float, tol: float, label: str = "max_err"):
@@ -182,7 +183,7 @@ def check_tn_monge_ampere(rng) -> tuple[bool, str]:
     p = tn.TNParams(h, m)
     blk = tn.tn_metric_holo(_tn_point(p, *point), p)
     det = blk.det()
-    if not np.all((blk.kuubar > 0) & (det.real > 0)):
+    if not mask_all((blk.kuubar > 0) & (det.real > 0)):
         return False, "positivity violated"
     worst = max(np.max(np.abs(det - 1.0)),
                 np.max(np.abs(blk.kuzbar - np.conjugate(blk.kzubar))))
@@ -268,8 +269,8 @@ def check_ah_monge_ampere(rng) -> tuple[bool, str]:
     p = ah.AHParams(1.0, 1)
     _, state = random_ah_point(rng, p, 500)
     blk = ah.ah_metric_UZ(state, p)
-    if not np.all((blk.kUUbar.real > 0) & (blk.kZZbar.real > 0)
-                  & ((blk.kUUbar * blk.kZZbar - abs(blk.kUZbar) ** 2).real > 0)):
+    if not mask_all((blk.kUUbar.real > 0) & (blk.kZZbar.real > 0)
+                    & ((blk.kUUbar * blk.kZZbar - abs(blk.kUZbar) ** 2).real > 0)):
         return False, "positivity violated"
     worst_det = np.max(np.abs(blk.det() - 1.0))
     worst_herm = np.max(np.abs(blk.kUZbar - np.conjugate(blk.kZUbar))

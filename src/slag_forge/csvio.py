@@ -56,23 +56,43 @@ def write_trace_csv(path: str | Path, trace: CurveTrace, manifold: str) -> None:
 
 
 def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:
-    """Rebuild a CurveTrace (chart columns and params) from a written CSV."""
+    """Rebuild a CurveTrace (chart columns and params) from a written CSV.
+
+    A file without data rows, a row whose length is not the header's, a
+    field that is not a number, a missing chart column or a manifold other
+    than 'tn' and 'ah' raises DomainError.
+    """
     lines = Path(path).read_text().strip().split("\n")
     head = lines[0]
     if not head.startswith("# slag-forge v1, manifold="):
         raise DomainError(f"not a slag-forge trace CSV: {head!r}")
     manifold = head.split("manifold=")[1].split(",")[0]
+    if manifold not in ("tn", "ah"):
+        raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
     params = {}
     pstr = head.split("params=", 1)[1]
     if pstr:
         for item in pstr.split(";"):
             key, val = item.split("=")
             params[key] = float(val)
+    if len(lines) < 3:
+        raise DomainError(f"trace CSV {str(path)!r} has no data rows")
     names = lines[1].split(",")
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    rows = [line.split(",") for line in lines[2:]]
+    for n, row in enumerate(rows, start=3):
+        if len(row) != len(names):
+            raise DomainError(f"trace CSV {str(path)!r} line {n} has {len(row)} "
+                              f"fields, the header {len(names)}")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows])
+    except ValueError as exc:
+        raise DomainError(f"trace CSV {str(path)!r}: {exc}") from None
     cols = {name: data[:, i] for i, name in enumerate(names)}
     chart_keys = ("r", "theta", "phi", "psi") if manifold == "tn" \
         else ("k", "theta", "phi", "psi")
+    missing = [key for key in ("t",) + chart_keys if key not in cols]
+    if missing:
+        raise DomainError(f"trace CSV {str(path)!r} lacks the columns {missing}")
     action = "u1" if manifold == "tn" and ("c2" in params or "c" in params) else "so2"
     trace = CurveTrace(
         chart="tn-spherical" if manifold == "tn" else "ah-spherical",

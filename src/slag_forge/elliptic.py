@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
+from .masks import mask_all, mask_any
 
 # a stop test below half an ulp (|a - b| < 1e-16 a) never fires where a and b
 # settle into a 1-ulp cycle, so the AGM loops stop by the quadratic rule instead
@@ -96,7 +97,7 @@ def elliptic_K_vec(k: np.ndarray) -> np.ndarray:
     The lean AGM for callers that need K alone; elliptic_KE_vec gives K and E.
     """
     k = np.asarray(k, dtype=float)
-    if np.any((k < 0.0) | (k >= 1.0)):
+    if mask_any((k < 0.0) | (k >= 1.0)):
         raise DomainError("elliptic_K_vec requires 0 <= k < 1 elementwise")
     a = np.ones_like(k)
     b = np.sqrt(1.0 - k * k)
@@ -120,7 +121,7 @@ def elliptic_KE_vec(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits of elliptic_E.
     """
     k = np.asarray(k, dtype=float)
-    if np.any((k < 0.0) | (k >= 1.0)):
+    if mask_any((k < 0.0) | (k >= 1.0)):
         raise DomainError("elliptic_KE_vec requires 0 <= k < 1 elementwise")
     a = np.ones_like(k)
     b = np.sqrt(1.0 - k * k)
@@ -154,6 +155,11 @@ def elliptic_Pi_vec(n, k) -> np.ndarray:
     Numerical Recipes 6.11).  A p < 0 is first mapped to a positive one,
     then one quadratically convergent AGM-type loop serves both signs.
     n and k broadcast; requires 0 <= k < 1 and n != 1.
+
+    The loop runs until every element has converged and keeps stepping the
+    ones that already have, so an element's last bits depend on the batch it
+    is in: for 200 random (n, k), about a quarter differ between one batch
+    call and 200 one-element calls, by at most ~4.5e-16 relative.
     """
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -208,24 +214,26 @@ class EllipticData:
         return np.sqrt(1.0 - self.k * self.k)
 
 
-def elliptic_data(k, rho) -> EllipticData:
-    """Build the curve data for modulus k in (0,1) and scale rho > 0 (scalars or arrays).
+def _elliptic_KE(k):
+    """(K(k), E(k)): elliptic_K and elliptic_E for a scalar k, one
+    elliptic_KE_vec sequence for an array (its K has elliptic_K_vec's bits)."""
+    if np.ndim(k) == 0:
+        return elliptic_K(float(k)), elliptic_E(float(k))
+    return elliptic_KE_vec(k)
 
-    omega1 = K / sqrt(rho) and eta1 = sqrt(rho) E - e1 K / sqrt(rho), with K
-    and E evaluated once; a scalar k takes the scalar AGM and gives floats,
-    an array k one elliptic_KE_vec sequence.
-    """
+
+def _check_curve(k, rho) -> None:
+    """Raise DomainError, naming the bad field, unless 0 < k < 1 and rho > 0."""
     in_k = (0.0 < k) & (k < 1.0)
-    ok = in_k & (rho > 0.0)
-    # a plain bool for float input, where np.all alone costs ~5 us
-    if ok is not True and not np.all(ok):
-        if not np.all(in_k):
+    if not mask_all(in_k & (rho > 0.0)):
+        if not mask_all(in_k):
             raise DomainError(f"elliptic_data requires 0 < k < 1, got k={k!r}")
         raise DomainError(f"elliptic_data requires rho > 0, got rho={rho!r}")
-    if np.ndim(k) == 0:
-        K, E, sr = elliptic_K(float(k)), elliptic_E(float(k)), math.sqrt(rho)
-    else:
-        (K, E), sr = elliptic_KE_vec(k), np.sqrt(rho)
+
+
+def _curve_data(k, rho, K, E) -> EllipticData:
+    """Curve data of a checked (k, rho) from K(k) and E(k) already at hand."""
+    sr = math.sqrt(rho) if np.ndim(k) == 0 else np.sqrt(rho)
     k2 = k * k
     e1 = -(rho / 3.0) * (k2 - 2.0)
     e2 = (rho / 3.0) * (2.0 * k2 - 1.0)
@@ -237,6 +245,17 @@ def elliptic_data(k, rho) -> EllipticData:
     omega1 = K / sr
     eta1 = sr * E - e1 * K / sr
     return EllipticData(k, rho, e1, e2, e3, g2, g3, delta, omega1, eta1)
+
+
+def elliptic_data(k, rho) -> EllipticData:
+    """Build the curve data for modulus k in (0,1) and scale rho > 0 (scalars or arrays).
+
+    omega1 = K / sqrt(rho) and eta1 = sqrt(rho) E - e1 K / sqrt(rho), with K
+    and E evaluated once; a scalar k takes the scalar AGM and gives floats,
+    an array k one elliptic_KE_vec sequence.
+    """
+    _check_curve(k, rho)
+    return _curve_data(k, rho, *_elliptic_KE(k))
 
 
 def quad_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -25,6 +25,7 @@ from .elliptic import elliptic_E, elliptic_K, elliptic_KE_vec
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
 from .elliptic import elliptic_E_vec, elliptic_K_vec  # noqa: F401
 from .errors import ChartError, DomainError, EmptyDomainError, OutOfRangeError
+from .masks import mask_all, mask_any
 
 
 @dataclass
@@ -45,7 +46,7 @@ class CurveTrace:
     residuals: dict | None = field(default=None)
 
     def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
+        if mask_any(np.diff(self.t) <= 0):
             raise DomainError("CurveTrace requires strictly increasing t")
 
 
@@ -143,7 +144,7 @@ def tn_so2_r_of_theta(theta, c1: float, p: tn.TNParams):
     """
     s2 = np.sin(theta) ** 2
     disc = 4.0 * p.m**2 + 2.0 * c1 * s2 / p.h
-    if np.any(disc < 0):
+    if mask_any(disc < 0):
         raise DomainError("negative discriminant; c1 must be positive")
     return 2.0 * c1 / (2.0 * p.m + np.sqrt(disc))
 
@@ -651,7 +652,7 @@ def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Derivative along the trace: 4th-order stencils on uniform grids,
     np.gradient (2nd-order) otherwise."""
     dt = np.diff(t)
-    if len(vals) < 7 or not np.all(np.abs(dt - dt[0]) <= 1e-10 * abs(dt[0])):
+    if len(vals) < 7 or not mask_all(np.abs(dt - dt[0]) <= 1e-10 * abs(dt[0])):
         return np.gradient(vals, t, edge_order=2)
     h = dt[0]
     d = np.empty_like(vals)
@@ -666,7 +667,7 @@ def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _is_axis_trace(trace: CurveTrace) -> bool:
     th = trace.cols["theta"]
-    return bool(np.all(np.abs(np.sin(th)) < 1e-12))
+    return mask_all(np.abs(np.sin(th)) < 1e-12)
 
 
 def verify_slag(trace: CurveTrace, manifold: str, params, phase: float = 0.0) -> dict:
@@ -720,7 +721,7 @@ def _verify_tn(trace: CurveTrace, p: tn.TNParams, phase: float) -> dict:
         u_axis = np.full(len(r), math.nan) - 2j * p.m * psi
         return _summary(trace.t, zeros, zeros, mu,
                         extra={"u": u_axis, "z": np.zeros(len(r), dtype=complex)})
-    if np.any(np.abs(np.sin(theta)) < 1e-12):
+    if mask_any(np.abs(np.sin(theta)) < 1e-12):
         raise ChartError("trace sample on the axis: holomorphic chart undefined")
     pt = tn.tn_chart_spherical_to_holo(
         tn.TNSphericalPoint(r, theta, phi % (2 * math.pi), psi % (4 * math.pi)), p)

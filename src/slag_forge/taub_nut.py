@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError, ConvergenceError, DomainError
+from .masks import mask_all, mask_any
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,9 @@ class TNParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if np.any(self.h <= 0):
+        if mask_any(self.h <= 0):
             raise DomainError(f"TNParams requires h > 0, got {self.h!r}")
-        if np.any(self.m < 0):
+        if mask_any(self.m < 0):
             raise DomainError(f"TNParams requires m >= 0, got {self.m!r}")
 
 
@@ -58,13 +59,13 @@ class TNSphericalPoint:
     psi: float
 
     def __post_init__(self):
-        if np.any(self.r <= 0):
+        if mask_any(self.r <= 0):
             raise DomainError(f"r must be positive, got {self.r!r}")
-        if not np.all((0.0 <= self.theta) & (self.theta <= math.pi)):
+        if not mask_all((0.0 <= self.theta) & (self.theta <= math.pi)):
             raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not np.all((0.0 <= self.phi) & (self.phi < 2.0 * math.pi)):
+        if not mask_all((0.0 <= self.phi) & (self.phi < 2.0 * math.pi)):
             raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi!r}")
-        if not np.all((0.0 <= self.psi) & (self.psi < 4.0 * math.pi)):
+        if not mask_all((0.0 <= self.psi) & (self.psi < 4.0 * math.pi)):
             raise DomainError(f"psi must lie in [0, 4 pi), got {self.psi!r}")
 
 
@@ -122,7 +123,7 @@ def tn_solve_x(re_u: float, absz: float, p: TNParams) -> float:
     and again once it converges, so its iterates are those of a lone solve.
     One element that fails raises for the whole batch.
     """
-    if np.any(absz <= 0):
+    if mask_any(absz <= 0):
         raise DomainError(f"tn_solve_x requires |z| > 0, got {absz!r}")
     shape = np.broadcast_shapes(np.shape(re_u), np.shape(absz), np.shape(p.h),
                                 np.shape(p.m))
@@ -162,7 +163,7 @@ def tn_solve_x(re_u: float, absz: float, p: TNParams) -> float:
 
 def tn_point_from_uz(u: complex, z: complex, p: TNParams) -> TNHoloPoint:
     """Holomorphic-chart point from (u, z); solves the x-condition."""
-    if np.any(z == 0):
+    if mask_any(z == 0):
         raise ChartError("holomorphic chart excludes z = 0")
     u, z = np.asarray(u, dtype=complex)[()], np.asarray(z, dtype=complex)[()]
     x = tn_solve_x(np.real(u), np.abs(z), p)
@@ -171,7 +172,7 @@ def tn_point_from_uz(u: complex, z: complex, p: TNParams) -> TNHoloPoint:
 
 def tn_point_from_xz(x: float, z: complex, p: TNParams, im_u: float = 0.0) -> TNHoloPoint:
     """Holomorphic-chart point with x given and Re(u) filled in by the forward map."""
-    if np.any(z == 0):
+    if mask_any(z == 0):
         raise ChartError("holomorphic chart excludes z = 0")
     u = _complex(re_u_from_xz(x, abs(z), p), im_u)
     r = np.sqrt(x * x + 4.0 * abs(z) ** 2)
@@ -180,7 +181,7 @@ def tn_point_from_xz(x: float, z: complex, p: TNParams, im_u: float = 0.0) -> TN
 
 def tn_chart_spherical_to_holo(pt: TNSphericalPoint, p: TNParams) -> TNHoloPoint:
     st, ct = np.sin(pt.theta), np.cos(pt.theta)
-    if np.any(st == 0.0):
+    if mask_any(st == 0.0):
         raise ChartError("holomorphic chart excludes theta in {0, pi}")
     z = 0.5 * pt.r * st * _complex(np.cos(pt.phi), np.sin(pt.phi))
     # (r+x)/(2|z|) = (1+cos theta)/sin theta
@@ -190,7 +191,7 @@ def tn_chart_spherical_to_holo(pt: TNSphericalPoint, p: TNParams) -> TNHoloPoint
 
 
 def tn_chart_holo_to_spherical(pt: TNHoloPoint, p: TNParams) -> TNSphericalPoint:
-    if np.any(pt.z == 0):
+    if mask_any(pt.z == 0):
         raise ChartError("axis points have no holomorphic representative")
     theta = np.arccos(np.clip(pt.x / pt.r, -1.0, 1.0))
     phi = np.arctan2(np.imag(pt.z), np.real(pt.z)) % (2.0 * math.pi)
@@ -201,7 +202,7 @@ def tn_chart_holo_to_spherical(pt: TNHoloPoint, p: TNParams) -> TNSphericalPoint
 
 def tn_metric_holo(pt: TNHoloPoint, p: TNParams) -> MetricBlock:
     """Kahler metric block in (u, z): K_uu = V^{-1}/2, K_zz = 2V + 2m^2x^2 V^{-1}/(r^2|z|^2)."""
-    if np.any(pt.z == 0):
+    if mask_any(pt.z == 0):
         raise ChartError("tn_metric_holo: chart excludes z = 0")
     V = potential(pt.r, p)
     Vinv = 1.0 / V

@@ -338,6 +338,22 @@ def test_elliptic_Pi_vec_oracles():
         elliptic_Pi_vec(1.0, 0.5)
 
 
+def test_elliptic_Pi_vec_depends_on_its_batch_at_the_ulp_level():
+    """The Pi loop keeps stepping converged elements until the whole batch
+    has converged, so some elements of one 200-element call differ from 200
+    one-element calls, each by under 1e-15 relative (the docstring says so).
+    Holding converged elements, as elliptic_K_vec does, would make the count
+    0 and flip this pin on purpose."""
+    rng = np.random.default_rng(0)
+    n = rng.uniform(-3.0, 3.0, 200)
+    k = rng.uniform(0.02, 0.98, 200)
+    batch = elliptic_Pi_vec(n, k)
+    single = np.array([elliptic_Pi_vec(n[i:i + 1], k[i:i + 1])[0] for i in range(200)])
+    assert np.array_equal(single, [elliptic_Pi_vec(a, b) for a, b in zip(n, k)])
+    assert np.count_nonzero(batch != single) > 0
+    assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-15
+
+
 EDGE_SHARE = st.floats(-9.0, -3.0)     # log10 of the distance, in cut spans
 
 

@@ -339,9 +339,12 @@ def test_zero_set_row_batch_matches_per_row_loop(monkeypatch):
 
 def test_h_constraint_fails_on_a_broken_chart_rho(monkeypatch, capsys):
     """ah-h-constraint reads omega1 from the curve data the chart map builds,
-    so a chart whose rho is off 16 h^2 K^2 by 1 % is a FAIL line and exit 1."""
-    elliptic_data = ah.elliptic_data
-    monkeypatch.setattr(ah, "elliptic_data", lambda k, rho: elliptic_data(k, 1.01 * rho))
+    so a chart whose rho is off 16 h^2 K^2 by 1 % is a FAIL line and exit 1.
+    The chart builds its curve data with _curve_data from the K and E it
+    has already evaluated, so that is where rho is put off."""
+    curve_data = ah._curve_data
+    monkeypatch.setattr(ah, "_curve_data",
+                        lambda k, rho, K, E: curve_data(k, 1.01 * rho, K, E))
     assert main(["verify", "--only", "ah-h-constraint"]) == 1
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("FAIL ah-h-constraint max_err=")

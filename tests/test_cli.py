@@ -12,6 +12,7 @@ from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
                               trace_to_csv, write_trace_csv)
+from slag_forge.errors import DomainError
 from slag_forge.slag_curves import (ah_traces_theta_phi, tn_so2_curve, tn_u1_case1,
                                     verify_slag)
 from slag_forge.taub_nut import TNParams
@@ -114,6 +115,43 @@ def test_csv_roundtrip_reverifies(tmp_path):
     assert res["omega_max"] < 1e-5
     assert res["im_omega_max"] < 1e-5
     assert res["mu_max_dev"] < 1e-6
+
+
+def _drop_fields(line: str) -> str:
+    return ",".join(line.split(",")[:3])
+
+
+def _set_field(line: str, value: str) -> str:
+    fields = line.split(",")
+    return ",".join(fields[:1] + [value] + fields[2:])
+
+
+# (edit of the written lines, message): header-only used to raise IndexError,
+# a short row and a word ValueError, a missing column KeyError, and an
+# unknown manifold was read as 'ah'
+MALFORMED_CSV = {
+    "header-only": (lambda ls: ls[:2], "has no data rows"),
+    "short-row": (lambda ls: ls[:4] + [_drop_fields(ls[4])] + ls[5:],
+                  "line 5 has 3 fields, the header 12"),
+    "not-a-number": (lambda ls: ls[:4] + [_set_field(ls[4], "abc")] + ls[5:],
+                     "could not convert string to float: 'abc'"),
+    "missing-column": (lambda ls: [ls[0], ls[1].replace(",r,", ",rr,")] + ls[2:],
+                       r"lacks the columns \['r'\]"),
+    "unknown-manifold": (lambda ls: [ls[0].replace("manifold=tn", "manifold=xx")] + ls[1:],
+                         "manifold must be 'tn' or 'ah', got 'xx'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CSV)
+def test_read_malformed_csv_raises_domain_error(tmp_path, case):
+    edit, message = MALFORMED_CSV[case]
+    trace = tn_u1_case1(1.0, 0.5, n=50)[0]
+    trace.residuals = verify_slag(trace, "tn", TNParams(1.0, 1.0))
+    path = tmp_path / "case1.csv"
+    write_trace_csv(path, trace, "tn")
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(DomainError, match=message):
+        read_trace_csv(path)
 
 
 def test_csv_seventeen_significant_digits():

@@ -1,9 +1,12 @@
-"""Source rules for the library: checks report failures, they do not raise.
+"""Source rules for the library: checks report failures, they do not raise,
+and every guard tests its mask through slag_forge.masks.
 
 An `assert` in src/ is stripped under `python -O` and, where it fires,
 escapes `verify` as an AssertionError traceback instead of a FAIL line; a
 bare `except:` or `except Exception` hides the typed errors (SlagForgeError
-and its subclasses) the library raises on purpose.
+and its subclasses) the library raises on purpose.  np.any and np.all cost
+microseconds of dispatch on the NumPy bool of a one-point query, so the
+library calls masks.mask_any / mask_all, the one mask test, instead.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "slag_forge").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
+MASK_REDUCTIONS = {"any", "all"}
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -25,6 +29,10 @@ def _violations(tree: ast.AST) -> list[str]:
             if node.type is None or any(isinstance(c, ast.Name) and c.id in BROAD
                                         for c in caught):
                 found.append(f"line {node.lineno}: broad except")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MASK_REDUCTIONS and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in ("np", "numpy")):
+            found.append(f"line {node.lineno}: np.{node.func.attr}")
     return found
 
 
@@ -37,6 +45,8 @@ def test_scan_flags_each_form():
     src = ("assert x\n"
            "try:\n    pass\nexcept:\n    pass\n"
            "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
-           "try:\n    pass\nexcept ValueError:\n    pass\n")
+           "try:\n    pass\nexcept ValueError:\n    pass\n"
+           "if np.any(x) or numpy.all(y) or mask.any() or mask_all(y):\n    pass\n")
     assert _violations(ast.parse(src)) == ["line 1: assert", "line 4: broad except",
-                                           "line 8: broad except"]
+                                           "line 8: broad except", "line 14: np.any",
+                                           "line 14: np.all"]
