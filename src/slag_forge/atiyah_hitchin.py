@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (EllipticData, _check_curve, _curve_data, _elliptic_KE,
-                       elliptic_K, elliptic_K_vec, elliptic_Pi_vec)
+                       elliptic_Pi_vec)
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
-from .elliptic import elliptic_data, quad_adaptive  # noqa: F401
+from .elliptic import elliptic_data, elliptic_K, quad_adaptive  # noqa: F401
 from .errors import ChartError, DegenerateError, DomainError, PoleError
 from .masks import mask_all, mask_any
 
@@ -116,14 +116,9 @@ class AHMetricBlock:
                          [self.kZUbar, self.kZZbar]])
 
 
-def _elliptic_K(k):
-    """K(k) by the scalar AGM for a scalar k, elementwise otherwise."""
-    return elliptic_K(float(k)) if np.ndim(k) == 0 else elliptic_K_vec(k)
-
-
 def ah_zvx_from_spherical(k, theta, phi, psi, h: float):
     """Multiplet coordinates (z, v, x) of spherical chart points (scalars or arrays)."""
-    return _zvx(k, theta, phi, psi, h, _elliptic_K(k))
+    return _zvx(k, theta, phi, psi, h, _elliptic_KE(k)[0])
 
 
 def _zvx(k, theta, phi, psi, h: float, K):
@@ -172,19 +167,26 @@ def ah_state_from_zvx(z, v, x, data: EllipticData, y_guard: float = 1e-12) -> AH
     return AHGeomState(z, v, x, np.sqrt(z), xp, xm, vp, vm, yp, ym, *coeffs, data)
 
 
+def _chart(k, theta, phi, psi, h: float):
+    """(z, v, x, curve data) of spherical chart points, rho = 16 h^2 K^2.
+
+    One extended-AGM run gives K(k) and E(k) for rho, the curve data and
+    (z, v, x): what elliptic_data(k, rho) and ah_zvx_from_spherical give.
+    """
+    K, E = _elliptic_KE(k)
+    rho = 16.0 * h * h * K ** 2
+    _check_curve(k, rho)
+    return (*_zvx(k, theta, phi, psi, h, K), _curve_data(k, rho, K, E))
+
+
 def ah_from_spherical(pt: AHSphericalPoint, p: AHParams,
                       y_guard: float = 1e-12) -> AHGeomState:
     """Chart map: spherical point -> geometric state (rho = 16 h^2 K^2).
 
-    K(k) and E(k) are evaluated once and serve rho, the curve data and
-    (z, v, x): what elliptic_data(k, rho) and ah_zvx_from_spherical give.
+    _chart gives (z, v, x) and the curve data from one K and E.
     """
-    K, E = _elliptic_KE(pt.k)
-    rho = 16.0 * p.h * p.h * K ** 2
-    _check_curve(pt.k, rho)
-    data = _curve_data(pt.k, rho, K, E)
-    z, v, x = _zvx(pt.k, pt.theta, pt.phi, pt.psi, p.h, K)
-    if mask_any(np.abs(z) < 1e-12 * rho):
+    z, v, x, data = _chart(pt.k, pt.theta, pt.phi, pt.psi, p.h)
+    if mask_any(np.abs(z) < 1e-12 * data.rho):
         raise ChartError("chart point has z = 0 (sqrt(z) quantities degenerate)")
     return ah_state_from_zvx(z, v, x, data, y_guard)
 

@@ -16,10 +16,9 @@ from . import moment_maps as mm
 from . import multiplets as mp
 from . import slag_curves as sc
 from . import taub_nut as tn
-from .elliptic import (EllipticData, elliptic_data, elliptic_E, elliptic_K,
-                       elliptic_K_vec, eta1_quadrature, eta3_quadrature,
-                       omega1_quadrature, omega3_quadrature, weierstrass_p,
-                       weierstrass_p_half_periods)
+from .elliptic import (elliptic_data, elliptic_E, elliptic_K, eta1_quadrature,
+                       eta3_quadrature, omega1_quadrature, omega3_quadrature,
+                       weierstrass_p, weierstrass_p_half_periods)
 from .errors import ChartError, OutOfRangeError, SlagForgeError
 from .masks import mask_all
 
@@ -250,12 +249,10 @@ def random_ah_point(rng, p: ah.AHParams, n: int, y_guard: float = 1e-3):
     drawing them one point at a time, and the first n regular ones are kept.
     """
     k, theta, phi, psi = rng.uniform(*_AH_POINT_BOX, size=(2 * n + 16, 4)).T
-    rho = 16.0 * p.h * p.h * elliptic_K_vec(k) ** 2
-    d = elliptic_data(k, rho)
-    z, v, x = ah.ah_zvx_from_spherical(k, theta, phi, psi, p.h)
+    z, v, x, d = ah._chart(k, theta, phi, psi, p.h)
     xp, xm, _, _, yp, ym = ah.ah_xy_from_zvx(z, v, x)
-    span, guard = d.e2 - d.e3, y_guard * rho ** 1.5
-    ok = ((np.abs(z) >= 1e-12 * rho) & (12.0 * d.eta1**2 - d.g2 * d.omega1**2 != 0)
+    span, guard = d.e2 - d.e3, y_guard * d.rho ** 1.5
+    ok = ((np.abs(z) >= 1e-12 * d.rho) & (12.0 * d.eta1**2 - d.g2 * d.omega1**2 != 0)
           & (np.abs(yp) >= guard) & (np.abs(ym) >= guard) & (xm - d.e3 > 1e-4 * span)
           & (d.e2 - xm > 1e-4 * span) & (xp - d.e2 > 1e-4 * span))
     keep = np.flatnonzero(ok)[:n]
@@ -607,11 +604,10 @@ def oracle_fxx(rng, samples: int = 50) -> tuple[bool, str]:
 
 
 def oracle_ah_i0(rng, samples: int = 50) -> tuple[bool, str]:
-    from .elliptic import elliptic_data as make
     worst = 0.0
     for _ in range(samples):
         m4 = _random_o4(rng)
-        data = make(mp.o4_modulus(m4), m4.rho)
+        data = elliptic_data(mp.o4_modulus(m4), m4.rho)
         val = mp.ah_In_contour_oracle(data, m4, 0)
         target = 2.0 * data.omega1
         worst = max(worst, abs(val - target) / abs(target))
@@ -619,15 +615,13 @@ def oracle_ah_i0(rng, samples: int = 50) -> tuple[bool, str]:
 
 
 def oracle_ah_i1_i2(rng, samples: int = 10) -> tuple[bool, str]:
-    from .atiyah_hitchin import pi_pair_from_zvx
-    from .elliptic import elliptic_data as make
     worst = 0.0
     n_done = 0
     while n_done < samples:
         m4 = _random_o4(rng)
-        data = make(mp.o4_modulus(m4), m4.rho)
+        data = elliptic_data(mp.o4_modulus(m4), m4.rho)
         try:
-            pi_p, pi_m = pi_pair_from_zvx(m4.z, m4.v, m4.x, data)
+            pi_p, pi_m = ah.pi_pair_from_zvx(m4.z, m4.v, m4.x, data)
             i1 = mp.ah_In_contour_oracle(data, m4, 1, tol=1e-12)
             i2 = mp.ah_In_contour_oracle(data, m4, 2, tol=1e-12)
         except SlagForgeError:

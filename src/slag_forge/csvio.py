@@ -59,8 +59,9 @@ def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:
     """Rebuild a CurveTrace (chart columns and params) from a written CSV.
 
     A file without data rows, a row whose length is not the header's, a
-    field that is not a number, a missing chart column or a manifold other
-    than 'tn' and 'ah' raises DomainError.
+    field that is not a number, a params item that is not name=number, a
+    missing chart column or a manifold other than 'tn' and 'ah' raises
+    DomainError.
     """
     lines = Path(path).read_text().strip().split("\n")
     head = lines[0]
@@ -73,8 +74,12 @@ def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:
     pstr = head.split("params=", 1)[1]
     if pstr:
         for item in pstr.split(";"):
-            key, val = item.split("=")
-            params[key] = float(val)
+            try:
+                key, val = item.split("=")
+                params[key] = float(val)
+            except ValueError:
+                raise DomainError(f"trace CSV {str(path)!r}: params item {item!r} "
+                                  "is not name=number") from None
     if len(lines) < 3:
         raise DomainError(f"trace CSV {str(path)!r} has no data rows")
     names = lines[1].split(",")

@@ -7,9 +7,9 @@ All downstream geometry is driven by the data of the real elliptic curve
 parametrized by a modulus k in (0,1) and a scale rho = e1 - e3 > 0.  The
 half-period omega1 and quasi-half-period eta1 are the cycle integrals of
 dX/Y and -X dX/Y over the cut [e3, e2]; both admit closed forms in K(k),
-E(k) which the quadrature routines here cross-check.  Where an array of
-moduli needs both, elliptic_KE_vec takes K and E from one extended-AGM
-sequence (DLMF 19.8).
+E(k) which the quadrature routines here cross-check.  K and E come from one
+extended-AGM sequence (DLMF 19.8), one loop per input kind: elliptic_KE for
+a scalar, elliptic_KE_vec for an array.
 """
 
 from __future__ import annotations
@@ -32,31 +32,19 @@ _AGM_CAP = 60
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind via the AGM iteration."""
+def elliptic_KE(k: float) -> tuple[float, float]:
+    """(K(k), E(k)) for a scalar 0 <= k < 1 from one extended-AGM sequence (DLMF 19.8.5-6).
+
+    K = pi/(2a) at the AGM limit a, and E = K (1 - sum 2^(j-1) c_j^2).
+    """
     if not 0.0 <= k < 1.0:
-        raise DomainError(f"elliptic_K requires 0 <= k < 1, got k={k!r}")
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    for _ in range(_AGM_CAP):
-        # quadratic convergence: a gap under sqrt(_AGM_TOL) before this
-        # step leaves the values just updated accurate to _AGM_TOL
-        last = abs(a - b) <= math.sqrt(_AGM_TOL) * a
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        if last:
-            break
-    return math.pi / (2.0 * a)
-
-
-def elliptic_E(k: float) -> float:
-    """Complete elliptic integral of the second kind via the extended AGM."""
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"elliptic_E requires 0 <= k <= 1, got k={k!r}")
-    if k == 1.0:
-        return 1.0
+        raise DomainError(f"elliptic_KE requires 0 <= k < 1, got k={k!r}")
     a, b, c = 1.0, math.sqrt(1.0 - k * k), k
     csum = 0.5 * c * c
     pow2 = 0.5
     for _ in range(_AGM_CAP):
+        # quadratic convergence: a gap under sqrt(_AGM_TOL) before this
+        # step leaves the values just updated accurate to _AGM_TOL
         last = abs(a - b) <= math.sqrt(_AGM_TOL) * a
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
@@ -64,7 +52,21 @@ def elliptic_E(k: float) -> float:
         if last:
             break
     K = math.pi / (2.0 * a)
-    return K * (1.0 - csum)
+    return K, K * (1.0 - csum)
+
+
+def elliptic_K(k: float) -> float:
+    """Complete elliptic integral of the first kind, read from elliptic_KE."""
+    if not 0.0 <= k < 1.0:
+        raise DomainError(f"elliptic_K requires 0 <= k < 1, got k={k!r}")
+    return elliptic_KE(k)[0]
+
+
+def elliptic_E(k: float) -> float:
+    """Complete elliptic integral of the second kind, read from elliptic_KE (E(1) = 1)."""
+    if not 0.0 <= k <= 1.0:
+        raise DomainError(f"elliptic_E requires 0 <= k <= 1, got k={k!r}")
+    return 1.0 if k == 1.0 else elliptic_KE(k)[1]
 
 
 def jacobi_sn(u: float, k: float) -> float:
@@ -91,34 +93,12 @@ def jacobi_sn(u: float, k: float) -> float:
     return s
 
 
-def elliptic_K_vec(k: np.ndarray) -> np.ndarray:
-    """Vectorized K(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_K.
-
-    The lean AGM for callers that need K alone; elliptic_KE_vec gives K and E.
-    """
-    k = np.asarray(k, dtype=float)
-    if mask_any((k < 0.0) | (k >= 1.0)):
-        raise DomainError("elliptic_K_vec requires 0 <= k < 1 elementwise")
-    a = np.ones_like(k)
-    b = np.sqrt(1.0 - k * k)
-    live = np.ones(k.shape, dtype=bool)
-    for _ in range(_AGM_CAP):
-        # each element takes the steps the scalar loop takes, then holds
-        last = np.abs(a - b) <= math.sqrt(_AGM_TOL) * a
-        a, b = np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b)
-        live &= ~last
-        if not live.any():
-            break
-    return math.pi / (2.0 * a)
-
-
 def elliptic_KE_vec(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (K(k), E(k)) from one extended-AGM sequence (DLMF 19.8.5-6),
     for arrays with 0 <= k < 1.
 
-    The a, b recursion is elliptic_K_vec's step for step, so K = pi/(2a) has
-    its bits and those of elliptic_K; E = K (1 - sum 2^(j-1) c_j^2) has the
-    bits of elliptic_E.
+    Each element takes the steps elliptic_KE takes for it, then holds, so
+    every element has the scalar loop's bits whatever batch it is in.
     """
     k = np.asarray(k, dtype=float)
     if mask_any((k < 0.0) | (k >= 1.0)):
@@ -141,8 +121,16 @@ def elliptic_KE_vec(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return K, K * (1.0 - csum)
 
 
+def elliptic_K_vec(k: np.ndarray) -> np.ndarray:
+    """Vectorized K(k) for arrays with 0 <= k < 1, read from elliptic_KE_vec."""
+    k = np.asarray(k, dtype=float)
+    if mask_any((k < 0.0) | (k >= 1.0)):
+        raise DomainError("elliptic_K_vec requires 0 <= k < 1 elementwise")
+    return elliptic_KE_vec(k)[0]
+
+
 def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
-    """Vectorized E(k) for arrays with 0 <= k < 1, bitwise equal to elliptic_E."""
+    """Vectorized E(k) for arrays with 0 <= k < 1, read from elliptic_KE_vec."""
     return elliptic_KE_vec(k)[1]
 
 
@@ -215,11 +203,8 @@ class EllipticData:
 
 
 def _elliptic_KE(k):
-    """(K(k), E(k)): elliptic_K and elliptic_E for a scalar k, one
-    elliptic_KE_vec sequence for an array (its K has elliptic_K_vec's bits)."""
-    if np.ndim(k) == 0:
-        return elliptic_K(float(k)), elliptic_E(float(k))
-    return elliptic_KE_vec(k)
+    """(K(k), E(k)): the one pick between elliptic_KE (scalar k) and elliptic_KE_vec."""
+    return elliptic_KE(float(k)) if np.ndim(k) == 0 else elliptic_KE_vec(k)
 
 
 def _check_curve(k, rho) -> None:

@@ -21,9 +21,9 @@ import numpy as np
 from . import atiyah_hitchin as ah
 from . import moment_maps as mm
 from . import taub_nut as tn
-from .elliptic import elliptic_E, elliptic_K, elliptic_KE_vec
+from .elliptic import _elliptic_KE, elliptic_KE_vec
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
-from .elliptic import elliptic_E_vec, elliptic_K_vec  # noqa: F401
+from .elliptic import elliptic_E_vec, elliptic_K, elliptic_K_vec  # noqa: F401
 from .errors import ChartError, DomainError, EmptyDomainError, OutOfRangeError
 from .masks import mask_all, mask_any
 
@@ -210,15 +210,15 @@ def ah_cos2psi_level(theta, k, c1: float, h: float):
 
     cos 2psi = ((2k^2-1)(1-3cos^2 th) + (3h/(4K^2))(c1 + 16hK((k^2-2)K/3 + E)))
     / (3 sin^2 th), affine in c1 with slope h/(4K^2 sin^2 th).  Scalars or
-    arrays; a scalar k takes the scalar AGM for K and E, an array k takes
-    K and E from one extended-AGM sequence (elliptic_KE_vec) once per
-    distinct value (a (theta, k) grid has one k per column) and scatters
-    them back, bitwise equal to K and E on every element.
+    arrays; K and E come from one extended-AGM run, for an array k once per
+    distinct value (a (theta, k) grid has one k per column) and scattered
+    back: each element has the bits of its own scalar run.  The K returned
+    serves the chart of the same samples (_ah_sample_mask).
     The value may leave [-1, 1] (no real psi) and is not finite where
     sin theta = 0.
     """
     if np.ndim(k) == 0:
-        K, E = elliptic_K(float(k)), elliptic_E(float(k))
+        K, E = _elliptic_KE(k)
     else:
         ku, inv = np.unique(k, return_inverse=True)
         K, E = elliptic_KE_vec(ku)
@@ -510,8 +510,8 @@ _MIN_RUN = 6         # shortest run of good samples emitted as a trace
 
 
 def _ah_sample_mask(theta, k, phi, psi, h: float, K) -> np.ndarray:
-    """Samples clear of the degenerate loci (x_pm at the cut ends, y_pm -> 0)."""
-    z, v, x = ah.ah_zvx_from_spherical(k, theta, phi, psi, h)
+    """Samples clear of the degenerate loci (x_pm at the cut ends, y_pm -> 0); K is K(k)."""
+    z, v, x = ah._zvx(k, theta, phi, psi, h, K)
     rho = 16.0 * h * h * K ** 2
     # the cut [e3, e2] of elliptic_data(k, rho)
     k2 = k * k
@@ -525,10 +525,9 @@ def _ah_sample_mask(theta, k, phi, psi, h: float, K) -> np.ndarray:
             & (xp > e2 + pad) & (ymag > 1e-7 * rho ** 1.5))
 
 
-def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
-                             phi_fixed: float | None, c1: float, h: float,
-                             sign: int, tag: str) -> list[CurveTrace]:
-    """Chart traces from a zero-set polyline, split at degenerate samples.
+def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: float,
+                             h: float, sign: int, tag: str) -> list[CurveTrace]:
+    """Chart traces from a zero-set polyline of _ah_family, split at degenerate samples.
 
     Samples without a real psi or abutting the degenerate loci (y_pm -> 0,
     x_pm at the cut ends) are removed and the polyline is split there:
@@ -546,10 +545,10 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, k_fixed: float | None,
     theta = pts[:, 0]
     if plane == "theta-phi":
         phi = pts[:, 1] % (2.0 * math.pi)
-        kcol = np.full_like(theta, k_fixed)
+        kcol = np.full_like(theta, fixed)
     else:
         kcol = pts[:, 1]
-        phi = np.full_like(theta, phi_fixed % (2.0 * math.pi))
+        phi = np.full_like(theta, fixed % (2.0 * math.pi))
     c2p, K = ah_cos2psi_level(theta, kcol, c1, h)
     good = _in_range(c2p)
     half = 0.5 * np.arccos(np.clip(np.where(good, c2p, 1.0), -1.0, 1.0))
@@ -594,36 +593,40 @@ def _lattice_memo(root: Callable) -> Callable:
     return memo
 
 
-def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0,
-                        n: int = 256) -> list[CurveTrace]:
-    """Solution curves of the implicit condition in the (theta, phi)-plane at fixed k."""
-    root = _lattice_memo(lambda th, ph: _ah_condition_root(th, ph, k, c1, h))
+def _ah_family(plane: str, fixed: float, c1: float, h: float, n: int) -> list[CurveTrace]:
+    """Solution curves of the implicit condition in one plane, both sin 2psi signs.
+
+    On the theta-phi plane fixed is k, on the theta-k plane it is phi.  Both
+    sign grids read one sign-free evaluation of the node lattice.
+    """
+    if plane == "theta-phi":
+        root = _lattice_memo(lambda th, ph: _ah_condition_root(th, ph, fixed, c1, h))
+        y_range = (0.0, 2.0 * math.pi)
+    else:
+        root = _lattice_memo(lambda th, kk: _ah_condition_root(th, fixed, kk, c1, h))
+        y_range = (0.02, 0.98)
     traces = []
     for sign in (1, -1):
         grid = ImplicitGrid(
-            f=lambda th, ph, s=sign: _ah_condition_signed(root(th, ph), s),
-            rect=(0.02, math.pi - 0.02, 0.0, 2.0 * math.pi), n=n)
+            f=lambda x, y, s=sign: _ah_condition_signed(root(x, y), s),
+            rect=(0.02, math.pi - 0.02, *y_range), n=n)
         for idx, pts in enumerate(trace_zero_set(grid, tol=1e-10)):
             s_tag = "s+" if sign > 0 else "s-"
             traces.extend(_ah_traces_from_polyline(
-                pts, "theta-phi", k, None, c1, h, sign, f"{s_tag}-part{idx}"))
+                pts, plane, fixed, c1, h, sign, f"{s_tag}-part{idx}"))
     return traces
+
+
+def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0,
+                        n: int = 256) -> list[CurveTrace]:
+    """Solution curves of the implicit condition in the (theta, phi)-plane at fixed k."""
+    return _ah_family("theta-phi", k, c1, h, n)
 
 
 def ah_traces_theta_k(phi: float, c1: float, h: float = 1.0,
                       n: int = 256) -> list[CurveTrace]:
     """Solution curves of the implicit condition in the (theta, k)-plane at fixed phi."""
-    root = _lattice_memo(lambda th, kk: _ah_condition_root(th, phi, kk, c1, h))
-    traces = []
-    for sign in (1, -1):
-        grid = ImplicitGrid(
-            f=lambda th, kk, s=sign: _ah_condition_signed(root(th, kk), s),
-            rect=(0.02, math.pi - 0.02, 0.02, 0.98), n=n)
-        for idx, pts in enumerate(trace_zero_set(grid, tol=1e-10)):
-            s_tag = "s+" if sign > 0 else "s-"
-            traces.extend(_ah_traces_from_polyline(
-                pts, "theta-k", None, phi, c1, h, sign, f"{s_tag}-part{idx}"))
-    return traces
+    return _ah_family("theta-k", phi, c1, h, n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slag_forge import atiyah_hitchin as ah, checks, moment_maps as mm
+from slag_forge import atiyah_hitchin as ah, checks, elliptic, moment_maps as mm
 from slag_forge import slag_curves as sc, taub_nut as tn
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
@@ -41,6 +41,21 @@ def test_random_ah_point_matches_per_point_loop(seed, n, y_guard):
     want = np.array([[q.k, q.theta, q.phi, q.psi] for q in ref])
     assert np.array_equal(np.column_stack([pt.k, pt.theta, pt.phi, pt.psi]), want)
     assert state.Aplus is not None and state.z.shape == (n,)
+
+
+def test_random_ah_point_runs_two_agms(monkeypatch):
+    """One extended-AGM run over the candidates serves the regularity test
+    (rho, curve data and chart), and one over the kept points their state."""
+    calls = []
+    original = elliptic.elliptic_KE_vec
+
+    def spy(k):
+        calls.append(np.shape(k))
+        return original(k)
+
+    monkeypatch.setattr(elliptic, "elliptic_KE_vec", spy)
+    checks.random_ah_point(np.random.default_rng(0), AHParams(1.0, 1), 100)
+    assert calls == [(216,), (100,)]
 
 
 def test_tn_monge_ampere_draws_match_per_sample_loop(monkeypatch):

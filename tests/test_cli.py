@@ -139,6 +139,12 @@ MALFORMED_CSV = {
                        r"lacks the columns \['r'\]"),
     "unknown-manifold": (lambda ls: [ls[0].replace("manifold=tn", "manifold=xx")] + ls[1:],
                          "manifold must be 'tn' or 'ah', got 'xx'"),
+    "param-without-value": (lambda ls: [ls[0].replace("c2=0.5", "c2")] + ls[1:],
+                            "params item 'c2' is not name=number"),
+    "param-two-values": (lambda ls: [ls[0].replace("c2=0.5", "c2=0.5=1")] + ls[1:],
+                         "params item 'c2=0.5=1' is not name=number"),
+    "param-not-a-number": (lambda ls: [ls[0].replace("c2=0.5", "c2=abc")] + ls[1:],
+                           "params item 'c2=abc' is not name=number"),
 }
 
 

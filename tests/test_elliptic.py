@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from slag_forge import elliptic
 from slag_forge.elliptic import (elliptic_data, elliptic_E, elliptic_E_vec,
-                                 elliptic_K, elliptic_K_vec, elliptic_KE_vec,
-                                 eta1_quadrature,
+                                 elliptic_K, elliptic_K_vec, elliptic_KE,
+                                 elliptic_KE_vec, eta1_quadrature,
                                  eta3_quadrature, jacobi_sn, omega1_quadrature,
                                  omega3_quadrature, quad_adaptive, weierstrass_p,
                                  weierstrass_p_half_periods)
@@ -98,6 +98,63 @@ def test_vectorized_K_E_match_scalar():
     ks = np.concatenate([np.linspace(0.0, 0.97, 40), K_E_POINTS])
     assert np.array_equal(elliptic_K_vec(ks), [elliptic_K(k) for k in ks])
     assert np.array_equal(elliptic_E_vec(ks), [elliptic_E(k) for k in ks])
+
+
+def _reference_K(k):
+    """K(k) by the lean AGM, kept apart from the library's extended-AGM loop."""
+    a, b = 1.0, math.sqrt(1.0 - k * k)
+    for _ in range(60):
+        last = abs(a - b) <= math.sqrt(1e-16) * a
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        if last:
+            break
+    return math.pi / (2.0 * a)
+
+
+def _reference_E(k):
+    """E(k) by its own extended AGM, kept apart from the library's loop."""
+    a, b, c = 1.0, math.sqrt(1.0 - k * k), k
+    csum = 0.5 * c * c
+    pow2 = 0.5
+    for _ in range(60):
+        last = abs(a - b) <= math.sqrt(1e-16) * a
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        pow2 *= 2.0
+        csum += pow2 * c * c
+        if last:
+            break
+    K = math.pi / (2.0 * a)
+    return K * (1.0 - csum)
+
+
+def test_all_K_E_entry_points_match_reference_loops():
+    """The six K/E entry points give the bits of two separate reference
+    loops (lean K, extended-AGM E), for scalars and for arrays of any shape
+    and size: the array loop holds each element once it has converged."""
+    ks = np.concatenate([np.linspace(0.0, 0.97, 40), K_E_POINTS,
+                         np.random.default_rng(3).uniform(0.0, 1.0, 500)])
+    K_ref = np.array([_reference_K(k) for k in ks.tolist()])
+    E_ref = np.array([_reference_E(k) for k in ks.tolist()])
+    assert [elliptic_K(k) for k in ks.tolist()] == K_ref.tolist()
+    assert [elliptic_E(k) for k in ks.tolist()] == E_ref.tolist()
+    assert [elliptic_KE(k) for k in ks.tolist()] == list(zip(K_ref.tolist(), E_ref.tolist()))
+    batches = [np.arange(len(ks))] + [np.array([i]) for i in (0, 41, 300, len(ks) - 1)]
+    batches.append(np.arange(12).reshape(3, 4) * 47)
+    for idx in batches:
+        K, E = K_ref[idx], E_ref[idx]
+        assert np.array_equal(elliptic_K_vec(ks[idx]), K)
+        assert np.array_equal(elliptic_E_vec(ks[idx]), E)
+        KE = elliptic_KE_vec(ks[idx])
+        assert np.array_equal(KE[0], K) and np.array_equal(KE[1], E)
+        assert KE[0].shape == KE[1].shape == idx.shape
+
+
+def test_K_E_domain_errors_name_their_entry_point():
+    for fn, bad in ((elliptic_K, 1.0), (elliptic_E, 1.5), (elliptic_KE, 1.0),
+                    (elliptic_K_vec, np.array([0.5, 1.0])),
+                    (elliptic_KE_vec, np.array([-0.1]))):
+        with pytest.raises(DomainError, match=fn.__name__ + " requires"):
+            fn(bad)
 
 
 @pytest.mark.parametrize("ks", [K_E_POINTS, np.linspace(1e-6, 1.0 - 1e-9, 5001)],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slag_forge import presets
+from slag_forge import elliptic, presets
 from slag_forge import slag_curves as sc
 from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
                                        ah_from_spherical, ah_metric_UZ,
@@ -858,7 +858,7 @@ def _reference_sample_ok(theta, kmod, phi, psi, h):
     return ymag > 1e-7 * rho ** 1.5
 
 
-def _reference_runs(pts, plane, k_fixed, phi_fixed, c1, h, sign,
+def _reference_runs(pts, plane, fixed, c1, h, sign,
                     max_samples=320, min_run=6):
     """Polyline to chart runs one sample at a time: scalar ah_cos2psi,
     math.acos and the scalar sample test.  Returns (t, k, theta, phi, psi)
@@ -873,10 +873,10 @@ def _reference_runs(pts, plane, k_fixed, phi_fixed, c1, h, sign,
     theta = pts[:, 0]
     if plane == "theta-phi":
         phi = pts[:, 1] % (2.0 * math.pi)
-        kcol = np.full_like(theta, k_fixed)
+        kcol = np.full_like(theta, fixed)
     else:
         kcol = pts[:, 1]
-        phi = np.full_like(theta, phi_fixed % (2.0 * math.pi))
+        phi = np.full_like(theta, fixed % (2.0 * math.pi))
     psi = np.zeros_like(theta)
     good = np.ones(len(theta), dtype=bool)
     for i in range(len(theta)):
@@ -904,6 +904,35 @@ def _reference_runs(pts, plane, k_fixed, phi_fixed, c1, h, sign,
 @pytest.mark.parametrize("family, fixed", [(ah_traces_theta_phi, 0.5),
                                            (ah_traces_theta_k, math.pi / 4)],
                          ids=["fig8", "fig9"])
+def test_ah_polyline_runs_one_agm(family, fixed, monkeypatch):
+    """A polyline's moment level set and its sample mask share one
+    extended-AGM run: the mask's chart reads the level set's K."""
+    calls, per_polyline = [], []
+    original = elliptic.elliptic_KE_vec
+
+    def spy(k):
+        calls.append(np.shape(k))
+        return original(k)
+
+    for module in (elliptic, sc):
+        monkeypatch.setattr(module, "elliptic_KE_vec", spy)
+    to_traces = sc._ah_traces_from_polyline
+
+    def counted(*args):
+        before = len(calls)
+        traces = to_traces(*args)
+        per_polyline.append((len(calls) - before, len(traces)))
+        return traces
+
+    monkeypatch.setattr(sc, "_ah_traces_from_polyline", counted)
+    family(fixed, -3.0, n=64)
+    assert [runs for runs, _ in per_polyline] == [1] * len(per_polyline)
+    assert sum(emitted for _, emitted in per_polyline) > 0
+
+
+@pytest.mark.parametrize("family, fixed", [(ah_traces_theta_phi, 0.5),
+                                           (ah_traces_theta_k, math.pi / 4)],
+                         ids=["fig8", "fig9"])
 def test_ah_polyline_traces_match_per_sample_reference(family, fixed, monkeypatch):
     """The array polyline-to-trace step against the per-sample loop on the
     fig8 (k = 0.5) and fig9 (phi = pi/4) families at c1 = -3: same runs,
@@ -920,8 +949,8 @@ def test_ah_polyline_traces_match_per_sample_reference(family, fixed, monkeypatc
     assert family(fixed, -3.0)
     emitted = 0
     for args, traces in calls:
-        pts, plane, k_fixed, phi_fixed, c1, h, sign, tag = args
-        runs = _reference_runs(pts, plane, k_fixed, phi_fixed, c1, h, sign)
+        pts, plane, fixed, c1, h, sign, tag = args
+        runs = _reference_runs(pts, plane, fixed, c1, h, sign)
         assert [tr.tag for tr in traces] == [f"{tag}r{i}" for i in range(len(runs))]
         for tr, (t, k, theta, phi, psi) in zip(traces, runs):
             assert np.array_equal(tr.t, t)

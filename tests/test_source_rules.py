@@ -1,20 +1,27 @@
 """Source rules for the library: checks report failures, they do not raise,
-and every guard tests its mask through slag_forge.masks.
+every guard tests its mask through slag_forge.masks, and no module keeps
+an import it does not read.
 
 An `assert` in src/ is stripped under `python -O` and, where it fires,
 escapes `verify` as an AssertionError traceback instead of a FAIL line; a
 bare `except:` or `except Exception` hides the typed errors (SlagForgeError
 and its subclasses) the library raises on purpose.  np.any and np.all cost
 microseconds of dispatch on the NumPy bool of a one-point query, so the
-library calls masks.mask_any / mask_all, the one mask test, instead.
+library calls masks.mask_any / mask_all, the one mask test, instead.  A
+module-level import that nothing in its module reads is dead code, unless
+bench/tracing.py wraps that attribute of the module by name.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+from test_bench_bindings import _load_tracing
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "slag_forge").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 BROAD = {"Exception", "BaseException"}
 MASK_REDUCTIONS = {"any", "all"}
 
@@ -50,3 +57,41 @@ def test_scan_flags_each_form():
     assert _violations(ast.parse(src)) == ["line 1: assert", "line 4: broad except",
                                            "line 8: broad except", "line 14: np.any",
                                            "line 14: np.all"]
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's top-level imports that nothing in it reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def _bench_bound() -> dict[str, set[str]]:
+    """The attributes bench/tracing.py wraps on each library module."""
+    tracing = _load_tracing()
+    bound = defaultdict(set)
+    for module, attr, _ in tracing.SPANS:
+        bound[module].add(attr)
+    for module in tracing.K_SITES:
+        bound[module].add("elliptic_K")
+    return bound
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_unread_imports_are_bench_bindings(path):
+    unread = _unread_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert [name for name in unread if name not in _bench_bound()[path.stem]] == []
+
+
+def test_unread_import_scan():
+    src = ("from __future__ import annotations\n"
+           "import math\nimport os.path\n"
+           "from .x import a, b as c, d\n"
+           "def f(y: d) -> None:\n    return a(y)\n")
+    assert _unread_imports(ast.parse(src)) == ["c", "math", "os"]
