@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (EllipticData, _check_curve, _curve_data, _elliptic_KE,
-                       elliptic_Pi_vec)
+                       elliptic_Pi, elliptic_Pi_vec)
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
 from .elliptic import elliptic_data, elliptic_K, quad_adaptive  # noqa: F401
 from .errors import ChartError, DegenerateError, DomainError, PoleError
@@ -224,10 +224,12 @@ def pi_pair_from_zvx(z, v, x, data: EllipticData):
     """pi(x_+) in i R and pi(x_-) in R (principal value when x_- is inside the cut).
 
     pi(x_pm) = -2 y_pm int_{e3}^{e2} dX / ((X - x_pm) Y)
-             = -2 y_pm Pi(n, k) / ((e3 - x_pm) sqrt(rho)),  n = (e2 - e3)/(x_pm - e3),
-    one elliptic_Pi_vec call for both points.  x_+ must lie off the cut
-    [e3, e2]; x_- generically lies inside it (n > 1, the principal value).
-    Both vanish where v = 0.
+             = -2 y_pm Pi(n, k) / ((e3 - x_pm) sqrt(rho)),  n = (e2 - e3)/(x_pm - e3).
+    Pi is one Bulirsch loop per input kind: a point (0-d x_pm) takes two
+    elliptic_Pi calls on floats, a batch one elliptic_Pi_vec call for both
+    rows, and every element has its own scalar run's bits either way.
+    x_+ must lie off the cut [e3, e2]; x_- generically lies inside it
+    (n > 1, the principal value).  Both vanish where v = 0.
     """
     xp, xm, vp, vm, yp, ym = ah_xy_from_zvx(z, v, x)
     e2, e3 = data.e2, data.e3
@@ -239,8 +241,13 @@ def pi_pair_from_zvx(z, v, x, data: EllipticData):
     if mask_any(live & ((np.abs(xm - e3) < pad) | (np.abs(xm - e2) < pad))):
         raise PoleError(f"pi(x_-): x_- within {_CUT_END_PAD} of the span of a cut end")
     # y_pm = 0 where v = 0; park those x_pm off the cut so pi is a plain 0
-    xs = np.where(live, [xp, xm], e3 - span)
-    cut = elliptic_Pi_vec(span / (xs - e3), data.k) / ((e3 - xs) * np.sqrt(data.rho))
+    if np.ndim(xp) == 0:
+        sr = math.sqrt(data.rho)
+        cut = [elliptic_Pi(span / (xs - e3), data.k) / ((e3 - xs) * sr)
+               for xs in ((xp, xm) if live else (e3 - span,) * 2)]
+    else:
+        xs = np.where(live, [xp, xm], e3 - span)
+        cut = elliptic_Pi_vec(span / (xs - e3), data.k) / ((e3 - xs) * np.sqrt(data.rho))
     return -2.0 * yp * cut[0], -2.0 * ym * cut[1]
 
 

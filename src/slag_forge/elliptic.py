@@ -9,7 +9,8 @@ half-period omega1 and quasi-half-period eta1 are the cycle integrals of
 dX/Y and -X dX/Y over the cut [e3, e2]; both admit closed forms in K(k),
 E(k) which the quadrature routines here cross-check.  K and E come from one
 extended-AGM sequence (DLMF 19.8), one loop per input kind: elliptic_KE for
-a scalar, elliptic_KE_vec for an array.
+a scalar, elliptic_KE_vec for an array.  Pi likewise is one Bulirsch loop
+per input kind, elliptic_Pi and elliptic_Pi_vec.
 """
 
 from __future__ import annotations
@@ -134,6 +135,42 @@ def elliptic_E_vec(k: np.ndarray) -> np.ndarray:
     return elliptic_KE_vec(k)[1]
 
 
+def elliptic_Pi(n: float, k: float) -> float:
+    """Complete elliptic integral of the third kind Pi(n, k) for scalars 0 <= k < 1, n != 1.
+
+    elliptic_Pi_vec's loop on Python floats, statement for statement, so
+    the two give the same bits for every (n, k).
+    """
+    n, k = float(n), float(k)
+    if not 0.0 <= k < 1.0 or n == 1.0:
+        raise DomainError(f"elliptic_Pi requires 0 <= k < 1 and n != 1, got n={n!r}, k={k!r}")
+    kc = math.sqrt((1.0 - k) * (1.0 + k))
+    p = 1.0 - n
+    if p > 0.0:
+        p = math.sqrt(p)
+        a, b = 1.0, 1.0 / p
+    else:
+        p = math.sqrt((kc * kc - p) / n)
+        a, b = 0.0, -(k * k) / (n * p)
+    e = qc = kc
+    em = 1.0
+    for _ in range(_AGM_CAP):
+        f = a
+        a = a + b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p = g + p
+        g = em
+        em = em + qc
+        # quadratic convergence: a gap under sqrt(_AGM_TOL) before this
+        # step leaves the values just updated accurate to _AGM_TOL
+        if abs(g - qc) <= math.sqrt(_AGM_TOL) * g:
+            break
+        qc = 2.0 * math.sqrt(e)
+        e = qc * em
+    return (0.5 * math.pi) * (b + a * em) / (em * (em + p))
+
+
 def elliptic_Pi_vec(n, k) -> np.ndarray:
     """Vectorized complete elliptic integral of the third kind Pi(n, k).
 
@@ -144,10 +181,11 @@ def elliptic_Pi_vec(n, k) -> np.ndarray:
     then one quadratically convergent AGM-type loop serves both signs.
     n and k broadcast; requires 0 <= k < 1 and n != 1.
 
-    The loop runs until every element has converged and keeps stepping the
-    ones that already have, so an element's last bits depend on the batch it
-    is in: for 200 random (n, k), about a quarter differ between one batch
-    call and 200 one-element calls, by at most ~4.5e-16 relative.
+    One Bulirsch loop per input kind: elliptic_Pi for a scalar, this for an
+    array.  Each element's result is written on the step its stop test
+    first fires (the test reads k alone), so every element has elliptic_Pi's
+    bits whatever batch it is in; an element that never fires gets its
+    value at _AGM_CAP.  0-d input gives a NumPy scalar.
     """
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -162,6 +200,8 @@ def elliptic_Pi_vec(n, k) -> np.ndarray:
     a = pos * 1.0
     e = qc = kc
     em = 1.0
+    out = np.empty(np.broadcast_shapes(n.shape, k.shape))
+    live = np.ones(k.shape, dtype=bool)
     for _ in range(_AGM_CAP):
         f = a
         a = a + b / p
@@ -172,11 +212,16 @@ def elliptic_Pi_vec(n, k) -> np.ndarray:
         em = em + qc
         # quadratic convergence: a gap under sqrt(_AGM_TOL) before this
         # step leaves the values just updated accurate to _AGM_TOL
-        if (np.abs(g - qc) <= math.sqrt(_AGM_TOL) * g).all():
-            break
+        fire = live &(np.abs(g - qc) <= math.sqrt(_AGM_TOL) * g)
+        if fire.any():
+            np.copyto(out, (0.5 * math.pi) * (b + a * em) / (em * (em + p)), where=fire)
+            live &= ~fire
+        if not live.any():
+            return out[()]
         qc = 2.0 * np.sqrt(e)
         e = qc * em
-    return (0.5 * math.pi) * (b + a * em) / (em * (em + p))
+    np.copyto(out, (0.5 * math.pi) * (b + a * em) / (em * (em + p)), where=live)
+    return out[()]
 
 
 @dataclass(frozen=True)

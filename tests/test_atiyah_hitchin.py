@@ -15,7 +15,8 @@ from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
                                        ah_state_from_zvx, ah_u_coordinate,
                                        ah_xy_from_zvx, ah_zvx_from_spherical,
                                        pi_pair_from_zvx)
-from slag_forge.elliptic import elliptic_data, elliptic_K, elliptic_Pi_vec
+from slag_forge import elliptic
+from slag_forge.elliptic import elliptic_data, elliptic_K, elliptic_Pi, elliptic_Pi_vec
 from slag_forge.errors import ChartError, DegenerateError, DomainError, PoleError
 
 
@@ -338,20 +339,70 @@ def test_elliptic_Pi_vec_oracles():
         elliptic_Pi_vec(1.0, 0.5)
 
 
-def test_elliptic_Pi_vec_depends_on_its_batch_at_the_ulp_level():
-    """The Pi loop keeps stepping converged elements until the whole batch
-    has converged, so some elements of one 200-element call differ from 200
-    one-element calls, each by under 1e-15 relative (the docstring says so).
-    Holding converged elements, as elliptic_K_vec does, would make the count
-    0 and flip this pin on purpose."""
+def test_elliptic_Pi_vec_has_the_scalar_bits_in_any_batch():
+    """The Pi loop holds each element from the step its stop test first
+    fires, so one 200-element call, 200 one-element calls and 200
+    elliptic_Pi calls agree bit for bit, and so do a permuted batch and an
+    (n, k) broadcast."""
     rng = np.random.default_rng(0)
     n = rng.uniform(-3.0, 3.0, 200)
     k = rng.uniform(0.02, 0.98, 200)
-    batch = elliptic_Pi_vec(n, k)
+    scalar = np.array([elliptic_Pi(a, b) for a, b in zip(n, k)])
     single = np.array([elliptic_Pi_vec(n[i:i + 1], k[i:i + 1])[0] for i in range(200)])
-    assert np.array_equal(single, [elliptic_Pi_vec(a, b) for a, b in zip(n, k)])
-    assert np.count_nonzero(batch != single) > 0
-    assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-15
+    assert np.array_equal(elliptic_Pi_vec(n, k), scalar)
+    assert np.array_equal(single, scalar)
+    perm = rng.permutation(200)
+    assert np.array_equal(elliptic_Pi_vec(n[perm], k[perm]), scalar[perm])
+    grid = elliptic_Pi_vec(n[:, None], k[None, :16])
+    assert grid.shape == (200, 16)
+    assert np.array_equal(grid, [[elliptic_Pi(a, b) for b in k[:16]] for a in n])
+
+
+# n within 1e-12..1e-3 of the pole n = 1 on either side, n <= 0, and the
+# principal-value range out to 1e8
+PI_EDGE_N = st.one_of(
+    st.builds(lambda side, e: 1.0 + side * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+              st.floats(-12.0, -3.0)),
+    st.floats(-1e8, 0.0),
+    st.floats(1.0 + 1e-3, 1e8))
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=PI_EDGE_N, k=st.floats(0.0, 0.997))
+def test_elliptic_Pi_scalar_loop_at_the_edges(n, k):
+    """elliptic_Pi has elliptic_Pi_vec's bits (0-d and one-element input),
+    meets Pi_oracle at its 1e-12 of max(1, |Pi|), and stops by its test
+    within _AGM_CAP steps."""
+    # the loop is `for _ in range(_AGM_CAP)`; a module-level range counts its steps
+    steps = []
+
+    def counted(stop):
+        for i in range(stop):
+            steps.append(i)
+            yield i
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(elliptic, "range", counted, raising=False)
+        value = elliptic_Pi(n, k)
+    assert 0 < len(steps) < elliptic._AGM_CAP
+    assert _bits(value) == _bits(elliptic_Pi_vec(n, k))
+    assert _bits(value) == _bits(elliptic_Pi_vec(np.array([n]), np.array([k]))[0])
+    ref = Pi_oracle(n, k)
+    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (n, k)
+
+
+def test_elliptic_Pi_large_n_and_domain():
+    for kk, nn, ref in PI_LARGE_N:
+        assert elliptic_Pi(nn, kk) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    for n, k in ((0.5, -0.1), (0.5, 1.0), (0.5, 1.5), (0.5, math.nan), (1.0, 0.5)):
+        with pytest.raises(DomainError) as err:
+            elliptic_Pi(n, k)
+        assert str(err.value) == (f"elliptic_Pi requires 0 <= k < 1 and n != 1, "
+                                  f"got n={n!r}, k={k!r}")
 
 
 EDGE_SHARE = st.floats(-9.0, -3.0)     # log10 of the distance, in cut spans

@@ -3,14 +3,12 @@
 Points are drawn, seeded, from the box of the ah-points benchmark (the fig9
 rectangle in k and theta, every phi and psi).  A point given as a
 one-element array is the batch arithmetic at length one: every field of
-the chart state, its curve data and the metric block has the bits of the
-point's row in a batch of 64.  A point given as Python floats or NumPy
-float64 scalars takes scalar arithmetic (Python complex, NumPy scalar
-division and powers, no fused multiply-add), so it agrees with that row to
-rounding only: about 2e-12 relative at worst on the coefficients, where
-v_pm = Im, Re (v / sqrt z) cancels.  elliptic_Pi_vec depends on the batch
-at the ulp level (tests/test_elliptic.py), so pi(x_pm) and U stay out of
-the batch comparison.
+the chart state, its curve data, pi(x_pm), the u coordinate and the metric
+block has the bits of the point's row in a batch of 64.  A point given as
+Python floats or NumPy float64 scalars takes scalar arithmetic (Python
+complex, NumPy scalar division and powers, no fused multiply-add), so it
+agrees with that row to rounding only: about 2e-12 relative at worst on the
+coefficients, where v_pm = Im, Re (v / sqrt z) cancels.
 
 The typed errors of one query keep their class and message whether the
 point comes as scalars or as one-element arrays.
@@ -38,7 +36,9 @@ def _regular_points(seed: int) -> np.ndarray:
     rows = []
     for row in lo + np.random.default_rng(seed).random((4 * BATCH, 4)) * (hi - lo):
         try:
-            ah.ah_metric_UZ(ah.ah_from_spherical(ah.AHSphericalPoint(*row), P), P)
+            state = ah.ah_from_spherical(ah.AHSphericalPoint(*row), P)
+            ah.ah_metric_UZ(state, P)
+            ah.ah_u_coordinate(state, P)
         except SlagForgeError:
             continue
         rows.append(row)
@@ -46,9 +46,11 @@ def _regular_points(seed: int) -> np.ndarray:
 
 
 def _fields(point: ah.AHSphericalPoint) -> dict:
-    """Every field of the chart state, its EllipticData and the metric block."""
+    """Every field of the chart state, its EllipticData and the metric block,
+    pi(x_pm) and (u, U, Z)."""
     state = ah.ah_from_spherical(point, P)
-    out = {}
+    out = dict(zip(("pi_plus", "pi_minus"), ah.ah_pi_xpm(state)))
+    out.update(zip(("u", "U", "Z"), ah.ah_u_coordinate(state, P)))
     for obj in (state, state.elliptic, ah.ah_metric_UZ(state, P)):
         for f in dataclasses.fields(obj):
             if f.name != "elliptic":
