@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -43,12 +44,80 @@ def trace_to_csv(trace: CurveTrace, manifold: str) -> str:
                  res["omega"], res["im_omega"], res["mu"]]
     else:
         raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
-    # '%.16e' % v is f"{v:.16e}" for every float, nan, inf and -0.0 included
-    row = ",".join(["%.16e"] * len(table))
-    lines = [header, ",".join(cols)]
-    lines.extend(row % vals for vals in
-                 zip(*(np.asarray(col, dtype=float).tolist() for col in table)))
-    return "\n".join(lines) + "\n"
+    return f"{header}\n{','.join(cols)}\n" + _format_e16(
+        np.column_stack([np.asarray(col, dtype=float) for col in table]))
+
+
+# '%.16e' by one NumPy pass (Steele & White, PLDI 1990; Gay, AT&T 1990).
+# An element x with 1e-300 <= |x| < 1e300 gets e = floor(log10|x|) and
+# P = |x| * 10^(16-e) in long double.  With u the long double unit roundoff,
+# the table entry and the product each err by at most a factor (1 + u), so
+# P lies within (2u + u^2) 10^17 = _SLACK of |x| 10^(16-e) when that is below
+# 10^17.  If P is farther than _SLACK from every half-integer and from 10^16,
+# round(P) is the correctly rounded 17-digit mantissa of x and e its
+# exponent, unless round(P) = 10^17.  Zeros are exact.  Every other element
+# (nan, inf, near-ties, decade edges, out of range) is formatted by Python,
+# so the output is the same on every platform; where long double is plain
+# double, _SLACK > 1/2 and Python formats every nonzero element.  The bound
+# needs each operation correctly rounded, which IEEE formats (52, 63 or 112
+# stored mantissa bits) give and IBM double-double does not: there u = 1.
+_E_MIN, _E_MAX = -301, 300
+_LONG = np.finfo(np.longdouble)
+_U = _LONG.epsneg if _LONG.nmant in (52, 63, 112) else np.longdouble(1)
+_SLACK = (2 * _U + _U * _U) * np.longdouble(10**17)
+_TEN16 = np.longdouble(10**16)
+# One field, NUL-padded: sign, lead digit, '.', 16 digits, 'e', exponent
+# sign, 3 exponent digits, separator.  The longest '%.16e' has 24 bytes.
+_FIELD = 25
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """10^(16-e) for e in [_E_MIN, _E_MAX], correctly rounded to long double
+    by the string parser, and the four ASCII digits of each n < 10^4 as one
+    uint32.  Built by the first CSV, so that importing costs nothing."""
+    scale = np.char.add("1e", (16 - np.arange(_E_MIN, _E_MAX + 1)).astype(str)) \
+        .astype(np.longdouble)
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    return scale, np.ascontiguousarray(digits).view(np.uint32)[:, 0]
+
+
+def _format_e16(table: np.ndarray) -> str:
+    """CSV rows of a 2-D float table, every field '%.16e' % v byte for byte."""
+    scale, digit4 = _tables()
+    m, n = table.shape
+    x = table.ravel()
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = (ax >= 1e-300) & (ax < 1e300)
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    P = ax.astype(np.longdouble) * scale[e - _E_MIN]
+    R = np.rint(P)
+    fast = (fast & (np.abs(P - R) < 0.5 - _SLACK) & (P >= _TEN16 + _SLACK)
+            & (R < 10**17)) | zero
+    lead, rest = np.divmod(np.where(zero, 0, R.astype(np.int64)), 10**16)
+    hi, lo = np.divmod(rest, 10**8)
+    buf = np.zeros((m * n, _FIELD), np.uint8)
+    buf[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    buf[:, 1] = lead + ord("0")
+    buf[:, 2] = ord(".")
+    digits = buf[:, 3:19].view(np.uint32)
+    for j, group in enumerate(np.divmod(hi, 10**4) + np.divmod(lo, 10**4)):
+        digits[:, j] = digit4[group]
+    buf[:, 19] = ord("e")
+    ae = np.abs(e)
+    buf[:, 20:24].view(np.uint32)[:, 0] = digit4[ae]
+    buf[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    buf[:, 21] *= ae >= 100
+    slow = np.flatnonzero(~fast)
+    buf[slow, :_FIELD - 1] = np.array(
+        ["%.16e" % v for v in x[slow].tolist()],
+        dtype=f"S{_FIELD - 1}").view(np.uint8).reshape(-1, _FIELD - 1)
+    buf = buf.reshape(m, n, _FIELD)
+    buf[:, :, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_trace_csv(path: str | Path, trace: CurveTrace, manifold: str) -> None:
@@ -89,7 +158,7 @@ def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:
             raise DomainError(f"trace CSV {str(path)!r} line {n} has {len(row)} "
                               f"fields, the header {len(names)}")
     try:
-        data = np.array([[float(x) for x in row] for row in rows])
+        data = np.array(rows, dtype=float)
     except ValueError as exc:
         raise DomainError(f"trace CSV {str(path)!r}: {exc}") from None
     cols = {name: data[:, i] for i, name in enumerate(names)}

@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slag_forge import cli
+from slag_forge import cli, csvio
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
                               trace_to_csv, write_trace_csv)
 from slag_forge.errors import DomainError
-from slag_forge.slag_curves import (ah_traces_theta_phi, tn_so2_curve, tn_u1_case1,
-                                    verify_slag)
+from slag_forge.presets import preset_traces
+from slag_forge.slag_curves import (CurveTrace, ah_traces_theta_phi, tn_so2_curve,
+                                    tn_u1_case1, verify_slag)
 from slag_forge.taub_nut import TNParams
 
 
@@ -223,6 +224,64 @@ def test_trace_to_csv_matches_per_value_writer():
             pytest.fail(f"{manifold} CSV differs: {len(got)} vs {len(ref)} lines, "
                         f"first at {bad[:1]}: {got[bad[0]] if bad else ''!r}")
     assert "nan" in trace_to_csv(cases[1][0], "tn")
+
+
+def test_trace_to_csv_matches_per_value_writer_where_every_element_falls_back(monkeypatch):
+    """With the slack of a platform whose long double is plain double, the
+    kernel certifies no nonzero element: Python's formatter writes them, and
+    the bytes are still the per-value writer's."""
+    u = np.finfo(np.float64).epsneg
+    monkeypatch.setattr(csvio, "_SLACK", np.longdouble((2 * u + u * u) * 1e17))
+    assert csvio._SLACK >= 0.5
+    p = TNParams(1.0, 1.0)
+    pa = AHParams(1.0, 1)
+    cases = [(tn_so2_curve(3.0, p, branch="plane")[0], "tn", p),
+             (tn_so2_curve(3.0, p, branch="axis", n=50)[0], "tn", p),
+             (ah_traces_theta_phi(0.5, -3.0)[0], "ah", pa)]
+    for trace, manifold, params in cases:
+        trace.residuals = verify_slag(trace, manifold, params)
+        assert trace_to_csv(trace, manifold) == _reference_trace_to_csv(trace, manifold)
+
+
+def test_trace_to_csv_matches_per_value_writer_on_the_presets():
+    """Every fig5-fig7 trace and one fig8 family, whole files byte for byte."""
+    items = [item for name in ("fig5", "fig6", "fig7")
+             for item in preset_traces(name)]
+    pa = AHParams(1.0, 1)
+    items += [(trace.tag, "ah", trace, pa)
+              for trace in ah_traces_theta_phi(0.7, -7.0, h=1.0, n=256)]
+    assert len(items) > 25  # the 25 fig5-fig7 traces and the fig8 family
+    for stem, manifold, trace, params in items:
+        trace.residuals = verify_slag(trace, manifold, params)
+        if trace_to_csv(trace, manifold) != _reference_trace_to_csv(trace, manifold):
+            pytest.fail(f"{stem}: trace_to_csv differs from the per-value writer")
+
+
+def test_csv_roundtrip_is_bit_exact(tmp_path):
+    """t and the chart columns come back with the written bits: nan, +-inf,
+    -0.0, subnormals and the largest double included."""
+    rng = np.random.default_rng(3)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+               sys.float_info.max, -sys.float_info.min, 0.1]
+    m = 200
+    t = np.concatenate([[-0.0, 5e-324], np.sort(rng.uniform(1e-3, 1e3, m - 4)),
+                        [1e300, sys.float_info.max]])
+    cols = {}
+    for j, key in enumerate(("r", "theta", "phi", "psi")):
+        col = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m)
+        col[j::7][:len(special)] = special[:len(col[j::7])]
+        cols[key] = col
+    trace = CurveTrace(chart="tn-spherical", action="u1", t=t, cols=cols,
+                       params={"c1": 1.0, "c2": 0.5})
+    trace.residuals = {"omega": np.zeros(m), "im_omega": np.full(m, -0.0),
+                       "mu": rng.standard_normal(m)}
+    path = tmp_path / "special.csv"
+    write_trace_csv(path, trace, "tn")
+    back, manifold = read_trace_csv(path)
+    assert manifold == "tn"
+    assert back.t.view(np.uint64).tolist() == t.view(np.uint64).tolist()
+    for key, col in cols.items():
+        assert back.cols[key].view(np.uint64).tolist() == col.view(np.uint64).tolist(), key
 
 
 def test_trace_preset_fig6_five_files(tmp_path, capsys):
