@@ -19,7 +19,7 @@ from . import taub_nut as tn
 from .elliptic import (elliptic_data, elliptic_E, elliptic_K, eta1_quadrature,
                        eta3_quadrature, omega1_quadrature, omega3_quadrature,
                        weierstrass_p, weierstrass_p_half_periods)
-from .errors import ChartError, OutOfRangeError, SlagForgeError
+from .errors import ChartError, ConvergenceError, OutOfRangeError, SlagForgeError
 from .masks import mask_all
 
 
@@ -257,7 +257,7 @@ def random_ah_point(rng, p: ah.AHParams, n: int, y_guard: float = 1e-3):
           & (d.e2 - xm > 1e-4 * span) & (xp - d.e2 > 1e-4 * span))
     keep = np.flatnonzero(ok)[:n]
     if len(keep) < n:
-        raise RuntimeError("could not sample regular Atiyah-Hitchin points")
+        raise ConvergenceError("could not sample regular Atiyah-Hitchin points")
     pt = ah.AHSphericalPoint(k[keep], theta[keep], phi[keep], psi[keep])
     return pt, ah.ah_from_spherical(pt, p, y_guard=y_guard)
 
@@ -357,49 +357,43 @@ def check_hamiltonicity_ah(rng, n_points: int = 100) -> tuple[bool, str]:
 
 
 def check_orbit_constancy(rng) -> tuple[bool, str]:
-    """mu is constant along RK4 orbits and the AH generator is d/dphi.
+    """mu is constant along each orbit, and each generator is its velocity.
 
-    Taub-NUT: one U(1) and one SO(2) orbit (in that order, one point drawn
-    for each) are stepped together as the rows of one (2, 4) state.
+    The orbits in closed form: the Taub-NUT U(1) adds t to Im u, the
+    Taub-NUT SO(2) sends z to e^{-2it} z and the Atiyah-Hitchin SO(2) sends
+    phi to phi - 2t.  Each is sampled at t = +-dt and at 20 points of
+    [0, pi), and its central-difference velocity at t = 0 must be
+    ActionSpec.field there: gen_err is the worst component error over
+    max(1, |w1|), w1 being z or Z.
     """
-    worst = 0.0
+    dt = 1e-5
+    t = np.concatenate([(dt, -dt), np.linspace(0.0, math.pi, 20, endpoint=False)])
+    n = len(t)
     p = tn.TNParams(1.0, 1.0)
-    actions = [mm.ActionSpec("TaubNUT", name) for name in ("U1_triholo", "SO2_rot")]
-    pts = [_random_tn_point(rng, p, 0.5, 10.0) for _ in actions]
-    q0 = np.array([[pt.u.real, pt.u.imag, pt.z.real, pt.z.imag] for pt in pts])
-
-    def field(q):
-        X = np.zeros((2, 4))
-        for row, action in enumerate(actions):
-            for a, value in action.components(q[row, 2], q[row, 3]):
-                X[row, a] = value
-        return X
-
-    path = mm.rk4_orbit(field, q0, 1.0, 2000)[::100]     # [sample, orbit, component]
-    for row, action in enumerate(actions):
-        q = path[:, row].T
-        point = tn.tn_point_from_uz(q[0] + 1j * q[1], q[2] + 1j * q[3], p)
-        mus = (mm.moment_tn_u1(point) if action.generator == "U1_triholo"
-               else mm.moment_tn_so2(point, p))
-        worst = max(worst, float(np.max(mus) - np.min(mus)))
-    # Atiyah-Hitchin: the orbit is the phi-circle; check the pushforward and mu
+    a, b = (_random_tn_point(rng, p, 0.5, 10.0) for _ in range(2))
+    tn_pts = tn.tn_point_from_uz(np.concatenate([a.u + 1j * t, np.full(n, b.u)]),
+                                 np.concatenate([np.full(n, a.z), b.z * np.exp(-2j * t)]), p)
     pa = ah.AHParams(1.0, 1)
     pt, _ = random_ah_point(rng, pa, 1)
-    dphi = 1e-5
-    # phi +- dphi, then 20 orbit points from phi itself (shift 0) on
-    phis = np.concatenate([pt.phi + (dphi, -dphi), (pt.phi + np.linspace(
-        0.0, 2.0 * math.pi, 20, endpoint=False)) % (2.0 * math.pi)])
-    k, theta, psi = (np.full(len(phis), c[0]) for c in (pt.k, pt.theta, pt.psi))
-    state = ah.ah_from_spherical(ah.AHSphericalPoint(k, theta, phis, psi), pa)
+    k, theta, psi = (np.full(n, c[0]) for c in (pt.k, pt.theta, pt.psi))
+    phi = (pt.phi[0] - 2.0 * t) % (2.0 * math.pi)
+    state = ah.ah_from_spherical(ah.AHSphericalPoint(k, theta, phi, psi), pa)
     _, U, Z = ah.ah_u_coordinate(state, pa)
-    Z0 = Z[2]
-    dU = (U[0] - U[1]) / (2.0 * dphi)
-    dZ = (Z[0] - Z[1]) / (2.0 * dphi)
-    gen_err = max(abs(dU), abs(dZ - 1j * Z0))
-    mus = mm.moment_ah_so2(state)[2:]
-    worst = max(worst, float(np.max(mus) - np.min(mus)))
-    ok = worst <= 1e-8 and gen_err <= 1e-6 * max(1.0, abs(Z0))
-    return ok, f"mu_span={worst:.3e} gen_err={gen_err:.3e} tol=1e-8"
+    # [orbit, sample] for the Taub-NUT U(1), the Taub-NUT SO(2) and the AH SO(2)
+    w0 = np.vstack([tn_pts.u.reshape(2, n), U])
+    w1 = np.vstack([tn_pts.z.reshape(2, n), Z])
+    mu = np.vstack([mm.moment_tn_u1(tn_pts)[:n], mm.moment_tn_so2(tn_pts, p)[n:],
+                    mm.moment_ah_so2(state)])
+    mu_span = np.max(np.ptp(mu, axis=1))
+    dw0, dw1 = ((w[:, 0] - w[:, 1]) / (2.0 * dt) for w in (w0, w1))
+    velocity = np.stack([dw0.real, dw0.imag, dw1.real, dw1.imag], axis=-1)
+    actions = (("TaubNUT", "U1_triholo"), ("TaubNUT", "SO2_rot"),
+               ("AtiyahHitchin", "SO2_rot"))
+    X = np.array([mm.ActionSpec(*action).field(w0[i, 2], w1[i, 2])
+                  for i, action in enumerate(actions)])
+    gen_err = np.max(np.max(np.abs(velocity - X), axis=1) / np.maximum(1.0, np.abs(w1[:, 2])))
+    ok = mu_span <= 1e-8 and gen_err <= 1e-6
+    return ok, f"mu_span={mu_span:.3e} gen_err={gen_err:.3e} tol=1e-8/1e-6"
 
 
 def check_lie_derivative(rng) -> tuple[bool, str]:

@@ -115,6 +115,24 @@ def cmd_metric(args) -> int:
     return 0 if residual < tol else 1
 
 
+def _run_checks(jobs, seed: int) -> int:
+    """Run each (name, check) job on a fresh generator at the seed and print
+    one PASS or FAIL line for it; a library error is that check's FAIL, and
+    the jobs after it still run.  Returns 0 if every check passes, else 1."""
+    failures = 0
+    for name, check in jobs:
+        rng = np.random.default_rng(seed)
+        t0 = time.monotonic()
+        try:
+            ok, detail = check(rng)
+        except SlagForgeError as exc:
+            ok, detail = False, f"error: {exc}"
+        dt = time.monotonic() - t0
+        print(f"{'PASS' if ok else 'FAIL'} {name} {detail} ({dt:.2f}s)")
+        failures += 0 if ok else 1
+    return 0 if failures == 0 else 1
+
+
 def cmd_verify(args, seed: int) -> int:
     if args.list:
         for name in checks.VERIFY_CHECKS:
@@ -126,18 +144,7 @@ def cmd_verify(args, seed: int) -> int:
             print(f"unknown check {args.only!r}; use --list", file=sys.stderr)
             return 2
         names = [args.only]
-    failures = 0
-    for name in names:
-        rng = np.random.default_rng(seed)
-        t0 = time.monotonic()
-        try:
-            ok, detail = checks.VERIFY_CHECKS[name](rng)
-        except SlagForgeError as exc:
-            ok, detail = False, f"error: {exc}"
-        dt = time.monotonic() - t0
-        print(f"{'PASS' if ok else 'FAIL'} {name} {detail} ({dt:.2f}s)")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
+    return _run_checks(((name, checks.VERIFY_CHECKS[name]) for name in names), seed)
 
 
 def _emit_traces(items, out_dir: Path, fmt: str, preset: str | None) -> int:
@@ -206,17 +213,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_oracle(args, seed: int) -> int:
-    failures = 0
-    for name, (fn, manifold) in checks.ORACLE_CHECKS.items():
-        if args.manifold != "all" and manifold != args.manifold:
-            continue
-        rng = np.random.default_rng(seed)
-        t0 = time.monotonic()
-        ok, detail = fn(rng, samples=args.samples)
-        dt = time.monotonic() - t0
-        print(f"{'PASS' if ok else 'FAIL'} {name} {detail} ({dt:.2f}s)")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
+    return _run_checks(((name, functools.partial(fn, samples=args.samples))
+                        for name, (fn, manifold) in checks.ORACLE_CHECKS.items()
+                        if args.manifold in ("all", manifold)), seed)
 
 
 def main(argv=None) -> int:

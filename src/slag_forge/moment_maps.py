@@ -49,25 +49,21 @@ class ActionSpec:
             raise DomainError(
                 f"unsupported action {self.generator!r} on {self.manifold!r}")
 
-    def components(self, w1_re, w1_im):
-        """Nonzero real components of the fundamental field, as (index, value) pairs.
+    def field(self, w0: complex, w1: complex) -> np.ndarray:
+        """Fundamental field at holomorphic coordinates (w0, w1), real components.
 
         U1_triholo: X = i(d_u - d_ubar)  ->  d/d(im u).
-        SO2_rot:    X = -2i(z d_z - zbar d_zbar) (same form in Z).
-        Only the second coordinate enters, by its real and imaginary parts
-        (scalars or arrays).
+        SO2_rot:    X = -2i(z d_z - zbar d_zbar) (same form in Z), so dz/dt = -2i z.
+        Only the second coordinate enters; a batch of w1 gives one row each.
         """
-        if self.generator == "U1_triholo":
-            return ((1, 1.0),)
-        if self.generator == "SO2_rot":
-            return ((2, 2.0 * w1_im), (3, -2.0 * w1_re))
-        raise DomainError("SO3_rot acts on the cotangent fixture, not a chart")
-
-    def field(self, w0: complex, w1: complex) -> np.ndarray:
-        """Fundamental field at holomorphic coordinates (w0, w1), real components."""
         X = np.zeros(np.shape(w1) + (4,))
-        for a, value in self.components(np.real(w1), np.imag(w1)):
-            X[..., a] = value
+        if self.generator == "U1_triholo":
+            X[..., 1] = 1.0
+        elif self.generator == "SO2_rot":
+            X[..., 2] = 2.0 * np.imag(w1)
+            X[..., 3] = -2.0 * np.real(w1)
+        else:
+            raise DomainError("SO3_rot acts on the cotangent fixture, not a chart")
         return X
 
 
@@ -188,23 +184,3 @@ def verify_hamiltonian(action: ActionSpec, pt, params, eps: float = 1e-5):
         return verify_hamiltonian_ah(pt, params, eps)
     raise DomainError("verify_hamiltonian covers the Taub-NUT and AH actions")
 
-
-def rk4_orbit(field, q0: np.ndarray, t_total: float, n_steps: int) -> np.ndarray:
-    """Integrate dq/dt = field(q) with classical RK4; returns the sampled path.
-
-    q0 is one state or a stack of states (one per row), stepped together:
-    field takes and returns the whole stack, and path[i] is the stack after
-    i steps.
-    """
-    q = np.asarray(q0, dtype=float).copy()
-    path = np.empty((n_steps + 1,) + q.shape)
-    path[0] = q
-    dt = t_total / n_steps
-    for i in range(1, n_steps + 1):
-        k1 = field(q)
-        k2 = field(q + 0.5 * dt * k1)
-        k3 = field(q + 0.5 * dt * k2)
-        k4 = field(q + dt * k3)
-        q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[i] = q
-    return path

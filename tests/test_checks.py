@@ -275,55 +275,50 @@ def test_forward_point_off_locus_reports_fail(monkeypatch, capsys):
     assert line.startswith("FAIL slag-ah-zero-set forward point theta=")
 
 
-def _orbit_paths_per_action(rng):
-    """The Taub-NUT orbits of orbit-constancy one action at a time: four
-    scalar field calls per RK4 step, each building complex coordinates and
-    a zero row, and the path kept as a list of states."""
-    p = tn.TNParams(1.0, 1.0)
-    paths = []
-    for name in ("U1_triholo", "SO2_rot"):
-        pt = checks._random_tn_point(rng, p, 0.5, 10.0)
-        q = np.array([pt.u.real, pt.u.imag, pt.z.real, pt.z.imag])
-
-        def field(q, name=name):
-            X = np.zeros(4)
-            if name == "U1_triholo":
-                X[1] = 1.0
-            else:
-                w1 = complex(q[2], q[3])
-                X[2], X[3] = 2.0 * np.imag(w1), -2.0 * np.real(w1)
-            return X
-
-        path = [q.copy()]
-        dt = 1.0 / 2000
-        for _ in range(2000):
-            k1 = field(q)
-            k2 = field(q + 0.5 * dt * k1)
-            k3 = field(q + 0.5 * dt * k2)
-            k4 = field(q + dt * k3)
-            q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            path.append(q.copy())
-        paths.append(np.array(path))
-    return paths
+def test_orbit_constancy_passes_at_every_check_seed():
+    """Check seeds 0-119, the ones the benchmark's checks workload draws from."""
+    for seed in range(120):
+        ok, detail = checks.check_orbit_constancy(np.random.default_rng(seed))
+        assert ok, (seed, detail)
+        assert detail.startswith("mu_span=") and detail.endswith(" tol=1e-8/1e-6")
 
 
+@pytest.mark.parametrize("generator", ["U1_triholo", "SO2_rot"])
 @pytest.mark.parametrize("seed", [0, 1, 14])
-def test_orbit_stack_matches_per_action_loops(seed, monkeypatch):
-    """Both Taub-NUT orbits stepped as one (2, 4) state give, row by row,
-    the paths of the two scalar loops bit for bit."""
-    paths = []
-    original = mm.rk4_orbit
+def test_orbit_constancy_fails_a_flipped_generator(generator, seed, monkeypatch, capsys):
+    """A Taub-NUT generator of the wrong sign still has mu constant along its
+    flow, so only its orbit's velocity catches it: a FAIL line from `verify`
+    on gen_err, with mu_span still within its gate."""
+    field = mm.ActionSpec.field
 
-    def spy(*args):
-        paths.append(original(*args))
-        return paths[-1]
+    def flipped(self, w0, w1):
+        wrong = (self.manifold, self.generator) == ("TaubNUT", generator)
+        return -field(self, w0, w1) if wrong else field(self, w0, w1)
 
-    monkeypatch.setattr(mm, "rk4_orbit", spy)
-    assert checks.check_orbit_constancy(np.random.default_rng(seed))[0]
-    (path,) = paths
-    assert path.shape == (2001, 2, 4)
-    for row, want in enumerate(_orbit_paths_per_action(np.random.default_rng(seed))):
-        assert np.array_equal(path[:, row], want)
+    monkeypatch.setattr(mm.ActionSpec, "field", flipped)
+    assert main(["--seed", str(seed), "verify", "--only", "orbit-constancy"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    verdict, name, *fields = line.split()
+    values = dict(f.split("=") for f in fields[:2])
+    assert (verdict, name) == ("FAIL", "orbit-constancy")
+    assert float(values["mu_span"]) <= 1e-8 and float(values["gen_err"]) > 1e-6
+
+
+def test_too_few_regular_ah_points_is_a_fail_line(monkeypatch, capsys):
+    """random_ah_point raises ConvergenceError when too few candidates are
+    regular (here: y_+ = 0 at every candidate, below the y guard), which
+    `verify` reports as the check's FAIL line and exit code 1, not a
+    traceback."""
+    xy = ah.ah_xy_from_zvx
+
+    def vanishing_y_plus(z, v, x):
+        xp, xm, vp, vm, yp, ym = xy(z, v, x)
+        return xp, xm, vp, vm, 0.0 * yp, ym
+
+    monkeypatch.setattr(ah, "ah_xy_from_zvx", vanishing_y_plus)
+    assert main(["verify", "--only", "ah-monge-ampere"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL ah-monge-ampere error: could not sample regular")
 
 
 def _zero_set_roots_per_row():

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slag_forge import cli, csvio
+from slag_forge import checks, cli, csvio
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
                               trace_to_csv, write_trace_csv)
-from slag_forge.errors import DomainError
+from slag_forge.errors import ContourCollisionError, DomainError
 from slag_forge.presets import preset_traces
 from slag_forge.slag_curves import (CurveTrace, ah_traces_theta_phi, tn_so2_curve,
                                     tn_u1_case1, verify_slag)
@@ -62,6 +62,20 @@ def test_oracle_tn_only(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "fxx-contour" in out and "ah-i0" not in out
+
+
+def test_oracle_error_is_a_fail_line(monkeypatch, capsys):
+    """An oracle that raises a library error is reported as its FAIL line,
+    as `verify` reports a check's, and the oracles after it still run."""
+    def collide(rng, samples=50):
+        raise ContourCollisionError("roots too close")
+
+    monkeypatch.setitem(checks.ORACLE_CHECKS, "fxx-contour", (collide, "tn"))
+    assert main(["oracle", "--samples", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == list(checks.ORACLE_CHECKS)
+    assert lines[0].startswith("FAIL fxx-contour error: roots too close (")
+    assert all(line.startswith("PASS ") for line in lines[1:])
 
 
 def test_trace_requires_family(capsys):

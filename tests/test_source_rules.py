@@ -1,13 +1,17 @@
 """Source rules for the library: checks report failures, they do not raise,
-every guard tests its mask through slag_forge.masks, and no module keeps
-an import it does not read.
+every raised error is one of the library's typed errors, every guard tests
+its mask through slag_forge.masks, and no module keeps an import it does
+not read.
 
 An `assert` in src/ is stripped under `python -O` and, where it fires,
 escapes `verify` as an AssertionError traceback instead of a FAIL line; a
 bare `except:` or `except Exception` hides the typed errors (SlagForgeError
-and its subclasses) the library raises on purpose.  np.any and np.all cost
-microseconds of dispatch on the NumPy bool of a one-point query, so the
-library calls masks.mask_any / mask_all, the one mask test, instead.  A
+and its subclasses) the library raises on purpose.  Every `raise` of a
+call names a class of slag_forge/errors.py (a bare `raise` re-raises), so
+that `verify` and `oracle` report it as a FAIL line and the CLI as exit
+code 2, not as a traceback.  np.any and np.all cost microseconds of
+dispatch on the NumPy bool of a one-point query, so the library calls
+masks.mask_any / mask_all, the one mask test, instead.  A
 module-level import that nothing in its module reads is dead code, unless
 bench/tracing.py wraps that attribute of the module by name.
 """
@@ -22,6 +26,9 @@ from test_bench_bindings import _load_tracing
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "slag_forge").glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TYPED_ERRORS = {node.name for node in ast.walk(ast.parse(
+    next(p for p in SOURCES if p.name == "errors.py").read_text()))
+    if isinstance(node, ast.ClassDef)}
 BROAD = {"Exception", "BaseException"}
 MASK_REDUCTIONS = {"any", "all"}
 
@@ -40,6 +47,11 @@ def _violations(tree: ast.AST) -> list[str]:
               and node.func.attr in MASK_REDUCTIONS and isinstance(node.func.value, ast.Name)
               and node.func.value.id in ("np", "numpy")):
             found.append(f"line {node.lineno}: np.{node.func.attr}")
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            func = node.exc.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in TYPED_ERRORS:
+                found.append(f"line {node.lineno}: raise {name}")
     return found
 
 
@@ -57,6 +69,13 @@ def test_scan_flags_each_form():
     assert _violations(ast.parse(src)) == ["line 1: assert", "line 4: broad except",
                                            "line 8: broad except", "line 14: np.any",
                                            "line 14: np.all"]
+
+
+def test_scan_flags_untyped_raise():
+    src = ("raise RuntimeError('no')\n"
+           "raise errors.ConvergenceError('no') from None\n"
+           "try:\n    pass\nexcept DomainError:\n    raise\n")
+    assert _violations(ast.parse(src)) == ["line 1: raise RuntimeError"]
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:
