@@ -1,10 +1,9 @@
 """Taub-NUT and Atiyah-Hitchin hyperkahler geometry in holomorphic coordinates,
 moment maps, and cohomogeneity-one special Lagrangian curve tracing."""
 
-from .atiyah_hitchin import (AHGeomState, AHMetricBlock, AHParams,
-                             AHSphericalPoint, ah_coeffs, ah_from_spherical,
-                             ah_kahler_potential, ah_metric_UZ, ah_pi_xpm,
-                             ah_u_coordinate)
+from .atiyah_hitchin import (AHGeomState, AHParams, AHSphericalPoint, ah_coeffs,
+                             ah_from_spherical, ah_kahler_potential, ah_metric_UZ,
+                             ah_pi_xpm, ah_u_coordinate)
 from .elliptic import (EllipticData, elliptic_data, elliptic_E, elliptic_K,
                        eta1_quadrature, jacobi_sn, quad_adaptive, weierstrass_p)
 from .errors import (ChartError, ContourCollisionError, ConvergenceError,

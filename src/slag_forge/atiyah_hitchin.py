@@ -37,6 +37,7 @@ from .elliptic import (EllipticData, _check_curve, _curve_data, _elliptic_KE,
 from .elliptic import elliptic_data, elliptic_K, quad_adaptive  # noqa: F401
 from .errors import ChartError, DegenerateError, DomainError, PoleError
 from .masks import mask_all, mask_any
+from .taub_nut import MetricBlock
 
 
 @dataclass(frozen=True)
@@ -99,21 +100,6 @@ class AHGeomState:
     Bminus: complex | None     # real-valued
     Vcap: float | None
     elliptic: EllipticData
-
-
-@dataclass(frozen=True)
-class AHMetricBlock:
-    kUUbar: complex
-    kUZbar: complex
-    kZUbar: complex
-    kZZbar: complex
-
-    def det(self) -> complex:
-        return self.kUUbar * self.kZZbar - self.kUZbar * self.kZUbar
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.kUUbar, self.kUZbar],
-                         [self.kZUbar, self.kZZbar]])
 
 
 def ah_zvx_from_spherical(k, theta, phi, psi, h: float):
@@ -274,8 +260,9 @@ def ah_u_coordinate(state: AHGeomState, p: AHParams):
     return u, u * sq, 2.0 * sq
 
 
-def ah_metric_UZ(state: AHGeomState, p: AHParams) -> AHMetricBlock:
-    """Metric block in (U, Z) coordinates; det = 1 by the K_UU closure."""
+def ah_metric_UZ(state: AHGeomState, p: AHParams) -> MetricBlock:
+    """Metric block in (U, Z) coordinates, read as (u, z) by MetricBlock's
+    fields; det = 1 by the K_UU closure."""
     Ap, Am, Bp, Bm, _ = ah_coeffs(state)
     den = Am * Bp - Ap * Bm
     if mask_any(np.abs(den) < 1e-14):
@@ -288,7 +275,7 @@ def ah_metric_UZ(state: AHGeomState, p: AHParams) -> AHMetricBlock:
     kUZ = -(1.0 / (2.0 * np.conjugate(Z))) * (Am - Ap + 2.0 * (-Bp + Bm) * om1) / den
     kZU = (1.0 / (2.0 * Z)) * (Am + Ap + 2.0 * (Bp + Bm) * om1) / den
     kUU = (1.0 + kZU * kUZ) / kZZ
-    return AHMetricBlock(kUU, kUZ, kZU, kZZ)
+    return MetricBlock(kUU, kUZ, kZU, kZZ)
 
 
 def ah_check_h_constraint(p: AHParams, k) -> float:

@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="svg additionally writes one overlay per preset")
 
     p_oracle = sub.add_parser("oracle", help="run the contour-integral oracles")
-    p_oracle.add_argument("--samples", type=int, default=50)
+    p_oracle.add_argument("--samples", type=int, default=50,
+                          help="samples of fxx-contour, ah-i0 and ah-i1-i2-closed "
+                               "(default 50); eta1-pair and pi-typing ignore it")
     p_oracle.add_argument("--manifold", choices=("tn", "ah", "all"), default="all")
     return ap
 
@@ -96,8 +98,6 @@ def cmd_metric(args) -> int:
         pt = tn.tn_chart_spherical_to_holo(sph, p)
         blk = tn.tn_metric_holo(pt, p)
         names = ("K_uu", "K_uz", "K_zu", "K_zz")
-        vals = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
-        residual = abs(blk.det() - 1.0)
     else:
         tol = 1e-8 if tol is None else tol
         p = ah.AHParams(args.h, args.a_int)
@@ -106,9 +106,8 @@ def cmd_metric(args) -> int:
         state = ah.ah_from_spherical(sph, p, y_guard=1e-9)
         blk = ah.ah_metric_UZ(state, p)
         names = ("K_UU", "K_UZ", "K_ZU", "K_ZZ")
-        vals = (blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar)
-        residual = abs(blk.det() - 1.0)
-    for name, val in zip(names, vals):
+    residual = abs(blk.det() - 1.0)
+    for name, val in zip(names, (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)):
         print(f"{name} = {val.real:+.15e} {val.imag:+.15e}j")
     print(f"det = {blk.det().real:.15e}")
     print(f"monge_ampere_residual = {residual:.3e} (tol {tol:.1e})")

@@ -168,8 +168,6 @@ def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:
     if missing:
         raise DomainError(f"trace CSV {str(path)!r} lacks the columns {missing}")
     action = "u1" if manifold == "tn" and ("c2" in params or "c" in params) else "so2"
-    trace = CurveTrace(
-        chart="tn-spherical" if manifold == "tn" else "ah-spherical",
-        action=action, t=cols["t"],
-        cols={k: cols[k] for k in chart_keys}, params=params, tag="reingested")
+    trace = CurveTrace(action=action, t=cols["t"], cols={k: cols[k] for k in chart_keys},
+                       params=params, tag="reingested")
     return trace, manifold

@@ -6,12 +6,13 @@ counterparts); the Kahler form
     omega = (i/2) [K_uu du^du_bar + K_uz du^dz_bar + K_zu dz^du_bar
                    + K_zz dz^dz_bar]
 
-becomes the antisymmetric matrix assembled by `omega_matrix`.  The check
-iota_X omega = d mu is done with the metric block on one side and finite
-differences of the scalar moment on the other.
+is evaluated on pairs of holomorphic components by `kahler_omega`, the one
+omega kernel: iota_X omega here and the omega residual of verify_slag both
+call it.  The check iota_X omega = d mu is done with the metric block on one
+side and finite differences of the scalar moment on the other.
 
-The moment maps, fields and omega matrices take one point or a batch (the
-real components then run along the last axes).  verify_hamiltonian_ah
+The moment maps, fields and omega take one point or a batch (the real
+components of a field then run along its last axis).  verify_hamiltonian_ah
 evaluates a batch of Atiyah-Hitchin points together with their perturbed
 points as one batch and returns one residual per point; its chart Jacobian
 and d mu are differenced from the same perturbed states.
@@ -55,6 +56,8 @@ class ActionSpec:
         U1_triholo: X = i(d_u - d_ubar)  ->  d/d(im u).
         SO2_rot:    X = -2i(z d_z - zbar d_zbar) (same form in Z), so dz/dt = -2i z.
         Only the second coordinate enters; a batch of w1 gives one row each.
+        The one generator table: the Hamiltonicity, Lie-derivative and orbit
+        checks and verify_slag all read it.
         """
         X = np.zeros(np.shape(w1) + (4,))
         if self.generator == "U1_triholo":
@@ -67,24 +70,19 @@ class ActionSpec:
         return X
 
 
-def omega_matrix(kuu: complex, kuz: complex, kzu: complex, kzz: complex) -> np.ndarray:
-    """Kahler 2-form as a real antisymmetric 4x4 matrix in (u1, u2, z1, z2)."""
-    p1, p2 = np.real(kzu), np.imag(kzu)
-    w = np.zeros(np.shape(p1) + (4, 4))
-    w[..., 0, 1] = np.real(kuu)
-    w[..., 0, 2] = p2
-    w[..., 0, 3] = p1
-    w[..., 1, 2] = -p1
-    w[..., 1, 3] = p2
-    w[..., 2, 3] = np.real(kzz)
-    return w - np.swapaxes(w, -1, -2)
+def kahler_omega(block: tn.MetricBlock, v1u, v1z, v2u, v2z):
+    """omega(v1, v2) for vectors with holomorphic components (v_u, v_z).
 
-
-def omega_of_block(block) -> np.ndarray:
-    """omega_matrix from a Taub-NUT MetricBlock or Atiyah-Hitchin AHMetricBlock."""
-    if hasattr(block, "kuubar"):
-        return omega_matrix(block.kuubar, block.kuzbar, block.kzubar, block.kzzbar)
-    return omega_matrix(block.kUUbar, block.kUZbar, block.kZUbar, block.kZZbar)
+    Re (i/2) sum_ab K_ab (v1_a conj(v2_b) - conj(v1_b) v2_a): antisymmetric
+    bit for bit one sample at a time, and to a few ulps over arrays, whose
+    vectorized complex products round by operand order.  The block
+    (Taub-NUT (u, z) or Atiyah-Hitchin (U, Z)) and the components broadcast.
+    """
+    c1u, c1z, c2u, c2z = (np.conjugate(v) for v in (v1u, v1z, v2u, v2z))
+    return np.real(0.5j * (block.kuubar * (v1u * c2u - c1u * v2u)
+                           + block.kuzbar * (v1u * c2z - c1z * v2u)
+                           + block.kzubar * (v1z * c2u - c1u * v2z)
+                           + block.kzzbar * (v1z * c2z - c1z * v2z)))
 
 
 def moment_tn_u1(pt: tn.TNHoloPoint) -> float:
@@ -108,9 +106,16 @@ def so3_cotangent_moment(q, p) -> np.ndarray:
     return np.cross(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
 
 
-def _iota_omega(action: ActionSpec, block, w0: complex, w1: complex) -> np.ndarray:
-    X = action.field(w0, w1)
-    return (X[..., None, :] @ omega_of_block(block))[..., 0, :]
+# d/d(re u), d/d(im u), d/d(re z), d/d(im z) as holomorphic components (v_u, v_z)
+_REAL_DIRECTIONS = np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
+
+
+def _iota_omega(action: ActionSpec, block: tn.MetricBlock, w0: complex,
+                w1: complex) -> np.ndarray:
+    """omega(X, e_a) over the four real directions e_a, along the last axis."""
+    X = action.field(w0, w1).view(complex)      # (re, im) pairs read as (v_u, v_z)
+    e = _REAL_DIRECTIONS.reshape((4, 2) + (1,) * (X.ndim - 1))
+    return np.moveaxis(kahler_omega(block, X[..., 0], X[..., 1], e[:, 0], e[:, 1]), 0, -1)
 
 
 def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams,

@@ -33,11 +33,11 @@ class CurveTrace:
     """Ordered samples of one solution curve plus its residual diagnostics.
 
     cols holds the chart columns: Taub-NUT traces carry r/theta/phi/psi,
-    Atiyah-Hitchin traces k/theta/phi/psi.  residuals is filled by
-    verify_slag (per-sample arrays and their maxima).
+    Atiyah-Hitchin traces k/theta/phi/psi (the manifold passed alongside the
+    trace names the chart).  residuals is filled by verify_slag (per-sample
+    arrays and their maxima).
     """
 
-    chart: str                     # "tn-spherical" | "ah-spherical"
     action: str                    # "u1" | "so2"
     t: np.ndarray
     cols: dict[str, np.ndarray]
@@ -91,7 +91,7 @@ def tn_u1_case1(c1: float, c2: float, r_range: tuple[float, float] | None = None
     traces = []
     for tag, phi in (("+", phi_plus), ("-", (2.0 * math.pi - phi_plus) % (2.0 * math.pi))):
         traces.append(CurveTrace(
-            chart="tn-spherical", action="u1", t=t.copy(),
+            action="u1", t=t.copy(),
             cols={"r": r.copy(), "theta": theta.copy(), "phi": phi,
                   "psi": np.zeros_like(r)},
             params={"c1": c1, "c2": c2}, tag=tag))
@@ -129,7 +129,7 @@ def tn_u1_case2(c: float, theta_range: tuple[float, float] | None = None,
     traces = []
     for tag, phi in (("+", phi_plus), ("-", (2.0 * math.pi - phi_plus) % (2.0 * math.pi))):
         traces.append(CurveTrace(
-            chart="tn-spherical", action="u1", t=t.copy(),
+            action="u1", t=t.copy(),
             cols={"r": r.copy(), "theta": theta.copy(), "phi": phi,
                   "psi": np.zeros_like(theta)},
             params={"c": c, "c1": c1, "c2": c * c1 / 2.0}, tag=tag))
@@ -171,7 +171,7 @@ def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
             psi = (-psi_rate / (2.0 * p.m) * phis) % (4.0 * math.pi) \
                 if psi_rate else np.zeros_like(phis)
             traces.append(CurveTrace(
-                chart="tn-spherical", action="so2", t=phis.copy(),
+                action="so2", t=phis.copy(),
                 cols={"r": np.full_like(phis, r_ax), "theta": np.full_like(phis, th),
                       "phi": phis.copy(), "psi": psi},
                 params={"c1": c1, "m": p.m, "h": p.h, "psi_rate": psi_rate},
@@ -193,7 +193,7 @@ def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
     traces = []
     for phi0 in phis:
         traces.append(CurveTrace(
-            chart="tn-spherical", action="so2", t=t.copy(),
+            action="so2", t=t.copy(),
             cols={"r": r.copy(), "theta": theta.copy(),
                   "phi": np.full_like(theta, phi0), "psi": psi.copy()},
             params={"c1": c1, "m": p.m, "h": p.h, "psi_rate": psi_rate},
@@ -562,7 +562,7 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: floa
             continue
         sl = slice(a, b)
         traces.append(CurveTrace(
-            chart="ah-spherical", action="so2", t=t[sl].copy(),
+            action="so2", t=t[sl].copy(),
             cols={"k": kcol[sl].copy(), "theta": theta[sl].copy(),
                   "phi": phi[sl].copy(), "psi": psi[sl].copy()},
             params={"c1": c1, "h": h, "sign": float(sign)},
@@ -633,22 +633,16 @@ def ah_traces_theta_k(phi: float, c1: float, h: float = 1.0,
 # Residual verification
 # ---------------------------------------------------------------------------
 
-def _residuals(fields: np.ndarray, v1u, v1z, v2u, v2z, phase: float):
-    """Per-sample omega(v1, v2) and Im(e^{i phase} Omega(v1, v2)).
+def _residuals(block: tn.MetricBlock, v1u, v1z, v2u, v2z):
+    """Per-sample omega(v1, v2) and Im Omega(v1, v2), Omega = du ^ dz.
 
-    fields stacks the metric blocks (K_uu, K_uz, K_zu, K_zz) as rows of
-    length n; the vectors are arrays of length n or scalars.  Both residuals
-    are divided by max(1, (|v1u| + |v1z|)(|v2u| + |v2z|)).
+    The block's fields and the vectors' holomorphic components are arrays
+    of length n or scalars.  Both residuals are divided by
+    max(1, (|v1u| + |v1z|)(|v2u| + |v2z|)).
     """
-    kuu, kuz, kzu, kzz = fields
-    omega = np.real(0.5j * (kuu * (v1u * np.conjugate(v2u) - np.conjugate(v1u) * v2u)
-                            + kuz * (v1u * np.conjugate(v2z) - np.conjugate(v1z) * v2u)
-                            + kzu * (v1z * np.conjugate(v2u) - np.conjugate(v1u) * v2z)
-                            + kzz * (v1z * np.conjugate(v2z) - np.conjugate(v1z) * v2z)))
     scale = np.maximum(1.0, (np.abs(v1u) + np.abs(v1z)) * (np.abs(v2u) + np.abs(v2z)))
-    ph = complex(math.cos(phase), math.sin(phase))
-    im_omega = (ph * (v1u * v2z - v1z * v2u)).imag
-    return omega / scale, im_omega / scale
+    omega = mm.kahler_omega(block, v1u, v1z, v2u, v2z)
+    return omega / scale, (v1u * v2z - v1z * v2u).imag / scale
 
 
 def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -673,12 +667,13 @@ def _is_axis_trace(trace: CurveTrace) -> bool:
     return mask_all(np.abs(np.sin(th)) < 1e-12)
 
 
-def verify_slag(trace: CurveTrace, manifold: str, params, phase: float = 0.0) -> dict:
-    """Residual report: max |omega(v1,v2)|, max |Im(e^{i phase} Omega(v1,v2))|,
+def verify_slag(trace: CurveTrace, manifold: str, params) -> dict:
+    """Residual report: max |omega(v1,v2)|, max |Im Omega(v1,v2)|,
     max |mu - median(mu)| along the trace.
 
     v2 is the sample-to-sample derivative (4th-order stencils on uniform
-    parameter grids), v1 the action generator.  The omega and Im Omega
+    parameter grids), v1 the generator of the trace's action, as
+    ActionSpec.field gives it on the manifold.  The omega and Im Omega
     residuals are normalized per sample by max(1, |v1| |v2|), making them
     parametrization-invariant misalignment measures.  Axis traces
     (sin theta = 0 identically) are evaluated directly in spherical terms,
@@ -688,9 +683,9 @@ def verify_slag(trace: CurveTrace, manifold: str, params, phase: float = 0.0) ->
     if len(trace.t) < 3:
         raise DomainError("verify_slag needs at least 3 samples")
     if manifold == "tn":
-        return _verify_tn(trace, params, phase)
+        return _verify_tn(trace, params)
     if manifold == "ah":
-        return _verify_ah(trace, params, phase)
+        return _verify_ah(trace, params)
     raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
 
 
@@ -711,7 +706,14 @@ def _summary(t, omega_arr, im_omega_arr, mu_arr, extra=None) -> dict:
     return out
 
 
-def _verify_tn(trace: CurveTrace, p: tn.TNParams, phase: float) -> dict:
+def _generator(manifold: str, action: str, w0, w1):
+    """(v_u, v_z) at (w0, w1) of ActionSpec.field for a trace action "u1" or "so2"."""
+    spec = mm.ActionSpec(manifold, "U1_triholo" if action == "u1" else "SO2_rot")
+    X = spec.field(w0, w1).view(complex)        # (re, im) pairs read as (v_u, v_z)
+    return X[..., 0], X[..., 1]
+
+
+def _verify_tn(trace: CurveTrace, p: tn.TNParams) -> dict:
     r = trace.cols["r"]
     theta = trace.cols["theta"]
     phi = trace.cols["phi"]
@@ -729,12 +731,10 @@ def _verify_tn(trace: CurveTrace, p: tn.TNParams, phase: float) -> dict:
     pt = tn.tn_chart_spherical_to_holo(
         tn.TNSphericalPoint(r, theta, phi % (2 * math.pi), psi % (4 * math.pi)), p)
     us, zs = pt.u, pt.z
-    blk = tn.tn_metric_holo(pt, p)
-    fields = np.array([blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar])
     mu_arr = mm.moment_tn_u1(pt) if trace.action == "u1" else mm.moment_tn_so2(pt, p)
-    v1u, v1z = (1j, 0j) if trace.action == "u1" else (0j, -2j * zs)
-    omega_arr, im_omega_arr = _residuals(fields, v1u, v1z, _deriv(us, trace.t),
-                                         _deriv(zs, trace.t), phase)
+    omega_arr, im_omega_arr = _residuals(
+        tn.tn_metric_holo(pt, p), *_generator("TaubNUT", trace.action, us, zs),
+        _deriv(us, trace.t), _deriv(zs, trace.t))
     return _summary(trace.t, omega_arr, im_omega_arr, mu_arr,
                     extra={"u": us, "z": zs})
 
@@ -761,18 +761,17 @@ def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
     return Us * sign, Zs * sign
 
 
-def _verify_ah(trace: CurveTrace, p: ah.AHParams, phase: float) -> dict:
+def _verify_ah(trace: CurveTrace, p: ah.AHParams) -> dict:
     cols = trace.cols
     pt = ah.AHSphericalPoint(cols["k"], cols["theta"], cols["phi"] % (2 * math.pi),
                              cols["psi"] % (4 * math.pi))
     state = ah.ah_from_spherical(pt, p)
     _, Us, Zs = ah.ah_u_coordinate(state, p)
-    blk = ah.ah_metric_UZ(state, p)
-    fields = np.array([blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar])
     mu_arr = mm.moment_ah_so2(state)
     Us, Zs = _continue_sqrt_branch(Us, Zs)
-    omega_arr, im_omega_arr = _residuals(fields, 0j, -2j * Zs, _deriv(Us, trace.t),
-                                         _deriv(Zs, trace.t), phase)
+    omega_arr, im_omega_arr = _residuals(
+        ah.ah_metric_UZ(state, p), *_generator("AtiyahHitchin", trace.action, Us, Zs),
+        _deriv(Us, trace.t), _deriv(Zs, trace.t))
     return _summary(trace.t, omega_arr, im_omega_arr, mu_arr,
                     extra={"U": Us, "Z": Zs})
 
@@ -792,6 +791,6 @@ def perturb_phi(trace: CurveTrace, dphi: float) -> CurveTrace:
     """Negative-control helper: offset the phi column (breaks the conditions)."""
     cols = {k: v.copy() for k, v in trace.cols.items()}
     cols["phi"] = (cols["phi"] + dphi) % (2.0 * math.pi)
-    return CurveTrace(chart=trace.chart, action=trace.action, t=trace.t.copy(),
+    return CurveTrace(action=trace.action, t=trace.t.copy(),
                       cols=cols, params=dict(trace.params),
                       tag=trace.tag + f"-perturbed{dphi}")

@@ -73,7 +73,9 @@ class TNSphericalPoint:
 class MetricBlock:
     """2x2 Hermitian block of mixed second derivatives of the Kahler potential.
 
-    The diagonal entries are real; each entry is an array for a batch.
+    The fields name the Taub-NUT chart (u, z); the Atiyah-Hitchin block in
+    (U, Z) fills the same fields.  The diagonal entries are real; each entry
+    is an array for a batch.
     """
 
     kuubar: complex

@@ -168,11 +168,11 @@ def test_metric_block_det_hermiticity_positivity():
         _, state = regular_point(rng, p)
         blk = ah_metric_UZ(state, p)
         assert abs(blk.det() - 1.0) < 1e-8
-        assert blk.kUZbar == pytest.approx(np.conjugate(blk.kZUbar),
+        assert blk.kuzbar == pytest.approx(np.conjugate(blk.kzubar),
                                            rel=1e-10, abs=1e-12)
-        assert abs(blk.kZZbar.imag) < 1e-12 * abs(blk.kZZbar)
-        assert blk.kUUbar.real > 0 and blk.kZZbar.real > 0
-        assert (blk.kUUbar * blk.kZZbar - abs(blk.kUZbar) ** 2).real > 0
+        assert abs(blk.kzzbar.imag) < 1e-12 * abs(blk.kzzbar)
+        assert blk.kuubar.real > 0 and blk.kzzbar.real > 0
+        assert (blk.kuubar * blk.kzzbar - abs(blk.kuzbar) ** 2).real > 0
 
 
 def test_u_coordinate_and_chart_scalings():

@@ -285,7 +285,7 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
         col = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m)
         col[j::7][:len(special)] = special[:len(col[j::7])]
         cols[key] = col
-    trace = CurveTrace(chart="tn-spherical", action="u1", t=t, cols=cols,
+    trace = CurveTrace(action="u1", t=t, cols=cols,
                        params={"c1": 1.0, "c2": 0.5})
     trace.residuals = {"omega": np.zeros(m), "im_omega": np.full(m, -0.0),
                        "mu": rng.standard_normal(m)}

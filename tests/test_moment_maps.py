@@ -8,12 +8,12 @@ import pytest
 from slag_forge import atiyah_hitchin, checks, taub_nut
 from slag_forge.atiyah_hitchin import AHParams, AHSphericalPoint, ah_from_spherical
 from slag_forge.errors import DomainError
-from slag_forge.moment_maps import (ActionSpec, _iota_omega, moment_ah_so2,
-                                    moment_tn_so2, moment_tn_u1, omega_of_block,
+from slag_forge.moment_maps import (ActionSpec, _iota_omega, kahler_omega,
+                                    moment_ah_so2, moment_tn_so2, moment_tn_u1,
                                     so3_cotangent_moment, verify_hamiltonian,
                                     verify_hamiltonian_ah, verify_hamiltonian_tn)
-from slag_forge.taub_nut import TNParams, tn_metric_holo, tn_point_from_uz, \
-    tn_point_from_xz
+from slag_forge.taub_nut import MetricBlock, TNParams, tn_metric_holo, \
+    tn_point_from_uz, tn_point_from_xz
 
 from test_atiyah_hitchin import regular_point
 from test_taub_nut import solve_x_reference
@@ -258,8 +258,76 @@ def test_so3_cotangent_moment():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_omega_matrix_antisymmetric():
+def _omega_matrix_reference(blk):
+    """The Kahler form as a real antisymmetric 4x4 matrix in (re u, im u,
+    re z, im z), written out entry by entry from the block."""
+    p1, p2 = np.real(blk.kzubar), np.imag(blk.kzubar)
+    w = np.zeros(np.shape(p1) + (4, 4))
+    w[..., 0, 1] = np.real(blk.kuubar)
+    w[..., 0, 2] = p2
+    w[..., 0, 3] = p1
+    w[..., 1, 2] = -p1
+    w[..., 1, 3] = p2
+    w[..., 2, 3] = np.real(blk.kzzbar)
+    return w - np.swapaxes(w, -1, -2)
+
+
+def _blocks(rng, n=40):
+    """A batch of Taub-NUT (u, z) and one of Atiyah-Hitchin (U, Z) blocks,
+    each with the chart coordinates (w0, w1) of its points."""
     p = TNParams(1.0, 1.0)
-    pt = tn_point_from_xz(0.8, 0.4 + 0.6j, p)
-    W = omega_of_block(tn_metric_holo(pt, p))
-    assert np.allclose(W, -W.T)
+    r = rng.uniform(0.3, 20.0, n)
+    ang = rng.uniform(0.1, math.pi - 0.1, n)
+    z = 0.5 * r * np.sin(ang) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+    pt = tn_point_from_xz(r * np.cos(ang), z, p, im_u=rng.uniform(-3, 3, n))
+    pa = AHParams(1.0, 1)
+    _, state = checks.random_ah_point(rng, pa, n)
+    _, U, Z = atiyah_hitchin.ah_u_coordinate(state, pa)
+    return [("TaubNUT", tn_metric_holo(pt, p), pt.u, pt.z),
+            ("AtiyahHitchin", atiyah_hitchin.ah_metric_UZ(state, pa), U, Z)]
+
+
+def test_kahler_omega_antisymmetric():
+    """omega(v2, v1) is -omega(v1, v2) and omega(v, v) is 0 for both block
+    kinds.  One sample at a time (numpy scalars) both hold bit for bit.
+    Over arrays numpy's vectorized complex product rounds the imaginary
+    part by operand order, so they hold to a few ulps of the terms."""
+    rng = np.random.default_rng(48)
+    for _, blk, _, _ in _blocks(rng):
+        n = np.shape(blk.kuubar)[0]
+        v1u, v1z, v2u, v2z = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+                              + 1j * rng.normal(size=n) for _ in range(4))
+        w12 = kahler_omega(blk, v1u, v1z, v2u, v2z)
+        w21 = kahler_omega(blk, v2u, v2z, v1u, v1z)
+        w11 = kahler_omega(blk, v1u, v1z, v1u, v1z)
+        k = np.abs(blk.kuubar) + np.abs(blk.kuzbar) + np.abs(blk.kzubar) + np.abs(blk.kzzbar)
+        size1, size2 = np.abs(v1u) + np.abs(v1z), np.abs(v2u) + np.abs(v2z)
+        assert np.all(np.abs(w12 + w21) <= 8e-16 * k * size1 * size2)
+        assert np.all(np.abs(w11) <= 8e-16 * k * size1 * size1)
+        for i in range(n):
+            one = MetricBlock(blk.kuubar[i], blk.kuzbar[i], blk.kzubar[i], blk.kzzbar[i])
+            a = kahler_omega(one, v1u[i], v1z[i], v2u[i], v2z[i])
+            b = kahler_omega(one, v2u[i], v2z[i], v1u[i], v1z[i])
+            assert a != 0.0 and np.float64(b).view(np.int64) == np.float64(-a).view(np.int64)
+            assert kahler_omega(one, v1u[i], v1z[i], v1u[i], v1z[i]) == 0.0
+
+
+@pytest.mark.parametrize("manifold, generator", [("TaubNUT", "U1_triholo"),
+                                                 ("TaubNUT", "SO2_rot"),
+                                                 ("AtiyahHitchin", "SO2_rot")])
+def test_iota_omega_matches_real_matrix_reference(manifold, generator):
+    """iota_X omega = omega(X, e_a) through the kernel against X^T W with W
+    the real antisymmetric matrix of the Kahler form, at a batch of points
+    and at one point."""
+    rng = np.random.default_rng(49)
+    action = ActionSpec(manifold, generator)
+    _, blk, w0, w1 = next(b for b in _blocks(rng) if b[0] == manifold)
+    X = action.field(w0, w1)
+    ref = (X[..., None, :] @ _omega_matrix_reference(blk))[..., 0, :]
+    lhs = _iota_omega(action, blk, w0, w1)
+    assert lhs.shape == ref.shape
+    assert np.max(np.abs(lhs - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+    one = MetricBlock(blk.kuubar[0], blk.kuzbar[0], blk.kzubar[0], blk.kzzbar[0])
+    lhs = _iota_omega(action, one, w0[0], w1[0])
+    assert lhs.shape == (4,)
+    assert np.max(np.abs(lhs - ref[0]) / np.maximum(1.0, np.abs(ref[0]))) <= 1e-14

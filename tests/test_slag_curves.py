@@ -18,7 +18,8 @@ from slag_forge.elliptic import (elliptic_data, elliptic_E_vec, elliptic_K,
                                  elliptic_K_vec)
 from slag_forge.errors import (ChartError, DomainError, EmptyDomainError,
                                OutOfRangeError, SlagForgeError)
-from slag_forge.moment_maps import moment_ah_so2, moment_tn_so2, moment_tn_u1
+from slag_forge.moment_maps import (ActionSpec, moment_ah_so2, moment_tn_so2,
+                                    moment_tn_u1)
 from slag_forge.slag_curves import (CurveTrace, ImplicitGrid, ah_condition,
                                     ah_cos2psi, ah_cos2psi_level,
                                     ah_traces_theta_k,
@@ -26,7 +27,7 @@ from slag_forge.slag_curves import (CurveTrace, ImplicitGrid, ah_condition,
                                     tn_so2_curve, tn_so2_r_of_theta,
                                     tn_u1_case1, tn_u1_case2, trace_zero_set,
                                     transversality_variation, verify_slag)
-from slag_forge.taub_nut import (TNParams, TNSphericalPoint,
+from slag_forge.taub_nut import (MetricBlock, TNParams, TNSphericalPoint,
                                  tn_chart_spherical_to_holo, tn_metric_holo)
 
 TN_TOL = 1e-5
@@ -151,7 +152,7 @@ def test_negative_control():
 def test_verify_slag_chart_guard():
     p = TNParams(1.0, 1.0)
     t = np.linspace(0.0, 1.0, 8)
-    trace = CurveTrace(chart="tn-spherical", action="u1", t=t,
+    trace = CurveTrace(action="u1", t=t,
                        cols={"r": np.full(8, 2.0), "theta": np.zeros(8) + 1e-14,
                              "phi": np.linspace(0, 1, 8), "psi": np.zeros(8)},
                        params={})
@@ -833,7 +834,7 @@ def test_transversality_variation():
 
 def test_curve_trace_ordering_guard():
     with pytest.raises(DomainError):
-        CurveTrace(chart="tn-spherical", action="u1",
+        CurveTrace(action="u1",
                    t=np.array([0.0, 1.0, 1.0]),
                    cols={"r": np.ones(3), "theta": np.ones(3),
                          "phi": np.ones(3), "psi": np.zeros(3)}, params={})
@@ -1000,8 +1001,8 @@ def _reference_verify_tn(trace, p):
         fields[:, i] = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
         mu[i] = moment_tn_u1(pt) if trace.action == "u1" else moment_tn_so2(pt, p)
     v1u, v1z = (1j, 0j) if trace.action == "u1" else (0j, -2j * zs)
-    omega, im_omega = sc._residuals(fields, v1u, v1z, sc._deriv(us, trace.t),
-                                    sc._deriv(zs, trace.t), 0.0)
+    omega, im_omega = sc._residuals(MetricBlock(*fields), v1u, v1z,
+                                    sc._deriv(us, trace.t), sc._deriv(zs, trace.t))
     return us, zs, mu, np.abs(omega), np.abs(im_omega)
 
 
@@ -1029,6 +1030,18 @@ def test_verify_tn_matches_per_sample_reference():
         assert np.max(np.abs(res["im_omega"] - im_omega)) <= 1e-14
 
 
+def test_verify_slag_reads_the_generator_table(monkeypatch):
+    """verify_slag takes v1 from ActionSpec.field: with every generator
+    replaced by the tri-holomorphic U(1) field, the fig7 SO(2) level sets
+    fail the omega gate.  Flipping a generator's sign would not show here,
+    as the residuals are reported as absolute values."""
+    traces = [(tr, p) for _, _, tr, p in presets.preset_traces("fig7")]
+    assert all(verify_slag(tr, "tn", p)["omega_max"] <= TN_TOL for tr, p in traces)
+    u1 = ActionSpec("TaubNUT", "U1_triholo").field
+    monkeypatch.setattr(ActionSpec, "field", lambda self, w0, w1: u1(w0, w1))
+    assert all(verify_slag(tr, "tn", p)["omega_max"] > TN_TOL for tr, p in traces)
+
+
 def _reference_verify_ah(trace, p):
     """Atiyah-Hitchin residuals one sample at a time through the public scalar
     chart, u coordinate, metric block and moment: (U, Z, mu, omega, Im Omega)."""
@@ -1043,11 +1056,11 @@ def _reference_verify_ah(trace, p):
             AHSphericalPoint(k, theta, phi % (2 * math.pi), psi % (4 * math.pi)), p)
         _, Us[i], Zs[i] = ah_u_coordinate(state, p)
         blk = ah_metric_UZ(state, p)
-        fields[:, i] = (blk.kUUbar, blk.kUZbar, blk.kZUbar, blk.kZZbar)
+        fields[:, i] = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
         mu[i] = moment_ah_so2(state)
     Us, Zs = sc._continue_sqrt_branch(Us, Zs)
-    omega, im_omega = sc._residuals(fields, 0j, -2j * Zs, sc._deriv(Us, trace.t),
-                                    sc._deriv(Zs, trace.t), 0.0)
+    omega, im_omega = sc._residuals(MetricBlock(*fields), 0j, -2j * Zs,
+                                    sc._deriv(Us, trace.t), sc._deriv(Zs, trace.t))
     return Us, Zs, mu, np.abs(omega), np.abs(im_omega)
 
 
@@ -1073,7 +1086,7 @@ def test_verify_ah_matches_per_sample_reference(family, fixed):
     cols = {c: v.copy() for c, v in traces[0].cols.items()}
     j = len(traces[0].t) // 2
     cols["theta"][j], cols["psi"][j] = 1e-7, 0.0
-    bad = CurveTrace(chart="ah-spherical", action="so2", t=traces[0].t.copy(),
+    bad = CurveTrace(action="so2", t=traces[0].t.copy(),
                      cols=cols, params=dict(traces[0].params))
     with pytest.raises(SlagForgeError) as ref_err:
         _reference_verify_ah(bad, p)
