@@ -380,17 +380,16 @@ def check_orbit_constancy(rng) -> tuple[bool, str]:
     state = ah.ah_from_spherical(ah.AHSphericalPoint(k, theta, phi, psi), pa)
     _, U, Z = ah.ah_u_coordinate(state, pa)
     # [orbit, sample] for the Taub-NUT U(1), the Taub-NUT SO(2) and the AH SO(2)
+    specs = [mm.ActionSpec(*action) for action in (
+        ("TaubNUT", "U1_triholo"), ("TaubNUT", "SO2_rot"), ("AtiyahHitchin", "SO2_rot"))]
     w0 = np.vstack([tn_pts.u.reshape(2, n), U])
     w1 = np.vstack([tn_pts.z.reshape(2, n), Z])
-    mu = np.vstack([mm.moment_tn_u1(tn_pts)[:n], mm.moment_tn_so2(tn_pts, p)[n:],
-                    mm.moment_ah_so2(state)])
+    mu = np.vstack([specs[0].moment(tn_pts, p)[:n], specs[1].moment(tn_pts, p)[n:],
+                    specs[2].moment(state, pa)])
     mu_span = np.max(np.ptp(mu, axis=1))
     dw0, dw1 = ((w[:, 0] - w[:, 1]) / (2.0 * dt) for w in (w0, w1))
     velocity = np.stack([dw0.real, dw0.imag, dw1.real, dw1.imag], axis=-1)
-    actions = (("TaubNUT", "U1_triholo"), ("TaubNUT", "SO2_rot"),
-               ("AtiyahHitchin", "SO2_rot"))
-    X = np.array([mm.ActionSpec(*action).field(w0[i, 2], w1[i, 2])
-                  for i, action in enumerate(actions)])
+    X = np.array([spec.field(w0[i, 2], w1[i, 2]) for i, spec in enumerate(specs)])
     gen_err = np.max(np.max(np.abs(velocity - X), axis=1) / np.maximum(1.0, np.abs(w1[:, 2])))
     ok = mu_span <= 1e-8 and gen_err <= 1e-6
     return ok, f"mu_span={mu_span:.3e} gen_err={gen_err:.3e} tol=1e-8/1e-6"
@@ -460,7 +459,6 @@ def check_slag_tn_traces(rng) -> tuple[bool, str]:
               + sc.tn_so2_curve(3.0, p, branch="axis", n=64))
     for trace in traces:
         res = sc.verify_slag(trace, "tn", p)
-        trace.residuals = res
         worst = max(worst, res["omega_max"], res["im_omega_max"],
                     res["mu_max_dev"] / max(1.0, abs(res["mu_median"])))
     return _result(worst, 1e-5)

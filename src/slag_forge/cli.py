@@ -148,15 +148,10 @@ def cmd_verify(args, seed: int) -> int:
 
 def _emit_traces(items, out_dir: Path, fmt: str, preset: str | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for _, manifold, trace, params in items:
-        trace.residuals = sc.verify_slag(trace, manifold, params)
-
-    written = []
-    for stem, manifold, trace, _ in items:
+    for stem, manifold, trace, params in items:
+        res = sc.verify_slag(trace, manifold, params)
         path = out_dir / f"{stem}.csv"
-        write_trace_csv(path, trace, manifold)
-        written.append(path)
-        res = trace.residuals
+        write_trace_csv(path, trace, manifold, res)
         print(f"wrote {path}  omega={res['omega_max']:.2e} "
               f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
     if fmt == "svg" and preset is not None:
@@ -166,7 +161,7 @@ def _emit_traces(items, out_dir: Path, fmt: str, preset: str | None) -> int:
         svg_path = out_dir / f"{preset}.svg"
         write_svg(svg_path, polys, xcol, ycol, title=preset)
         print(f"wrote {svg_path}")
-    return 0 if written else 2
+    return 0 if items else 2
 
 
 def cmd_trace(args) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -17,33 +16,22 @@ AH_COLUMNS = ("t", "k", "theta", "phi", "psi", "re_U", "im_U", "re_Z", "im_Z",
               "omega_res", "imOmega_res", "mu")
 
 
-def trace_to_csv(trace: CurveTrace, manifold: str) -> str:
-    """Render a verified trace; floats carry 17 significant digits."""
-    if trace.residuals is None:
-        raise DomainError("trace_to_csv needs a verified trace (residuals set)")
-    res = trace.residuals
+def trace_to_csv(trace: CurveTrace, manifold: str, report: dict) -> str:
+    """Render a trace and its verify_slag report; floats carry 17 significant digits.
+
+    The columns are t, the four chart columns, the real and imaginary parts
+    of the report's chart coordinates w0 and w1, and its per-sample omega,
+    Im Omega and mu.
+    """
+    if manifold not in ("tn", "ah"):
+        raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
+    cols = TN_COLUMNS if manifold == "tn" else AH_COLUMNS
     params = ";".join(f"{k}={v:.17g}" for k, v in sorted(trace.params.items()))
     header = f"# slag-forge v1, manifold={manifold}, params={params}"
-    m = len(trace.t)
-    if manifold == "tn":
-        cols = TN_COLUMNS
-        u = res.get("u")
-        z = res.get("z")
-        re_u = np.real(u) if u is not None else np.full(m, math.nan)
-        im_u = np.imag(u) if u is not None else np.full(m, math.nan)
-        re_z = np.real(z) if z is not None else np.zeros(m)
-        im_z = np.imag(z) if z is not None else np.zeros(m)
-        table = [trace.t, trace.cols["r"], trace.cols["theta"], trace.cols["phi"],
-                 trace.cols["psi"], re_u, im_u, re_z, im_z,
-                 res["omega"], res["im_omega"], res["mu"]]
-    elif manifold == "ah":
-        cols = AH_COLUMNS
-        U, Z = res["U"], res["Z"]
-        table = [trace.t, trace.cols["k"], trace.cols["theta"], trace.cols["phi"],
-                 trace.cols["psi"], np.real(U), np.imag(U), np.real(Z), np.imag(Z),
-                 res["omega"], res["im_omega"], res["mu"]]
-    else:
-        raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
+    w0, w1 = report["w0"], report["w1"]
+    table = [trace.t, *(trace.cols[name] for name in cols[1:5]),
+             np.real(w0), np.imag(w0), np.real(w1), np.imag(w1),
+             report["omega"], report["im_omega"], report["mu"]]
     return f"{header}\n{','.join(cols)}\n" + _format_e16(
         np.column_stack([np.asarray(col, dtype=float) for col in table]))
 
@@ -120,8 +108,9 @@ def _format_e16(table: np.ndarray) -> str:
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_trace_csv(path: str | Path, trace: CurveTrace, manifold: str) -> None:
-    Path(path).write_text(trace_to_csv(trace, manifold))
+def write_trace_csv(path: str | Path, trace: CurveTrace, manifold: str,
+                    report: dict) -> None:
+    Path(path).write_text(trace_to_csv(trace, manifold, report))
 
 
 def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:

@@ -194,7 +194,7 @@ def elliptic_Pi_vec(n, k) -> np.ndarray:
     kc = np.sqrt((1.0 - k) * (1.0 + k))
     p = 1.0 - n
     pos = p > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = np.where(pos, np.sqrt(p), np.sqrt((kc * kc - p) / n))
         b = np.where(pos, 1.0 / p, -(k * k) / (n * p))
     a = pos * 1.0

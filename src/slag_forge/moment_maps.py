@@ -34,13 +34,17 @@ _VALID_ACTIONS = {
     ("TaubNUT", "U1_triholo"),
     ("TaubNUT", "SO2_rot"),
     ("AtiyahHitchin", "SO2_rot"),
-    ("CotangentR3", "SO3_rot"),
 }
 
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """A Hamiltonian group action on one of the supported manifolds."""
+    """A Hamiltonian group action on one of the supported manifolds: its
+    generator X (field) and moment map mu (moment), with iota_X omega = d mu.
+
+    The one action table: the Hamiltonicity, Lie-derivative and orbit checks
+    and verify_slag all read X and mu from it.
+    """
 
     manifold: str
     generator: str
@@ -56,18 +60,26 @@ class ActionSpec:
         U1_triholo: X = i(d_u - d_ubar)  ->  d/d(im u).
         SO2_rot:    X = -2i(z d_z - zbar d_zbar) (same form in Z), so dz/dt = -2i z.
         Only the second coordinate enters; a batch of w1 gives one row each.
-        The one generator table: the Hamiltonicity, Lie-derivative and orbit
-        checks and verify_slag all read it.
         """
         X = np.zeros(np.shape(w1) + (4,))
         if self.generator == "U1_triholo":
             X[..., 1] = 1.0
-        elif self.generator == "SO2_rot":
+        else:
             X[..., 2] = 2.0 * np.imag(w1)
             X[..., 3] = -2.0 * np.real(w1)
-        else:
-            raise DomainError("SO3_rot acts on the cotangent fixture, not a chart")
         return X
+
+    def moment(self, point, params):
+        """mu at a Taub-NUT holomorphic point or an Atiyah-Hitchin state (or a batch).
+
+        params is the manifold's parameter object (only the Taub-NUT SO(2)
+        moment reads it).
+        """
+        if self.manifold == "AtiyahHitchin":
+            return moment_ah_so2(point)
+        if self.generator == "U1_triholo":
+            return moment_tn_u1(point)
+        return moment_tn_so2(point, params)
 
 
 def kahler_omega(block: tn.MetricBlock, v1u, v1z, v2u, v2z):
@@ -139,10 +151,7 @@ def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams
     offsets = np.hstack([np.eye(4), -np.eye(4)])
     batch = q[:, None, :] + offsets[:, :, None] * step[:, None, :]
     moved = tn.tn_point_from_uz(batch[0] + 1j * batch[1], batch[2] + 1j * batch[3], p)
-    if action.generator == "U1_triholo":
-        mu = moment_tn_u1(moved)
-    else:
-        mu = moment_tn_so2(moved, p)
+    mu = action.moment(moved, p)
     dmu = ((mu[:4] - mu[4:]) / (2.0 * step)).T
     lhs = _iota_omega(action, tn.tn_metric_holo(pt, p), pt.u, pt.z).reshape(n, 4)
     res = np.max(np.abs(lhs - dmu), axis=-1)
@@ -169,12 +178,12 @@ def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams,
     batch = q[:, None, :] + offsets[:, :, None] * step[:, None, :]
     state = ah.ah_from_spherical(ah.AHSphericalPoint(*batch.reshape(4, -1)), p)
     _, U, Z = ah.ah_u_coordinate(state, p)
-    mu = moment_ah_so2(state).reshape(9, n)
+    action = ActionSpec("AtiyahHitchin", "SO2_rot")
+    mu = action.moment(state, p).reshape(9, n)
     chart = np.array([U.real, U.imag, Z.real, Z.imag]).reshape(4, 9, n)
     dmu_ang = (mu[1:5] - mu[5:]) / (2.0 * step)
     J = (chart[:, 1:5] - chart[:, 5:]) / (2.0 * step)       # [i, a, point]
     dmu = np.linalg.solve(J.transpose(2, 1, 0), dmu_ang.T[..., None])[..., 0]
-    action = ActionSpec("AtiyahHitchin", "SO2_rot")
     lhs = _iota_omega(action, ah.ah_metric_UZ(state, p), U, Z)[:n]
     res = np.max(np.abs(lhs - dmu), axis=-1)
     return float(res[0]) if np.ndim(pt.k) == 0 else res

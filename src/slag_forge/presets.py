@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from . import atiyah_hitchin as ah
 from . import slag_curves as sc
 from . import taub_nut as tn
 from .errors import EmptyDomainError
@@ -50,7 +51,6 @@ def preset_traces(name: str, grid_n: int = 256):
             trace = sc.tn_so2_curve(float(c1), p, branch="plane")[0]
             yield f"fig7_c1_{c1}", "tn", trace, p
     elif name == "fig8":
-        import slag_forge.atiyah_hitchin as ah
         p = ah.AHParams(1.0, 1)
         for k in (0.3, 0.5, 0.7):
             for c1 in AH_C1_SET:
@@ -58,7 +58,6 @@ def preset_traces(name: str, grid_n: int = 256):
                     stem = f"fig8_k_{_fnum(k)}_c1_{_fnum(c1)}_{trace.tag}"
                     yield stem.replace("+", "p").replace("-", "m"), "ah", trace, p
     elif name == "fig9":
-        import slag_forge.atiyah_hitchin as ah
         p = ah.AHParams(1.0, 1)
         for phi, label in ((math.pi / 6, "pi6"), (math.pi / 4, "pi4"),
                            (math.pi / 3, "pi3")):

@@ -13,7 +13,7 @@ constancy) for any emitted trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,12 +30,12 @@ from .masks import mask_all, mask_any
 
 @dataclass
 class CurveTrace:
-    """Ordered samples of one solution curve plus its residual diagnostics.
+    """Ordered samples of one solution curve.
 
     cols holds the chart columns: Taub-NUT traces carry r/theta/phi/psi,
     Atiyah-Hitchin traces k/theta/phi/psi (the manifold passed alongside the
-    trace names the chart).  residuals is filled by verify_slag (per-sample
-    arrays and their maxima).
+    trace names the chart).  verify_slag returns the residual report of a
+    trace; the CSV writer takes the trace and its report.
     """
 
     action: str                    # "u1" | "so2"
@@ -43,7 +43,6 @@ class CurveTrace:
     cols: dict[str, np.ndarray]
     params: dict[str, float]
     tag: str = ""
-    residuals: dict | None = field(default=None)
 
     def __post_init__(self):
         if mask_any(np.diff(self.t) <= 0):
@@ -662,81 +661,7 @@ def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
     return d
 
 
-def _is_axis_trace(trace: CurveTrace) -> bool:
-    th = trace.cols["theta"]
-    return mask_all(np.abs(np.sin(th)) < 1e-12)
-
-
-def verify_slag(trace: CurveTrace, manifold: str, params) -> dict:
-    """Residual report: max |omega(v1,v2)|, max |Im Omega(v1,v2)|,
-    max |mu - median(mu)| along the trace.
-
-    v2 is the sample-to-sample derivative (4th-order stencils on uniform
-    parameter grids), v1 the generator of the trace's action, as
-    ActionSpec.field gives it on the manifold.  The omega and Im Omega
-    residuals are normalized per sample by max(1, |v1| |v2|), making them
-    parametrization-invariant misalignment measures.  Axis traces
-    (sin theta = 0 identically) are evaluated directly in spherical terms,
-    where z = 0 makes all three residuals vanish identically; generic samples
-    off the chart raise ChartError.
-    """
-    if len(trace.t) < 3:
-        raise DomainError("verify_slag needs at least 3 samples")
-    if manifold == "tn":
-        return _verify_tn(trace, params)
-    if manifold == "ah":
-        return _verify_ah(trace, params)
-    raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
-
-
-def _summary(t, omega_arr, im_omega_arr, mu_arr, extra=None) -> dict:
-    med = float(np.median(mu_arr))
-    mu_dev = np.abs(mu_arr - med)
-    out = {
-        "omega_max": float(np.max(np.abs(omega_arr))),
-        "im_omega_max": float(np.max(np.abs(im_omega_arr))),
-        "mu_max_dev": float(np.max(mu_dev)),
-        "mu_median": med,
-        "omega": np.abs(omega_arr),
-        "im_omega": np.abs(im_omega_arr),
-        "mu": mu_arr,
-    }
-    if extra:
-        out.update(extra)
-    return out
-
-
-def _generator(manifold: str, action: str, w0, w1):
-    """(v_u, v_z) at (w0, w1) of ActionSpec.field for a trace action "u1" or "so2"."""
-    spec = mm.ActionSpec(manifold, "U1_triholo" if action == "u1" else "SO2_rot")
-    X = spec.field(w0, w1).view(complex)        # (re, im) pairs read as (v_u, v_z)
-    return X[..., 0], X[..., 1]
-
-
-def _verify_tn(trace: CurveTrace, p: tn.TNParams) -> dict:
-    r = trace.cols["r"]
-    theta = trace.cols["theta"]
-    phi = trace.cols["phi"]
-    psi = trace.cols["psi"]
-    if _is_axis_trace(trace):
-        # axis handled in spherical terms: z == 0 identically, so omega(v1,v2),
-        # Re(z udot) and mu - c1 all vanish exactly; Re(u) has no chart value
-        zeros = np.zeros_like(trace.t)
-        mu = 2.0 * p.m * r + 0.0
-        u_axis = np.full(len(r), math.nan) - 2j * p.m * psi
-        return _summary(trace.t, zeros, zeros, mu,
-                        extra={"u": u_axis, "z": np.zeros(len(r), dtype=complex)})
-    if mask_any(np.abs(np.sin(theta)) < 1e-12):
-        raise ChartError("trace sample on the axis: holomorphic chart undefined")
-    pt = tn.tn_chart_spherical_to_holo(
-        tn.TNSphericalPoint(r, theta, phi % (2 * math.pi), psi % (4 * math.pi)), p)
-    us, zs = pt.u, pt.z
-    mu_arr = mm.moment_tn_u1(pt) if trace.action == "u1" else mm.moment_tn_so2(pt, p)
-    omega_arr, im_omega_arr = _residuals(
-        tn.tn_metric_holo(pt, p), *_generator("TaubNUT", trace.action, us, zs),
-        _deriv(us, trace.t), _deriv(zs, trace.t))
-    return _summary(trace.t, omega_arr, im_omega_arr, mu_arr,
-                    extra={"u": us, "z": zs})
+_MANIFOLDS = {"tn": "TaubNUT", "ah": "AtiyahHitchin"}
 
 
 def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
@@ -761,19 +686,72 @@ def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
     return Us * sign, Zs * sign
 
 
-def _verify_ah(trace: CurveTrace, p: ah.AHParams) -> dict:
+def verify_slag(trace: CurveTrace, manifold: str, params) -> dict:
+    """Residual report: max |omega(v1,v2)|, max |Im Omega(v1,v2)|,
+    max |mu - median(mu)| along the trace, with the per-sample arrays.
+
+    The chart step is the only part that depends on the manifold: it gives
+    the holomorphic coordinates (w0, w1) of every sample ((u, z) on
+    Taub-NUT, (U, Z) on Atiyah-Hitchin with the sqrt(z) branch continued),
+    the metric block and the point that mu is read at.  v2 is the
+    sample-to-sample derivative of (w0, w1) (4th-order stencils on uniform
+    parameter grids); v1 and mu are the trace action's ActionSpec.field and
+    ActionSpec.moment.  The omega and Im Omega residuals are normalized per
+    sample by max(1, |v1| |v2|), making them parametrization-invariant
+    misalignment measures.  Taub-NUT axis traces (sin theta = 0 identically)
+    are evaluated in spherical terms, where z = 0 makes all three residuals
+    vanish identically (w0 has no real part there and is reported as nan);
+    generic samples off the chart raise ChartError.  The report carries w0
+    and w1 for the CSV writer.
+    """
+    if len(trace.t) < 3:
+        raise DomainError("verify_slag needs at least 3 samples")
+    if manifold not in _MANIFOLDS:
+        raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
+    spec = mm.ActionSpec(_MANIFOLDS[manifold],
+                         "U1_triholo" if trace.action == "u1" else "SO2_rot")
     cols = trace.cols
-    pt = ah.AHSphericalPoint(cols["k"], cols["theta"], cols["phi"] % (2 * math.pi),
-                             cols["psi"] % (4 * math.pi))
-    state = ah.ah_from_spherical(pt, p)
-    _, Us, Zs = ah.ah_u_coordinate(state, p)
-    mu_arr = mm.moment_ah_so2(state)
-    Us, Zs = _continue_sqrt_branch(Us, Zs)
-    omega_arr, im_omega_arr = _residuals(
-        ah.ah_metric_UZ(state, p), *_generator("AtiyahHitchin", trace.action, Us, Zs),
-        _deriv(Us, trace.t), _deriv(Zs, trace.t))
-    return _summary(trace.t, omega_arr, im_omega_arr, mu_arr,
-                    extra={"U": Us, "Z": Zs})
+    theta = cols["theta"]
+    phi, psi = cols["phi"] % (2 * math.pi), cols["psi"] % (4 * math.pi)
+    block = None
+    if manifold == "ah":
+        point = ah.ah_from_spherical(ah.AHSphericalPoint(cols["k"], theta, phi, psi), params)
+        _, w0, w1 = ah.ah_u_coordinate(point, params)
+        w0, w1 = _continue_sqrt_branch(w0, w1)
+        block = ah.ah_metric_UZ(point, params)
+    elif mask_all(np.abs(np.sin(theta)) < 1e-12):
+        # axis: z == 0 identically, so omega(v1,v2), Im Omega and mu - c1 all
+        # vanish exactly; Re(u) has no chart value
+        r = cols["r"]
+        w0 = np.full(len(r), math.nan) - 2j * params.m * cols["psi"]
+        w1 = np.zeros(len(r), dtype=complex)
+        point = tn.TNHoloPoint(w0, w1, r * np.cos(theta), r)
+    else:
+        if mask_any(np.abs(np.sin(theta)) < 1e-12):
+            raise ChartError("trace sample on the axis: holomorphic chart undefined")
+        point = tn.tn_chart_spherical_to_holo(
+            tn.TNSphericalPoint(cols["r"], theta, phi, psi), params)
+        w0, w1 = point.u, point.z
+        block = tn.tn_metric_holo(point, params)
+    mu = spec.moment(point, params)
+    if block is None:
+        omega = im_omega = np.zeros_like(trace.t)
+    else:
+        X = spec.field(w0, w1).view(complex)        # (re, im) pairs read as (v_u, v_z)
+        omega, im_omega = _residuals(block, X[..., 0], X[..., 1],
+                                     _deriv(w0, trace.t), _deriv(w1, trace.t))
+    med = float(np.median(mu))
+    return {
+        "omega_max": float(np.max(np.abs(omega))),
+        "im_omega_max": float(np.max(np.abs(im_omega))),
+        "mu_max_dev": float(np.max(np.abs(mu - med))),
+        "mu_median": med,
+        "omega": np.abs(omega),
+        "im_omega": np.abs(im_omega),
+        "mu": mu,
+        "w0": w0,
+        "w1": w1,
+    }
 
 
 def transversality_variation(trace: CurveTrace, manifold: str, params) -> float:

@@ -86,10 +86,6 @@ class MetricBlock:
     def det(self) -> complex:
         return self.kuubar * self.kzzbar - self.kuzbar * self.kzubar
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.kuubar, self.kuzbar],
-                         [self.kzubar, self.kzzbar]])
-
 
 def potential(r: float, p: TNParams) -> float:
     return 1.0 / p.h + 2.0 * p.m / r

@@ -304,6 +304,27 @@ def test_orbit_constancy_fails_a_flipped_generator(generator, seed, monkeypatch,
     assert float(values["mu_span"]) <= 1e-8 and float(values["gen_err"]) > 1e-6
 
 
+
+@pytest.mark.parametrize("check", ["hamiltonicity-tn-u1", "hamiltonicity-tn-so2"])
+@pytest.mark.parametrize("seed", [0, 1, 14])
+def test_hamiltonicity_fails_swapped_moments(check, seed, monkeypatch, capsys):
+    """The Hamiltonicity checks read mu from ActionSpec.moment: with the two
+    Taub-NUT moments swapped, iota_X omega = d mu fails for both actions."""
+    moment = mm.ActionSpec.moment
+    swap = {"U1_triholo": "SO2_rot", "SO2_rot": "U1_triholo"}
+
+    def swapped(self, point, params):
+        if self.manifold == "TaubNUT":
+            self = mm.ActionSpec("TaubNUT", swap[self.generator])
+        return moment(self, point, params)
+
+    monkeypatch.setattr(mm.ActionSpec, "moment", swapped)
+    assert main(["--seed", str(seed), "verify", "--only", check]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    verdict, name, err, *_ = line.split()
+    assert (verdict, name) == ("FAIL", check)
+    assert float(err.split("=")[1]) > 1e-5
+
 def test_too_few_regular_ah_points_is_a_fail_line(monkeypatch, capsys):
     """random_ah_point raises ConvergenceError when too few candidates are
     regular (here: y_+ = 0 at every candidate, below the y guard), which

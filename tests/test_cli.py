@@ -121,9 +121,8 @@ def test_trace_csv_byte_determinism(tmp_path):
 def test_csv_roundtrip_reverifies(tmp_path):
     p = TNParams(1.0, 1.0)
     trace = tn_u1_case1(1.0, 0.5, n=200)[0]
-    trace.residuals = verify_slag(trace, "tn", p)
     path = tmp_path / "case1.csv"
-    write_trace_csv(path, trace, "tn")
+    write_trace_csv(path, trace, "tn", verify_slag(trace, "tn", p))
     back, manifold = read_trace_csv(path)
     assert manifold == "tn"
     res = verify_slag(back, "tn", p)
@@ -167,9 +166,8 @@ MALFORMED_CSV = {
 def test_read_malformed_csv_raises_domain_error(tmp_path, case):
     edit, message = MALFORMED_CSV[case]
     trace = tn_u1_case1(1.0, 0.5, n=50)[0]
-    trace.residuals = verify_slag(trace, "tn", TNParams(1.0, 1.0))
     path = tmp_path / "case1.csv"
-    write_trace_csv(path, trace, "tn")
+    write_trace_csv(path, trace, "tn", verify_slag(trace, "tn", TNParams(1.0, 1.0)))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(DomainError, match=message):
         read_trace_csv(path)
@@ -178,8 +176,7 @@ def test_read_malformed_csv_raises_domain_error(tmp_path, case):
 def test_csv_seventeen_significant_digits():
     p = TNParams(1.0, 1.0)
     trace = tn_u1_case1(1.0, 0.5, n=16)[0]
-    trace.residuals = verify_slag(trace, "tn", p)
-    body = trace_to_csv(trace, "tn").splitlines()[2]
+    body = trace_to_csv(trace, "tn", verify_slag(trace, "tn", p)).splitlines()[2]
     first = body.split(",")[1]
     assert first == f"{math.sqrt(2.0):.16e}"
     # value survives the round trip exactly
@@ -193,27 +190,15 @@ def test_percent_format_matches_format_spec():
         assert "%.16e" % v == f"{v:.16e}"
 
 
-def _reference_trace_to_csv(trace, manifold):
+def _reference_trace_to_csv(trace, manifold, res):
     """The per-value writer: one f"{v:.16e}" call per table entry."""
-    res = trace.residuals
     params = ";".join(f"{k}={v:.17g}" for k, v in sorted(trace.params.items()))
     m = len(trace.t)
-    if manifold == "tn":
-        cols = TN_COLUMNS
-        u, z = res.get("u"), res.get("z")
-        table = [trace.t, trace.cols["r"], trace.cols["theta"], trace.cols["phi"],
-                 trace.cols["psi"],
-                 np.real(u) if u is not None else np.full(m, math.nan),
-                 np.imag(u) if u is not None else np.full(m, math.nan),
-                 np.real(z) if z is not None else np.zeros(m),
-                 np.imag(z) if z is not None else np.zeros(m),
-                 res["omega"], res["im_omega"], res["mu"]]
-    else:
-        cols = AH_COLUMNS
-        U, Z = res["U"], res["Z"]
-        table = [trace.t, trace.cols["k"], trace.cols["theta"], trace.cols["phi"],
-                 trace.cols["psi"], np.real(U), np.imag(U), np.real(Z), np.imag(Z),
-                 res["omega"], res["im_omega"], res["mu"]]
+    cols, chart = (TN_COLUMNS, "r") if manifold == "tn" else (AH_COLUMNS, "k")
+    w0, w1 = res["w0"], res["w1"]
+    table = [trace.t, trace.cols[chart], trace.cols["theta"], trace.cols["phi"],
+             trace.cols["psi"], np.real(w0), np.imag(w0), np.real(w1), np.imag(w1),
+             res["omega"], res["im_omega"], res["mu"]]
     lines = [f"# slag-forge v1, manifold={manifold}, params={params}", ",".join(cols)]
     for i in range(m):
         lines.append(",".join(f"{float(col[i]):.16e}" for col in table))
@@ -228,16 +213,16 @@ def test_trace_to_csv_matches_per_value_writer():
     cases = [(tn_so2_curve(3.0, p, branch="plane")[0], "tn", p),
              (tn_so2_curve(3.0, p, branch="axis", n=50)[0], "tn", p),
              (ah_traces_theta_phi(0.5, -3.0)[0], "ah", pa)]
-    for trace, manifold, params in cases:
-        trace.residuals = verify_slag(trace, manifold, params)
-        got = trace_to_csv(trace, manifold).splitlines()
-        ref = _reference_trace_to_csv(trace, manifold).splitlines()
+    reports = [verify_slag(trace, manifold, params) for trace, manifold, params in cases]
+    for (trace, manifold, _), res in zip(cases, reports):
+        got = trace_to_csv(trace, manifold, res).splitlines()
+        ref = _reference_trace_to_csv(trace, manifold, res).splitlines()
         # report the first differing line: a diff of whole files is slow
         bad = [i for i, (g, r) in enumerate(zip(got, ref)) if g != r]
         if bad or len(got) != len(ref):
             pytest.fail(f"{manifold} CSV differs: {len(got)} vs {len(ref)} lines, "
                         f"first at {bad[:1]}: {got[bad[0]] if bad else ''!r}")
-    assert "nan" in trace_to_csv(cases[1][0], "tn")
+    assert "nan" in trace_to_csv(cases[1][0], "tn", reports[1])
 
 
 def test_trace_to_csv_matches_per_value_writer_where_every_element_falls_back(monkeypatch):
@@ -253,8 +238,8 @@ def test_trace_to_csv_matches_per_value_writer_where_every_element_falls_back(mo
              (tn_so2_curve(3.0, p, branch="axis", n=50)[0], "tn", p),
              (ah_traces_theta_phi(0.5, -3.0)[0], "ah", pa)]
     for trace, manifold, params in cases:
-        trace.residuals = verify_slag(trace, manifold, params)
-        assert trace_to_csv(trace, manifold) == _reference_trace_to_csv(trace, manifold)
+        res = verify_slag(trace, manifold, params)
+        assert trace_to_csv(trace, manifold, res) == _reference_trace_to_csv(trace, manifold, res)
 
 
 def test_trace_to_csv_matches_per_value_writer_on_the_presets():
@@ -266,8 +251,8 @@ def test_trace_to_csv_matches_per_value_writer_on_the_presets():
               for trace in ah_traces_theta_phi(0.7, -7.0, h=1.0, n=256)]
     assert len(items) > 25  # the 25 fig5-fig7 traces and the fig8 family
     for stem, manifold, trace, params in items:
-        trace.residuals = verify_slag(trace, manifold, params)
-        if trace_to_csv(trace, manifold) != _reference_trace_to_csv(trace, manifold):
+        res = verify_slag(trace, manifold, params)
+        if trace_to_csv(trace, manifold, res) != _reference_trace_to_csv(trace, manifold, res):
             pytest.fail(f"{stem}: trace_to_csv differs from the per-value writer")
 
 
@@ -287,10 +272,11 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
         cols[key] = col
     trace = CurveTrace(action="u1", t=t, cols=cols,
                        params={"c1": 1.0, "c2": 0.5})
-    trace.residuals = {"omega": np.zeros(m), "im_omega": np.full(m, -0.0),
-                       "mu": rng.standard_normal(m)}
+    report = {"w0": np.full(m, complex(math.nan, math.nan)), "w1": np.zeros(m, dtype=complex),
+              "omega": np.zeros(m), "im_omega": np.full(m, -0.0),
+              "mu": rng.standard_normal(m)}
     path = tmp_path / "special.csv"
-    write_trace_csv(path, trace, "tn")
+    write_trace_csv(path, trace, "tn", report)
     back, manifold = read_trace_csv(path)
     assert manifold == "tn"
     assert back.t.view(np.uint64).tolist() == t.view(np.uint64).tolist()

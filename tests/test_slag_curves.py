@@ -126,7 +126,6 @@ def test_verify_slag_tn_families():
     for trace in (tn_u1_case1(1.0, 0.5, n=400) + tn_u1_case2(2.0, n=400)
                   + tn_so2_curve(3.0, p, branch="plane", n=400)):
         res = verify_slag(trace, "tn", p)
-        trace.residuals = res
         assert res["omega_max"] < TN_TOL
         assert res["im_omega_max"] < TN_TOL
         assert res["mu_max_dev"] < 1e-6 * max(1.0, abs(res["mu_median"]))
@@ -783,7 +782,7 @@ def test_ah_traces_im_omega_defect_reproducible():
     traces = ah_traces_theta_phi(0.5, -2.0, n=192)
     results = [verify_slag(tr, "ah", p) for tr in traces[:2]]
     for res in results:
-        Z = res["Z"]
+        Z = res["w1"]
         assert np.all(np.abs(Z[1:] + Z[:-1]) >= np.abs(Z[1:] - Z[:-1]))
     assert max(res["omega_max"] for res in results) <= 1e-2
     assert max(res["im_omega_max"] for res in results) > 1e-2
@@ -985,7 +984,7 @@ def _reference_verify_tn(trace, p):
     point, chart, metric block and moment: (u, z, mu, omega, Im Omega)."""
     r, theta, phi, psi = (trace.cols[c] for c in ("r", "theta", "phi", "psi"))
     m = len(r)
-    if sc._is_axis_trace(trace):
+    if np.all(np.abs(np.sin(theta)) < 1e-12):
         return (np.full(m, math.nan) - 2j * p.m * psi, np.zeros(m, dtype=complex),
                 2.0 * p.m * r + 0.0, np.zeros(m), np.zeros(m))
     us = np.empty(m, dtype=complex)
@@ -1023,8 +1022,8 @@ def test_verify_tn_matches_per_sample_reference():
         u, z, mu, omega, im_omega = _reference_verify_tn(tr, pp)
         # the chart is the same arithmetic; |z| and the complex divisions of
         # the metric block may round differently for numpy scalars and arrays
-        assert np.array_equal(res["u"], u, equal_nan=True)
-        assert np.array_equal(res["z"], z)
+        assert np.array_equal(res["w0"], u, equal_nan=True)
+        assert np.array_equal(res["w1"], z)
         assert np.all(np.abs(res["mu"] - mu) <= 1e-15 * np.abs(mu))
         assert np.max(np.abs(res["omega"] - omega)) <= 1e-14
         assert np.max(np.abs(res["im_omega"] - im_omega)) <= 1e-14
@@ -1041,6 +1040,29 @@ def test_verify_slag_reads_the_generator_table(monkeypatch):
     monkeypatch.setattr(ActionSpec, "field", lambda self, w0, w1: u1(w0, w1))
     assert all(verify_slag(tr, "tn", p)["omega_max"] > TN_TOL for tr, p in traces)
 
+
+
+def test_verify_slag_reads_the_moment_table(monkeypatch):
+    """verify_slag takes mu from ActionSpec.moment: with the Taub-NUT SO(2)
+    entry replaced by the U(1) moment x/2, which is not constant on the
+    SO(2) level sets, every fig7 trace's relative mu deviation exceeds the
+    gate."""
+    traces = [(tr, p) for _, _, tr, p in presets.preset_traces("fig7")]
+
+    def mu_rel(tr, p):
+        res = verify_slag(tr, "tn", p)
+        return res["mu_max_dev"] / max(1.0, abs(res["mu_median"]))
+
+    assert all(mu_rel(tr, p) <= TN_TOL for tr, p in traces)
+    moment = ActionSpec.moment
+    u1 = ActionSpec("TaubNUT", "U1_triholo")
+
+    def so2_as_u1(self, point, params):
+        tn_so2 = (self.manifold, self.generator) == ("TaubNUT", "SO2_rot")
+        return moment(u1 if tn_so2 else self, point, params)
+
+    monkeypatch.setattr(ActionSpec, "moment", so2_as_u1)
+    assert all(mu_rel(tr, p) > TN_TOL for tr, p in traces)
 
 def _reference_verify_ah(trace, p):
     """Atiyah-Hitchin residuals one sample at a time through the public scalar
@@ -1077,8 +1099,8 @@ def test_verify_ah_matches_per_sample_reference(family, fixed):
     for tr in traces:
         res = verify_slag(tr, "ah", p)
         U, Z, mu, omega, im_omega = _reference_verify_ah(tr, p)
-        assert np.all(np.abs(res["U"] - U) <= 1e-12 * np.abs(U))
-        assert np.all(np.abs(res["Z"] - Z) <= 1e-12 * np.abs(Z))
+        assert np.all(np.abs(res["w0"] - U) <= 1e-12 * np.abs(U))
+        assert np.all(np.abs(res["w1"] - Z) <= 1e-12 * np.abs(Z))
         assert np.max(np.abs(res["mu"] - mu)) <= 1e-13
         assert np.max(np.abs(res["omega"] - omega)) <= 1e-10
         assert np.max(np.abs(res["im_omega"] - im_omega)) <= 1e-10
@@ -1113,7 +1135,7 @@ def test_sqrt_branch_pinned_per_trace(family, fixed, monkeypatch):
 
     monkeypatch.setattr(sc.ah, "ah_u_coordinate", negated)
     for tr, res in zip(traces, plain):
-        assert res["Z"][0].imag > 0.0
+        assert res["w1"][0].imag > 0.0
         flipped = verify_slag(tr, "ah", p)
-        for key in ("U", "Z", "omega", "im_omega", "mu"):
+        for key in ("w0", "w1", "omega", "im_omega", "mu"):
             assert np.array_equal(flipped[key], res[key])

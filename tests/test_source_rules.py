@@ -13,7 +13,9 @@ code 2, not as a traceback.  np.any and np.all cost microseconds of
 dispatch on the NumPy bool of a one-point query, so the library calls
 masks.mask_any / mask_all, the one mask test, instead.  A
 module-level import that nothing in its module reads is dead code, unless
-bench/tracing.py wraps that attribute of the module by name.
+bench/tracing.py wraps that attribute of the module by name.  The moment
+kernels (moment_tn_u1, moment_tn_so2, moment_ah_so2) are called only by
+ActionSpec.moment, the one table that pairs each action with its mu.
 """
 
 import ast
@@ -114,3 +116,31 @@ def test_unread_import_scan():
            "from .x import a, b as c, d\n"
            "def f(y: d) -> None:\n    return a(y)\n")
     assert _unread_imports(ast.parse(src)) == ["c", "math", "os"]
+
+
+def _moment_calls(tree: ast.AST) -> list[str]:
+    """Calls of a moment_* kernel outside the method ActionSpec.moment."""
+    table = {id(node) for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == "ActionSpec"
+             for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "moment"
+             for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in table:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name.startswith("moment_"):
+                found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_moment_kernels_called_only_by_the_action_table(path):
+    assert _moment_calls(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_moment_call_scan():
+    src = ("class ActionSpec:\n    def moment(self, pt, p):\n        return moment_tn_u1(pt)\n"
+           "    def field(self, w0, w1):\n        return mm.moment_ah_so2(w0)\n"
+           "mu = moment_tn_so2(pt, p)\n")
+    assert _moment_calls(ast.parse(src)) == ["line 5: moment_ah_so2", "line 6: moment_tn_so2"]
