@@ -22,6 +22,13 @@ The chart, state, pi, u coordinate and metric block take one point as
 scalars or a batch as equal-length arrays (every field, the curve data and
 each result then being arrays); scalar input gives scalars back.  A
 degenerate sample in a batch raises for the whole batch.
+
+The metric coefficients A_pm, B_pm blow up on the y_pm -> 0 loci and at
+the cut ends.  The state does not carry them: ah_coeffs computes them from
+the state where they are read, and raises DegenerateError under a fixed
+floor |y_pm| < 1e-12 rho^{3/2}.  Whether a sample is clear of those loci by
+a margin is the one rule ah_regular, which the trace sampler and the
+check sampler both apply, each at its own y guard.
 """
 
 from __future__ import annotations
@@ -77,11 +84,10 @@ class AHSphericalPoint:
 
 @dataclass(frozen=True)
 class AHGeomState:
-    """Multiplet coordinates plus everything derived from them at a point or a batch.
+    """Multiplet coordinates and their Abel-image data at a point or a batch.
 
-    The coefficient fields are None on the degenerate loci y_pm -> 0 (for a
-    batch: when any of its points sits there), where only the pi(x_pm) = 0
-    limit remains meaningful.
+    The coefficients A_pm, B_pm and V are not stored: ah_coeffs computes
+    them where they are read, and raises on the y_pm -> 0 loci.
     """
 
     z: complex
@@ -94,11 +100,6 @@ class AHGeomState:
     vminus: float
     yplus: complex      # pure imaginary
     yminus: float
-    Aplus: complex | None      # pure imaginary (y_+ imaginary forces it)
-    Aminus: complex | None     # real-valued
-    Bplus: complex | None      # pure imaginary
-    Bminus: complex | None     # real-valued
-    Vcap: float | None
     elliptic: EllipticData
 
 
@@ -141,16 +142,11 @@ def ah_xy_from_zvx(z, v, x):
     return xp, xm, vp, vm, 1j * vp * (xp - xm), vm * (xm - xp)
 
 
-def ah_state_from_zvx(z, v, x, data: EllipticData, y_guard: float = 1e-12) -> AHGeomState:
+def ah_state_from_zvx(z, v, x, data: EllipticData) -> AHGeomState:
     """Assemble the derived point data from multiplet coordinates and curve data."""
     if mask_any(z == 0):
         raise ChartError("sqrt(z)-based quantities degenerate at z = 0")
-    xp, xm, vp, vm, yp, ym = ah_xy_from_zvx(z, v, x)
-    try:
-        coeffs = ah_coeffs_raw(xp, xm, yp, ym, data, y_guard)
-    except DegenerateError:
-        coeffs = (None,) * 5
-    return AHGeomState(z, v, x, np.sqrt(z), xp, xm, vp, vm, yp, ym, *coeffs, data)
+    return AHGeomState(z, v, x, np.sqrt(z), *ah_xy_from_zvx(z, v, x), data)
 
 
 def _chart(k, theta, phi, psi, h: float):
@@ -165,8 +161,7 @@ def _chart(k, theta, phi, psi, h: float):
     return (*_zvx(k, theta, phi, psi, h, K), _curve_data(k, rho, K, E))
 
 
-def ah_from_spherical(pt: AHSphericalPoint, p: AHParams,
-                      y_guard: float = 1e-12) -> AHGeomState:
+def ah_from_spherical(pt: AHSphericalPoint, p: AHParams) -> AHGeomState:
     """Chart map: spherical point -> geometric state (rho = 16 h^2 K^2).
 
     _chart gives (z, v, x) and the curve data from one K and E.
@@ -174,16 +169,20 @@ def ah_from_spherical(pt: AHSphericalPoint, p: AHParams,
     z, v, x, data = _chart(pt.k, pt.theta, pt.phi, pt.psi, p.h)
     if mask_any(np.abs(z) < 1e-12 * data.rho):
         raise ChartError("chart point has z = 0 (sqrt(z) quantities degenerate)")
-    return ah_state_from_zvx(z, v, x, data, y_guard)
+    return ah_state_from_zvx(z, v, x, data)
 
 
-def ah_coeffs_raw(xp, xm, yp, ym, data: EllipticData, y_guard: float = 1e-12):
+# |y_pm| under this multiple of rho^{3/2} leaves A_pm and B_pm undefined
+_Y_FLOOR = 1e-12
+
+
+def ah_coeffs_raw(xp, xm, yp, ym, data: EllipticData):
     """A_pm = (x_pm om1 + eta1)/y_pm, B_pm = (x_pm + V om1)/y_pm and the V ratio."""
     den = 12.0 * data.eta1**2 - data.g2 * data.omega1**2
     if mask_any(den == 0):
         raise DegenerateError("ah_coeffs: 12 eta1^2 - g2 omega1^2 vanishes")
     Vcap = (-3.0 * data.g3 * data.omega1 + 2.0 * data.g2 * data.eta1) / den
-    guard = y_guard * data.rho ** 1.5
+    guard = _Y_FLOOR * data.rho ** 1.5
     if mask_any((np.abs(yp) < guard) | (np.abs(ym) < guard)):
         raise DegenerateError(
             f"ah_coeffs: y_pm too small (|y+|={np.min(np.abs(yp)):.3e}, "
@@ -196,10 +195,26 @@ def ah_coeffs_raw(xp, xm, yp, ym, data: EllipticData, y_guard: float = 1e-12):
 
 
 def ah_coeffs(state: AHGeomState):
-    """(A+, A-, B+, B-, Vcap) of a state; errors on the degenerate y_pm loci."""
-    if state.Aplus is None:
-        raise DegenerateError("ah_coeffs: state sits on a y_pm -> 0 locus")
-    return (state.Aplus, state.Aminus, state.Bplus, state.Bminus, state.Vcap)
+    """(A+, A-, B+, B-, Vcap) of a state; DegenerateError on the y_pm -> 0 loci."""
+    return ah_coeffs_raw(state.xplus, state.xminus, state.yplus, state.yminus,
+                         state.elliptic)
+
+
+def ah_regular(z, v, x, data: EllipticData, y_guard: float):
+    """Mask of the points clear of the loci where the metric coefficients blow up.
+
+    A point is regular when |z| >= 1e-10 rho, 12 eta1^2 - g2 omega1^2 != 0,
+    x_- lies inside the cut (e3, e2) and x_+ above e2, each by 1e-4 of the
+    cut's span, and min |y_pm| > y_guard rho^{3/2}.  Scalars or arrays
+    (with data to match); a bool or a bool array, never a warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xp, xm, _, _, yp, ym = ah_xy_from_zvx(z, v, x)
+        pad = 1e-4 * (data.e2 - data.e3)
+        return ((np.abs(z) >= 1e-10 * data.rho)
+                & (12.0 * data.eta1**2 - data.g2 * data.omega1**2 != 0)
+                & (data.e3 + pad < xm) & (xm < data.e2 - pad) & (xp > data.e2 + pad)
+                & (np.minimum(np.abs(yp), np.abs(ym)) > y_guard * data.rho ** 1.5))
 
 
 # pi(x_pm) raises PoleError this close to the cut ends, as a share of the span

@@ -103,7 +103,7 @@ def cmd_metric(args) -> int:
         p = ah.AHParams(args.h, args.a_int)
         sph = ah.AHSphericalPoint(args.k, args.theta,
                                   args.phi % (2 * math.pi), args.psi % (4 * math.pi))
-        state = ah.ah_from_spherical(sph, p, y_guard=1e-9)
+        state = ah.ah_from_spherical(sph, p)
         blk = ah.ah_metric_UZ(state, p)
         names = ("K_UU", "K_UZ", "K_ZU", "K_ZZ")
     residual = abs(blk.det() - 1.0)

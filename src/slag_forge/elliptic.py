@@ -29,8 +29,9 @@ from .masks import mask_all, mask_any
 _AGM_TOL = 1e-16
 _AGM_CAP = 60
 
-# Gauss-Legendre panel rule for the adaptive integrator.
+# Gauss-Legendre panel rule for the adaptive integrator, and its bisection cap
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_QUAD_MAX_DEPTH = 40
 
 
 def elliptic_KE(k: float) -> tuple[float, float]:
@@ -289,14 +290,14 @@ def elliptic_data(k, rho) -> EllipticData:
 
 
 def quad_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  tol: float, max_depth: int = 40):
+                  tol: float):
     """Adaptive Gauss-Legendre quadrature of a vectorized integrand on (a, b).
 
     f must accept an ndarray of nodes and return values of the same shape
     (real or complex).  Panels are bisected until the whole-vs-halves
     difference falls under the local tolerance; the tolerance floors at the
     panel sums' machine precision (no refinement can beat roundoff), and
-    depth past max_depth raises.
+    depth past _QUAD_MAX_DEPTH raises ConvergenceError.
     """
     eps = np.finfo(float).eps
 
@@ -317,9 +318,9 @@ def quad_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         right = panel(mid, hi)
         if abs(left + right - whole) <= max(tol_loc, floor):
             return left + right
-        if depth >= max_depth:
+        if depth >= _QUAD_MAX_DEPTH:
             raise ConvergenceError(
-                f"quad_adaptive: panel depth {max_depth} exceeded on "
+                f"quad_adaptive: panel depth {_QUAD_MAX_DEPTH} exceeded on "
                 f"[{lo!r}, {hi!r}]")
         half_tol = 0.5 * tol_loc
         return (recurse(lo, mid, left, half_tol, depth + 1)
@@ -346,19 +347,19 @@ def _period_integrand(data: EllipticData, numer: Callable[[np.ndarray], np.ndarr
     return g
 
 
-def omega1_quadrature(data: EllipticData, tol: float = 1e-12) -> float:
+def omega1_quadrature(data: EllipticData) -> float:
     """Half-period int_{e3}^{e2} dX/Y by quadrature (equals K(k)/sqrt(rho))."""
     g = _period_integrand(data, lambda X: np.ones_like(X))
-    return float(np.real(quad_adaptive(g, 0.0, math.pi / 2.0, tol)))
+    return float(np.real(quad_adaptive(g, 0.0, math.pi / 2.0, 1e-12)))
 
 
-def eta1_quadrature(data: EllipticData, tol: float = 1e-11) -> float:
+def eta1_quadrature(data: EllipticData) -> float:
     """Quasi-half-period -int_{e3}^{e2} X dX/Y by quadrature."""
     g = _period_integrand(data, lambda X: X)
-    return -float(np.real(quad_adaptive(g, 0.0, math.pi / 2.0, tol)))
+    return -float(np.real(quad_adaptive(g, 0.0, math.pi / 2.0, 1e-11)))
 
 
-def omega3_quadrature(data: EllipticData, tol: float = 1e-12) -> complex:
+def omega3_quadrature(data: EllipticData) -> complex:
     """Imaginary half-period i K(k')/sqrt(rho) via the [e2, e1] cycle."""
     kp2 = 1.0 - data.k * data.k
     sr = math.sqrt(data.rho)
@@ -367,10 +368,10 @@ def omega3_quadrature(data: EllipticData, tol: float = 1e-12) -> complex:
         s2 = np.sin(t) ** 2
         return 1.0 / (sr * np.sqrt(1.0 - kp2 * s2))
 
-    return 1j * quad_adaptive(g, 0.0, math.pi / 2.0, tol)
+    return 1j * quad_adaptive(g, 0.0, math.pi / 2.0, 1e-12)
 
 
-def eta3_quadrature(data: EllipticData, tol: float = 1e-11) -> complex:
+def eta3_quadrature(data: EllipticData) -> complex:
     """Imaginary quasi-half-period -int over the [e2, e1] cycle of X dX/Y.
 
     The branch of Y on [e2, e1] is fixed so that the companion period comes
@@ -387,7 +388,7 @@ def eta3_quadrature(data: EllipticData, tol: float = 1e-11) -> complex:
         X = data.e1 - span * s2
         return X / (sr * np.sqrt(1.0 - kp2 * s2))
 
-    return -1j * quad_adaptive(g, 0.0, math.pi / 2.0, tol)
+    return -1j * quad_adaptive(g, 0.0, math.pi / 2.0, 1e-11)
 
 
 def weierstrass_p(u: float, data: EllipticData) -> float:

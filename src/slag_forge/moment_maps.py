@@ -120,6 +120,8 @@ def so3_cotangent_moment(q, p) -> np.ndarray:
 
 # d/d(re u), d/d(im u), d/d(re z), d/d(im z) as holomorphic components (v_u, v_z)
 _REAL_DIRECTIONS = np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
+# relative step of the d mu central differences in verify_hamiltonian_*
+_HAM_EPS = 1e-5
 
 
 def _iota_omega(action: ActionSpec, block: tn.MetricBlock, w0: complex,
@@ -130,23 +132,20 @@ def _iota_omega(action: ActionSpec, block: tn.MetricBlock, w0: complex,
     return np.moveaxis(kahler_omega(block, X[..., 0], X[..., 1], e[:, 0], e[:, 1]), 0, -1)
 
 
-def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams,
-                          eps: float = 1e-5):
+def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams):
     """max-component residual of iota_X omega - d mu at Taub-NUT points.
 
     d mu is differenced in the real components (re u, im u, re z, im z),
-    step max(eps |q_a|, 1e-7) each, and the 8 perturbed points of every
+    step max(_HAM_EPS |q_a|, 1e-7) each, and the 8 perturbed points of every
     point go through one x-solve.  A batch point gives one residual per
     point, a scalar point a float.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise DomainError(f"eps must lie in [1e-7, 1e-3], got {eps!r}")
     if action.manifold != "TaubNUT":
         raise DomainError("verify_hamiltonian_tn expects a Taub-NUT action")
     q = np.array([np.real(pt.u), np.imag(pt.u), np.real(pt.z), np.imag(pt.z)],
                  dtype=float).reshape(4, -1)
     n = q.shape[1]
-    step = np.maximum(eps * np.abs(q), 1e-7)
+    step = np.maximum(_HAM_EPS * np.abs(q), 1e-7)
     # q + step e_a for a = 0..3, then q - step e_a
     offsets = np.hstack([np.eye(4), -np.eye(4)])
     batch = q[:, None, :] + offsets[:, :, None] * step[:, None, :]
@@ -158,21 +157,18 @@ def verify_hamiltonian_tn(action: ActionSpec, pt: tn.TNHoloPoint, p: tn.TNParams
     return float(res[0]) if np.ndim(pt.x) == 0 else res
 
 
-def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams,
-                          eps: float = 1e-5):
+def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams):
     """max-component residual of iota_X omega - d mu at Atiyah-Hitchin points.
 
-    d mu is differenced in the spherical chart (step max(eps |q_a|, 1e-6) in
+    d mu is differenced in the spherical chart (step max(_HAM_EPS |q_a|, 1e-6) in
     each angle q_a) and pushed to the (U, Z) components through the chart
     Jacobian differenced from the same perturbed states; the metric side is
     evaluated directly from the closed-form block.  A batch point gives one
     residual per point, a scalar point a float.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise DomainError(f"eps must lie in [1e-7, 1e-3], got {eps!r}")
     q = np.array([pt.k, pt.theta, pt.phi, pt.psi], dtype=float).reshape(4, -1)
     n = q.shape[1]
-    step = np.maximum(eps * np.abs(q), 1e-6)
+    step = np.maximum(_HAM_EPS * np.abs(q), 1e-6)
     # the centre, then q + step e_a for a = 0..3, then q - step e_a
     offsets = np.hstack([np.zeros((4, 1)), np.eye(4), -np.eye(4)])
     batch = q[:, None, :] + offsets[:, :, None] * step[:, None, :]
@@ -189,12 +185,12 @@ def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams,
     return float(res[0]) if np.ndim(pt.k) == 0 else res
 
 
-def verify_hamiltonian(action: ActionSpec, pt, params, eps: float = 1e-5):
+def verify_hamiltonian(action: ActionSpec, pt, params):
     """Dispatch on the action's manifold (a Taub-NUT holo point or batch, or
     an AH spherical point or batch)."""
     if action.manifold == "TaubNUT":
-        return verify_hamiltonian_tn(action, pt, params, eps)
+        return verify_hamiltonian_tn(action, pt, params)
     if action.manifold == "AtiyahHitchin":
-        return verify_hamiltonian_ah(pt, params, eps)
+        return verify_hamiltonian_ah(pt, params)
     raise DomainError("verify_hamiltonian covers the Taub-NUT and AH actions")
 

@@ -86,9 +86,14 @@ def o4_modulus(m: O4Multiplet) -> float:
     return num / den
 
 
-def tn_Fxx_contour_oracle(m: O2Multiplet, h: float, mcharge: float,
-                          nodes_circle: int = 4096, nodes_loop: int = 8192,
-                          step_rel: float = 1e-4) -> float:
+# trapezoid nodes on the unit circle and on the log-term loop of the
+# F-function, and the second-difference step in x as a share of r
+_FXX_NODES_CIRCLE = 4096
+_FXX_NODES_LOOP = 8192
+_FXX_STEP_REL = 1e-4
+
+
+def tn_Fxx_contour_oracle(m: O2Multiplet, h: float, mcharge: float) -> float:
     """F_xx by second central differences of the contour-integral F-function.
 
     F(x) is evaluated as the unit-circle trapezoid of the quadratic term plus
@@ -107,10 +112,9 @@ def tn_Fxx_contour_oracle(m: O2Multiplet, h: float, mcharge: float,
     if abs(zp - zm) < 1e-6:
         raise ContourCollisionError(
             f"roots too close: |zeta_+ - zeta_-| = {abs(zp - zm):.3e}")
-    step = step_rel * m.r
-    f0 = _tn_F_value(m.x, m.z, h, mcharge, nodes_circle, nodes_loop)
-    fp = _tn_F_value(m.x + step, m.z, h, mcharge, nodes_circle, nodes_loop)
-    fm = _tn_F_value(m.x - step, m.z, h, mcharge, nodes_circle, nodes_loop)
+    step = _FXX_STEP_REL * m.r
+    f0, fp, fm = (_tn_F_value(x, m.z, h, mcharge, _FXX_NODES_CIRCLE, _FXX_NODES_LOOP)
+                  for x in (m.x, m.x + step, m.x - step))
     return (fp - 2.0 * f0 + fm) / (step * step)
 
 
@@ -230,15 +234,14 @@ def ah_I2_closed_form(z: complex, v: complex, x: float, data: EllipticData,
                          - (v / (8.0 * cmath.sqrt(z))) * bracket)
 
 
-def best_branch_integer(value: complex, base: complex, z: complex,
-                        a_range: int = 4) -> tuple[int, float]:
-    """Pick the integer a minimizing |value - (base + 2 a pi i/(4 sqrt z)))|.
+def best_branch_integer(value: complex, base: complex, z: complex) -> tuple[int, float]:
+    """Pick the integer a in [-4, 4] minimizing |value - (base + 2 a pi i/(4 sqrt z)))|.
 
     Returns (a, residual).  The construction only proves existence of the
     integer, so oracles report the minimizing choice.
     """
     best_a, best_res = 0, math.inf
-    for a in range(-a_range, a_range + 1):
+    for a in range(-4, 5):
         cand = base + (2.0 * a * math.pi * 1j) / (4.0 * cmath.sqrt(z))
         res = abs(value - cand)
         if res < best_res:

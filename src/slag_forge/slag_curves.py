@@ -21,7 +21,7 @@ import numpy as np
 from . import atiyah_hitchin as ah
 from . import moment_maps as mm
 from . import taub_nut as tn
-from .elliptic import _elliptic_KE, elliptic_KE_vec
+from .elliptic import _curve_data, _elliptic_KE, elliptic_KE_vec
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
 from .elliptic import elliptic_E_vec, elliptic_K, elliptic_K_vec  # noqa: F401
 from .errors import ChartError, DomainError, EmptyDomainError, OutOfRangeError
@@ -97,23 +97,19 @@ def tn_u1_case1(c1: float, c2: float, r_range: tuple[float, float] | None = None
     return traces
 
 
-def tn_u1_case2(c: float, theta_range: tuple[float, float] | None = None,
-                n: int = 800, c1: float = 1.0) -> list[CurveTrace]:
+def tn_u1_case2(c: float, n: int = 800) -> list[CurveTrace]:
     """Curves (theta, phi(theta)) with cos(phi) = c / tan(theta).
 
-    The chart lift uses r = c1 / cos(theta) (so x = c1 along the curve),
-    which confines theta to (0, pi/2) for c1 > 0.  Sampled uniformly in phi,
-    where theta(phi) = arctan(c / cos(phi)) is smooth.
+    The chart lift uses r = 1 / cos(theta) (so x = c1 = 1 along the curve),
+    which confines theta to (0, pi/2); theta runs over
+    [max(arctan|c|, 0.01), pi/2 - 0.02].  Sampled uniformly in phi, where
+    theta(phi) = arctan(c / cos(phi)) is smooth.
     """
-    if c1 <= 0:
-        raise DomainError("tn_u1_case2 lift uses c1 > 0 (theta < pi/2)")
     th_min = math.atan(abs(c)) if c != 0.0 else 1e-2
-    if theta_range is None:
-        theta_range = (max(th_min, 1e-2), math.pi / 2.0 - 0.02)
-    lo, hi = theta_range
-    if lo < th_min - 1e-12 or hi <= lo or hi >= math.pi / 2.0:
+    lo, hi = max(th_min, 1e-2), math.pi / 2.0 - 0.02
+    if hi <= lo:
         raise EmptyDomainError(
-            f"admissible theta-range is [{th_min!r}, pi/2), got {theta_range!r}")
+            f"admissible theta-range [{th_min!r}, pi/2 - 0.02] is empty at c={c!r}")
     if c > 0.0:
         def phi_of_th(th):
             return math.acos(min(1.0, max(-1.0, c / math.tan(th))))
@@ -124,14 +120,14 @@ def tn_u1_case2(c: float, theta_range: tuple[float, float] | None = None,
         theta = np.linspace(lo, hi, n)
         t = theta.copy()
     phi_plus = np.arccos(np.clip(c / np.tan(theta), -1.0, 1.0))
-    r = c1 / np.cos(theta)
+    r = 1.0 / np.cos(theta)
     traces = []
     for tag, phi in (("+", phi_plus), ("-", (2.0 * math.pi - phi_plus) % (2.0 * math.pi))):
         traces.append(CurveTrace(
             action="u1", t=t.copy(),
             cols={"r": r.copy(), "theta": theta.copy(), "phi": phi,
                   "psi": np.zeros_like(theta)},
-            params={"c": c, "c1": c1, "c2": c * c1 / 2.0}, tag=tag))
+            params={"c": c, "c1": 1.0, "c2": c / 2.0}, tag=tag))
     return traces
 
 
@@ -149,13 +145,12 @@ def tn_so2_r_of_theta(theta, c1: float, p: tn.TNParams):
 
 
 def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
-                 psi_rate: float = 0.0, n: int = 800,
-                 theta_range: tuple[float, float] = (0.02, math.pi - 0.02),
-                 ) -> list[CurveTrace]:
+                 psi_rate: float = 0.0, n: int = 800) -> list[CurveTrace]:
     """Level-set curves of 2mr + 2|z|^2/h = c1 for the rotational SO(2).
 
-    plane branch: r(theta) at phi in {pi/2, 3pi/2} (psi_rate = 0, real case)
-    or phi in {0, pi} (psi_rate != 0, imaginary case with psi = -(c/2m) t).
+    plane branch: r(theta) for theta in [0.02, pi - 0.02] at phi in
+    {pi/2, 3pi/2} (psi_rate = 0, real case) or phi in {0, pi}
+    (psi_rate != 0, imaginary case with psi = -(c/2m) t).
     axis branch: r = c1/(2m), theta in {0, pi}, phi free.
     """
     if c1 <= 0:
@@ -178,9 +173,7 @@ def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
         return traces
     if branch != "plane":
         raise DomainError(f"branch must be 'plane' or 'axis', got {branch!r}")
-    lo, hi = theta_range
-    if not (0.0 < lo < hi < math.pi):
-        raise EmptyDomainError(f"theta_range must sit inside (0, pi), got {theta_range!r}")
+    lo, hi = 0.02, math.pi - 0.02
     # uniform in log tan(theta/2): the chart's log term is exactly linear
     # there, so difference quotients stay accurate toward the axis
     t = np.linspace(math.log(math.tan(lo / 2.0)), math.log(math.tan(hi / 2.0)), n)
@@ -205,14 +198,14 @@ def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
 # ---------------------------------------------------------------------------
 
 def ah_cos2psi_level(theta, k, c1: float, h: float):
-    """Unclamped cos(2 psi) of the moment level set mu = c1 at (theta, k), and K(k).
+    """Unclamped cos(2 psi) of the moment level set mu = c1 at (theta, k), K(k) and E(k).
 
     cos 2psi = ((2k^2-1)(1-3cos^2 th) + (3h/(4K^2))(c1 + 16hK((k^2-2)K/3 + E)))
     / (3 sin^2 th), affine in c1 with slope h/(4K^2 sin^2 th).  Scalars or
     arrays; K and E come from one extended-AGM run, for an array k once per
     distinct value (a (theta, k) grid has one k per column) and scattered
-    back: each element has the bits of its own scalar run.  The K returned
-    serves the chart of the same samples (_ah_sample_mask).
+    back: each element has the bits of its own scalar run.  The K and E
+    returned serve the chart and curve data of the same samples.
     The value may leave [-1, 1] (no real psi) and is not finite where
     sin theta = 0.
     """
@@ -228,7 +221,7 @@ def ah_cos2psi_level(theta, k, c1: float, h: float):
     ct = np.cos(theta)
     tk = 2.0 * k * k - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (tk * (1.0 - 3.0 * ct * ct) + bracket) / (3.0 * st2), K
+        return (tk * (1.0 - 3.0 * ct * ct) + bracket) / (3.0 * st2), K, E
 
 
 def _in_range(c2p):
@@ -260,7 +253,7 @@ def _ah_condition_root(theta, phi, k, c1: float, h: float):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     k = np.asarray(k, dtype=float)
-    c2p, K = ah_cos2psi_level(theta, k, c1, h)
+    c2p, K, _ = ah_cos2psi_level(theta, k, c1, h)
     ok = _in_range(c2p)
     c2p = np.clip(c2p, -1.0, 1.0)
     st2 = np.sin(theta) ** 2
@@ -506,32 +499,17 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
 
 _MAX_SAMPLES = 320   # vertices kept per polyline
 _MIN_RUN = 6         # shortest run of good samples emitted as a trace
-
-
-def _ah_sample_mask(theta, k, phi, psi, h: float, K) -> np.ndarray:
-    """Samples clear of the degenerate loci (x_pm at the cut ends, y_pm -> 0); K is K(k)."""
-    z, v, x = ah._zvx(k, theta, phi, psi, h, K)
-    rho = 16.0 * h * h * K ** 2
-    # the cut [e3, e2] of elliptic_data(k, rho)
-    k2 = k * k
-    e2 = (rho / 3.0) * (2.0 * k2 - 1.0)
-    e3 = -(rho / 3.0) * (k2 + 1.0)
-    pad = 1e-4 * (e2 - e3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xp, xm, vp, vm, _, _ = ah.ah_xy_from_zvx(z, v, x)
-    ymag = np.minimum(np.abs(vp), np.abs(vm)) * (xp - xm)
-    return ((np.abs(z) >= 1e-10 * rho) & (e3 + pad < xm) & (xm < e2 - pad)
-            & (xp > e2 + pad) & (ymag > 1e-7 * rho ** 1.5))
+_Y_GUARD = 1e-7      # ah_regular's min |y_pm| / rho^{3/2} for a traced sample
 
 
 def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: float,
                              h: float, sign: int, tag: str) -> list[CurveTrace]:
     """Chart traces from a zero-set polyline of _ah_family, split at degenerate samples.
 
-    Samples without a real psi or abutting the degenerate loci (y_pm -> 0,
-    x_pm at the cut ends) are removed and the polyline is split there:
-    difference quotients must never bridge a locus where the metric
-    coefficients blow up.  A polyline is thinned to at most _MAX_SAMPLES
+    Samples without a real psi or not regular (ah.ah_regular at guard
+    _Y_GUARD: y_pm -> 0, x_pm at the cut ends) are removed and the polyline
+    is split there: difference quotients must never bridge a locus where
+    the metric coefficients blow up.  A polyline is thinned to at most _MAX_SAMPLES
     evenly spaced vertices, and runs shorter than _MIN_RUN are dropped.
     """
     if len(pts) > _MAX_SAMPLES:
@@ -548,11 +526,12 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: floa
     else:
         kcol = pts[:, 1]
         phi = np.full_like(theta, fixed % (2.0 * math.pi))
-    c2p, K = ah_cos2psi_level(theta, kcol, c1, h)
+    c2p, K, E = ah_cos2psi_level(theta, kcol, c1, h)
     good = _in_range(c2p)
     half = 0.5 * np.arccos(np.clip(np.where(good, c2p, 1.0), -1.0, 1.0))
     psi = half if sign > 0 else math.pi - half
-    good &= _ah_sample_mask(theta, kcol, phi, psi, h, K)
+    data = _curve_data(kcol, 16.0 * h * h * K ** 2, K, E)
+    good &= ah.ah_regular(*ah._zvx(kcol, theta, phi, psi, h, K), data, _Y_GUARD)
     # runs of good samples: [starts, ends) from the rising and falling edges
     edges = np.flatnonzero(np.diff(np.concatenate([[0], good, [0]])))
     traces = []

@@ -10,11 +10,12 @@ import numpy as np
 _W, _H, _MARGIN = 640, 480, 50
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
+    """About five round-numbered ticks on [lo, hi]."""
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / count
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0)), key=lambda m: abs(m * mag - raw)) * mag
     start = math.ceil(lo / step) * step

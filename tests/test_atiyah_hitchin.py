@@ -1,5 +1,6 @@
 """Atiyah-Hitchin state construction, pi(x_pm), coefficients, metric block."""
 
+import gc
 import math
 import time
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
                                        ah_check_h_constraint, ah_coeffs,
                                        ah_from_spherical, ah_kahler_potential,
-                                       ah_metric_UZ, ah_pi_xpm,
+                                       ah_metric_UZ, ah_pi_xpm, ah_regular,
                                        ah_state_from_zvx, ah_u_coordinate,
                                        ah_xy_from_zvx, ah_zvx_from_spherical,
                                        pi_pair_from_zvx)
@@ -22,21 +23,24 @@ from slag_forge.errors import ChartError, DegenerateError, DomainError, PoleErro
 
 def regular_point(rng, p=AHParams(1.0, 1), y_guard=1e-3):
     """The per-point rejection loop; the reference for checks.random_ah_point,
-    which draws the same candidates as one array."""
+    which draws the same candidates as one array and keeps those that
+    ah_regular passes.  Each condition is tested here on its own, one
+    point at a time."""
     for _ in range(500):
         pt = AHSphericalPoint(rng.uniform(0.15, 0.85),
                               rng.uniform(0.25, math.pi - 0.25),
                               rng.uniform(0, 2 * math.pi),
                               rng.uniform(0.05, math.pi / 2 - 0.05))
         try:
-            state = ah_from_spherical(pt, p, y_guard=y_guard)
+            state = ah_from_spherical(pt, p)
+            ah_coeffs(state)
         except (ChartError, DegenerateError):
-            continue
-        if state.Aplus is None:
             continue
         d = state.elliptic
         span = d.e2 - d.e3
-        if (state.xminus - d.e3 > 1e-4 * span
+        if (abs(state.z) >= 1e-10 * d.rho
+                and min(abs(state.yplus), abs(state.yminus)) > y_guard * d.rho ** 1.5
+                and state.xminus - d.e3 > 1e-4 * span
                 and d.e2 - state.xminus > 1e-4 * span
                 and state.xplus - d.e2 > 1e-4 * span):
             return pt, state
@@ -106,6 +110,7 @@ def test_dpi_differential_fd():
     step = 1e-5
     for _ in range(10):
         pt, state = regular_point(rng, p)
+        Ap, Am, Bp, Bm, _ = ah_coeffs(state)
         for coord in ("theta", "psi", "k"):
             vals = {"k": pt.k, "theta": pt.theta, "phi": pt.phi, "psi": pt.psi}
             up, dn = dict(vals), dict(vals)
@@ -117,10 +122,8 @@ def test_dpi_differential_fd():
             pp_d, pm_d = ah_pi_xpm(s_dn)
             deta = s_up.elliptic.eta1 - s_dn.elliptic.eta1
             for pi_u, pi_d, A, B, x_u, x_d in (
-                    (pp_u, pp_d, state.Aplus, state.Bplus,
-                     s_up.xplus, s_dn.xplus),
-                    (pm_u, pm_d, state.Aminus, state.Bminus,
-                     s_up.xminus, s_dn.xminus)):
+                    (pp_u, pp_d, Ap, Bp, s_up.xplus, s_dn.xplus),
+                    (pm_u, pm_d, Am, Bm, s_up.xminus, s_dn.xminus)):
                 dpi = (pi_u - pi_d) / (2 * step)
                 rhs = (4 * A * (x_u - x_d) - 8 * B * deta) / (2 * step)
                 assert abs(dpi - rhs) <= 1e-4 * max(1.0, abs(dpi))
@@ -154,7 +157,7 @@ def test_degenerate_locus_raises():
     p = AHParams(1.0, 1)
     pt = AHSphericalPoint(0.5, 1e-7, 0.3, 0.0)
     state = ah_from_spherical(pt, p)
-    assert state.Aplus is None
+    assert not ah_regular(state.z, state.v, state.x, state.elliptic, 1e-12)
     with pytest.raises(DegenerateError):
         ah_coeffs(state)
     with pytest.raises(DegenerateError):
@@ -424,11 +427,17 @@ def test_u_coordinate_bounded_at_cut_ends(k, lp, below_e2, end, lm, below):
     z, v, x = cut_point(xp, xm)
     state = ah_state_from_zvx(z, v, x, d)
     # CPU time of this process: a wall-clock bound also counts time other
-    # processes take on a busy host
-    t0 = time.process_time()
+    # processes take on a busy host; the collector is paused, so that a
+    # collection pass of the whole test session is not billed to this call
+    gc.disable()
     try:
-        _, U, Z = ah_u_coordinate(state, AHParams(1.0, 1))
-        assert np.isfinite(U) and np.isfinite(Z)
-    except PoleError:
-        pass
-    assert time.process_time() - t0 < 0.05
+        t0 = time.process_time()
+        try:
+            _, U, Z = ah_u_coordinate(state, AHParams(1.0, 1))
+            assert np.isfinite(U) and np.isfinite(Z)
+        except PoleError:
+            pass
+        elapsed = time.process_time() - t0
+    finally:
+        gc.enable()
+    assert elapsed < 0.05

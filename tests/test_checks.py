@@ -11,7 +11,7 @@ from slag_forge import atiyah_hitchin as ah, checks, elliptic, moment_maps as mm
 from slag_forge import slag_curves as sc, taub_nut as tn
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
-from slag_forge.errors import ChartError, OutOfRangeError
+from slag_forge.errors import ChartError, ConvergenceError, OutOfRangeError
 
 from test_atiyah_hitchin import regular_point
 
@@ -40,7 +40,19 @@ def test_random_ah_point_matches_per_point_loop(seed, n, y_guard):
     pt, state = checks.random_ah_point(np.random.default_rng(seed), p, n, y_guard)
     want = np.array([[q.k, q.theta, q.phi, q.psi] for q in ref])
     assert np.array_equal(np.column_stack([pt.k, pt.theta, pt.phi, pt.psi]), want)
-    assert state.Aplus is not None and state.z.shape == (n,)
+    assert state.z.shape == (n,) and ah.ah_coeffs(state)[0].shape == (n,)
+
+
+def test_ah_regular_is_the_one_rule_of_tracer_and_sampler(monkeypatch):
+    """Negative control: with ah_regular rejecting every point, the tracer
+    keeps no sample of a family that has traces, and the check sampler finds
+    no regular point."""
+    assert sc.ah_traces_theta_phi(0.5, -3.0)
+    monkeypatch.setattr(ah, "ah_regular",
+                        lambda z, v, x, data, y_guard: np.zeros(np.shape(z), dtype=bool))
+    assert sc.ah_traces_theta_phi(0.5, -3.0) == []
+    with pytest.raises(ConvergenceError):
+        checks.random_ah_point(np.random.default_rng(0), AHParams(1.0, 1), 10)
 
 
 def test_random_ah_point_runs_two_agms(monkeypatch):

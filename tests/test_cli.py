@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slag_forge import checks, cli, csvio
+from slag_forge import atiyah_hitchin as ah, checks, cli, csvio
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
@@ -33,6 +33,19 @@ def test_metric_ah_exit0(capsys):
                "--phi", "0.5", "--psi", "0.3"])
     assert rc == 0
     assert "det = 1.0000000" in capsys.readouterr().out
+
+
+def test_metric_ah_next_to_the_y_pm_locus(capsys):
+    """theta = 1e-9 puts |y_pm| at about 2e-10 rho^{3/2}: above the library's
+    coefficient floor, so the block is printed and passes its own gate."""
+    argv = ["--k", "0.5", "--theta", "1e-9", "--phi", "0.3", "--psi", "0.4"]
+    state = ah.ah_from_spherical(ah.AHSphericalPoint(0.5, 1e-9, 0.3, 0.4), AHParams(1.0, 1))
+    y_share = min(abs(state.yplus), abs(state.yminus)) / state.elliptic.rho ** 1.5
+    assert 1e-10 < y_share < 1e-9
+    assert main(["metric", "--manifold", "ah", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["det = 1.000000000000000e+00",
+                          "monge_ampere_residual = 0.000e+00 (tol 1.0e-08)"]
 
 
 def test_metric_bad_domain_exit2(capsys):

@@ -352,4 +352,4 @@ def test_quad_adaptive_matches_elliptic_K():
 def test_quad_adaptive_depth_limit():
     # a genuine non-integrable singularity must trip the depth cap
     with pytest.raises(ConvergenceError):
-        quad_adaptive(lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0, 1e-10, max_depth=12)
+        quad_adaptive(lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0, 1e-10)

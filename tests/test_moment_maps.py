@@ -165,13 +165,6 @@ def test_hamiltonicity_ah_batch_one_state_call(monkeypatch):
     assert type(one) is float and one == pytest.approx(res[3], abs=1e-6)
 
 
-def test_hamiltonicity_eps_validation():
-    p = TNParams(1.0, 1.0)
-    pt = tn_point_from_xz(1.0, 0.5 + 0j, p)
-    with pytest.raises(DomainError):
-        verify_hamiltonian(ActionSpec("TaubNUT", "U1_triholo"), pt, p, eps=1e-2)
-
-
 def test_orbit_constancy_tn():
     """The orbits in closed form, U(1): Im u += t and SO(2): z -> e^{-2it} z.
     mu is constant along 20 orbit points, and the central-difference

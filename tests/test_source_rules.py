@@ -15,10 +15,14 @@ masks.mask_any / mask_all, the one mask test, instead.  A
 module-level import that nothing in its module reads is dead code, unless
 bench/tracing.py wraps that attribute of the module by name.  The moment
 kernels (moment_tn_u1, moment_tn_so2, moment_ah_so2) are called only by
-ActionSpec.moment, the one table that pairs each action with its mu.
+ActionSpec.moment, the one table that pairs each action with its mu.  A
+defaulted parameter that no call in src/ or bench/ passes is a setting
+nobody sets: it is a constant, and is written as one.
 """
 
 import ast
+import functools
+import math
 from collections import defaultdict
 from pathlib import Path
 
@@ -26,7 +30,9 @@ import pytest
 
 from test_bench_bindings import _load_tracing
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "slag_forge").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "slag_forge").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TYPED_ERRORS = {node.name for node in ast.walk(ast.parse(
     next(p for p in SOURCES if p.name == "errors.py").read_text()))
@@ -144,3 +150,76 @@ def test_moment_call_scan():
            "    def field(self, w0, w1):\n        return mm.moment_ah_so2(w0)\n"
            "mu = moment_tn_so2(pt, p)\n")
     assert _moment_calls(ast.parse(src)) == ["line 5: moment_ah_so2", "line 6: moment_tn_so2"]
+
+
+def _callee(func: ast.expr) -> str | None:
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _passed(trees) -> tuple[set, defaultdict, set]:
+    """What the calls in the trees pass: (callee, keyword) pairs (keyword
+    None for a **mapping), the most positional arguments per callee name
+    (unbounded for a *sequence), and the keywords of functools.partial calls,
+    whose callee is often a variable."""
+    keywords, positions, partial = set(), defaultdict(int), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial":
+                partial |= {k.arg for k in node.keywords}
+                name, args = (_callee(args[0]), args[1:]) if args else (None, [])
+            keywords |= {(name, k.arg) for k in node.keywords}
+            n = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            positions[name] = max(positions[name], n)
+    return keywords, positions, partial
+
+
+def _unpassed_defaults(tree: ast.AST, calls) -> list[str]:
+    """Defaulted parameters of the tree's functions that no call passes by
+    keyword, by position or as a functools.partial keyword.  Calls match
+    by the callee's name alone; a method's position does not count self."""
+    keywords, positions, partial = calls
+    methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        skip = 1 if id(fn) in methods else 0
+        params = [(a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+        params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                   if d is not None]
+        for arg, pos in params:
+            if ((fn.name, arg) in keywords or (fn.name, None) in keywords or arg in partial
+                    or (pos is not None and positions[fn.name] > pos)):
+                continue
+            found.append(f"line {fn.lineno}: {fn.name}({arg})")
+    return found
+
+
+@functools.cache
+def _library_calls():
+    """What the calls in src/ and bench/ pass (calls in tests do not count)."""
+    return _passed(ast.parse(p.read_text(), filename=str(p)) for p in SOURCES + BENCH)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_default_is_passed_by_some_call(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unpassed_defaults(tree, _library_calls()) == []
+
+
+def test_unpassed_default_scan():
+    lib = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+           "class C:\n    def m(self, x=0, y=0):\n        pass\n"
+           "def g(p=0, q=0):\n    pass\n"
+           "def h(r=0, s=0, t=0):\n    pass\n"
+           "def k(u=0):\n    pass\n")
+    calls = ("f(1, 2, e=5)\nobj.m(1)\ng(*args)\nfunctools.partial(h, 1, t=2)\n"
+             "functools.partial(fn, s=1)\nk(**opts)\n")
+    assert _unpassed_defaults(ast.parse(lib), _passed([ast.parse(calls)])) == [
+        "line 1: f(c)", "line 1: f(d)", "line 4: m(y)"]
