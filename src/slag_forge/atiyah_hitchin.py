@@ -149,13 +149,12 @@ def ah_state_from_zvx(z, v, x, data: EllipticData) -> AHGeomState:
     return AHGeomState(z, v, x, np.sqrt(z), *ah_xy_from_zvx(z, v, x), data)
 
 
-def _chart(k, theta, phi, psi, h: float):
+def _chart(k, theta, phi, psi, h: float, K, E):
     """(z, v, x, curve data) of spherical chart points, rho = 16 h^2 K^2.
 
-    One extended-AGM run gives K(k) and E(k) for rho, the curve data and
-    (z, v, x): what elliptic_data(k, rho) and ah_zvx_from_spherical give.
+    K(k) and E(k) come from the caller (_elliptic_KE, or the cos 2psi level
+    set of the same samples) and give rho, the curve data and (z, v, x).
     """
-    K, E = _elliptic_KE(k)
     rho = 16.0 * h * h * K ** 2
     _check_curve(k, rho)
     return (*_zvx(k, theta, phi, psi, h, K), _curve_data(k, rho, K, E))
@@ -166,7 +165,7 @@ def ah_from_spherical(pt: AHSphericalPoint, p: AHParams) -> AHGeomState:
 
     _chart gives (z, v, x) and the curve data from one K and E.
     """
-    z, v, x, data = _chart(pt.k, pt.theta, pt.phi, pt.psi, p.h)
+    z, v, x, data = _chart(pt.k, pt.theta, pt.phi, pt.psi, p.h, *_elliptic_KE(pt.k))
     if mask_any(np.abs(z) < 1e-12 * data.rho):
         raise ChartError("chart point has z = 0 (sqrt(z) quantities degenerate)")
     return ah_state_from_zvx(z, v, x, data)
@@ -176,8 +175,11 @@ def ah_from_spherical(pt: AHSphericalPoint, p: AHParams) -> AHGeomState:
 _Y_FLOOR = 1e-12
 
 
-def ah_coeffs_raw(xp, xm, yp, ym, data: EllipticData):
-    """A_pm = (x_pm om1 + eta1)/y_pm, B_pm = (x_pm + V om1)/y_pm and the V ratio."""
+def ah_coeffs(state: AHGeomState):
+    """A_pm = (x_pm om1 + eta1)/y_pm, B_pm = (x_pm + V om1)/y_pm and the V ratio
+    of a state; DegenerateError on the y_pm -> 0 loci."""
+    data = state.elliptic
+    xp, xm, yp, ym = state.xplus, state.xminus, state.yplus, state.yminus
     den = 12.0 * data.eta1**2 - data.g2 * data.omega1**2
     if mask_any(den == 0):
         raise DegenerateError("ah_coeffs: 12 eta1^2 - g2 omega1^2 vanishes")
@@ -192,12 +194,6 @@ def ah_coeffs_raw(xp, xm, yp, ym, data: EllipticData):
     Bp = (xp + Vcap * data.omega1) / yp
     Bm = (xm + Vcap * data.omega1) / ym
     return Ap, Am, Bp, Bm, Vcap
-
-
-def ah_coeffs(state: AHGeomState):
-    """(A+, A-, B+, B-, Vcap) of a state; DegenerateError on the y_pm -> 0 loci."""
-    return ah_coeffs_raw(state.xplus, state.xminus, state.yplus, state.yminus,
-                         state.elliptic)
 
 
 def ah_regular(z, v, x, data: EllipticData, y_guard: float):

@@ -16,10 +16,10 @@ from . import moment_maps as mm
 from . import multiplets as mp
 from . import slag_curves as sc
 from . import taub_nut as tn
-from .elliptic import (elliptic_data, elliptic_E, elliptic_K, eta1_quadrature,
+from .elliptic import (_elliptic_KE, elliptic_data, elliptic_E, elliptic_K, eta1_quadrature,
                        eta3_quadrature, omega1_quadrature, omega3_quadrature,
                        weierstrass_p, weierstrass_p_half_periods)
-from .errors import ChartError, ConvergenceError, OutOfRangeError, SlagForgeError
+from .errors import ConvergenceError, SlagForgeError
 from .masks import mask_all
 
 
@@ -250,7 +250,8 @@ def random_ah_point(rng, p: ah.AHParams, n: int, y_guard: float = 1e-3):
     and the first n regular ones are kept; ConvergenceError if fewer are.
     """
     k, theta, phi, psi = rng.uniform(*_AH_POINT_BOX, size=(2 * n + 16, 4)).T
-    keep = np.flatnonzero(ah.ah_regular(*ah._chart(k, theta, phi, psi, p.h), y_guard))[:n]
+    chart = ah._chart(k, theta, phi, psi, p.h, *_elliptic_KE(k))
+    keep = np.flatnonzero(ah.ah_regular(*chart, y_guard))[:n]
     if len(keep) < n:
         raise ConvergenceError("could not sample regular Atiyah-Hitchin points")
     pt = ah.AHSphericalPoint(k[keep], theta[keep], phi[keep], psi[keep])
@@ -335,7 +336,7 @@ def _hamiltonicity_tn(rng, generator: str) -> tuple[bool, str]:
                                size=(100, 6)).T
     p = tn.TNParams(h, m)
     action = mm.ActionSpec("TaubNUT", generator)
-    return _result(np.max(mm.verify_hamiltonian(action, _tn_point(p, *point), p)), 1e-5)
+    return _result(np.max(mm.verify_hamiltonian_tn(action, _tn_point(p, *point), p)), 1e-5)
 
 
 def check_hamiltonicity_tn_u1(rng) -> tuple[bool, str]:
@@ -478,7 +479,7 @@ def check_slag_implicit_equivalence(rng) -> tuple[bool, str]:
     grid = sc.ImplicitGrid(
         f=lambda ph, r: np.cos(ph) - 2.0 * c2 / np.sqrt(r * r - c1 * c1),
         rect=rect, n=128)
-    polys = sc.trace_zero_set(grid, tol=1e-10)
+    polys = sc.trace_zero_set(grid)
     if not polys:
         return False, "no implicit curve found"
     cell = max((rect[1] - rect[0]) / 128, (rect[3] - rect[2]) / 128)
@@ -497,44 +498,40 @@ def check_slag_ah_zero_set(rng) -> tuple[bool, str]:
     """Condition zero set == {Im z = 0, Re z <= 0}, both inclusions.
 
     Forward: at phi* = pi/2 - arg(w)/2 (mod pi) the coordinate z is negative
-    real and the condition residual must vanish.  Converse: every phi-root of
-    the condition found by scan+bisection must land on z in R_{<=0}; the scan
-    of all theta rows is one (rows, 257) evaluation, and the brackets of all
-    rows are bisected together.
+    real and the condition residual must vanish, in one array pass over the
+    theta rows with a real psi and both phi* of each.  Converse: every
+    phi-root of the condition found by scan+bisection must land on z in
+    R_{<=0}; the scan of all rows is one (rows, 257) evaluation, and the
+    brackets of all rows are bisected together.
     """
     k, c1, h = 0.5, 0.0, 1.0
-    worst_f = 0.0
-    rows = []           # (theta, psi) of each row with a real psi
-    for th in np.linspace(0.3, math.pi - 0.3, 40):
-        try:
-            c2p = sc.ah_cos2psi(th, k, c1, h)
-        except (OutOfRangeError, ChartError):
-            continue
-        psi = 0.5 * math.acos(c2p)
-        z0, _, _ = ah.ah_zvx_from_spherical(k, th, 0.0, psi, h)
-        # z(phi) = e^{2 i phi} z0: negative real at phi* = (pi - arg z0)/2
-        for branch in (0, 1):
-            phi_star = ((math.pi - np.angle(z0)) / 2.0 + branch * math.pi) \
-                % (2.0 * math.pi)
-            f = sc.ah_condition(th, phi_star, k, c1, h, sign=1)
-            z, _, _ = ah.ah_zvx_from_spherical(k, th, phi_star, psi, h)
-            if not (z.real <= 0 and abs(z.imag) <= 1e-9 * abs(z)):
-                return False, (f"forward point theta={th:.6f} phi*={phi_star:.6f} "
-                               f"off z <= 0: z={complex(z):.3e}")
-            worst_f = max(worst_f, abs(f) / max(1.0, abs(z0)) ** 0.5)
-        rows.append((th, psi))
-    if not rows:
+    th = np.linspace(0.3, math.pi - 0.3, 40)
+    c2p, _, _ = sc.ah_cos2psi_level(th, k, c1, h)
+    real_psi = sc._in_range(c2p)
+    th = th[real_psi]
+    if not len(th):
         return False, "locus not sampled"
+    psi = 0.5 * np.arccos(np.clip(c2p[real_psi], -1.0, 1.0))
+    z0, _, _ = ah.ah_zvx_from_spherical(k, th, 0.0, psi, h)
+    # z(phi) = e^{2 i phi} z0 is negative real at [row, branch] phi* = (pi - arg z0)/2 (+ pi)
+    phi_star = ((math.pi - np.angle(z0)[:, None]) / 2.0 + [0.0, math.pi]) % (2.0 * math.pi)
+    f = sc.ah_condition(th[:, None], phi_star, k, c1, h, 1)
+    z, _, _ = ah.ah_zvx_from_spherical(k, th[:, None], phi_star, psi[:, None], h)
+    off = np.flatnonzero(~((z.real <= 0) & (np.abs(z.imag) <= 1e-9 * np.abs(z))))
+    if len(off):
+        row, branch = divmod(off[0], 2)
+        return False, (f"forward point theta={th[row]:.6f} phi*={phi_star[row, branch]:.6f} "
+                       f"off z <= 0: z={complex(z[row, branch]):.3e}")
+    worst_f = np.max(np.abs(f) / np.maximum(1.0, np.abs(z0))[:, None] ** 0.5)
     # converse: scan the rows for sign changes, bisect them all, test z there
-    th, psi = np.array(rows).T
     phis = np.linspace(0.0, 2.0 * math.pi, 257)
-    vals = sc._ah_condition_arrays(th[:, None], phis, k, c1, h, 1)
+    vals = sc.ah_condition(th[:, None], phis, k, c1, h, 1)
     row, i = np.nonzero((vals[:, :-1] > 0) != (vals[:, 1:] > 0))
     th, psi = th[row], psi[row]
     a, b, fa = phis[i], phis[i + 1], vals[row, i]
     for _ in range(60):
         mid = 0.5 * (a + b)
-        fm = sc._ah_condition_arrays(th, mid, k, c1, h, 1)
+        fm = sc.ah_condition(th, mid, k, c1, h, 1)
         left = (fa > 0) != (fm > 0)
         b = np.where(left, mid, b)
         a, fa = np.where(left, a, mid), np.where(left, fa, fm)
@@ -543,7 +540,7 @@ def check_slag_ah_zero_set(rng) -> tuple[bool, str]:
                      np.max(np.maximum(z.real, 0.0) / np.abs(z), initial=0.0))
     ok = worst_f <= 1e-7 and worst_conv <= 1e-7
     return ok, (f"forward_resid={worst_f:.3e} converse_resid={worst_conv:.3e} "
-                f"tol=1e-7 ({2 * len(rows)} locus pts)")
+                f"tol=1e-7 ({f.size} locus pts)")
 
 
 def check_slag_ah_traces(rng) -> tuple[bool, str]:
@@ -620,8 +617,7 @@ def oracle_ah_i1_i2(rng, samples: int) -> tuple[bool, str]:
             i2 = mp.ah_In_contour_oracle(data, m4, 2, tol=1e-12)
         except SlagForgeError:
             continue
-        base1 = (pi_p + pi_m) / (4.0 * np.sqrt(complex(m4.z)))
-        a1, r1 = mp.best_branch_integer(i1, base1, m4.z)
+        a1, r1 = mp.best_branch_integer(i1, m4.z, pi_p, pi_m)
         cf2 = mp.ah_I2_closed_form(m4.z, m4.v, m4.x, data, pi_p, pi_m, a1)
         r2 = abs(i2 - cf2)
         scale = max(1.0, abs(i1), abs(i2))

@@ -43,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--manifold", choices=("tn", "ah"), required=True)
     p_metric.add_argument("--r", type=float, default=2.0)
     p_metric.add_argument("--k", type=float, default=0.5)
-    p_metric.add_argument("--theta", type=float, default=math.pi / 2)
+    p_metric.add_argument("--theta", type=float, default=1.0)
     p_metric.add_argument("--phi", type=float, default=0.0)
-    p_metric.add_argument("--psi", type=float, default=0.0)
+    p_metric.add_argument("--psi", type=float, default=0.3)
     p_metric.add_argument("--m", type=float, default=1.0)
     p_metric.add_argument("--h", type=float, default=1.0)
     p_metric.add_argument("--a-int", type=int, default=1)

@@ -21,10 +21,6 @@ class DegenerateError(DomainError):
     """Configuration on a degenerate locus where the formulas break down."""
 
 
-class OutOfRangeError(DomainError):
-    """A derived quantity left its admissible range (e.g. |cos 2psi| > 1)."""
-
-
 class EmptyDomainError(DomainError):
     """A curve family was requested on an empty admissible parameter range."""
 

@@ -184,13 +184,3 @@ def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams):
     res = np.max(np.abs(lhs - dmu), axis=-1)
     return float(res[0]) if np.ndim(pt.k) == 0 else res
 
-
-def verify_hamiltonian(action: ActionSpec, pt, params):
-    """Dispatch on the action's manifold (a Taub-NUT holo point or batch, or
-    an AH spherical point or batch)."""
-    if action.manifold == "TaubNUT":
-        return verify_hamiltonian_tn(action, pt, params)
-    if action.manifold == "AtiyahHitchin":
-        return verify_hamiltonian_ah(pt, params)
-    raise DomainError("verify_hamiltonian covers the Taub-NUT and AH actions")
-

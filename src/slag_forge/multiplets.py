@@ -234,16 +234,16 @@ def ah_I2_closed_form(z: complex, v: complex, x: float, data: EllipticData,
                          - (v / (8.0 * cmath.sqrt(z))) * bracket)
 
 
-def best_branch_integer(value: complex, base: complex, z: complex) -> tuple[int, float]:
-    """Pick the integer a in [-4, 4] minimizing |value - (base + 2 a pi i/(4 sqrt z)))|.
+def best_branch_integer(value: complex, z: complex, pi_plus: complex,
+                        pi_minus: float) -> tuple[int, float]:
+    """Pick the integer a in [-4, 4] minimizing |value - ah_I1_closed_form(z, pi_pm, a)|.
 
     Returns (a, residual).  The construction only proves existence of the
     integer, so oracles report the minimizing choice.
     """
     best_a, best_res = 0, math.inf
     for a in range(-4, 5):
-        cand = base + (2.0 * a * math.pi * 1j) / (4.0 * cmath.sqrt(z))
-        res = abs(value - cand)
+        res = abs(value - ah_I1_closed_form(z, pi_plus, pi_minus, a))
         if res < best_res:
             best_a, best_res = a, res
     return best_a, best_res

@@ -8,6 +8,10 @@ tracer (one outer-product evaluation of the condition on the node lattice,
 crossed edges refined by vectorized Illinois steps), and the end-to-end
 Lagrangian / special-Lagrangian residual report (omega, Im Omega, moment
 constancy) for any emitted trace.
+
+ah_cos2psi_level (cos 2psi on mu = c1, with its K and E) and ah_condition
+(NaN where there is no real psi) take scalars or arrays; the tracer maps its
+samples by atiyah_hitchin._chart from the level set's K and E.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import numpy as np
 from . import atiyah_hitchin as ah
 from . import moment_maps as mm
 from . import taub_nut as tn
-from .elliptic import _curve_data, _elliptic_KE, elliptic_KE_vec
+from .elliptic import _elliptic_KE, elliptic_KE_vec
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
 from .elliptic import elliptic_E_vec, elliptic_K, elliptic_K_vec  # noqa: F401
-from .errors import ChartError, DomainError, EmptyDomainError, OutOfRangeError
+from .errors import ChartError, DomainError, EmptyDomainError
 from .masks import mask_all, mask_any
 
 
@@ -229,20 +233,6 @@ def _in_range(c2p):
     return np.abs(c2p) <= 1.0 + 1e-12
 
 
-def ah_cos2psi(theta: float, k: float, c1: float, h: float) -> float:
-    """Solve the moment level-set equation for cos(2 psi) at fixed (theta, k).
-
-    Raises OutOfRangeError when no real psi exists (|cos 2psi| > 1).
-    """
-    if math.sin(theta) == 0.0:
-        raise ChartError("ah_cos2psi needs sin(theta) != 0")
-    val = float(ah_cos2psi_level(theta, k, c1, h)[0])
-    if not _in_range(val):
-        raise OutOfRangeError(
-            f"no real psi: cos(2 psi) = {val!r} at theta={theta!r}, k={k!r}, c1={c1!r}")
-    return min(1.0, max(-1.0, val))
-
-
 def _ah_condition_root(theta, phi, k, c1: float, h: float):
     """Sign-free part of the condition: (in range, e^{i phi} K, sqrt(w) at s = +1, w real).
 
@@ -268,38 +258,27 @@ def _ah_condition_signed(root, sign: int):
     """Condition residual 2 Re(e^{i phi} K sqrt(w)) at sign s from its sign-free root.
 
     sqrt(w) at s = -1 is the conjugate of sqrt(w) at s = +1, except where
-    sin 2psi = 0 (see _ah_condition_arrays).  NaN where no psi.
+    sin 2psi = 0 (see ah_condition).  NaN where no psi; a scalar for a scalar root.
     """
     ok, ek, sq, real_w = root
     if sign < 0:
         sq = np.where(real_w, sq, np.conjugate(sq))
-    return np.where(ok, 2.0 * np.real(ek * sq), np.nan)
+    return np.where(ok, 2.0 * np.real(ek * sq), np.nan)[()]
 
 
-def _ah_condition_arrays(theta, phi, k, c1: float, h: float, sign: int):
-    """Vectorized condition residual 2 Re(e^{i phi} K sqrt(w)); NaN where no psi.
+def ah_condition(theta, phi, k, c1: float, h: float, sign: int = 1):
+    """Condition residual 2 Re(e^{i phi} K sqrt(w)); NaN where there is no real psi.
 
-    The sign enters only through sqrt(w).  w at s = -1 is the conjugate of
-    w at s = +1 wherever sin 2psi != 0 (cos theta is never exactly 0 at a
-    float theta, so Im w does not vanish there), and csqrt commutes with
-    conjugation.  Where sin 2psi = 0 both signs give the same w, with
-    Im w = +0, whose conjugate would flip the branch at cos 2psi = -1.  So
-    both signs are read from one root (_ah_condition_root), bit for bit the
-    per-sign arithmetic; test_shared_root_matches_per_sign_reference and
-    test_ah_families_match_per_sign_reference in tests/test_slag_curves.py
-    pin it on the fig8 and fig9 lattices, refine points and both range edges.
+    Its zero set is {Re sqrt(z) = 0} on mu = c1; scalars or arrays that
+    broadcast.  Only sqrt(w) depends on the sign.  Where sin 2psi != 0, w at
+    s = -1 is the conjugate of w at s = +1 (cos theta is never exactly 0 at a
+    float theta) and csqrt commutes with conjugation; where sin 2psi = 0 both
+    signs share w, with Im w = +0, which a conjugate would move across the
+    cut at cos 2psi = -1.  So both signs read one root (_ah_condition_root),
+    bit for bit the per-sign arithmetic (pinned by the per-sign reference
+    tests in tests/test_slag_curves.py).
     """
     return _ah_condition_signed(_ah_condition_root(theta, phi, k, c1, h), sign)
-
-
-def ah_condition(theta: float, phi: float, k: float, c1: float, h: float,
-                 sign: int = 1) -> float:
-    """Scalar residual whose zero set is {Re sqrt(z) = 0} on the moment level set."""
-    out = float(_ah_condition_arrays(theta, phi, k, c1, h, sign))
-    if math.isnan(out):
-        raise OutOfRangeError(
-            f"no real psi at theta={theta!r}, k={k!r}, c1={c1!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +358,16 @@ def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
+_REFINE_TOL = 1e-10   # |f| at which _refine_edges stops refining a crossed edge
+
+
+def trace_zero_set(grid: ImplicitGrid) -> list[np.ndarray]:
     """Polylines approximating {f = 0} on the grid rectangle.
 
     Marching squares on an (n+1) x (n+1) node lattice, whose values come
     from one call f(xs[:, None], ys[None, :]), so a term that depends on one
     coordinate alone is computed once per grid line; each crossed cell edge
-    is refined by batched Illinois steps (_refine_edges) to |f| < tol or
+    is refined by batched Illinois steps (_refine_edges) to |f| < _REFINE_TOL or
     1e-10 of the edge length, starting from the node values already known.
     A crossed edge is named by its row in the refined-vertex array
     (horizontal edges first, then vertical, each in C order of the lattice).
@@ -427,7 +409,7 @@ def trace_zero_set(grid: ImplicitGrid, tol: float = 1e-10) -> list[np.ndarray]:
                           np.column_stack([xs[vi], ys[vj + 1]])])
     f0s = np.concatenate([F[hi, hj], F[vi, vj]])
     f1s = np.concatenate([F[hi + 1, hj], F[vi, vj + 1]])
-    refined = _refine_edges(grid.f, p0s, p1s, f0s, f1s, tol) if nh + nv else p0s
+    refined = _refine_edges(grid.f, p0s, p1s, f0s, f1s, _REFINE_TOL) if nh + nv else p0s
 
     cell_ok = fin[:-1, :-1] & fin[1:, :-1] & fin[:-1, 1:] & fin[1:, 1:]
     crossings = (h_cross[:, :-1].astype(np.int8) + h_cross[:, 1:]
@@ -506,10 +488,11 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: floa
                              h: float, sign: int, tag: str) -> list[CurveTrace]:
     """Chart traces from a zero-set polyline of _ah_family, split at degenerate samples.
 
-    Samples without a real psi or not regular (ah.ah_regular at guard
-    _Y_GUARD: y_pm -> 0, x_pm at the cut ends) are removed and the polyline
-    is split there: difference quotients must never bridge a locus where
-    the metric coefficients blow up.  A polyline is thinned to at most _MAX_SAMPLES
+    ah._chart maps the samples from the level set's K and E.  Samples without
+    a real psi or not regular (ah.ah_regular at guard _Y_GUARD: y_pm -> 0,
+    x_pm at the cut ends) are removed and the polyline is split there:
+    difference quotients must never bridge a locus where the metric
+    coefficients blow up.  A polyline is thinned to at most _MAX_SAMPLES
     evenly spaced vertices, and runs shorter than _MIN_RUN are dropped.
     """
     if len(pts) > _MAX_SAMPLES:
@@ -530,8 +513,7 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: floa
     good = _in_range(c2p)
     half = 0.5 * np.arccos(np.clip(np.where(good, c2p, 1.0), -1.0, 1.0))
     psi = half if sign > 0 else math.pi - half
-    data = _curve_data(kcol, 16.0 * h * h * K ** 2, K, E)
-    good &= ah.ah_regular(*ah._zvx(kcol, theta, phi, psi, h, K), data, _Y_GUARD)
+    good &= ah.ah_regular(*ah._chart(kcol, theta, phi, psi, h, K, E), _Y_GUARD)
     # runs of good samples: [starts, ends) from the rising and falling edges
     edges = np.flatnonzero(np.diff(np.concatenate([[0], good, [0]])))
     traces = []
@@ -588,7 +570,7 @@ def _ah_family(plane: str, fixed: float, c1: float, h: float, n: int) -> list[Cu
         grid = ImplicitGrid(
             f=lambda x, y, s=sign: _ah_condition_signed(root(x, y), s),
             rect=(0.02, math.pi - 0.02, *y_range), n=n)
-        for idx, pts in enumerate(trace_zero_set(grid, tol=1e-10)):
+        for idx, pts in enumerate(trace_zero_set(grid)):
             s_tag = "s+" if sign > 0 else "s-"
             traces.extend(_ah_traces_from_polyline(
                 pts, plane, fixed, c1, h, sign, f"{s_tag}-part{idx}"))

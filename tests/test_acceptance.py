@@ -131,9 +131,9 @@ def test_criterion_4_hamiltonicity():
     for _ in range(100):
         p = tn.TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
         pt = random_tn_point(rng, p)
-        worst_u1 = max(worst_u1, mm.verify_hamiltonian(
+        worst_u1 = max(worst_u1, mm.verify_hamiltonian_tn(
             mm.ActionSpec("TaubNUT", "U1_triholo"), pt, p))
-        worst_so2 = max(worst_so2, mm.verify_hamiltonian(
+        worst_so2 = max(worst_so2, mm.verify_hamiltonian_tn(
             mm.ActionSpec("TaubNUT", "SO2_rot"), pt, p))
     worst_ah = 0.0
     pa = ah.AHParams(1.0, 1)

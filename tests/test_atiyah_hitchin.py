@@ -146,9 +146,8 @@ def test_coeff_types_and_guards():
     d2 = elliptic_data(k_half, 1.0)
     expected = 2 * d2.g2 * d2.eta1 / (12 * d2.eta1**2 - d2.g2 * d2.omega1**2)
     z, v, x = ah_zvx_from_spherical(k_half, 1.2, 0.5, 0.4, 1.0)
-    # Vcap only depends on the curve data
-    from slag_forge.atiyah_hitchin import ah_coeffs_raw
-    _, _, _, _, vcap2 = ah_coeffs_raw(1.0, -1.0, 1j, 1.0, d2)
+    # Vcap only depends on the curve data, here a state's with rho = 1
+    _, _, _, _, vcap2 = ah_coeffs(ah_state_from_zvx(z, v, x, d2))
     assert vcap2 == pytest.approx(expected, rel=1e-12)
 
 

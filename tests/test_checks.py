@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from slag_forge import atiyah_hitchin as ah, checks, elliptic, moment_maps as mm
+from slag_forge import multiplets as mp
 from slag_forge import slag_curves as sc, taub_nut as tn
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
-from slag_forge.errors import ChartError, ConvergenceError, OutOfRangeError
+from slag_forge.errors import ConvergenceError
 
 from test_atiyah_hitchin import regular_point
 
@@ -355,23 +356,22 @@ def test_too_few_regular_ah_points_is_a_fail_line(monkeypatch, capsys):
 
 
 def _zero_set_roots_per_row():
-    """The converse scan of slag-ah-zero-set one theta row at a time: the
-    phi-roots and z there."""
+    """The converse scan of slag-ah-zero-set one theta row at a time, each
+    row's psi from the level at that scalar theta: the phi-roots and z there."""
     k, c1, h = 0.5, 0.0, 1.0
     roots, zs = [], []
     for th in np.linspace(0.3, math.pi - 0.3, 40):
-        try:
-            c2p = sc.ah_cos2psi(th, k, c1, h)
-        except (OutOfRangeError, ChartError):
+        c2p = float(sc.ah_cos2psi_level(th, k, c1, h)[0])
+        if not abs(c2p) <= 1.0 + 1e-12:
             continue
-        psi = 0.5 * math.acos(c2p)
+        psi = 0.5 * math.acos(min(1.0, max(-1.0, c2p)))
         phis = np.linspace(0.0, 2.0 * math.pi, 257)
-        vals = sc._ah_condition_arrays(th, phis, k, c1, h, 1)
+        vals = sc.ah_condition(th, phis, k, c1, h, 1)
         i = np.flatnonzero((vals[:-1] > 0) != (vals[1:] > 0))
         a, b, fa = phis[i], phis[i + 1], vals[i]
         for _ in range(60):
             mid = 0.5 * (a + b)
-            fm = sc._ah_condition_arrays(th, mid, k, c1, h, 1)
+            fm = sc.ah_condition(th, mid, k, c1, h, 1)
             left = (fa > 0) != (fm > 0)
             b = np.where(left, mid, b)
             a, fa = np.where(left, a, mid), np.where(left, fa, fm)
@@ -397,6 +397,17 @@ def test_zero_set_row_batch_matches_per_row_loop(monkeypatch):
     want_phi, want_z = _zero_set_roots_per_row()
     assert want_phi.size > 0
     assert np.array_equal(phi, want_phi) and np.array_equal(z, want_z)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 14])
+def test_i1_oracle_reads_the_closed_form(seed, monkeypatch):
+    """ah-i1-i2-closed compares the contour I_1 with multiplets.ah_I1_closed_form
+    itself, not with a copy of its formula: that closed form off by 1e-3
+    is a FAIL."""
+    closed = mp.ah_I1_closed_form
+    monkeypatch.setattr(mp, "ah_I1_closed_form", lambda *args: closed(*args) + 1e-3)
+    ok, detail = checks.oracle_ah_i1_i2(np.random.default_rng(seed), 50)
+    assert not ok, detail
 
 
 def test_h_constraint_fails_on_a_broken_chart_rho(monkeypatch, capsys):

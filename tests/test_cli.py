@@ -35,6 +35,15 @@ def test_metric_ah_exit0(capsys):
     assert "det = 1.0000000" in capsys.readouterr().out
 
 
+def test_metric_ah_default_point_exit0(capsys):
+    """The default point (theta = 1, phi = 0, psi = 0.3) is off the y_pm = 0
+    locus, where theta = pi/2 with psi = 0 would put it, so the bare command
+    prints a block that passes its gate."""
+    assert main(["metric", "--manifold", "ah", "--k", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("K_UU = ") and lines[-1].endswith("(tol 1.0e-08)")
+
+
 def test_metric_ah_next_to_the_y_pm_locus(capsys):
     """theta = 1e-9 puts |y_pm| at about 2e-10 rho^{3/2}: above the library's
     coefficient floor, so the block is printed and passes its own gate."""

@@ -10,8 +10,8 @@ from slag_forge.atiyah_hitchin import AHParams, AHSphericalPoint, ah_from_spheri
 from slag_forge.errors import DomainError
 from slag_forge.moment_maps import (ActionSpec, _iota_omega, kahler_omega,
                                     moment_ah_so2, moment_tn_so2, moment_tn_u1,
-                                    so3_cotangent_moment, verify_hamiltonian,
-                                    verify_hamiltonian_ah, verify_hamiltonian_tn)
+                                    so3_cotangent_moment, verify_hamiltonian_ah,
+                                    verify_hamiltonian_tn)
 from slag_forge.taub_nut import MetricBlock, TNParams, tn_metric_holo, \
     tn_point_from_uz, tn_point_from_xz
 
@@ -62,7 +62,7 @@ def test_hamiltonicity_tn_u1():
     worst = 0.0
     for _ in range(100):
         p = TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
-        worst = max(worst, verify_hamiltonian(action, random_tn_point(rng, p), p))
+        worst = max(worst, verify_hamiltonian_tn(action, random_tn_point(rng, p), p))
     assert worst < 1e-5
 
 
@@ -72,7 +72,7 @@ def test_hamiltonicity_tn_so2():
     worst = 0.0
     for _ in range(100):
         p = TNParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
-        worst = max(worst, verify_hamiltonian(action, random_tn_point(rng, p), p))
+        worst = max(worst, verify_hamiltonian_tn(action, random_tn_point(rng, p), p))
     assert worst < 1e-5
 
 

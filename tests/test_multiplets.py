@@ -215,8 +215,7 @@ def test_ah_I1_I2_closed_forms():
             i2 = ah_In_contour_oracle(data, m4, 2, tol=1e-12)
         except PoleError:
             continue
-        base = (pi_p + pi_m) / (4.0 * np.sqrt(complex(m4.z)))
-        a_best, res1 = best_branch_integer(i1, base, m4.z)
+        a_best, res1 = best_branch_integer(i1, m4.z, pi_p, pi_m)
         assert res1 < 1e-7 * max(1.0, abs(i1))
         assert ah_I1_closed_form(m4.z, pi_p, pi_m, a_best) == pytest.approx(i1, abs=2e-7)
         cf2 = ah_I2_closed_form(m4.z, m4.v, m4.x, data, pi_p, pi_m, a_best)

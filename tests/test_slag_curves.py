@@ -17,13 +17,11 @@ from slag_forge.atiyah_hitchin import (AHParams, AHSphericalPoint,
                                        ah_zvx_from_spherical)
 from slag_forge.elliptic import (elliptic_data, elliptic_E_vec, elliptic_K,
                                  elliptic_K_vec)
-from slag_forge.errors import (ChartError, DomainError, EmptyDomainError,
-                               OutOfRangeError, SlagForgeError)
+from slag_forge.errors import ChartError, DomainError, EmptyDomainError, SlagForgeError
 from slag_forge.moment_maps import (ActionSpec, moment_ah_so2, moment_tn_so2,
                                     moment_tn_u1)
 from slag_forge.slag_curves import (CurveTrace, ImplicitGrid, ah_condition,
-                                    ah_cos2psi, ah_cos2psi_level,
-                                    ah_traces_theta_k,
+                                    ah_cos2psi_level, ah_traces_theta_k,
                                     ah_traces_theta_phi, perturb_phi,
                                     tn_so2_curve, tn_so2_r_of_theta,
                                     tn_u1_case1, tn_u1_case2, trace_zero_set,
@@ -175,10 +173,11 @@ def test_ah_cos2psi_backsubstitution():
         x = 4 * (-3 * math.cos(2 * psi) * math.sin(th) ** 2
                  + (2 * k * k - 1) * (1 - 3 * math.cos(th) ** 2)) * K * K
         c1 = -16 * h * K * ((k * k - 2) * K / 3 + E) - x / (3 * h)
-        val = ah_cos2psi(th, k, c1, h)
+        val = ah_cos2psi_level(th, k, c1, h)[0]
         assert val == pytest.approx(math.cos(2 * psi), abs=1e-10)
-    with pytest.raises(OutOfRangeError):
-        ah_cos2psi(0.1, 0.5, 100.0, 1.0)
+    # no real psi: the level leaves [-1, 1] and the condition reads NaN
+    assert not sc._in_range(ah_cos2psi_level(0.1, 0.5, 100.0, 1.0)[0])
+    assert math.isnan(ah_condition(0.1, 0.3, 0.5, 100.0, 1.0))
 
 
 def test_ah_cos2psi_affine_in_c1():
@@ -188,12 +187,13 @@ def test_ah_cos2psi_affine_in_c1():
     from slag_forge.elliptic import elliptic_K
     k, th, h = 0.4, 1.1, 1.0
     c1, d = -10.0, 1e-4
-    slope = (ah_cos2psi(th, k, c1 + d, h) - ah_cos2psi(th, k, c1 - d, h)) / (2 * d)
+    slope = (ah_cos2psi_level(th, k, c1 + d, h)[0]
+             - ah_cos2psi_level(th, k, c1 - d, h)[0]) / (2 * d)
     expect = h / (4 * elliptic_K(k) ** 2 * math.sin(th) ** 2)
     assert slope == pytest.approx(expect, rel=1e-9)
-    # outside that interval the level set has no real psi (cos 2psi = 1.54)
-    with pytest.raises(OutOfRangeError):
-        ah_cos2psi(th, k, 1.0, h)
+    # outside that interval the level set has no real psi (cos 2psi = 1.54):
+    # the condition reads NaN there
+    assert math.isnan(ah_condition(th, 0.3, k, 1.0, h))
     # the unclamped level value keeps the same slope there
     assert ah_cos2psi_level(th, k, 1.0, h)[0] == pytest.approx(1.54, abs=5e-3)
     slope = (ah_cos2psi_level(th, k, 1.0 + d, h)[0]
@@ -241,38 +241,34 @@ POLE_THETA = st.one_of(st.floats(1e-12, 1e-3),
 @given(theta=POLE_THETA, k=st.floats(1e-6, 1.0 - 1e-9), c1=st.floats(-10.0, 10.0),
        phi=st.floats(0.0, 2.0 * math.pi), sign=st.sampled_from((1, -1)))
 def test_ah_cos2psi_and_condition_bounded_at_poles(theta, k, c1, phi, sign):
-    """Near theta = 0 or pi, cos 2psi is in [-1, 1] and the condition residual
-    finite, or either raises OutOfRangeError, each call in under 50 ms of
-    CPU time; theta = 0 itself is off the chart."""
+    """Near theta = 0 or pi, the condition residual is finite where cos 2psi
+    is in [-1, 1] and NaN where it is not, each call in under 50 ms of CPU
+    time; at theta = 0 itself the level is not finite and the condition NaN."""
     # CPU time of this process: a wall-clock bound also counts time other
     # processes take on a busy host; the collector is paused, so that a
     # collection pass of the whole test session is not billed to these calls
     gc.disable()
     try:
         t0 = time.process_time()
-        try:
-            assert -1.0 <= ah_cos2psi(theta, k, c1, 1.0) <= 1.0
-        except OutOfRangeError:
-            pass
+        c2p = ah_cos2psi_level(theta, k, c1, 1.0)[0]
         t1 = time.process_time()
-        try:
-            assert math.isfinite(ah_condition(theta, phi, k, c1, 1.0, sign))
-        except OutOfRangeError:
-            pass
+        f = ah_condition(theta, phi, k, c1, 1.0, sign)
         t2 = time.process_time()
     finally:
         gc.enable()
     assert t1 - t0 < 0.05 and t2 - t1 < 0.05
-    with pytest.raises(ChartError):
-        ah_cos2psi(0.0, k, c1, 1.0)
+    assert math.isfinite(f) if sc._in_range(c2p) else math.isnan(f)
+    assert not math.isfinite(ah_cos2psi_level(0.0, k, c1, 1.0)[0])
+    assert math.isnan(ah_condition(0.0, phi, k, c1, 1.0, sign))
 
 
 def test_ah_condition_zero_iff_negative_real_z():
     k, c1, h = 0.5, 0.0, 1.0
     count = 0
     for th in np.linspace(1.48, 1.66, 12):
-        c2p = ah_cos2psi(th, k, c1, h)
-        psi = 0.5 * math.acos(c2p)
+        c2p = ah_cos2psi_level(th, k, c1, h)[0]
+        assert sc._in_range(c2p)
+        psi = 0.5 * math.acos(min(1.0, max(-1.0, c2p)))
         z0, _, _ = ah_zvx_from_spherical(k, th, 0.0, psi, h)
         phi_star = ((math.pi - np.angle(z0)) / 2.0) % (2 * math.pi)
         f = ah_condition(th, phi_star, k, c1, h, sign=1)
@@ -292,13 +288,14 @@ def test_ah_condition_sign_symmetry():
     for ph in (0.3, 1.2, 2.5):
         a = ah_condition(th, ph, k, c1, h, sign=1)
         b = ah_condition(th, (2 * math.pi - ph) % (2 * math.pi), k, c1, h, sign=-1)
+        assert type(a) is type(b) is np.float64     # scalars in, a scalar out
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
 def test_trace_zero_set_circle():
     grid = ImplicitGrid(f=lambda x, y: x * x + y * y - 1.0, rect=(-2, 2, -2, 2),
                         n=64)
-    polys = trace_zero_set(grid, tol=1e-12)
+    polys = trace_zero_set(grid)
     assert len(polys) == 1
     cell_diag = math.hypot(4 / 64, 4 / 64)
     for pt in polys[0]:
@@ -309,7 +306,7 @@ def test_trace_zero_set_circle():
 
 def test_trace_zero_set_horizontal_line():
     grid = ImplicitGrid(f=lambda x, y: y + 0.0 * x, rect=(-2, 2, -2, 2), n=32)
-    polys = trace_zero_set(grid, tol=1e-12)
+    polys = trace_zero_set(grid)
     assert len(polys) == 1
     assert np.max(np.abs(polys[0][:, 1])) < 1e-9
 
@@ -385,7 +382,7 @@ TRACER_CASES = {
     "fig8": lambda: ah_traces_theta_phi(0.5, -3.0),
     "fig9": lambda: ah_traces_theta_k(math.pi / 4, -3.0),
     "circle": lambda: sc.trace_zero_set(ImplicitGrid(
-        f=lambda x, y: x * x + y * y - 1.0, rect=(-2, 2, -2, 2), n=64), tol=1e-12),
+        f=lambda x, y: x * x + y * y - 1.0, rect=(-2, 2, -2, 2), n=64)),
 }
 
 
@@ -771,8 +768,8 @@ def test_ah_condition_outer_product_matches_meshgrid():
     kk = np.linspace(0.02, 0.98, 257)
     for sign in (1, -1):
         for c1 in (-3.0, 0.0):
-            planes = [(lambda x, y: sc._ah_condition_arrays(x, y, 0.5, c1, 1.0, sign), ph),
-                      (lambda x, y: sc._ah_condition_arrays(x, math.pi / 4, y, c1, 1.0, sign),
+            planes = [(lambda x, y: sc.ah_condition(x, y, 0.5, c1, 1.0, sign), ph),
+                      (lambda x, y: sc.ah_condition(x, math.pi / 4, y, c1, 1.0, sign),
                        kk)]
             for f, ys in planes:
                 outer = np.broadcast_to(f(th[:, None], ys[None, :]), (257, 257))
@@ -789,7 +786,7 @@ def test_implicit_matches_closed_form_case1():
     grid = ImplicitGrid(
         f=lambda ph, r: np.cos(ph) - 2 * c2 / np.sqrt(r * r - c1 * c1),
         rect=rect, n=128)
-    polys = trace_zero_set(grid, tol=1e-10)
+    polys = trace_zero_set(grid)
     assert polys
     cell = max((rect[1] - rect[0]) / 128, (rect[3] - rect[2]) / 128)
     plus, minus = tn_u1_case1(c1, c2, r_range=(r0 + 1e-3, 8.0), n=800)
@@ -844,9 +841,9 @@ def test_fig9_jump_on_theta_pi_2_traced_as_crossing():
     phi, c1 = math.pi / 4, -3.0
     for sign, on_column in ((1, 97), (-1, 96)):
         grid = ImplicitGrid(
-            f=lambda th, kk, s=sign: sc._ah_condition_arrays(th, phi, kk, c1, 1.0, s),
+            f=lambda th, kk, s=sign: sc.ah_condition(th, phi, kk, c1, 1.0, s),
             rect=(0.02, math.pi - 0.02, 0.02, 0.98), n=256)
-        pts = np.vstack(trace_zero_set(grid, tol=1e-10))
+        pts = np.vstack(trace_zero_set(grid))
         f = np.abs(grid.f(pts[:, 0], pts[:, 1]))
         on = np.abs(pts[:, 0] - math.pi / 2) <= 1e-12
         assert on.sum() == on_column
@@ -854,6 +851,21 @@ def test_fig9_jump_on_theta_pi_2_traced_as_crossing():
         assert f[~on].max() <= 1e-9
     theta = np.concatenate([tr.cols["theta"] for tr in ah_traces_theta_k(phi, c1)])
     assert np.min(np.abs(theta - math.pi / 2)) > 1e-3
+
+
+def test_ah_traces_read_the_chart_kernel(monkeypatch):
+    """The tracer maps its samples through ah._chart: with z = 0 at every
+    sample no sample is regular, and the fig8 family at c1 = -3 emits no
+    trace."""
+    assert ah_traces_theta_phi(0.5, -3.0)
+    chart = ah._chart
+
+    def z_zero(*args):
+        z, v, x, data = chart(*args)
+        return 0.0 * z, v, x, data
+
+    monkeypatch.setattr(ah, "_chart", z_zero)
+    assert ah_traces_theta_phi(0.5, -3.0) == []
 
 
 def test_ah_theta_k_traces():
@@ -904,7 +916,7 @@ def _reference_sample_ok(theta, kmod, phi, psi, h):
 
 def _reference_runs(pts, plane, fixed, c1, h, sign,
                     max_samples=320, min_run=6):
-    """Polyline to chart runs one sample at a time: scalar ah_cos2psi,
+    """Polyline to chart runs one sample at a time: the level at a scalar,
     math.acos and the scalar sample test.  Returns (t, k, theta, phi, psi)
     of every run of at least min_run good samples."""
     if len(pts) > max_samples:
@@ -924,12 +936,11 @@ def _reference_runs(pts, plane, fixed, c1, h, sign,
     psi = np.zeros_like(theta)
     good = np.ones(len(theta), dtype=bool)
     for i in range(len(theta)):
-        try:
-            c2p = ah_cos2psi(theta[i], kcol[i], c1, h)
-        except (OutOfRangeError, ChartError):
+        c2p = float(ah_cos2psi_level(theta[i], kcol[i], c1, h)[0])
+        if not abs(c2p) <= 1.0 + 1e-12:
             good[i] = False
             continue
-        half = 0.5 * math.acos(c2p)
+        half = 0.5 * math.acos(min(1.0, max(-1.0, c2p)))
         psi[i] = half if sign > 0 else (math.pi - half)
         good[i] = _reference_sample_ok(theta[i], kcol[i], phi[i], psi[i], h)
     runs, start = [], None

@@ -17,7 +17,9 @@ bench/tracing.py wraps that attribute of the module by name.  The moment
 kernels (moment_tn_u1, moment_tn_so2, moment_ah_so2) are called only by
 ActionSpec.moment, the one table that pairs each action with its mu.  A
 defaulted parameter that no call in src/ or bench/ passes is a setting
-nobody sets: it is a constant, and is written as one.
+nobody sets: it is a constant, and is written as one.  Every class of
+errors.py but the base SlagForgeError is raised by some `raise` in src/: a
+class that nothing raises is a name callers would catch in vain.
 """
 
 import ast
@@ -34,9 +36,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "slag_forge").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
-TYPED_ERRORS = {node.name for node in ast.walk(ast.parse(
-    next(p for p in SOURCES if p.name == "errors.py").read_text()))
-    if isinstance(node, ast.ClassDef)}
+ERRORS = ast.parse(next(p for p in SOURCES if p.name == "errors.py").read_text())
+TYPED_ERRORS = {node.name for node in ast.walk(ERRORS) if isinstance(node, ast.ClassDef)}
 BROAD = {"Exception", "BaseException"}
 MASK_REDUCTIONS = {"any", "all"}
 
@@ -84,6 +85,32 @@ def test_scan_flags_untyped_raise():
            "raise errors.ConvergenceError('no') from None\n"
            "try:\n    pass\nexcept DomainError:\n    raise\n")
     assert _violations(ast.parse(src)) == ["line 1: raise RuntimeError"]
+
+
+def _unraised_errors(errors: ast.Module, trees) -> list[str]:
+    """Classes of the errors module, but SlagForgeError, that no raise in the
+    trees names (as a call's callee or bare; a bare `raise` names none)."""
+    raised = {_callee(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    return [node.name for node in errors.body if isinstance(node, ast.ClassDef)
+            and node.name != "SlagForgeError" and node.name not in raised]
+
+
+def test_every_error_class_is_raised():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SOURCES]
+    assert _unraised_errors(ERRORS, trees) == []
+
+
+def test_unraised_error_scan():
+    errors = ast.parse("class SlagForgeError(Exception):\n    pass\n"
+                       + "".join(f"class {c}Error(SlagForgeError):\n    pass\n"
+                                 for c in "ABCDE"))
+    src = ("raise errors.AError('no') from None\n"
+           "raise BError\n"
+           "try:\n    pass\nexcept CError:\n    raise\n"
+           "err = DError('built, not raised')\n")
+    assert _unraised_errors(errors, [ast.parse(src)]) == ["CError", "DError", "EError"]
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:
