@@ -33,6 +33,7 @@ check sampler both apply, each at its own y guard.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,12 @@ def ah_state_from_zvx(z, v, x, data: EllipticData) -> AHGeomState:
     if mask_any(z == 0):
         raise ChartError("sqrt(z)-based quantities degenerate at z = 0")
     return AHGeomState(z, v, x, np.sqrt(z), *ah_xy_from_zvx(z, v, x), data)
+
+
+def _rows(batch, rows):
+    """A batch state or curve data (a dataclass of equal-length arrays) at the given rows."""
+    return type(batch)(*(_rows(v, rows) if dataclasses.is_dataclass(v) else v[rows]
+                         for v in (getattr(batch, f.name) for f in dataclasses.fields(batch))))
 
 
 def _chart(k, theta, phi, psi, h: float, K, E):

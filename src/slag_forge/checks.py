@@ -248,14 +248,15 @@ def random_ah_point(rng, p: ah.AHParams, n: int, y_guard: float = 1e-3):
     y_guard rho^{3/2} (so the coefficients exist).  The 2n + 16 candidates
     are drawn as one array, the stream of drawing them one point at a time,
     and the first n regular ones are kept; ConvergenceError if fewer are.
+    The kept states are the chart's own rows (one extended-AGM run).
     """
     k, theta, phi, psi = rng.uniform(*_AH_POINT_BOX, size=(2 * n + 16, 4)).T
-    chart = ah._chart(k, theta, phi, psi, p.h, *_elliptic_KE(k))
-    keep = np.flatnonzero(ah.ah_regular(*chart, y_guard))[:n]
+    z, v, x, data = ah._chart(k, theta, phi, psi, p.h, *_elliptic_KE(k))
+    keep = np.flatnonzero(ah.ah_regular(z, v, x, data, y_guard))[:n]
     if len(keep) < n:
         raise ConvergenceError("could not sample regular Atiyah-Hitchin points")
     pt = ah.AHSphericalPoint(k[keep], theta[keep], phi[keep], psi[keep])
-    return pt, ah.ah_from_spherical(pt, p)
+    return pt, ah.ah_state_from_zvx(z[keep], v[keep], x[keep], ah._rows(data, keep))
 
 
 def check_ah_monge_ampere(rng) -> tuple[bool, str]:

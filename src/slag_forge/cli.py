@@ -2,9 +2,9 @@
 
 Exit codes: 0 all requested checks pass, 1 an invariant or oracle failed,
 2 usage or domain error.  All randomness flows from --seed (default 0);
-identical invocations produce byte-identical CSV output.  Trace families
-are verified in one thread; the environment variable SLAG_FORGE_THREADS is
-accepted and ignored.
+identical invocations produce byte-identical CSV output.  The traces of
+each family are verified in one batch, in one thread; the environment
+variable SLAG_FORGE_THREADS is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -146,64 +146,65 @@ def cmd_verify(args, seed: int) -> int:
     return _run_checks(((name, checks.VERIFY_CHECKS[name]) for name in names), seed)
 
 
-def _emit_traces(items, out_dir: Path, fmt: str, preset: str | None) -> int:
+def _emit_traces(families, out_dir: Path, fmt: str, preset: str | None) -> int:
+    """Write one CSV per trace; each family (one manifold, one params) is one batch."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stem, manifold, trace, params in items:
-        res = sc.verify_slag(trace, manifold, params)
-        path = out_dir / f"{stem}.csv"
-        write_trace_csv(path, trace, manifold, res)
-        print(f"wrote {path}  omega={res['omega_max']:.2e} "
-              f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
+    for family in filter(None, families):
+        _, manifold, _, params = family[0]
+        reports = sc.verify_slag_batch([trace for _, _, trace, _ in family], manifold, params)
+        for (stem, _, trace, _), res in zip(family, reports):
+            path = out_dir / f"{stem}.csv"
+            write_trace_csv(path, trace, manifold, res)
+            print(f"wrote {path}  omega={res['omega_max']:.2e} "
+                  f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
     if fmt == "svg" and preset is not None:
         xcol, ycol = presets.preset_plane_columns(preset)
         polys = [np.column_stack([tr.cols[xcol], tr.cols[ycol]])
-                 for _, _, tr, _ in items]
+                 for family in families for _, _, tr, _ in family]
         svg_path = out_dir / f"{preset}.svg"
         write_svg(svg_path, polys, xcol, ycol, title=preset)
         print(f"wrote {svg_path}")
-    return 0 if items else 2
+    return 0 if any(families) else 2
 
 
 def cmd_trace(args) -> int:
     out_dir = Path(args.out)
     if args.preset:
-        items = list(presets.preset_traces(args.preset, grid_n=args.grid))
-        return _emit_traces(items, out_dir, args.format, args.preset)
-    items = []
+        families = list(presets.preset_families(args.preset, grid_n=args.grid))
+        return _emit_traces(families, out_dir, args.format, args.preset)
+    pm = {"+": "plus", "-": "minus"}
+    families = []
     if args.tn_u1_case1:
         p = tn.TNParams(args.h, args.m)
-        for trace in sc.tn_u1_case1(args.c1, args.c2, n=args.samples):
-            tag = "plus" if trace.tag == "+" else "minus"
-            items.append((f"tn_u1_case1_c1_{args.c1:g}_c2_{args.c2:g}_{tag}",
-                          "tn", trace, p))
+        stem = f"tn_u1_case1_c1_{args.c1:g}_c2_{args.c2:g}_"
+        families.append([(stem + pm[tr.tag], "tn", tr, p)
+                         for tr in sc.tn_u1_case1(args.c1, args.c2, n=args.samples)])
     if args.tn_u1_case2:
         p = tn.TNParams(args.h, args.m)
-        for trace in sc.tn_u1_case2(args.c, n=args.samples):
-            tag = "plus" if trace.tag == "+" else "minus"
-            items.append((f"tn_u1_case2_c_{args.c:g}_{tag}", "tn", trace, p))
+        families.append([(f"tn_u1_case2_c_{args.c:g}_{pm[tr.tag]}", "tn", tr, p)
+                         for tr in sc.tn_u1_case2(args.c, n=args.samples)])
     if args.tn_so2:
         p = tn.TNParams(args.h, args.m)
-        for trace in sc.tn_so2_curve(args.c1, p, branch=args.branch,
-                                     psi_rate=args.psi_rate, n=args.samples):
-            items.append((f"tn_so2_c1_{args.c1:g}_{trace.tag}", "tn", trace, p))
+        families.append([(f"tn_so2_c1_{args.c1:g}_{tr.tag}", "tn", tr, p)
+                         for tr in sc.tn_so2_curve(args.c1, p, branch=args.branch,
+                                                   psi_rate=args.psi_rate, n=args.samples)])
     if args.ah_theta_phi:
         p = ah.AHParams(args.h, args.a_int)
-        for trace in sc.ah_traces_theta_phi(args.k, args.c1, h=args.h, n=args.grid):
-            stem = f"ah_thetaphi_k_{args.k:g}_c1_{args.c1:g}_{trace.tag}"
-            items.append((stem.replace("+", "p").replace("-", "m"), "ah", trace, p))
+        stem = f"ah_thetaphi_k_{args.k:g}_c1_{args.c1:g}_"
+        families.append([((stem + tr.tag).replace("+", "p").replace("-", "m"), "ah", tr, p)
+                         for tr in sc.ah_traces_theta_phi(args.k, args.c1, h=args.h, n=args.grid)])
     if args.ah_theta_k:
         p = ah.AHParams(args.h, args.a_int)
-        for trace in sc.ah_traces_theta_k(args.phi, args.c1, h=args.h, n=args.grid):
-            stem = f"ah_thetak_phi_{args.phi:g}_c1_{args.c1:g}_{trace.tag}"
-            items.append((stem.replace("+", "p").replace("-", "m"), "ah", trace, p))
-    if not items:
-        if (args.tn_u1_case1 or args.tn_u1_case2 or args.tn_so2 or args.ah_theta_phi
-                or args.ah_theta_k):
+        stem = f"ah_thetak_phi_{args.phi:g}_c1_{args.c1:g}_"
+        families.append([((stem + tr.tag).replace("+", "p").replace("-", "m"), "ah", tr, p)
+                         for tr in sc.ah_traces_theta_k(args.phi, args.c1, h=args.h, n=args.grid)])
+    if not any(families):
+        if families:
             print("no trace found for the given family parameters", file=sys.stderr)
         else:
             print("nothing to trace: pass --preset or a family flag", file=sys.stderr)
         return 2
-    return _emit_traces(items, out_dir, args.format, None)
+    return _emit_traces(families, out_dir, args.format, None)
 
 
 def cmd_oracle(args, seed: int) -> int:

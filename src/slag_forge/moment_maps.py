@@ -163,8 +163,8 @@ def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams):
     d mu is differenced in the spherical chart (step max(_HAM_EPS |q_a|, 1e-6) in
     each angle q_a) and pushed to the (U, Z) components through the chart
     Jacobian differenced from the same perturbed states; the metric side is
-    evaluated directly from the closed-form block.  A batch point gives one
-    residual per point, a scalar point a float.
+    evaluated directly from the closed-form block at the centre states.  A
+    batch point gives one residual per point, a scalar point a float.
     """
     q = np.array([pt.k, pt.theta, pt.phi, pt.psi], dtype=float).reshape(4, -1)
     n = q.shape[1]
@@ -180,7 +180,7 @@ def verify_hamiltonian_ah(pt: ah.AHSphericalPoint, p: ah.AHParams):
     dmu_ang = (mu[1:5] - mu[5:]) / (2.0 * step)
     J = (chart[:, 1:5] - chart[:, 5:]) / (2.0 * step)       # [i, a, point]
     dmu = np.linalg.solve(J.transpose(2, 1, 0), dmu_ang.T[..., None])[..., 0]
-    lhs = _iota_omega(action, ah.ah_metric_UZ(state, p), U, Z)[:n]
+    lhs = _iota_omega(action, ah.ah_metric_UZ(ah._rows(state, slice(n)), p), U[:n], Z[:n])
     res = np.max(np.abs(lhs - dmu), axis=-1)
     return float(res[0]) if np.ndim(pt.k) == 0 else res
 

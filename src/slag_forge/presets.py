@@ -30,43 +30,49 @@ def _fnum(v: float) -> str:
     return f"{v:g}".replace("-", "m")
 
 
-def preset_traces(name: str, grid_n: int = 256):
-    """Yield (filename_stem, manifold, trace, params_object) for a preset."""
+def preset_families(name: str, grid_n: int = 256):
+    """Yield the families of a preset, one list of
+    (filename_stem, manifold, trace, params_object) per family call."""
     if name == "fig5":
         p = tn.TNParams(1.0, 1.0)
         for c1 in (1.0, 2.0, 3.0, 4.0, 5.0):
             trace = sc.tn_u1_case1(c1, 0.5)[0]
-            yield f"fig5_c1_{_fnum(c1)}_c2_0.5", "tn", trace, p
+            yield [(f"fig5_c1_{_fnum(c1)}_c2_0.5", "tn", trace, p)]
         for c2 in (0.2, 0.4, 0.6, 0.8, 1.0):
             trace = sc.tn_u1_case1(1.0, c2)[0]
-            yield f"fig5_c1_1_c2_{_fnum(c2)}", "tn", trace, p
+            yield [(f"fig5_c1_1_c2_{_fnum(c2)}", "tn", trace, p)]
     elif name == "fig6":
         p = tn.TNParams(1.0, 1.0)
         for c in (1.0, 2.0, 3.0, 4.0, 5.0):
             trace = sc.tn_u1_case2(c)[0]
-            yield f"fig6_c_{_fnum(c)}", "tn", trace, p
+            yield [(f"fig6_c_{_fnum(c)}", "tn", trace, p)]
     elif name == "fig7":
         p = tn.TNParams(1.0, 1.0)
         for c1 in range(1, 11):
             trace = sc.tn_so2_curve(float(c1), p, branch="plane")[0]
-            yield f"fig7_c1_{c1}", "tn", trace, p
+            yield [(f"fig7_c1_{c1}", "tn", trace, p)]
     elif name == "fig8":
         p = ah.AHParams(1.0, 1)
         for k in (0.3, 0.5, 0.7):
             for c1 in AH_C1_SET:
-                for trace in sc.ah_traces_theta_phi(k, c1, h=1.0, n=grid_n):
-                    stem = f"fig8_k_{_fnum(k)}_c1_{_fnum(c1)}_{trace.tag}"
-                    yield stem.replace("+", "p").replace("-", "m"), "ah", trace, p
+                stem = f"fig8_k_{_fnum(k)}_c1_{_fnum(c1)}_"
+                yield [((stem + trace.tag).replace("+", "p").replace("-", "m"), "ah", trace, p)
+                       for trace in sc.ah_traces_theta_phi(k, c1, h=1.0, n=grid_n)]
     elif name == "fig9":
         p = ah.AHParams(1.0, 1)
         for phi, label in ((math.pi / 6, "pi6"), (math.pi / 4, "pi4"),
                            (math.pi / 3, "pi3")):
             for c1 in AH_C1_SET:
-                for trace in sc.ah_traces_theta_k(phi, c1, h=1.0, n=grid_n):
-                    stem = f"fig9_phi_{label}_c1_{_fnum(c1)}_{trace.tag}"
-                    yield stem.replace("+", "p").replace("-", "m"), "ah", trace, p
+                stem = f"fig9_phi_{label}_c1_{_fnum(c1)}_"
+                yield [((stem + trace.tag).replace("+", "p").replace("-", "m"), "ah", trace, p)
+                       for trace in sc.ah_traces_theta_k(phi, c1, h=1.0, n=grid_n)]
     else:
         raise EmptyDomainError(f"unknown preset {name!r}")
+
+
+def preset_traces(name: str):
+    """Yield (filename_stem, manifold, trace, params_object) for a preset."""
+    return (item for family in preset_families(name) for item in family)
 
 
 def preset_plane_columns(name: str) -> tuple[str, str]:

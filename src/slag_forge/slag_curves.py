@@ -2,12 +2,12 @@
 
 Closed-form families (the two tri-holomorphic U(1) cases and the rotational
 SO(2) level sets on Taub-NUT), the implicit Atiyah-Hitchin condition in the
-(theta, phi) and (theta, k) planes (both sin 2psi signs of a family read one
-sign-free evaluation of its node lattice), a marching-squares zero-set
-tracer (one outer-product evaluation of the condition on the node lattice,
-crossed edges refined by vectorized Illinois steps), and the end-to-end
-Lagrangian / special-Lagrangian residual report (omega, Im Omega, moment
-constancy) for any emitted trace.
+(theta, phi) and (theta, k) planes (both sin 2psi signs of a family are the
+two layers of one grid), a marching-squares zero-set tracer (one
+outer-product evaluation of the condition on the node lattice, crossed edges
+refined by vectorized Illinois steps), and the end-to-end Lagrangian /
+special-Lagrangian residual report (omega, Im Omega, moment constancy),
+one array pass for all traces of a family.
 
 ah_cos2psi_level (cos 2psi on mu = c1, with its K and E) and ah_condition
 (NaN where there is no real psi) take scalars or arrays; the tracer maps its
@@ -16,6 +16,7 @@ samples by atiyah_hitchin._chart from the level set's K and E.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -266,6 +267,14 @@ def _ah_condition_signed(root, sign: int):
     return np.where(ok, 2.0 * np.real(ek * sq), np.nan)[()]
 
 
+def _ah_condition_layers(root) -> np.ndarray:
+    """Both sign layers of the condition from one sign-free root, shape (2, ...): s = +1, -1."""
+    out = np.empty((2,) + np.broadcast_shapes(*(np.shape(r) for r in root)))
+    for layer, sign in enumerate((1, -1)):
+        out[layer] = _ah_condition_signed(root, sign)
+    return out
+
+
 def ah_condition(theta, phi, k, c1: float, h: float, sign: int = 1):
     """Condition residual 2 Re(e^{i phi} K sqrt(w)); NaN where there is no real psi.
 
@@ -287,13 +296,14 @@ def ah_condition(theta, phi, k, c1: float, h: float, sign: int = 1):
 
 @dataclass
 class ImplicitGrid:
-    """Rectangle, resolution and a vectorized scalar condition f(x, y).
+    """Rectangle, resolution and a vectorized condition f(x, y), one layer or several.
 
     f must broadcast: the node lattice is evaluated in one call with an
     (n+1, 1) column of x and a (1, n+1) row of y, and the result (which may
     be a scalar or any shape that broadcasts to (n+1, n+1)) is read as the
     (n+1) x (n+1) node values; saddle centres and edge refinement call it
-    with equal-length 1-d arrays.
+    with equal-length 1-d arrays of m points.  A layered f (L conditions on
+    one lattice) returns a leading axis: (L, n+1, n+1) and (L, m).
     """
 
     f: Callable
@@ -321,7 +331,8 @@ def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
     Illinois step), so both ends converge.  A segment stops at |f| < tol, at
     a non-finite value, or when the bracket its point came from is under
     1e-10 of the edge length; f is evaluated only on segments still active,
-    for at most 80 sweeps.  Returns the last point taken on each segment.
+    for at most 80 sweeps, with one argument per point column (x, y, and a
+    layer index equal at both ends).  Returns the last point on each segment.
     """
     m = len(p0s)
     a, b = np.zeros(m), np.ones(m)
@@ -337,7 +348,7 @@ def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
         t[active] = x
         pts = p0s[active] + x[:, None] * (p1s[active] - p0s[active])
         with np.errstate(all="ignore"):
-            fx = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+            fx = np.asarray(f(*pts.T), dtype=float)
         done = ~np.isfinite(fx) | (np.abs(fx) < tol) | ((hi - lo) < 1e-10)
         live = active[~done]
         x, fx = x[~done], fx[~done]
@@ -353,16 +364,17 @@ def _refine_edges(f, p0s: np.ndarray, p1s: np.ndarray, f0s: np.ndarray,
     return p0s + t[:, None] * (p1s - p0s)
 
 
-def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.nonzero of a 2-d mask (same indices, same C order), several times faster."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.nonzero of a 3-d mask (same indices, same C order), several times faster."""
+    rest, j = np.divmod(np.flatnonzero(mask), mask.shape[2])
+    return (*np.divmod(rest, mask.shape[1]), j)
 
 
 _REFINE_TOL = 1e-10   # |f| at which _refine_edges stops refining a crossed edge
 
 
 def trace_zero_set(grid: ImplicitGrid) -> list[np.ndarray]:
-    """Polylines approximating {f = 0} on the grid rectangle.
+    """Polylines approximating {f = 0} on the grid rectangle, per layer.
 
     Marching squares on an (n+1) x (n+1) node lattice, whose values come
     from one call f(xs[:, None], ys[None, :]), so a term that depends on one
@@ -370,66 +382,77 @@ def trace_zero_set(grid: ImplicitGrid) -> list[np.ndarray]:
     is refined by batched Illinois steps (_refine_edges) to |f| < _REFINE_TOL or
     1e-10 of the edge length, starting from the node values already known.
     A crossed edge is named by its row in the refined-vertex array
-    (horizontal edges first, then vertical, each in C order of the lattice).
-    A two-crossing cell joins its two crossed edges; a saddle cell joins two
-    pairs chosen by the sign of f at its centre.  Cells with any non-finite
-    corner are skipped (flagged region).  A crossing is a sign change
-    between finite node values, so a jump without a zero (f changing sign
-    across a branch cut, say) is traced as a crossing too; its vertex keeps
-    |f| of the size of the jump.  The output ordering is deterministic:
-    polylines sorted lexicographically by first vertex, each open one
-    oriented so the first vertex is not greater than the last; a closed
-    loop starts and ends at its smallest vertex and runs from it toward the
-    neighbour across the earlier cell (in C order of the cell lattice).
+    (horizontal edges first, then vertical, each in C order of the
+    (layer, lattice) axes).  A two-crossing cell joins its two crossed
+    edges; a saddle cell joins two pairs chosen by the sign of f at its
+    centre.  Cells with any non-finite corner are skipped (flagged region).
+    A crossing is a sign change between finite node values, so a jump
+    without a zero (f changing sign across a branch cut, say) is traced as
+    a crossing too; its vertex keeps |f| of the size of the jump.  All
+    layers of a layered grid are refined in one run, each edge on its own
+    layer, and each polyline is what its layer alone gives, with the layer
+    index as a third column.  The output ordering is deterministic: polylines sorted by layer, then
+    lexicographically by first vertex, each open one oriented so the first
+    vertex is not greater than the last; a closed loop starts and ends at
+    its smallest vertex and runs from it toward the neighbour across the
+    earlier cell (in C order of the cell lattice).
     """
     x0, x1, y0, y1 = grid.rect
     n = grid.n
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
     with np.errstate(all="ignore"):
-        F = np.broadcast_to(np.asarray(grid.f(xs[:, None], ys[None, :]), dtype=float),
-                            (n + 1, n + 1))
+        F = np.asarray(grid.f(xs[:, None], ys[None, :]), dtype=float)
+    layered = F.ndim == 3
+    F = np.broadcast_to(F, (len(F) if layered else 1, n + 1, n + 1))
+
+    def f(x, y, layer):   # each point's value on its own layer
+        vals = np.broadcast_to(np.asarray(grid.f(x, y), dtype=float), (len(F), len(x)))
+        return vals[layer.astype(np.intp), np.arange(len(x))]
 
     fin = np.isfinite(F)
     pos = F > 0.0
 
     # crossed edges with both ends finite, and their ids (-1: not crossed)
-    h_cross = (pos[:-1, :] != pos[1:, :]) & fin[:-1, :] & fin[1:, :]
-    v_cross = (pos[:, :-1] != pos[:, 1:]) & fin[:, :-1] & fin[:, 1:]
-    hi, hj = _nonzero(h_cross)
-    vi, vj = _nonzero(v_cross)
+    h_cross = (pos[:, :-1, :] != pos[:, 1:, :]) & fin[:, :-1, :] & fin[:, 1:, :]
+    v_cross = (pos[:, :, :-1] != pos[:, :, 1:]) & fin[:, :, :-1] & fin[:, :, 1:]
+    hl, hi, hj = _nonzero(h_cross)
+    vl, vi, vj = _nonzero(v_cross)
     nh, nv = len(hi), len(vi)
     hid = np.full(h_cross.shape, -1, dtype=np.int32)
-    hid[hi, hj] = np.arange(nh)
+    hid[hl, hi, hj] = np.arange(nh)
     vid = np.full(v_cross.shape, -1, dtype=np.int32)
-    vid[vi, vj] = np.arange(nh, nh + nv)
-    p0s = np.concatenate([np.column_stack([xs[hi], ys[hj]]),
-                          np.column_stack([xs[vi], ys[vj]])])
-    p1s = np.concatenate([np.column_stack([xs[hi + 1], ys[hj]]),
-                          np.column_stack([xs[vi], ys[vj + 1]])])
-    f0s = np.concatenate([F[hi, hj], F[vi, vj]])
-    f1s = np.concatenate([F[hi + 1, hj], F[vi, vj + 1]])
-    refined = _refine_edges(grid.f, p0s, p1s, f0s, f1s, _REFINE_TOL) if nh + nv else p0s
+    vid[vl, vi, vj] = np.arange(nh, nh + nv)
+    layer = np.concatenate([hl, vl]).astype(float)
+    p0s = np.column_stack([np.concatenate([xs[hi], xs[vi]]),
+                           np.concatenate([ys[hj], ys[vj]]), layer])
+    p1s = np.column_stack([np.concatenate([xs[hi + 1], xs[vi]]),
+                           np.concatenate([ys[hj], ys[vj + 1]]), layer])
+    f0s = np.concatenate([F[hl, hi, hj], F[vl, vi, vj]])
+    f1s = np.concatenate([F[hl, hi + 1, hj], F[vl, vi, vj + 1]])
+    refined = _refine_edges(f, p0s, p1s, f0s, f1s, _REFINE_TOL) if nh + nv else p0s
+    refined = refined if layered else refined[:, :2]
 
-    cell_ok = fin[:-1, :-1] & fin[1:, :-1] & fin[:-1, 1:] & fin[1:, 1:]
-    crossings = (h_cross[:, :-1].astype(np.int8) + h_cross[:, 1:]
-                 + v_cross[:-1, :] + v_cross[1:, :]) * cell_ok
-    ci, cj = _nonzero((crossings == 2) | (crossings == 4))
+    cell_ok = fin[:, :-1, :-1] & fin[:, 1:, :-1] & fin[:, :-1, 1:] & fin[:, 1:, 1:]
+    crossings = (h_cross[:, :, :-1].astype(np.int8) + h_cross[:, :, 1:]
+                 + v_cross[:, :-1, :] + v_cross[:, 1:, :]) * cell_ok
+    cl, ci, cj = _nonzero((crossings == 2) | (crossings == 4))
     # each cell's edge ids in bottom, top, left, right order, and its one or
     # two segments (a (-1, -1) row pads a two-crossing cell)
-    edges = np.column_stack([hid[ci, cj], hid[ci, cj + 1], vid[ci, cj], vid[ci + 1, cj]])
-    saddle = crossings[ci, cj] == 4
+    edges = np.column_stack([hid[cl, ci, cj], hid[cl, ci, cj + 1],
+                             vid[cl, ci, cj], vid[cl, ci + 1, cj]])
+    saddle = crossings[cl, ci, cj] == 4
     segs = np.full((len(ci), 2, 2), -1)
     two = edges[~saddle]
     segs[~saddle, 0] = two[two >= 0].reshape(-1, 2)
     if saddle.any():
-        si, sj = ci[saddle], cj[saddle]
+        sl, si, sj = cl[saddle], ci[saddle], cj[saddle]
         cx = 0.5 * (xs[si] + xs[si + 1])
         cy = 0.5 * (ys[sj] + ys[sj + 1])
         with np.errstate(all="ignore"):
-            fc = np.asarray(grid.f(cx, cy), dtype=float)
+            fc = f(cx, cy, sl)
         bottom, top, left, right = edges[saddle].T
-        same = (fc > 0.0) == pos[si, sj]
+        same = (fc > 0.0) == pos[sl, si, sj]
         segs[saddle, 0] = np.column_stack([bottom, np.where(same, right, left)])
         segs[saddle, 1] = np.column_stack([top, np.where(same, left, right)])
     segs = segs.reshape(-1, 2)
@@ -471,7 +494,7 @@ def trace_zero_set(grid: ImplicitGrid) -> list[np.ndarray]:
         if tuple(pts[0]) > tuple(pts[-1]):
             pts = pts[::-1]
         polylines.append(pts)
-    polylines.sort(key=lambda p: (tuple(p[0]), tuple(p[-1]), len(p)))
+    polylines.sort(key=lambda p: (tuple(p[0, 2:]), tuple(p[0, :2]), tuple(p[-1, :2]), len(p)))
     return polylines
 
 
@@ -484,24 +507,33 @@ _MIN_RUN = 6         # shortest run of good samples emitted as a trace
 _Y_GUARD = 1e-7      # ah_regular's min |y_pm| / rho^{3/2} for a traced sample
 
 
-def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: float,
-                             h: float, sign: int, tag: str) -> list[CurveTrace]:
-    """Chart traces from a zero-set polyline of _ah_family, split at degenerate samples.
+def _ah_traces_from_polylines(polylines: list[np.ndarray], plane: str, fixed: float,
+                              c1: float, h: float) -> list[CurveTrace]:
+    """Chart traces from the polylines of _ah_family's grid (layers s = +1, -1).
 
-    ah._chart maps the samples from the level set's K and E.  Samples without
-    a real psi or not regular (ah.ah_regular at guard _Y_GUARD: y_pm -> 0,
-    x_pm at the cut ends) are removed and the polyline is split there:
-    difference quotients must never bridge a locus where the metric
-    coefficients blow up.  A polyline is thinned to at most _MAX_SAMPLES
-    evenly spaced vertices, and runs shorter than _MIN_RUN are dropped.
+    Each polyline is thinned to at most _MAX_SAMPLES evenly spaced vertices;
+    the level set, psi, ah._chart (with the level set's K and E) and the
+    sample mask run once over all vertices.  Samples without a real psi or
+    not regular (ah.ah_regular at guard _Y_GUARD: y_pm -> 0, x_pm at the cut
+    ends) are removed and their polyline is split there: difference quotients
+    must never bridge a locus where the metric coefficients blow up.  Runs
+    shorter than _MIN_RUN are dropped.
     """
-    if len(pts) > _MAX_SAMPLES:
-        idx = np.unique(np.linspace(0, len(pts) - 1, _MAX_SAMPLES).astype(int))
-        pts = pts[idx]
-    seg = np.hypot(*np.diff(pts, axis=0).T)
-    t = np.concatenate([[0.0], np.cumsum(seg)])
-    keep = np.concatenate([[True], seg > 0])
-    pts, t = pts[keep], t[keep]
+    parts = []                # (layer, index in the layer, t, vertices)
+    count = [0, 0]
+    for pts in polylines:
+        layer = int(pts[0, 2])
+        if len(pts) > _MAX_SAMPLES:
+            pts = pts[np.unique(np.linspace(0, len(pts) - 1, _MAX_SAMPLES).astype(int))]
+        seg = np.hypot(*np.diff(pts[:, :2], axis=0).T)
+        t = np.concatenate([[0.0], np.cumsum(seg)])
+        keep = np.concatenate([[True], seg > 0])
+        parts.append((layer, count[layer], t[keep], pts[keep]))
+        count[layer] += 1
+    if not parts:
+        return []
+    t = np.concatenate([p[2] for p in parts])
+    pts = np.concatenate([p[3] for p in parts])
     theta = pts[:, 0]
     if plane == "theta-phi":
         phi = pts[:, 1] % (2.0 * math.pi)
@@ -512,69 +544,42 @@ def _ah_traces_from_polyline(pts: np.ndarray, plane: str, fixed: float, c1: floa
     c2p, K, E = ah_cos2psi_level(theta, kcol, c1, h)
     good = _in_range(c2p)
     half = 0.5 * np.arccos(np.clip(np.where(good, c2p, 1.0), -1.0, 1.0))
-    psi = half if sign > 0 else math.pi - half
+    psi = np.where(pts[:, 2] == 0, half, math.pi - half)
     good &= ah.ah_regular(*ah._chart(kcol, theta, phi, psi, h, K, E), _Y_GUARD)
-    # runs of good samples: [starts, ends) from the rising and falling edges
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], good, [0]])))
     traces = []
-    for a, b in zip(edges[::2], edges[1::2]):
-        if b - a < _MIN_RUN:
-            continue
-        sl = slice(a, b)
-        traces.append(CurveTrace(
-            action="so2", t=t[sl].copy(),
-            cols={"k": kcol[sl].copy(), "theta": theta[sl].copy(),
-                  "phi": phi[sl].copy(), "psi": psi[sl].copy()},
-            params={"c1": c1, "h": h, "sign": float(sign)},
-            tag=f"{tag}r{len(traces)}"))
+    starts = np.cumsum([0] + [len(p[2]) for p in parts])
+    for (layer, index, _, _), start, stop in zip(parts, starts, starts[1:]):
+        # runs of good samples: [a, b) from the rising and falling edges
+        edges = start + np.flatnonzero(np.diff(np.concatenate([[0], good[start:stop], [0]])))
+        runs = [slice(a, b) for a, b in zip(edges[::2], edges[1::2]) if b - a >= _MIN_RUN]
+        for r, sl in enumerate(runs):
+            traces.append(CurveTrace(
+                action="so2", t=t[sl].copy(),
+                cols={"k": kcol[sl].copy(), "theta": theta[sl].copy(),
+                      "phi": phi[sl].copy(), "psi": psi[sl].copy()},
+                params={"c1": c1, "h": h, "sign": float(1 - 2 * layer)},
+                tag=f"{'s+' if layer == 0 else 's-'}-part{index}r{r}"))
     return traces
-
-
-def _lattice_memo(root: Callable) -> Callable:
-    """root(x, y) that keeps its last node-lattice evaluation, keyed by the values of x and y.
-
-    A node lattice is evaluated with a 2-d column of x and a 2-d row of y
-    (ImplicitGrid); saddle centres and refine points (1-d) are evaluated
-    afresh and leave the memo as it is, so the second sign grid of a family
-    reads the root the first one computed.
-    """
-    last = None
-
-    def memo(x, y):
-        nonlocal last
-        if (last is not None and np.shape(x) == last[0].shape
-                and np.shape(y) == last[1].shape
-                and np.array_equal(x, last[0]) and np.array_equal(y, last[1])):
-            return last[2]
-        value = root(x, y)
-        if np.ndim(x) == 2:
-            last = (np.array(x), np.array(y), value)
-        return value
-    return memo
 
 
 def _ah_family(plane: str, fixed: float, c1: float, h: float, n: int) -> list[CurveTrace]:
     """Solution curves of the implicit condition in one plane, both sin 2psi signs.
 
-    On the theta-phi plane fixed is k, on the theta-k plane it is phi.  Both
-    sign grids read one sign-free evaluation of the node lattice.
+    On the theta-phi plane fixed is k, on the theta-k plane it is phi.  One
+    two-layer grid (s = +1, -1) reads both layers from one sign-free root
+    per evaluation, so the node lattice is evaluated once and the crossed
+    edges of both signs are refined in one run.
     """
     if plane == "theta-phi":
-        root = _lattice_memo(lambda th, ph: _ah_condition_root(th, ph, fixed, c1, h))
+        def f(th, ph):
+            return _ah_condition_layers(_ah_condition_root(th, ph, fixed, c1, h))
         y_range = (0.0, 2.0 * math.pi)
     else:
-        root = _lattice_memo(lambda th, kk: _ah_condition_root(th, fixed, kk, c1, h))
+        def f(th, kk):
+            return _ah_condition_layers(_ah_condition_root(th, fixed, kk, c1, h))
         y_range = (0.02, 0.98)
-    traces = []
-    for sign in (1, -1):
-        grid = ImplicitGrid(
-            f=lambda x, y, s=sign: _ah_condition_signed(root(x, y), s),
-            rect=(0.02, math.pi - 0.02, *y_range), n=n)
-        for idx, pts in enumerate(trace_zero_set(grid)):
-            s_tag = "s+" if sign > 0 else "s-"
-            traces.extend(_ah_traces_from_polyline(
-                pts, plane, fixed, c1, h, sign, f"{s_tag}-part{idx}"))
-    return traces
+    grid = ImplicitGrid(f=f, rect=(0.02, math.pi - 0.02, *y_range), n=n)
+    return _ah_traces_from_polylines(trace_zero_set(grid), plane, fixed, c1, h)
 
 
 def ah_traces_theta_phi(k: float, c1: float, h: float = 1.0,
@@ -647,72 +652,92 @@ def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
     return Us * sign, Zs * sign
 
 
+def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[dict]:
+    """verify_slag's report for each trace of a batch (traces of one action).
+
+    The chart, u coordinate, metric block, mu, action field and residuals
+    run once over the concatenated samples, the branch continuation,
+    tangent and maxima per trace.  Each report is the trace's own bit for
+    bit while a batch is under 16 384 samples (from there NumPy reuses
+    temporaries in place, and omega's complex products round differently).
+    A degenerate sample raises for the whole batch.
+    """
+    if any(len(trace.t) < 3 for trace in traces):
+        raise DomainError("verify_slag needs at least 3 samples")
+    if manifold not in _MANIFOLDS:
+        raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
+    if len({trace.action for trace in traces}) != 1:
+        raise DomainError("a verify_slag batch needs traces, all of one action")
+    spec = mm.ActionSpec(_MANIFOLDS[manifold],
+                         "U1_triholo" if traces[0].action == "u1" else "SO2_rot")
+    ends = list(itertools.accumulate(len(trace.t) for trace in traces))
+    spans = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+    cols = {c: np.concatenate([trace.cols[c] for trace in traces]) for c in traces[0].cols}
+    theta = cols["theta"]
+    phi, psi = cols["phi"] % (2 * math.pi), cols["psi"] % (4 * math.pi)
+    off = slice(None)             # the samples that have a metric block
+    if manifold == "ah":
+        point = ah.ah_from_spherical(ah.AHSphericalPoint(cols["k"], theta, phi, psi), params)
+        _, U, Z = ah.ah_u_coordinate(point, params)
+        w0, w1 = np.empty_like(U), np.empty_like(Z)
+        for sl in spans:
+            w0[sl], w1[sl] = _continue_sqrt_branch(U[sl], Z[sl])
+        block = ah.ah_metric_UZ(point, params)
+    else:
+        # axis traces (sin theta = 0 identically): z == 0, so omega(v1,v2),
+        # Im Omega and mu - c1 all vanish exactly; Re(u) has no chart value
+        on_axis = np.abs(np.sin(theta)) < 1e-12
+        axis = [mask_all(on_axis[sl]) for sl in spans]
+        if any(axis):
+            off = np.repeat(np.logical_not(axis), np.diff([0] + ends))
+        if mask_any(on_axis[off]):
+            raise ChartError("trace sample on the axis: holomorphic chart undefined")
+        r = cols["r"]
+        point = tn.tn_chart_spherical_to_holo(
+            tn.TNSphericalPoint(r[off], theta[off], phi[off], psi[off]), params)
+        block = tn.tn_metric_holo(point, params)
+        w0, w1 = point.u, point.z
+        if any(axis):
+            w0 = np.full(len(r), math.nan) - 2j * params.m * cols["psi"]
+            w1 = np.zeros(len(r), dtype=complex)
+            w0[off], w1[off] = point.u, point.z
+            point = tn.TNHoloPoint(w0, w1, r * np.cos(theta), r)
+    mu = spec.moment(point, params)
+    X = spec.field(w0[off], w1[off]).view(complex)   # (re, im) pairs read as (v_u, v_z)
+    v2 = np.empty((2, len(theta)), dtype=complex)
+    for sl, trace in zip(spans, traces):
+        v2[0, sl], v2[1, sl] = _deriv(w0[sl], trace.t), _deriv(w1[sl], trace.t)
+    omega, im_omega = residuals = np.zeros((2, len(theta)))
+    residuals[:, off] = np.abs(_residuals(block, X[..., 0], X[..., 1], v2[0, off], v2[1, off]))
+    reports = []
+    for sl in spans:
+        med = float(np.median(mu[sl]))
+        reports.append({"omega_max": float(np.max(omega[sl])), "omega": omega[sl],
+                        "im_omega_max": float(np.max(im_omega[sl])), "im_omega": im_omega[sl],
+                        "mu_max_dev": float(np.max(np.abs(mu[sl] - med))), "mu_median": med,
+                        "mu": mu[sl], "w0": w0[sl], "w1": w1[sl]})
+    return reports
+
+
 def verify_slag(trace: CurveTrace, manifold: str, params) -> dict:
     """Residual report: max |omega(v1,v2)|, max |Im Omega(v1,v2)|,
     max |mu - median(mu)| along the trace, with the per-sample arrays.
 
-    The chart step is the only part that depends on the manifold: it gives
-    the holomorphic coordinates (w0, w1) of every sample ((u, z) on
-    Taub-NUT, (U, Z) on Atiyah-Hitchin with the sqrt(z) branch continued),
-    the metric block and the point that mu is read at.  v2 is the
-    sample-to-sample derivative of (w0, w1) (4th-order stencils on uniform
-    parameter grids); v1 and mu are the trace action's ActionSpec.field and
-    ActionSpec.moment.  The omega and Im Omega residuals are normalized per
-    sample by max(1, |v1| |v2|), making them parametrization-invariant
-    misalignment measures.  Taub-NUT axis traces (sin theta = 0 identically)
-    are evaluated in spherical terms, where z = 0 makes all three residuals
-    vanish identically (w0 has no real part there and is reported as nan);
-    generic samples off the chart raise ChartError.  The report carries w0
-    and w1 for the CSV writer.
+    verify_slag_batch of the one trace.  The chart step is the only part
+    that depends on the manifold: it gives the holomorphic coordinates
+    (w0, w1) of every sample ((u, z) on Taub-NUT, (U, Z) on Atiyah-Hitchin
+    with the sqrt(z) branch continued), the metric block and the point that
+    mu is read at.  v2 is the sample-to-sample derivative of (w0, w1) (4th-order
+    stencils on uniform parameter grids); v1 and mu are the trace action's
+    ActionSpec.field and ActionSpec.moment.  The omega and Im Omega
+    residuals are normalized per sample by max(1, |v1| |v2|), making them
+    parametrization-invariant misalignment measures.  Taub-NUT axis traces
+    (sin theta = 0 identically) are evaluated in spherical terms, where
+    z = 0 makes all three residuals vanish identically (w0 has no real part
+    there and is reported as nan); generic samples off the chart raise
+    ChartError.  The report carries w0 and w1 for the CSV writer.
     """
-    if len(trace.t) < 3:
-        raise DomainError("verify_slag needs at least 3 samples")
-    if manifold not in _MANIFOLDS:
-        raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
-    spec = mm.ActionSpec(_MANIFOLDS[manifold],
-                         "U1_triholo" if trace.action == "u1" else "SO2_rot")
-    cols = trace.cols
-    theta = cols["theta"]
-    phi, psi = cols["phi"] % (2 * math.pi), cols["psi"] % (4 * math.pi)
-    block = None
-    if manifold == "ah":
-        point = ah.ah_from_spherical(ah.AHSphericalPoint(cols["k"], theta, phi, psi), params)
-        _, w0, w1 = ah.ah_u_coordinate(point, params)
-        w0, w1 = _continue_sqrt_branch(w0, w1)
-        block = ah.ah_metric_UZ(point, params)
-    elif mask_all(np.abs(np.sin(theta)) < 1e-12):
-        # axis: z == 0 identically, so omega(v1,v2), Im Omega and mu - c1 all
-        # vanish exactly; Re(u) has no chart value
-        r = cols["r"]
-        w0 = np.full(len(r), math.nan) - 2j * params.m * cols["psi"]
-        w1 = np.zeros(len(r), dtype=complex)
-        point = tn.TNHoloPoint(w0, w1, r * np.cos(theta), r)
-    else:
-        if mask_any(np.abs(np.sin(theta)) < 1e-12):
-            raise ChartError("trace sample on the axis: holomorphic chart undefined")
-        point = tn.tn_chart_spherical_to_holo(
-            tn.TNSphericalPoint(cols["r"], theta, phi, psi), params)
-        w0, w1 = point.u, point.z
-        block = tn.tn_metric_holo(point, params)
-    mu = spec.moment(point, params)
-    if block is None:
-        omega = im_omega = np.zeros_like(trace.t)
-    else:
-        X = spec.field(w0, w1).view(complex)        # (re, im) pairs read as (v_u, v_z)
-        omega, im_omega = _residuals(block, X[..., 0], X[..., 1],
-                                     _deriv(w0, trace.t), _deriv(w1, trace.t))
-    med = float(np.median(mu))
-    return {
-        "omega_max": float(np.max(np.abs(omega))),
-        "im_omega_max": float(np.max(np.abs(im_omega))),
-        "mu_max_dev": float(np.max(np.abs(mu - med))),
-        "mu_median": med,
-        "omega": np.abs(omega),
-        "im_omega": np.abs(im_omega),
-        "mu": mu,
-        "w0": w0,
-        "w1": w1,
-    }
+    return verify_slag_batch([trace], manifold, params)[0]
 
 
 def transversality_variation(trace: CurveTrace, manifold: str, params) -> float:

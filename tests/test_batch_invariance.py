@@ -7,7 +7,8 @@ holds each element from its own last step, so which batch a point sits in
 never moves its result.  Covered: K and E (elliptic_KE_vec), Pi
 (elliptic_Pi_vec), the curve data, the Atiyah-Hitchin chart with pi(x_pm),
 (u, U, Z) and the metric block, and the Taub-NUT chart, metric block and
-x-solve.
+x-solve.  verify_slag_batch gives each trace of a batch the bits of its
+own verify_slag report.
 """
 
 import dataclasses
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 
 from slag_forge import atiyah_hitchin as ah
+from slag_forge import presets
+from slag_forge import slag_curves as sc
 from slag_forge import taub_nut as tn
 from slag_forge.elliptic import elliptic_data, elliptic_KE_vec, elliptic_Pi_vec
 from slag_forge.errors import SlagForgeError
@@ -116,3 +119,54 @@ def test_tn_x_solve(seed):
                                        (0.0, 3.0)]).T
     assert_batch_invariant(lambda *c: (tn.tn_solve_x(c[0], c[1], tn.TNParams(c[2], c[3])),),
                            [re_u, absz, h, m], seed)
+
+
+def _short(trace, m=5):
+    """The first m samples of a trace: under 7, so _deriv takes np.gradient."""
+    return sc.CurveTrace(action=trace.action, t=trace.t[:m].copy(),
+                         cols={c: v[:m].copy() for c, v in trace.cols.items()},
+                         params=dict(trace.params), tag=trace.tag + "-short")
+
+
+def _twisted(trace, turn=3.0):
+    """The trace with phi turned by up to `turn` along it: Z turns with it and
+    leaves the upper half-plane, where a branch continued across the end of
+    the trace would flip the next trace's first sample."""
+    cols = {c: v.copy() for c, v in trace.cols.items()}
+    cols["phi"] = (cols["phi"] + np.linspace(0.0, turn, len(trace.t))) % (2.0 * math.pi)
+    return sc.CurveTrace(action=trace.action, t=trace.t.copy(), cols=cols,
+                         params=dict(trace.params), tag=trace.tag + "-twisted")
+
+
+def _verify_batches():
+    """(traces, manifold, params) of each batch: the fig8 (k = 0.5) and fig9
+    (phi = pi/4) families at c1 = -3, each after a twisted trace, and the
+    fig5, fig6 and fig7 traces, the fig7 ones with the Taub-NUT axis traces;
+    each batch with a short run."""
+    fig8 = sc.ah_traces_theta_phi(0.5, -3.0)
+    fig9 = sc.ah_traces_theta_k(math.pi / 4, -3.0)
+    tn_by_fig = {name: [tr for _, _, tr, _ in presets.preset_traces(name)]
+                 for name in ("fig5", "fig6", "fig7")}
+    fig7 = tn_by_fig["fig7"] + sc.tn_so2_curve(3.0, TN_P, branch="axis", n=64)
+    return {"fig8": ([_twisted(fig8[1])] + fig8 + [_short(fig8[0])], "ah", AH_P),
+            "fig9": ([_twisted(fig9[0])] + fig9 + [_short(fig9[-1])], "ah", AH_P),
+            "fig5": (tn_by_fig["fig5"] + [_short(tn_by_fig["fig5"][3])], "tn", TN_P),
+            "fig6": (tn_by_fig["fig6"] + [_short(tn_by_fig["fig6"][1])], "tn", TN_P),
+            "fig7-axis": (fig7 + [_short(fig7[0])], "tn", TN_P)}
+
+
+@pytest.mark.parametrize("case", ["fig8", "fig9", "fig5", "fig6", "fig7-axis"])
+def test_verify_slag_batch_matches_single_trace_reports(case):
+    """Each report of a batch has the bits of the trace's own verify_slag
+    report, for every key, whatever traces share the batch."""
+    traces, manifold, params = _verify_batches()[case]
+    assert len(traces) > 2 and min(len(tr.t) for tr in traces) < 7
+    if case == "fig7-axis":
+        assert sum(np.all(np.abs(np.sin(tr.cols["theta"])) < 1e-12) for tr in traces) == 2
+    batch = sc.verify_slag_batch(traces, manifold, params)
+    assert len(batch) == len(traces)
+    for trace, got in zip(traces, batch):
+        ref = sc.verify_slag(trace, manifold, params)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert _bits(got[key]) == _bits(ref[key]), (trace.tag, key)

@@ -79,7 +79,7 @@ def test_bench_tracer_counts_condition_and_polylines(monkeypatch):
     assert all(getattr(getattr(lib, mod), attr) is fn for (mod, attr), fn in before.items())
 
     metrics = tracing.layer_metrics(tracer)
-    assert len(returned) == metrics["slag_curves.trace_zero_set.calls"] == 2
+    assert len(returned) == metrics["slag_curves.trace_zero_set.calls"] == 1
     assert metrics["slag_curves.trace_zero_set.condition_evals"] > 0
     assert metrics["slag_curves.trace_zero_set.condition_points"] > 0
     vertices = sum(len(p) for polylines in returned for p in polylines)

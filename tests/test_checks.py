@@ -56,9 +56,10 @@ def test_ah_regular_is_the_one_rule_of_tracer_and_sampler(monkeypatch):
         checks.random_ah_point(np.random.default_rng(0), AHParams(1.0, 1), 10)
 
 
-def test_random_ah_point_runs_two_agms(monkeypatch):
+def test_random_ah_point_runs_one_agm(monkeypatch):
     """One extended-AGM run over the candidates serves the regularity test
-    (rho, curve data and chart), and one over the kept points their state."""
+    (rho, curve data and chart) and the kept points' state, whose rows are
+    the chart's own."""
     calls = []
     original = elliptic.elliptic_KE_vec
 
@@ -68,7 +69,7 @@ def test_random_ah_point_runs_two_agms(monkeypatch):
 
     monkeypatch.setattr(elliptic, "elliptic_KE_vec", spy)
     checks.random_ah_point(np.random.default_rng(0), AHParams(1.0, 1), 100)
-    assert calls == [(216,), (100,)]
+    assert calls == [(216,)]
 
 
 def test_tn_monge_ampere_draws_match_per_sample_loop(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slag_forge import atiyah_hitchin as ah, checks, cli, csvio
+from slag_forge import slag_curves as sc
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
@@ -388,3 +389,18 @@ def test_trace_family_without_traces_says_so(tmp_path, capsys):
     assert "no trace found for the given family" in err and "--preset" not in err
     assert main(["trace"]) == 2
     assert "nothing to trace: pass --preset or a family flag" in capsys.readouterr().err
+
+
+def test_ah_family_flag_writes_the_single_trace_report_bytes(tmp_path):
+    """The family flag verifies its traces in one batch; each file has the
+    bytes of trace_to_csv with the trace's own verify_slag report."""
+    phi = math.pi / 4
+    assert main(["trace", "--ah-theta-k", "--phi", repr(phi), "--c1", "-3",
+                 "--out", str(tmp_path)]) == 0
+    traces = sc.ah_traces_theta_k(phi, -3.0)
+    p = AHParams(1.0, 1)
+    assert len(list(tmp_path.glob("*.csv"))) == len(traces) > 1
+    for tr in traces:
+        stem = f"ah_thetak_phi_{phi:g}_c1_-3_{tr.tag}".replace("+", "p").replace("-", "m")
+        want = trace_to_csv(tr, "ah", verify_slag(tr, "ah", p))
+        assert (tmp_path / f"{stem}.csv").read_bytes() == want.encode()

@@ -352,7 +352,7 @@ def _reference_refine_bisection(f, p0s, p1s, f0s, f1s, tol, iters=80):
         mid = np.where(done, mid, 0.5 * (a + b))
         pts = p0s + mid[:, None] * (p1s - p0s)
         with np.errstate(all="ignore"):
-            fm = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+            fm = np.asarray(f(*pts.T), dtype=float)
         done = done | ~np.isfinite(fm) | (np.abs(fm) < tol) | ((b - a) < 1e-10)
         if np.all(done):
             break
@@ -517,6 +517,24 @@ def _saddle_cells(grid):
                       & fin[:-1, :-1] & fin[1:, 1:] & fin[1:, :-1] & fin[:-1, 1:]))
 
 
+def _layer_grids(grid):
+    """One single-layer grid per layer of a layered grid; [grid] for a plain one."""
+    x0, x1, y0, y1 = grid.rect
+    with np.errstate(all="ignore"):
+        centre = np.asarray(grid.f(np.array([0.5 * (x0 + x1)]), np.array([0.5 * (y0 + y1)])))
+    if centre.ndim < 2:
+        return [grid]
+    return [ImplicitGrid(f=lambda x, y, i=i: grid.f(x, y)[i], rect=grid.rect, n=grid.n)
+            for i in range(len(centre))]
+
+
+def _layer_polylines(polylines, layer):
+    """The (x, y) polylines of one layer of trace_zero_set's output, in order."""
+    if not polylines or polylines[0].shape[1] == 2:
+        return polylines if layer == 0 else []
+    return [p[:, :2] for p in polylines if p[0, 2] == layer]
+
+
 def _synthetic_grid(f):
     return lambda: sc.trace_zero_set(ImplicitGrid(f=f, rect=(-2, 2, -2, 2), n=64))
 
@@ -541,15 +559,17 @@ def test_trace_zero_set_matches_edge_key_reference(case, monkeypatch):
     loops = saddles = 0
     for args, kwargs in calls:
         got = trace_zero_set(*args, **kwargs)
-        ref = _reference_trace_zero_set(*args, **kwargs)
-        assert len(got) == len(ref) > 0
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
-            if np.array_equal(g[0], g[-1]):
-                loops += 1
-                smallest = g[np.lexsort(g.T[::-1])[0]]
-                assert np.array_equal(g[0], smallest)
-        saddles += _saddle_cells(args[0])
+        for layer, grid in enumerate(_layer_grids(args[0])):
+            ref = _reference_trace_zero_set(grid, **kwargs)
+            mine = _layer_polylines(got, layer)
+            assert len(mine) == len(ref) > 0
+            for g, r in zip(mine, ref):
+                assert np.array_equal(g, r)
+                if np.array_equal(g[0], g[-1]):
+                    loops += 1
+                    smallest = g[np.lexsort(g.T[::-1])[0]]
+                    assert np.array_equal(g[0], smallest)
+            saddles += _saddle_cells(grid)
     if case == "saddles":
         assert saddles == 36
     if case == "loops":
@@ -575,10 +595,10 @@ def test_refine_edges_sweeps_below_bisection(case, monkeypatch):
         for refine in (sc._refine_edges, _reference_refine_bisection):
             sweeps, points = [0], [0]
 
-            def counting(x, y):
+            def counting(x, *rest):
                 sweeps[0] += 1
                 points[0] += np.size(x)
-                return f(x, y)
+                return f(x, *rest)
 
             refine(counting, *rest, **kwargs)
             counts.append((sweeps[0], points[0]))
@@ -649,24 +669,23 @@ def _plane_args(plane, fixed, x, y):
 @pytest.mark.parametrize("case", sorted(SIGN_PLANES))
 def test_shared_root_matches_per_sign_reference(case):
     """Both signs read from one sign-free root give the per-sign values bit
-    for bit, NaN pattern included: on the node lattice (evaluated once
-    through the family's memo), on refine-style 1-d points, and on points
+    for bit, NaN pattern included: on the node lattice (one root gives both
+    layers of the family's grid), on refine-style 1-d points, and on points
     where sin 2psi = 0 exactly, at whose cos 2psi = -1 end a plain conjugate
     would flip the branch of sqrt(w)."""
     plane, fixed, c1, (x0, x1, y0, y1), edges = SIGN_PLANES[case]
     calls = []
 
-    def root_fn(x, y):
+    def root(x, y):
         calls.append(np.shape(x))
         return sc._ah_condition_root(*_plane_args(plane, fixed, x, y), c1, 1.0)
 
     def reference(x, y, sign):
         return _reference_condition_arrays(*_plane_args(plane, fixed, x, y), c1, 1.0, sign)
 
-    root = sc._lattice_memo(root_fn)
     xs, ys = np.linspace(x0, x1, 257)[:, None], np.linspace(y0, y1, 257)[None, :]
-    for sign in (1, -1):
-        got = sc._ah_condition_signed(root(xs, ys), sign)
+    layers = sc._ah_condition_layers(root(xs, ys))
+    for got, sign in zip(layers, (1, -1)):
         ref = reference(xs, ys, sign)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         assert np.isnan(ref).any() and np.isfinite(ref).any()
@@ -674,9 +693,9 @@ def test_shared_root_matches_per_sign_reference(case):
 
     rng = np.random.default_rng(3)
     x, y = rng.uniform(x0, x1, 4000), rng.uniform(y0, y1, 4000)
-    for sign in (1, -1):
-        assert sc._ah_condition_signed(root(x, y), sign).tobytes() == \
-            reference(x, y, sign).tobytes()
+    layers = sc._ah_condition_layers(root(x, y))
+    for got, sign in zip(layers, (1, -1)):
+        assert got.tobytes() == reference(x, y, sign).tobytes()
 
     for k, level in edges:
         x = _theta_at_range_edge(k, c1, level)
@@ -708,10 +727,9 @@ def test_ah_families_match_per_sign_reference(case, monkeypatch):
     calls = _spy_calls(monkeypatch, "_ah_condition_root", lambda: family(fixed, c1))
     assert [np.shape(args[0]) for args, _ in calls].count((257, 1)) == 1
     got = family(fixed, c1)
-    monkeypatch.setattr(sc, "_lattice_memo", lambda root: root)
     monkeypatch.setattr(sc, "_ah_condition_root", lambda *args: args)
-    monkeypatch.setattr(sc, "_ah_condition_signed",
-                        lambda args, sign: _reference_condition_arrays(*args, sign))
+    monkeypatch.setattr(sc, "_ah_condition_layers", lambda args: np.stack(
+        [_reference_condition_arrays(*args, sign) for sign in (1, -1)]))
     ref = family(fixed, c1)
     assert [tr.tag for tr in got] == [tr.tag for tr in ref]
     assert {tr.params["sign"] for tr in got} == {1.0, -1.0}
@@ -960,9 +978,9 @@ def _reference_runs(pts, plane, fixed, c1, h, sign,
                                            (ah_traces_theta_k, math.pi / 4)],
                          ids=["fig8", "fig9"])
 def test_ah_polyline_runs_one_agm(family, fixed, monkeypatch):
-    """A polyline's moment level set and its sample mask share one
-    extended-AGM run: the mask's chart reads the level set's K."""
-    calls, per_polyline = [], []
+    """The moment level set and the sample mask of all polylines of a family
+    share one extended-AGM run: the mask's chart reads the level set's K."""
+    calls, per_family = [], []
     original = elliptic.elliptic_KE_vec
 
     def spy(k):
@@ -971,18 +989,19 @@ def test_ah_polyline_runs_one_agm(family, fixed, monkeypatch):
 
     for module in (elliptic, sc):
         monkeypatch.setattr(module, "elliptic_KE_vec", spy)
-    to_traces = sc._ah_traces_from_polyline
+    to_traces = sc._ah_traces_from_polylines
 
     def counted(*args):
         before = len(calls)
         traces = to_traces(*args)
-        per_polyline.append((len(calls) - before, len(traces)))
+        per_family.append((len(calls) - before, len(args[0]), len(traces)))
         return traces
 
-    monkeypatch.setattr(sc, "_ah_traces_from_polyline", counted)
+    monkeypatch.setattr(sc, "_ah_traces_from_polylines", counted)
     family(fixed, -3.0, n=64)
-    assert [runs for runs, _ in per_polyline] == [1] * len(per_polyline)
-    assert sum(emitted for _, emitted in per_polyline) > 0
+    assert [runs for runs, _, _ in per_family] == [1]
+    assert per_family[0][1] > 1
+    assert sum(emitted for _, _, emitted in per_family) > 0
 
 
 @pytest.mark.parametrize("family, fixed", [(ah_traces_theta_phi, 0.5),
@@ -993,27 +1012,35 @@ def test_ah_polyline_traces_match_per_sample_reference(family, fixed, monkeypatc
     fig8 (k = 0.5) and fig9 (phi = pi/4) families at c1 = -3: same runs,
     bit-identical t, k, theta, phi, and psi within 1e-13."""
     calls = []
-    original = sc._ah_traces_from_polyline
+    original = sc._ah_traces_from_polylines
 
     def spy(*args):
         traces = original(*args)
         calls.append((args, traces))
         return traces
 
-    monkeypatch.setattr(sc, "_ah_traces_from_polyline", spy)
+    monkeypatch.setattr(sc, "_ah_traces_from_polylines", spy)
     assert family(fixed, -3.0)
     emitted = 0
     for args, traces in calls:
-        pts, plane, fixed, c1, h, sign, tag = args
-        runs = _reference_runs(pts, plane, fixed, c1, h, sign)
-        assert [tr.tag for tr in traces] == [f"{tag}r{i}" for i in range(len(runs))]
-        for tr, (t, k, theta, phi, psi) in zip(traces, runs):
-            assert np.array_equal(tr.t, t)
-            assert np.array_equal(tr.cols["k"], k)
-            assert np.array_equal(tr.cols["theta"], theta)
-            assert np.array_equal(tr.cols["phi"], phi)
-            assert np.max(np.abs(tr.cols["psi"] - psi)) <= 1e-13
-            emitted += len(t)
+        polylines, plane, fixed, c1, h = args
+        index = [0, 0]
+        for poly in polylines:
+            layer = int(poly[0, 2])
+            sign, tag = (1, -1)[layer], f"{('s+', 's-')[layer]}-part{index[layer]}"
+            index[layer] += 1
+            runs = _reference_runs(poly[:, :2], plane, fixed, c1, h, sign)
+            mine, traces = traces[:len(runs)], traces[len(runs):]
+            assert [tr.tag for tr in mine] == [f"{tag}r{i}" for i in range(len(runs))]
+            assert all(tr.params["sign"] == sign for tr in mine)
+            for tr, (t, k, theta, phi, psi) in zip(mine, runs):
+                assert np.array_equal(tr.t, t)
+                assert np.array_equal(tr.cols["k"], k)
+                assert np.array_equal(tr.cols["theta"], theta)
+                assert np.array_equal(tr.cols["phi"], phi)
+                assert np.max(np.abs(tr.cols["psi"] - psi)) <= 1e-13
+                emitted += len(t)
+        assert traces == []
     assert emitted > 100
 
 
@@ -1194,3 +1221,55 @@ def test_sqrt_branch_pinned_per_trace(family, fixed, monkeypatch):
         flipped = verify_slag(tr, "ah", p)
         for key in ("w0", "w1", "omega", "im_omega", "mu"):
             assert np.array_equal(flipped[key], res[key])
+
+
+LAYER_PAIRS = {
+    "circle-line": (lambda x, y: x * x + y * y - 1.0, lambda x, y: y - 0.3 * x + 0.1),
+    "saddles-loops": (lambda x, y: np.sin(5 * x) * np.cos(5 * y),
+                      lambda x, y: np.sin(5 * x) * np.cos(4 * y) - 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_PAIRS))
+def test_two_layer_grid_matches_single_layer_calls(case, monkeypatch):
+    """A two-layer grid gives, layer by layer, the polylines (bit for bit,
+    in order) of a single-layer grid of that layer, with the layer index as
+    the third column, and refines the edges of both layers in one run."""
+    fs = LAYER_PAIRS[case]
+
+    def layered(x, y):
+        return np.stack([np.broadcast_to(f(x, y), np.broadcast_shapes(np.shape(x), np.shape(y)))
+                         for f in fs])
+
+    calls = _spy_calls(monkeypatch, "_refine_edges", lambda: sc.trace_zero_set(
+        ImplicitGrid(f=layered, rect=(-2, 2, -2, 2), n=64)))
+    assert len(calls) == 1
+    assert set(calls[0][0][1][:, 2]) == {0.0, 1.0}
+    got = trace_zero_set(ImplicitGrid(f=layered, rect=(-2, 2, -2, 2), n=64))
+    assert [p[0, 2] for p in got] == sorted(p[0, 2] for p in got)
+    for layer, f in enumerate(fs):
+        single = trace_zero_set(ImplicitGrid(f=f, rect=(-2, 2, -2, 2), n=64))
+        mine = [p for p in got if p[0, 2] == layer]
+        assert len(mine) == len(single) > 0
+        for g, r in zip(mine, single):
+            assert np.all(g[:, 2] == layer)
+            assert np.array_equal(g[:, :2], r)
+
+
+@pytest.mark.parametrize("family, fixed", [(ah_traces_theta_phi, 0.5),
+                                           (ah_traces_theta_k, math.pi / 4)],
+                         ids=["fig8", "fig9"])
+def test_ah_family_evaluates_its_lattice_once_and_refines_once(family, fixed, monkeypatch):
+    """One family call traces one grid: one sign-free root of its node
+    lattice and one refine run over the crossed edges of both signs."""
+    seen = {name: [] for name in ("_ah_condition_root", "_refine_edges", "trace_zero_set")}
+    for name, calls in seen.items():
+        def spy(*args, _original=getattr(sc, name), _calls=calls):
+            _calls.append(args)
+            return _original(*args)
+        monkeypatch.setattr(sc, name, spy)
+    assert family(fixed, -3.0)
+    assert [np.shape(args[0]) for args in seen["_ah_condition_root"]].count((257, 1)) == 1
+    assert len(seen["trace_zero_set"]) == 1
+    assert len(seen["_refine_edges"]) == 1
+    assert set(seen["_refine_edges"][0][1][:, 2]) == {0.0, 1.0}
