@@ -23,7 +23,7 @@ from . import checks
 from . import presets
 from . import slag_curves as sc
 from . import taub_nut as tn
-from .csvio import write_trace_csv
+from .csvio import traces_to_csv, write_trace_csv
 from .errors import SlagForgeError
 from .svg import write_svg
 
@@ -147,14 +147,17 @@ def cmd_verify(args, seed: int) -> int:
 
 
 def _emit_traces(families, out_dir: Path, fmt: str, preset: str | None) -> int:
-    """Write one CSV per trace; each family (one manifold, one params) is one batch."""
+    """Write one CSV per trace; each family (one manifold, one params) is one
+    batch, verified in one pass and formatted by one traces_to_csv call."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for family in filter(None, families):
         _, manifold, _, params = family[0]
-        reports = sc.verify_slag_batch([trace for _, _, trace, _ in family], manifold, params)
-        for (stem, _, trace, _), res in zip(family, reports):
+        traces = [trace for _, _, trace, _ in family]
+        reports = sc.verify_slag_batch(traces, manifold, params)
+        texts = traces_to_csv(traces, manifold, reports)
+        for (stem, _, _, _), res, text in zip(family, reports, texts):
             path = out_dir / f"{stem}.csv"
-            write_trace_csv(path, trace, manifold, res)
+            write_trace_csv(path, text)
             print(f"wrote {path}  omega={res['omega_max']:.2e} "
                   f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
     if fmt == "svg" and preset is not None:

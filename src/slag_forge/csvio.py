@@ -16,24 +16,35 @@ AH_COLUMNS = ("t", "k", "theta", "phi", "psi", "re_U", "im_U", "re_Z", "im_Z",
               "omega_res", "imOmega_res", "mu")
 
 
-def trace_to_csv(trace: CurveTrace, manifold: str, report: dict) -> str:
-    """Render a trace and its verify_slag report; floats carry 17 significant digits.
+def traces_to_csv(traces: list[CurveTrace], manifold: str, reports: list[dict]) -> list[str]:
+    """Render each trace with its verify_slag report; floats carry 17 significant digits.
 
     The columns are t, the four chart columns, the real and imaginary parts
     of the report's chart coordinates w0 and w1, and its per-sample omega,
-    Im Omega and mu.
+    Im Omega and mu.  The tables of all traces go through one _format_e16
+    call.
     """
     if manifold not in ("tn", "ah"):
         raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
     cols = TN_COLUMNS if manifold == "tn" else AH_COLUMNS
-    params = ";".join(f"{k}={v:.17g}" for k, v in sorted(trace.params.items()))
-    header = f"# slag-forge v1, manifold={manifold}, params={params}"
-    w0, w1 = report["w0"], report["w1"]
-    table = [trace.t, *(trace.cols[name] for name in cols[1:5]),
-             np.real(w0), np.imag(w0), np.real(w1), np.imag(w1),
-             report["omega"], report["im_omega"], report["mu"]]
-    return f"{header}\n{','.join(cols)}\n" + _format_e16(
-        np.column_stack([np.asarray(col, dtype=float) for col in table]))
+    tables = []
+    for trace, report in zip(traces, reports):
+        w0, w1 = report["w0"], report["w1"]
+        tables.append(np.column_stack([np.asarray(col, dtype=float) for col in (
+            trace.t, *(trace.cols[name] for name in cols[1:5]),
+            np.real(w0), np.imag(w0), np.real(w1), np.imag(w1),
+            report["omega"], report["im_omega"], report["mu"])]))
+    texts = []
+    for trace, rows in zip(traces, _format_e16(tables)):
+        params = ";".join(f"{k}={v:.17g}" for k, v in sorted(trace.params.items()))
+        texts.append(f"# slag-forge v1, manifold={manifold}, params={params}\n"
+                     f"{','.join(cols)}\n" + rows)
+    return texts
+
+
+def trace_to_csv(trace: CurveTrace, manifold: str, report: dict) -> str:
+    """The CSV text of one trace and its report (traces_to_csv of the one trace)."""
+    return traces_to_csv([trace], manifold, [report])[0]
 
 
 # '%.16e' by one NumPy pass (Steele & White, PLDI 1990; Gay, AT&T 1990).
@@ -70,9 +81,14 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     return scale, np.ascontiguousarray(digits).view(np.uint32)[:, 0]
 
 
-def _format_e16(table: np.ndarray) -> str:
-    """CSV rows of a 2-D float table, every field '%.16e' % v byte for byte."""
+def _format_e16(tables: list[np.ndarray]) -> list[str]:
+    """CSV rows of each 2-D float table, every field '%.16e' % v byte for byte.
+
+    The tables (of one column count) are stacked and formatted in one pass,
+    and the bytes are cut at the end of each table's last row.
+    """
     scale, digit4 = _tables()
+    table = np.concatenate(tables)
     m, n = table.shape
     x = table.ravel()
     ax = np.abs(x)
@@ -85,19 +101,22 @@ def _format_e16(table: np.ndarray) -> str:
     fast = (fast & (np.abs(P - R) < 0.5 - _SLACK) & (P >= _TEN16 + _SLACK)
             & (R < 10**17)) | zero
     lead, rest = np.divmod(np.where(zero, 0, R.astype(np.int64)), 10**16)
-    hi, lo = np.divmod(rest, 10**8)
+    # a family's table is large: each temporary is dropped once written
+    del ax, P, R, zero
     buf = np.zeros((m * n, _FIELD), np.uint8)
     buf[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     buf[:, 1] = lead + ord("0")
     buf[:, 2] = ord(".")
     digits = buf[:, 3:19].view(np.uint32)
-    for j, group in enumerate(np.divmod(hi, 10**4) + np.divmod(lo, 10**4)):
-        digits[:, j] = digit4[group]
+    for j, half in enumerate(np.divmod(rest, 10**8)):    # 8 digits, as two groups of four
+        high, low = np.divmod(half, 10**4)
+        digits[:, 2 * j], digits[:, 2 * j + 1] = digit4[high], digit4[low]
+    del lead, rest
     buf[:, 19] = ord("e")
-    ae = np.abs(e)
-    buf[:, 20:24].view(np.uint32)[:, 0] = digit4[ae]
+    buf[:, 20:24].view(np.uint32)[:, 0] = digit4[np.abs(e)]
     buf[:, 20] = np.where(e < 0, ord("-"), ord("+"))
-    buf[:, 21] *= ae >= 100
+    buf[:, 21] *= (e <= -100) | (e >= 100)
+    del e
     slow = np.flatnonzero(~fast)
     buf[slow, :_FIELD - 1] = np.array(
         ["%.16e" % v for v in x[slow].tolist()],
@@ -105,12 +124,14 @@ def _format_e16(table: np.ndarray) -> str:
     buf = buf.reshape(m, n, _FIELD)
     buf[:, :, -1] = ord(",")
     buf[:, -1, -1] = ord("\n")
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
+    ends = np.cumsum([len(t) for t in tables]).tolist()
+    return [buf[a:b].tobytes().translate(None, b"\0").decode("ascii")
+            for a, b in zip([0] + ends[:-1], ends)]
 
 
-def write_trace_csv(path: str | Path, trace: CurveTrace, manifold: str,
-                    report: dict) -> None:
-    Path(path).write_text(trace_to_csv(trace, manifold, report))
+def write_trace_csv(path: str | Path, text: str) -> None:
+    """Write one trace's CSV text (from traces_to_csv or trace_to_csv) to path."""
+    Path(path).write_text(text)
 
 
 def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:

@@ -16,7 +16,6 @@ samples by atiyah_hitchin._chart from the level set's K and E.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +29,7 @@ from .elliptic import _elliptic_KE, elliptic_KE_vec
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
 from .elliptic import elliptic_E_vec, elliptic_K, elliptic_K_vec  # noqa: F401
 from .errors import ChartError, DomainError, EmptyDomainError
-from .masks import mask_all, mask_any
+from .masks import mask_any
 
 
 @dataclass
@@ -234,44 +233,64 @@ def _in_range(c2p):
     return np.abs(c2p) <= 1.0 + 1e-12
 
 
-def _ah_condition_root(theta, phi, k, c1: float, h: float):
-    """Sign-free part of the condition: (in range, e^{i phi} K, sqrt(w) at s = +1, w real).
+def _at(a: np.ndarray, mask: np.ndarray, shape: tuple):
+    """The entries of a, broadcast to shape, where mask holds on its leading
+    axes (a 0-d a is returned as is, to broadcast where it is used)."""
+    if a.ndim == 0:
+        return a
+    return (a if a.shape == shape else np.broadcast_to(a, shape))[mask]
+
+
+def _ah_sqrt_w(c2p, ct, st2, tk):
+    """sqrt(w) at s = +1 and where sin 2psi = 0, at points with a real psi.
 
     w = cos 2psi (1 + cos^2 th) + (2k^2 - 1) sin^2 th + 2i s sin 2psi cos th
-    with sin 2psi = sqrt(1 - cos^2 2psi) >= 0, at s = +1.  The last entry
-    marks where sin 2psi = 0, so that w is the same at both signs.
+    with sin 2psi = sqrt(1 - cos^2 2psi) >= 0; the arguments are the points'
+    cos 2psi (a 1-d array, in range up to rounding, clipped here), cos th,
+    sin^2 th and 2k^2 - 1 (each of its length, or a scalar).  The second
+    result marks where sin 2psi = 0, so that w is the same at both signs.
+    """
+    c2p = np.clip(c2p, -1.0, 1.0)
+    s2p = np.sqrt(np.maximum(1.0 - c2p * c2p, 0.0))
+    w = c2p * (1.0 + ct * ct) + tk * st2 + 2j * s2p * ct
+    return np.sqrt(w), s2p == 0.0
+
+
+def _ah_condition_layers(theta, phi, k, c1: float, h: float) -> np.ndarray:
+    """Both sign layers of the condition, shape (2, ...) (s = +1, -1); NaN where no psi.
+
+    Each factor is computed on its own broadcast shape: cos 2psi, K and E
+    on that of (theta, k), the leading axes of the result, e^{i phi} K on
+    that of (phi, k).  The complex part, w and sqrt(w) (_ah_sqrt_w) and the
+    two layer products, runs only where a real psi exists: sqrt(w) at the
+    in-range entries of cos 2psi (on a (theta, phi) lattice one per theta
+    row), each product over the phi values of those entries, scattered into
+    a NaN-filled result.  sqrt(w) at s = -1 is the conjugate of sqrt(w) at
+    s = +1, except where sin 2psi = 0 (see ah_condition).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     k = np.asarray(k, dtype=float)
+    shape = np.broadcast(theta, phi, k).shape
+    lead = np.broadcast(theta, k).shape
+    lead = (1,) * (len(shape) - len(lead)) + lead
+    while lead and lead[-1] == 1 and shape[len(lead) - 1] != 1:
+        lead = lead[:-1]            # the axes phi alone spans, last
+    if lead != shape[:len(lead)]:   # phi spans an axis before one of (theta, k)'s
+        theta, k = np.broadcast_to(theta, shape), np.broadcast_to(k, shape)
+        lead = shape
     c2p, K, _ = ah_cos2psi_level(theta, k, c1, h)
     ok = _in_range(c2p)
-    c2p = np.clip(c2p, -1.0, 1.0)
-    st2 = np.sin(theta) ** 2
-    ct = np.cos(theta)
-    tk = 2.0 * k * k - 1.0
-    s2p = np.sqrt(np.maximum(1.0 - c2p * c2p, 0.0))
-    w = c2p * (1.0 + ct * ct) + tk * st2 + 2j * s2p * ct
-    return ok, np.exp(1j * phi) * K, np.sqrt(w), s2p == 0.0
-
-
-def _ah_condition_signed(root, sign: int):
-    """Condition residual 2 Re(e^{i phi} K sqrt(w)) at sign s from its sign-free root.
-
-    sqrt(w) at s = -1 is the conjugate of sqrt(w) at s = +1, except where
-    sin 2psi = 0 (see ah_condition).  NaN where no psi; a scalar for a scalar root.
-    """
-    ok, ek, sq, real_w = root
-    if sign < 0:
-        sq = np.where(real_w, sq, np.conjugate(sq))
-    return np.where(ok, 2.0 * np.real(ek * sq), np.nan)[()]
-
-
-def _ah_condition_layers(root) -> np.ndarray:
-    """Both sign layers of the condition from one sign-free root, shape (2, ...): s = +1, -1."""
-    out = np.empty((2,) + np.broadcast_shapes(*(np.shape(r) for r in root)))
-    for layer, sign in enumerate((1, -1)):
-        out[layer] = _ah_condition_signed(root, sign)
+    sq, real_w = _ah_sqrt_w(c2p[ok], _at(np.cos(theta), ok, ok.shape),
+                            _at(np.sin(theta) ** 2, ok, ok.shape),
+                            _at(2.0 * k * k - 1.0, ok, ok.shape))
+    rows = ok.reshape(lead)
+    sq = sq.reshape((-1,) + (1,) * (len(shape) - len(lead)))
+    real_w = real_w.reshape(sq.shape)
+    ek = _at(np.exp(1j * phi) * K, rows, shape)
+    out = np.full((2,) + shape, np.nan)
+    out[0, ...][rows] = 2.0 * np.real(ek * sq)
+    out[1, ...][rows] = 2.0 * np.real(ek * np.where(real_w, sq, np.conjugate(sq)))
     return out
 
 
@@ -279,15 +298,16 @@ def ah_condition(theta, phi, k, c1: float, h: float, sign: int = 1):
     """Condition residual 2 Re(e^{i phi} K sqrt(w)); NaN where there is no real psi.
 
     Its zero set is {Re sqrt(z) = 0} on mu = c1; scalars or arrays that
-    broadcast.  Only sqrt(w) depends on the sign.  Where sin 2psi != 0, w at
-    s = -1 is the conjugate of w at s = +1 (cos theta is never exactly 0 at a
-    float theta) and csqrt commutes with conjugation; where sin 2psi = 0 both
-    signs share w, with Im w = +0, which a conjugate would move across the
-    cut at cos 2psi = -1.  So both signs read one root (_ah_condition_root),
-    bit for bit the per-sign arithmetic (pinned by the per-sign reference
-    tests in tests/test_slag_curves.py).
+    broadcast, a scalar for scalars.  Only sqrt(w) depends on the sign.
+    Where sin 2psi != 0, w at s = -1 is the conjugate of w at s = +1 (cos
+    theta is never exactly 0 at a float theta) and csqrt commutes with
+    conjugation; where sin 2psi = 0 both signs share w, with Im w = +0,
+    which a conjugate would move across the cut at cos 2psi = -1.  So both
+    signs read one sqrt(w) (_ah_condition_layers), bit for bit the per-sign
+    arithmetic (pinned by the per-sign reference tests in
+    tests/test_slag_curves.py).
     """
-    return _ah_condition_signed(_ah_condition_root(theta, phi, k, c1, h), sign)
+    return _ah_condition_layers(theta, phi, k, c1, h)[int(sign < 0)][()]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +405,8 @@ def trace_zero_set(grid: ImplicitGrid) -> list[np.ndarray]:
     (horizontal edges first, then vertical, each in C order of the
     (layer, lattice) axes).  A two-crossing cell joins its two crossed
     edges; a saddle cell joins two pairs chosen by the sign of f at its
-    centre.  Cells with any non-finite corner are skipped (flagged region).
+    centre.  Cells with any non-finite corner are skipped (flagged region),
+    and a lattice without a finite node returns [] before any refinement.
     A crossing is a sign change between finite node values, so a jump
     without a zero (f changing sign across a branch cut, say) is traced as
     a crossing too; its vertex keeps |f| of the size of the jump.  All
@@ -405,12 +426,14 @@ def trace_zero_set(grid: ImplicitGrid) -> list[np.ndarray]:
         F = np.asarray(grid.f(xs[:, None], ys[None, :]), dtype=float)
     layered = F.ndim == 3
     F = np.broadcast_to(F, (len(F) if layered else 1, n + 1, n + 1))
+    fin = np.isfinite(F)
+    if not fin.any():
+        return []
 
     def f(x, y, layer):   # each point's value on its own layer
         vals = np.broadcast_to(np.asarray(grid.f(x, y), dtype=float), (len(F), len(x)))
         return vals[layer.astype(np.intp), np.arange(len(x))]
 
-    fin = np.isfinite(F)
     pos = F > 0.0
 
     # crossed edges with both ends finite, and their ids (-1: not crossed)
@@ -566,17 +589,17 @@ def _ah_family(plane: str, fixed: float, c1: float, h: float, n: int) -> list[Cu
     """Solution curves of the implicit condition in one plane, both sin 2psi signs.
 
     On the theta-phi plane fixed is k, on the theta-k plane it is phi.  One
-    two-layer grid (s = +1, -1) reads both layers from one sign-free root
-    per evaluation, so the node lattice is evaluated once and the crossed
-    edges of both signs are refined in one run.
+    two-layer grid (s = +1, -1) reads both layers from one sqrt(w) per
+    evaluation, so the node lattice is evaluated once and the crossed edges
+    of both signs are refined in one run.
     """
     if plane == "theta-phi":
         def f(th, ph):
-            return _ah_condition_layers(_ah_condition_root(th, ph, fixed, c1, h))
+            return _ah_condition_layers(th, ph, fixed, c1, h)
         y_range = (0.0, 2.0 * math.pi)
     else:
         def f(th, kk):
-            return _ah_condition_layers(_ah_condition_root(th, fixed, kk, c1, h))
+            return _ah_condition_layers(th, fixed, kk, c1, h)
         y_range = (0.02, 0.98)
     grid = ImplicitGrid(f=f, rect=(0.02, math.pi - 0.02, *y_range), n=n)
     return _ah_traces_from_polylines(trace_zero_set(grid), plane, fixed, c1, h)
@@ -610,28 +633,80 @@ def _residuals(block: tn.MetricBlock, v1u, v1z, v2u, v2z):
     return omega / scale, (v1u * v2z - v1z * v2u).imag / scale
 
 
-def _deriv(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Derivative along the trace: 4th-order stencils on uniform grids,
-    np.gradient (2nd-order) otherwise."""
+def _segment_deriv(w: np.ndarray, t: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Derivative of each row of w along t, segment by segment.
+
+    Segment j holds samples [ends[j-1], ends[j]) (from 0), at least 3 of
+    them.  A segment of 7 or more samples whose steps all lie within 1e-10
+    of its first takes 4th-order stencils, 5-point one-sided at both ends
+    and central elsewhere; any other takes np.gradient(..., edge_order=2)'s
+    stencils, in its uniform form where all steps are equal.  Each sample's
+    value is written with the arithmetic of that per-segment formula, so it
+    has its bits.
+    """
+    n = np.diff(ends, prepend=0)
+    starts = ends - n
+    seg = np.repeat(np.arange(len(n)), n)
     dt = np.diff(t)
-    if len(vals) < 7 or not mask_all(np.abs(dt - dt[0]) <= 1e-10 * abs(dt[0])):
-        return np.gradient(vals, t, edge_order=2)
-    h = dt[0]
-    d = np.empty_like(vals)
-    d[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12 * h)
-    f = vals
-    d[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
-    d[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * h)
-    d[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * h)
-    d[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
+    h = dt[starts]                # each segment's first step
+    hd = h[seg[:-1]]
+    between = ends[:-1] - 1       # the steps from one segment to the next
+    close = np.abs(dt - hd) <= 1e-10 * np.abs(hd)
+    close[between] = True
+    four = (n >= 7) & np.logical_and.reduceat(close, starts)
+    d = np.empty_like(w)
+    if four.any():
+        # central differences over the whole batch: the samples of other
+        # stencils, and of other segments, are written again below
+        d[:, 2:-2] = (-w[:, 4:] + 8.0 * w[:, 3:-1] - 8.0 * w[:, 1:-3] + w[:, :-4]) \
+            / (12 * h[seg[2:-2]])
+        a, b, dx = starts[four], ends[four], 12 * h[four]
+        f = w[:, a[:, None] + np.arange(5)]        # the first five samples, f[..., j]
+        d[:, a] = (-25 * f[..., 0] + 48 * f[..., 1] - 36 * f[..., 2] + 16 * f[..., 3]
+                   - 3 * f[..., 4]) / dx
+        d[:, a + 1] = (-3 * f[..., 0] - 10 * f[..., 1] + 18 * f[..., 2] - 6 * f[..., 3]
+                       + f[..., 4]) / dx
+        f = w[:, b[:, None] + np.arange(-1, -6, -1)]   # the last five, f[..., j] at -1 - j
+        d[:, b - 2] = (3 * f[..., 0] + 10 * f[..., 1] - 18 * f[..., 2] + 6 * f[..., 3]
+                       - f[..., 4]) / dx
+        d[:, b - 1] = (25 * f[..., 0] - 48 * f[..., 1] + 36 * f[..., 2] - 16 * f[..., 3]
+                       + 3 * f[..., 4]) / dx
+    if not four.all():
+        # np.gradient: central differences, uniform or not, then one-sided ends
+        same = dt == hd
+        same[between] = True
+        equal = np.logical_and.reduceat(same, starts)
+        pos = np.arange(len(t)) - starts[seg]
+        inside = ~four[seg] & (pos >= 1) & (pos < n[seg] - 1)
+        i = np.flatnonzero(inside & equal[seg])
+        d[:, i] = (w[:, i + 1] - w[:, i - 1]) / (2. * h[seg[i]])
+        i = np.flatnonzero(inside & ~equal[seg])
+        dx1, dx2 = dt[i - 1], dt[i]
+        a = -(dx2) / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+        d[:, i] = a * w[:, i - 1] + b * w[:, i] + c * w[:, i + 1]
+        e, dx = equal[~four], h[~four]
+        i = starts[~four]
+        dx1, dx2 = dt[i], dt[i + 1]
+        a = np.where(e, -1.5 / dx, -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)))
+        b = np.where(e, 2. / dx, (dx1 + dx2) / (dx1 * dx2))
+        c = np.where(e, -0.5 / dx, - dx1 / (dx2 * (dx1 + dx2)))
+        d[:, i] = a * w[:, i] + b * w[:, i + 1] + c * w[:, i + 2]
+        i = ends[~four] - 1
+        dx1, dx2 = dt[i - 2], dt[i - 1]
+        a = np.where(e, 0.5 / dx, (dx2) / (dx1 * (dx1 + dx2)))
+        b = np.where(e, -2. / dx, - (dx2 + dx1) / (dx1 * dx2))
+        c = np.where(e, 1.5 / dx, (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
+        d[:, i] = a * w[:, i - 2] + b * w[:, i - 1] + c * w[:, i]
     return d
 
 
 _MANIFOLDS = {"tn": "TaubNUT", "ah": "AtiyahHitchin"}
 
 
-def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
-    """Continue the sqrt(z) branch along a trace before differentiating.
+def _continue_sqrt_branches(Us: np.ndarray, Zs: np.ndarray, ends: np.ndarray):
+    """Continue the sqrt(z) branch along each segment before differentiating.
 
     U = u sqrt(z) and Z = 2 sqrt(z) come from the principal branch, whose cut
     is the negative real z axis, i.e. the traced locus Re Z = 0 itself: there
@@ -639,16 +714,20 @@ def _continue_sqrt_branch(Us: np.ndarray, Zs: np.ndarray):
     samples.  Both name the same point (the metric block is even in the
     branch, and v1 = -2i Z d_Z flips with the tangent, so each sample's
     residuals do not depend on it).  Each sample takes the sign that puts Z
-    nearest its predecessor's continued value, and the whole trace the sign
-    that makes Im Z > 0 at its first sample: on Re Z = 0, Z ~ +-2i sqrt|z|
-    and the sample mask keeps |z| >= 1e-10 rho, so Im Z_0 is never zero and
-    the emitted branch does not depend on the sign of the noise in Im z.
+    nearest its predecessor's continued value, and each segment (samples
+    [ends[j-1], ends[j]), one trace) the sign that makes Im Z > 0 at its
+    first sample: on Re Z = 0, Z ~ +-2i sqrt|z| and the sample mask keeps
+    |z| >= 1e-10 rho, so Im Z_0 is never zero and the emitted branch does
+    not depend on the sign of the noise in Im z.  The flips are counted by
+    one cumulative sum, each segment from its own first sample.
     """
+    starts = ends - np.diff(ends, prepend=0)
+    seg = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     flip = np.abs(Zs[1:] + Zs[:-1]) < np.abs(Zs[1:] - Zs[:-1])
-    sign = np.ones(len(Zs))
-    sign[1:] = np.where(np.cumsum(flip) % 2 == 1, -1.0, 1.0)
-    if Zs[0].imag < 0.0:
-        sign = -sign
+    flip[ends[:-1] - 1] = False     # no flip between two segments
+    flips = np.concatenate([[0], np.cumsum(flip)])
+    sign = np.where((flips - flips[starts][seg]) % 2 == 1, -1.0, 1.0)
+    sign[Zs[starts][seg].imag < 0.0] *= -1.0
     return Us * sign, Zs * sign
 
 
@@ -656,11 +735,13 @@ def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[d
     """verify_slag's report for each trace of a batch (traces of one action).
 
     The chart, u coordinate, metric block, mu, action field and residuals
-    run once over the concatenated samples, the branch continuation,
-    tangent and maxima per trace.  Each report is the trace's own bit for
-    bit while a batch is under 16 384 samples (from there NumPy reuses
-    temporaries in place, and omega's complex products round differently).
-    A degenerate sample raises for the whole batch.
+    run once over the concatenated samples, and so does the tail: the
+    branch continuation (_continue_sqrt_branches), the tangent
+    (_segment_deriv) and each trace's maxima and median (reductions over
+    its segment).  Each report is the trace's own bit for bit while a batch
+    is under 16 384 samples (from there NumPy reuses temporaries in place,
+    and omega's complex products round differently).  A degenerate sample
+    raises for the whole batch.
     """
     if any(len(trace.t) < 3 for trace in traces):
         raise DomainError("verify_slag needs at least 3 samples")
@@ -670,8 +751,9 @@ def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[d
         raise DomainError("a verify_slag batch needs traces, all of one action")
     spec = mm.ActionSpec(_MANIFOLDS[manifold],
                          "U1_triholo" if traces[0].action == "u1" else "SO2_rot")
-    ends = list(itertools.accumulate(len(trace.t) for trace in traces))
-    spans = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+    n = np.array([len(trace.t) for trace in traces])
+    ends = np.cumsum(n)
+    starts = ends - n
     cols = {c: np.concatenate([trace.cols[c] for trace in traces]) for c in traces[0].cols}
     theta = cols["theta"]
     phi, psi = cols["phi"] % (2 * math.pi), cols["psi"] % (4 * math.pi)
@@ -679,17 +761,15 @@ def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[d
     if manifold == "ah":
         point = ah.ah_from_spherical(ah.AHSphericalPoint(cols["k"], theta, phi, psi), params)
         _, U, Z = ah.ah_u_coordinate(point, params)
-        w0, w1 = np.empty_like(U), np.empty_like(Z)
-        for sl in spans:
-            w0[sl], w1[sl] = _continue_sqrt_branch(U[sl], Z[sl])
+        w0, w1 = _continue_sqrt_branches(U, Z, ends)
         block = ah.ah_metric_UZ(point, params)
     else:
         # axis traces (sin theta = 0 identically): z == 0, so omega(v1,v2),
         # Im Omega and mu - c1 all vanish exactly; Re(u) has no chart value
         on_axis = np.abs(np.sin(theta)) < 1e-12
-        axis = [mask_all(on_axis[sl]) for sl in spans]
-        if any(axis):
-            off = np.repeat(np.logical_not(axis), np.diff([0] + ends))
+        axis = np.logical_and.reduceat(on_axis, starts)
+        if axis.any():
+            off = np.repeat(~axis, n)
         if mask_any(on_axis[off]):
             raise ChartError("trace sample on the axis: holomorphic chart undefined")
         r = cols["r"]
@@ -697,26 +777,30 @@ def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[d
             tn.TNSphericalPoint(r[off], theta[off], phi[off], psi[off]), params)
         block = tn.tn_metric_holo(point, params)
         w0, w1 = point.u, point.z
-        if any(axis):
+        if axis.any():
             w0 = np.full(len(r), math.nan) - 2j * params.m * cols["psi"]
             w1 = np.zeros(len(r), dtype=complex)
             w0[off], w1[off] = point.u, point.z
             point = tn.TNHoloPoint(w0, w1, r * np.cos(theta), r)
     mu = spec.moment(point, params)
     X = spec.field(w0[off], w1[off]).view(complex)   # (re, im) pairs read as (v_u, v_z)
-    v2 = np.empty((2, len(theta)), dtype=complex)
-    for sl, trace in zip(spans, traces):
-        v2[0, sl], v2[1, sl] = _deriv(w0[sl], trace.t), _deriv(w1[sl], trace.t)
+    t = np.concatenate([trace.t for trace in traces])
+    v2 = _segment_deriv(np.stack([w0, w1]), t, ends)
     omega, im_omega = residuals = np.zeros((2, len(theta)))
     residuals[:, off] = np.abs(_residuals(block, X[..., 0], X[..., 1], v2[0, off], v2[1, off]))
-    reports = []
-    for sl in spans:
-        med = float(np.median(mu[sl]))
-        reports.append({"omega_max": float(np.max(omega[sl])), "omega": omega[sl],
-                        "im_omega_max": float(np.max(im_omega[sl])), "im_omega": im_omega[sl],
-                        "mu_max_dev": float(np.max(np.abs(mu[sl] - med))), "mu_median": med,
-                        "mu": mu[sl], "w0": w0[sl], "w1": w1[sl]})
-    return reports
+    # each segment's median as np.median takes it: its middle sorted value,
+    # the mean of the middle two for an even count, NaN if it holds a NaN
+    ranked = mu[np.lexsort((mu, np.repeat(np.arange(len(n)), n)))]
+    mid = ranked[starts + (n - 1) // 2]
+    med = np.where(n % 2 == 1, mid, (mid + ranked[starts + n // 2]) / 2)
+    med[np.logical_or.reduceat(np.isnan(mu), starts)] = math.nan
+    top = np.maximum.reduceat(np.stack([omega, im_omega, np.abs(mu - np.repeat(med, n))]),
+                              starts, axis=1)
+    return [{"omega_max": float(top[0, j]), "omega": omega[a:b],
+             "im_omega_max": float(top[1, j]), "im_omega": im_omega[a:b],
+             "mu_max_dev": float(top[2, j]), "mu_median": float(med[j]),
+             "mu": mu[a:b], "w0": w0[a:b], "w1": w1[a:b]}
+            for j, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))]
 
 
 def verify_slag(trace: CurveTrace, manifold: str, params) -> dict:

@@ -122,7 +122,7 @@ def test_tn_x_solve(seed):
 
 
 def _short(trace, m=5):
-    """The first m samples of a trace: under 7, so _deriv takes np.gradient."""
+    """The first m samples of a trace: under 7, so the tangent takes np.gradient's stencils."""
     return sc.CurveTrace(action=trace.action, t=trace.t[:m].copy(),
                          cols={c: v[:m].copy() for c, v in trace.cols.items()},
                          params=dict(trace.params), tag=trace.tag + "-short")

@@ -12,7 +12,7 @@ from slag_forge import slag_curves as sc
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
-                              trace_to_csv, write_trace_csv)
+                              trace_to_csv, traces_to_csv, write_trace_csv)
 from slag_forge.errors import ContourCollisionError, DomainError
 from slag_forge.presets import preset_traces
 from slag_forge.slag_curves import (CurveTrace, ah_traces_theta_phi, tn_so2_curve,
@@ -145,7 +145,7 @@ def test_csv_roundtrip_reverifies(tmp_path):
     p = TNParams(1.0, 1.0)
     trace = tn_u1_case1(1.0, 0.5, n=200)[0]
     path = tmp_path / "case1.csv"
-    write_trace_csv(path, trace, "tn", verify_slag(trace, "tn", p))
+    write_trace_csv(path, trace_to_csv(trace, "tn", verify_slag(trace, "tn", p)))
     back, manifold = read_trace_csv(path)
     assert manifold == "tn"
     res = verify_slag(back, "tn", p)
@@ -190,7 +190,7 @@ def test_read_malformed_csv_raises_domain_error(tmp_path, case):
     edit, message = MALFORMED_CSV[case]
     trace = tn_u1_case1(1.0, 0.5, n=50)[0]
     path = tmp_path / "case1.csv"
-    write_trace_csv(path, trace, "tn", verify_slag(trace, "tn", TNParams(1.0, 1.0)))
+    write_trace_csv(path, trace_to_csv(trace, "tn", verify_slag(trace, "tn", TNParams(1.0, 1.0))))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(DomainError, match=message):
         read_trace_csv(path)
@@ -279,6 +279,76 @@ def test_trace_to_csv_matches_per_value_writer_on_the_presets():
             pytest.fail(f"{stem}: trace_to_csv differs from the per-value writer")
 
 
+def _fallback_trace(m, rows):
+    """A Taub-NUT-shaped trace of m samples and a report whose first and last
+    rows hold fields only Python's formatter writes (nan, +-inf, -0.0, 1e300
+    and the decade edge 9.999999999999999e99), seeded by the row count."""
+    rng = np.random.default_rng(m)
+    t = np.cumsum(rng.uniform(0.1, 1.0, m))
+    cols = {key: rng.standard_normal(m) * 10.0 ** rng.integers(-200, 200, m)
+            for key in ("r", "theta", "phi", "psi")}
+    report = {"w0": rng.standard_normal(m) + 1j * rng.standard_normal(m),
+              "w1": rng.standard_normal(m) + 1j * rng.standard_normal(m),
+              "omega": rng.uniform(0.0, 1e-3, m), "im_omega": rng.uniform(0.0, 1.0, m),
+              "mu": rng.standard_normal(m)}
+    special = [math.nan, math.inf, -math.inf, -0.0, 1e300, 9.999999999999999e99]
+    for row in rows:
+        cols["r"][row], cols["theta"][row], cols["phi"][row], cols["psi"][row] = special[:4]
+        report["mu"][row], report["omega"][row] = special[4:]
+        report["w0"][row] = complex(-0.0, math.nan)
+    return CurveTrace(action="u1", t=t, cols=cols, params={"c1": float(m), "c2": 0.5}), report
+
+
+def test_traces_to_csv_splits_one_table_into_the_per_trace_files():
+    """One formatting call per family, split at the row ends, gives each
+    trace the bytes of its own trace_to_csv: on the fig8 (k = 0.5) and fig9
+    (phi = pi/4) families at c1 = -3, a fig5 family of one trace, and a
+    family whose middle trace has Python-fallback fields in its first and
+    last rows, between traces of 3 and 5 rows."""
+    pa, p = AHParams(1.0, 1), TNParams(1.0, 1.0)
+    families = [(ah_traces_theta_phi(0.5, -3.0), "ah", pa),
+                (sc.ah_traces_theta_k(math.pi / 4, -3.0), "ah", pa)]
+    families = [(traces, manifold, sc.verify_slag_batch(traces, manifold, params))
+                for traces, manifold, params in families]
+    fig5 = tn_u1_case1(1.0, 0.5)[:1]
+    families.append((fig5, "tn", [verify_slag(fig5[0], "tn", p)]))
+    odd = [_fallback_trace(3, [0]), _fallback_trace(40, [0, 39]), _fallback_trace(5, [4])]
+    families.append(([tr for tr, _ in odd], "tn", [rep for _, rep in odd]))
+    rows = trace_to_csv(odd[1][0], "tn", odd[1][1]).splitlines()
+    assert all("nan" in row and "-0.0000000000000000e+00" in row for row in (rows[2], rows[-1]))
+    for traces, manifold, reports in families:
+        texts = traces_to_csv(traces, manifold, reports)
+        assert len(texts) == len(traces) > 0
+        for trace, report, text in zip(traces, reports, texts):
+            assert text == trace_to_csv(trace, manifold, report)
+            assert text == _reference_trace_to_csv(trace, manifold, report)
+            assert text.count("\n") == len(trace.t) + 2
+
+
+def test_emit_traces_formats_each_family_once(tmp_path, monkeypatch):
+    """The CLI makes one _format_e16 call per family: two for a fig8 family
+    and a fig5 family of one trace, one for a fig9 family call."""
+    calls = []
+    original = csvio._format_e16
+
+    def spy(tables):
+        calls.append([len(table) for table in tables])
+        return original(tables)
+
+    monkeypatch.setattr(csvio, "_format_e16", spy)
+    pa, p = AHParams(1.0, 1), TNParams(1.0, 1.0)
+    fig8 = ah_traces_theta_phi(0.5, -3.0)
+    families = [[(f"a{i}", "ah", tr, pa) for i, tr in enumerate(fig8)],
+                [("b", "tn", tn_u1_case1(1.0, 0.5)[0], p)], []]
+    assert cli._emit_traces(families, tmp_path, "csv", None) == 0
+    assert calls == [[len(tr.t) for tr in fig8], [800]]
+    assert len(list(tmp_path.glob("*.csv"))) == len(fig8) + 1
+    calls.clear()
+    assert main(["trace", "--ah-theta-k", "--phi", repr(math.pi / 4), "--c1", "-3",
+                 "--out", str(tmp_path / "fig9")]) == 0
+    assert len(calls) == 1 and len(list((tmp_path / "fig9").glob("*.csv"))) > 1
+
+
 def test_csv_roundtrip_is_bit_exact(tmp_path):
     """t and the chart columns come back with the written bits: nan, +-inf,
     -0.0, subnormals and the largest double included."""
@@ -299,7 +369,7 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
               "omega": np.zeros(m), "im_omega": np.full(m, -0.0),
               "mu": rng.standard_normal(m)}
     path = tmp_path / "special.csv"
-    write_trace_csv(path, trace, "tn", report)
+    write_trace_csv(path, trace_to_csv(trace, "tn", report))
     back, manifold = read_trace_csv(path)
     assert manifold == "tn"
     assert back.t.view(np.uint64).tolist() == t.view(np.uint64).tolist()

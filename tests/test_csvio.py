@@ -15,7 +15,7 @@ def _assert_percent_e16(values, ncols=1):
     """Format values as an (m, ncols) table and compare field by field."""
     x = np.asarray(values, dtype=float).ravel()
     x = np.concatenate([x, np.zeros(-x.size % ncols)])
-    rows = csvio._format_e16(x.reshape(-1, ncols)).split("\n")
+    rows = csvio._format_e16([x.reshape(-1, ncols)])[0].split("\n")
     assert rows[-1] == ""
     got = [f for row in rows[:-1] for f in row.split(",")]
     ref = ["%.16e" % v for v in x.tolist()]

@@ -330,6 +330,38 @@ def test_trace_zero_set_empty_and_nan_regions():
         ImplicitGrid(f=f_nan, rect=(-1, 1, -1, 1), n=8)
 
 
+def test_trace_zero_set_returns_early_without_a_finite_node(monkeypatch):
+    """A lattice without a finite node returns [] before any refinement: an
+    all-NaN grid (one layer and two) and the fig8 family at k = 0.5,
+    c1 = 10, where no theta row has a real psi, never call _refine_edges.
+    A grid whose only finite cell is crossed still traces that cell."""
+    def no_refine(*args):
+        raise AssertionError("_refine_edges called")
+
+    monkeypatch.setattr(sc, "_refine_edges", no_refine)
+    for f in (lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.nan),
+              lambda x, y: np.full((2,) + np.broadcast_shapes(np.shape(x), np.shape(y)),
+                                   np.nan)):
+        assert trace_zero_set(ImplicitGrid(f=f, rect=(-1, 1, -1, 1), n=16)) == []
+    assert ah_traces_theta_phi(0.5, 10.0) == []
+    monkeypatch.undo()
+
+    xs = np.linspace(-1, 1, 17)
+    x0, x1, y0, y1 = xs[5], xs[6], xs[9], xs[10]
+
+    def one_cell(x, y):
+        inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+        return np.where(inside, x - 0.5 * (x0 + x1) + 0.0 * y, np.nan)
+
+    calls = _spy_calls(monkeypatch, "_refine_edges", lambda: trace_zero_set(
+        ImplicitGrid(f=one_cell, rect=(-1, 1, -1, 1), n=16)))
+    assert len(calls) == 1 and len(calls[0][0][1]) == 2
+    polys = trace_zero_set(ImplicitGrid(f=one_cell, rect=(-1, 1, -1, 1), n=16))
+    assert len(polys) == 1 and polys[0].shape == (2, 2)
+    assert np.allclose(polys[0][:, 0], 0.5 * (x0 + x1), atol=1e-12)
+    assert polys[0][:, 1].tolist() == [y0, y1]
+
+
 def test_trace_zero_set_determinism():
     grid = ImplicitGrid(f=lambda x, y: np.sin(3 * x) - y, rect=(-2, 2, -2, 2),
                         n=48)
@@ -625,6 +657,27 @@ def _reference_condition_arrays(theta, phi, k, c1, h, sign):
     return np.where(ok, val, np.nan)
 
 
+def _dense_condition_layers(theta, phi, k, c1, h):
+    """Both sign layers from one sign-free root computed at every node or
+    point, range or not (the dense form the sparse kernel replaced)."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    k = np.asarray(k, dtype=float)
+    c2p, K, _ = ah_cos2psi_level(theta, k, c1, h)
+    ok = sc._in_range(c2p)
+    c2p = np.clip(c2p, -1.0, 1.0)
+    st2 = np.sin(theta) ** 2
+    ct = np.cos(theta)
+    tk = 2.0 * k * k - 1.0
+    s2p = np.sqrt(np.maximum(1.0 - c2p * c2p, 0.0))
+    w = c2p * (1.0 + ct * ct) + tk * st2 + 2j * s2p * ct
+    ek, sq, real_w = np.exp(1j * phi) * K, np.sqrt(w), s2p == 0.0
+    out = np.empty((2,) + np.broadcast_shapes(ok.shape, ek.shape, sq.shape))
+    for layer, sqs in enumerate((sq, np.where(real_w, sq, np.conjugate(sq)))):
+        out[layer] = np.where(ok, 2.0 * np.real(ek * sqs), np.nan)
+    return out
+
+
 def _theta_at_range_edge(k, c1, level):
     """Thetas in [0.02, pi - 0.02] where cos 2psi = level (+-1) up to its last
     bit, on the side outside [-1, 1] (clipped, so sin 2psi is exactly 0)."""
@@ -667,45 +720,47 @@ def _plane_args(plane, fixed, x, y):
 
 
 @pytest.mark.parametrize("case", sorted(SIGN_PLANES))
-def test_shared_root_matches_per_sign_reference(case):
-    """Both signs read from one sign-free root give the per-sign values bit
-    for bit, NaN pattern included: on the node lattice (one root gives both
-    layers of the family's grid), on refine-style 1-d points, and on points
-    where sin 2psi = 0 exactly, at whose cos 2psi = -1 end a plain conjugate
-    would flip the branch of sqrt(w)."""
+def test_shared_root_matches_per_sign_reference(case, monkeypatch):
+    """Both signs read from one sqrt(w) give the per-sign values bit for
+    bit, NaN pattern included: on the node lattice (one sqrt(w) call gives
+    both layers of the family's grid), on refine-style 1-d points, and on
+    points where sin 2psi = 0 exactly, at whose cos 2psi = -1 end a plain
+    conjugate would flip the branch of sqrt(w)."""
     plane, fixed, c1, (x0, x1, y0, y1), edges = SIGN_PLANES[case]
-    calls = []
 
-    def root(x, y):
-        calls.append(np.shape(x))
-        return sc._ah_condition_root(*_plane_args(plane, fixed, x, y), c1, 1.0)
+    def layers(x, y):
+        return sc._ah_condition_layers(*_plane_args(plane, fixed, x, y), c1, 1.0)
 
     def reference(x, y, sign):
         return _reference_condition_arrays(*_plane_args(plane, fixed, x, y), c1, 1.0, sign)
 
     xs, ys = np.linspace(x0, x1, 257)[:, None], np.linspace(y0, y1, 257)[None, :]
-    layers = sc._ah_condition_layers(root(xs, ys))
-    for got, sign in zip(layers, (1, -1)):
+    calls = _spy_calls(monkeypatch, "_ah_sqrt_w", lambda: layers(xs, ys))
+    assert len(calls) == 1
+    for got, sign in zip(layers(xs, ys), (1, -1)):
         ref = reference(xs, ys, sign)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         assert np.isnan(ref).any() and np.isfinite(ref).any()
-    assert calls == [(257, 1)]
 
     rng = np.random.default_rng(3)
     x, y = rng.uniform(x0, x1, 4000), rng.uniform(y0, y1, 4000)
-    layers = sc._ah_condition_layers(root(x, y))
-    for got, sign in zip(layers, (1, -1)):
+    for got, sign in zip(layers(x, y), (1, -1)):
         assert got.tobytes() == reference(x, y, sign).tobytes()
 
+    sqrt_w = sc._ah_sqrt_w
     for k, level in edges:
         x = _theta_at_range_edge(k, c1, level)
         y = rng.uniform(y0, y1, len(x)) if plane == "theta-phi" else np.full_like(x, k)
-        edge_root = root(x, y)
-        assert len(x) and edge_root[0].all() and edge_root[3].all()
-        for sign in (1, -1):
-            assert sc._ah_condition_signed(edge_root, sign).tobytes() == \
-                reference(x, y, sign).tobytes()
-        plain = sc._ah_condition_signed(edge_root[:3] + (np.zeros(len(x), bool),), -1)
+        assert len(x) and np.all(sc._in_range(ah_cos2psi_level(x, k, c1, 1.0)[0]))
+        calls = _spy_calls(monkeypatch, "_ah_sqrt_w", lambda: layers(x, y))
+        assert sqrt_w(*calls[0][0])[1].all()          # sin 2psi = 0 at every point
+        for got, sign in zip(layers(x, y), (1, -1)):
+            assert got.tobytes() == reference(x, y, sign).tobytes()
+        # without the sin 2psi = 0 flag, s = -1 takes the plain conjugate
+        monkeypatch.setattr(sc, "_ah_sqrt_w",
+                            lambda *args: (sqrt_w(*args)[0], np.zeros(len(args[0]), bool)))
+        plain = layers(x, y)[1]
+        monkeypatch.undo()
         if level > 0:
             assert np.array_equal(plain, reference(x, y, -1))
         else:
@@ -721,14 +776,14 @@ AH_FAMILIES = {
 
 @pytest.mark.parametrize("case", sorted(AH_FAMILIES))
 def test_ah_families_match_per_sign_reference(case, monkeypatch):
-    """A family evaluates its node lattice's sign-free root once, and emits
-    the traces of the per-sign path bit for bit (tags, t and every column)."""
+    """A family evaluates its node lattice's condition layers once, and
+    emits the traces of the per-sign path bit for bit (tags, t and every
+    column)."""
     family, fixed, c1 = AH_FAMILIES[case]
-    calls = _spy_calls(monkeypatch, "_ah_condition_root", lambda: family(fixed, c1))
+    calls = _spy_calls(monkeypatch, "_ah_condition_layers", lambda: family(fixed, c1))
     assert [np.shape(args[0]) for args, _ in calls].count((257, 1)) == 1
     got = family(fixed, c1)
-    monkeypatch.setattr(sc, "_ah_condition_root", lambda *args: args)
-    monkeypatch.setattr(sc, "_ah_condition_layers", lambda args: np.stack(
+    monkeypatch.setattr(sc, "_ah_condition_layers", lambda *args: np.stack(
         [_reference_condition_arrays(*args, sign) for sign in (1, -1)]))
     ref = family(fixed, c1)
     assert [tr.tag for tr in got] == [tr.tag for tr in ref]
@@ -1061,6 +1116,35 @@ def test_ah_chart_and_xy_arrays_match_scalar_calls():
         assert tuple(q[i] for q in xy) == pytest.approx(xy_i, rel=1e-14)
 
 
+def _reference_deriv(vals, t):
+    """The per-trace derivative that verify_slag took before its tail became
+    segment-wise: 4th-order stencils on uniform grids of 7 or more samples,
+    np.gradient (2nd-order) otherwise."""
+    dt = np.diff(t)
+    if len(vals) < 7 or not np.all(np.abs(dt - dt[0]) <= 1e-10 * abs(dt[0])):
+        return np.gradient(vals, t, edge_order=2)
+    h = dt[0]
+    d = np.empty_like(vals)
+    d[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12 * h)
+    f = vals
+    d[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
+    d[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * h)
+    d[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * h)
+    d[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
+    return d
+
+
+def _reference_continue_sqrt_branch(Us, Zs):
+    """The per-trace sqrt(z) branch continuation: each sample the sign that
+    puts Z nearest its predecessor's, the trace the sign with Im Z_0 > 0."""
+    flip = np.abs(Zs[1:] + Zs[:-1]) < np.abs(Zs[1:] - Zs[:-1])
+    sign = np.ones(len(Zs))
+    sign[1:] = np.where(np.cumsum(flip) % 2 == 1, -1.0, 1.0)
+    if Zs[0].imag < 0.0:
+        sign = -sign
+    return Us * sign, Zs * sign
+
+
 def _reference_verify_tn(trace, p):
     """Taub-NUT residuals one sample at a time through the public scalar
     point, chart, metric block and moment: (u, z, mu, omega, Im Omega)."""
@@ -1083,7 +1167,7 @@ def _reference_verify_tn(trace, p):
         mu[i] = moment_tn_u1(pt) if trace.action == "u1" else moment_tn_so2(pt, p)
     v1u, v1z = (1j, 0j) if trace.action == "u1" else (0j, -2j * zs)
     omega, im_omega = sc._residuals(MetricBlock(*fields), v1u, v1z,
-                                    sc._deriv(us, trace.t), sc._deriv(zs, trace.t))
+                                    _reference_deriv(us, trace.t), _reference_deriv(zs, trace.t))
     return us, zs, mu, np.abs(omega), np.abs(im_omega)
 
 
@@ -1162,9 +1246,9 @@ def _reference_verify_ah(trace, p):
         blk = ah_metric_UZ(state, p)
         fields[:, i] = (blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar)
         mu[i] = moment_ah_so2(state)
-    Us, Zs = sc._continue_sqrt_branch(Us, Zs)
+    Us, Zs = _reference_continue_sqrt_branch(Us, Zs)
     omega, im_omega = sc._residuals(MetricBlock(*fields), 0j, -2j * Zs,
-                                    sc._deriv(Us, trace.t), sc._deriv(Zs, trace.t))
+                                    _reference_deriv(Us, trace.t), _reference_deriv(Zs, trace.t))
     return Us, Zs, mu, np.abs(omega), np.abs(im_omega)
 
 
@@ -1223,6 +1307,107 @@ def test_sqrt_branch_pinned_per_trace(family, fixed, monkeypatch):
             assert np.array_equal(flipped[key], res[key])
 
 
+def _retimed(trace, t, m=None):
+    """The first m samples of a trace (all by default) with the parameter t."""
+    m = len(t) if m is None else m
+    return CurveTrace(action=trace.action, t=np.asarray(t, dtype=float),
+                      cols={c: v[:m].copy() for c, v in trace.cols.items()},
+                      params=dict(trace.params), tag=trace.tag)
+
+
+def _tail_batches():
+    """(traces, manifold, params) of each batch the segmented tail is checked on."""
+    pa, p = AHParams(1.0, 1), TNParams(1.0, 1.0)
+    case1 = tn_u1_case1(1.0, 0.5)[0]
+    t = case1.t
+    uneven = t[0] + (t - t[0]) * (1.0 + 0.3 * (t - t[0]) / (t[-1] - t[0]))
+    by_fig = {name: [tr for _, _, tr, _ in presets.preset_traces(name)]
+              for name in ("fig5", "fig6", "fig7")}
+    return {
+        "fig8": (ah_traces_theta_phi(0.5, -3.0), "ah", pa),
+        "fig9": (ah_traces_theta_k(math.pi / 4, -3.0), "ah", pa),
+        **{name: (traces, "tn", p) for name, traces in by_fig.items()},
+        "axis": (tn_so2_curve(3.0, p, branch="axis", n=64) + by_fig["fig7"][:1]
+                 + tn_so2_curve(2.0, p, branch="axis", n=9), "tn", p),
+        "short": ([_retimed(case1, t[:3]), _retimed(case1, t[:6]),
+                   _retimed(case1, 0.5 * np.arange(5.0))], "tn", p),
+        "mixed": ([case1, _retimed(case1, uneven), _retimed(case1, t[:7]),
+                   _retimed(case1, np.cumsum(np.linspace(1.0, 2.0, 9))),
+                   _retimed(case1, 0.25 * np.arange(7.0)), _retimed(case1, t[:40])], "tn", p),
+    }
+
+
+def _per_trace_tail(monkeypatch, traces, manifold, params):
+    """verify_slag_batch's reports with the tail run trace by trace: the
+    reference branch continuation and derivative on each trace, and each
+    trace's maxima and median from np.max and np.median."""
+    def continue_each(Us, Zs, ends):
+        parts = [_reference_continue_sqrt_branch(Us[a:b], Zs[a:b])
+                 for a, b in zip([0, *ends[:-1]], ends)]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def deriv_each(w, t, ends):
+        return np.concatenate([np.stack([_reference_deriv(row[a:b], t[a:b]) for row in w])
+                               for a, b in zip([0, *ends[:-1]], ends)], axis=1)
+
+    with monkeypatch.context() as m:
+        m.setattr(sc, "_continue_sqrt_branches", continue_each)
+        m.setattr(sc, "_segment_deriv", deriv_each)
+        reports = sc.verify_slag_batch(traces, manifold, params)
+    for res in reports:
+        med = float(np.median(res["mu"]))
+        res.update(omega_max=float(np.max(res["omega"])), mu_median=med,
+                   im_omega_max=float(np.max(res["im_omega"])),
+                   mu_max_dev=float(np.max(np.abs(res["mu"] - med))))
+    return reports
+
+
+@pytest.mark.parametrize("case", ["fig8", "fig9", "fig5", "fig6", "fig7", "axis",
+                                  "short", "mixed"])
+def test_segmented_tail_matches_per_trace_loop(case, monkeypatch):
+    """The batch's segment-wise tail (one cumulative sum for the branch, one
+    derivative pass, per-segment maxima and median) gives every report
+    field of the per-trace loop bit for bit: on the fig8 and fig9 families,
+    the fig5-fig7 traces, Taub-NUT axis traces beside a plane trace, traces
+    of 3, 5 and 6 samples (the 5 with exactly equal steps, np.gradient's
+    uniform form), and uniform traces of 7 or more samples among uneven
+    ones."""
+    traces, manifold, params = _tail_batches()[case]
+    got = sc.verify_slag_batch(traces, manifold, params)
+    ref = _per_trace_tail(monkeypatch, traces, manifold, params)
+    assert len(got) == len(ref) == len(traces)
+    for trace, g, r in zip(traces, got, ref):
+        assert g.keys() == r.keys()
+        for key in r:
+            assert np.asarray(g[key]).tobytes() == np.asarray(r[key]).tobytes(), (trace.tag, key)
+
+
+def test_segment_deriv_and_branches_match_per_segment_references():
+    """Each kind of segment of one batch has the bits of the per-trace
+    derivative (4th-order uniform, np.gradient uniform and uneven, 3 to 12
+    samples) and branch continuation (flips inside segments, none carried
+    across a boundary, either sign of Im Z at a first sample)."""
+    rng = np.random.default_rng(11)
+    ts = [np.sort(rng.uniform(0.0, 5.0, m)) for m in (3, 4, 6, 7, 12)]
+    ts += [0.1 * np.arange(m) for m in (3, 5, 7, 12)] + [0.25 * np.arange(m) for m in (4, 5)]
+    ts += [np.linspace(-1.0, 2.0, m) for m in (6, 7, 9)]
+    ts += [np.linspace(0.0, 1.0, 8) * (1.0 + 1e-12 * rng.standard_normal(8))]
+    rng.shuffle(ts)
+    ends = np.cumsum([len(t) for t in ts])
+    t = np.concatenate(ts)
+    w = rng.standard_normal((2, len(t))) + 1j * rng.standard_normal((2, len(t)))
+    d = sc._segment_deriv(w, t, ends)
+    for a, b in zip([0, *ends[:-1]], ends):
+        for row in range(2):
+            assert d[row, a:b].tobytes() == _reference_deriv(w[row, a:b], t[a:b]).tobytes()
+    Z = np.exp(1j * rng.uniform(-3.0, 3.0, len(t))) * np.sign(rng.standard_normal(len(t)))
+    U = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
+    got = sc._continue_sqrt_branches(U, Z, ends)
+    for a, b in zip([0, *ends[:-1]], ends):
+        ref = _reference_continue_sqrt_branch(U[a:b], Z[a:b])
+        assert all(g[a:b].tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+
 LAYER_PAIRS = {
     "circle-line": (lambda x, y: x * x + y * y - 1.0, lambda x, y: y - 0.3 * x + 0.1),
     "saddles-loops": (lambda x, y: np.sin(5 * x) * np.cos(5 * y),
@@ -1260,16 +1445,48 @@ def test_two_layer_grid_matches_single_layer_calls(case, monkeypatch):
                                            (ah_traces_theta_k, math.pi / 4)],
                          ids=["fig8", "fig9"])
 def test_ah_family_evaluates_its_lattice_once_and_refines_once(family, fixed, monkeypatch):
-    """One family call traces one grid: one sign-free root of its node
-    lattice and one refine run over the crossed edges of both signs."""
-    seen = {name: [] for name in ("_ah_condition_root", "_refine_edges", "trace_zero_set")}
+    """One family call traces one grid: one condition evaluation of its node
+    lattice (both layers) and one refine run over the crossed edges of both
+    signs."""
+    seen = {name: [] for name in ("_ah_condition_layers", "_refine_edges", "trace_zero_set")}
     for name, calls in seen.items():
         def spy(*args, _original=getattr(sc, name), _calls=calls):
             _calls.append(args)
             return _original(*args)
         monkeypatch.setattr(sc, name, spy)
     assert family(fixed, -3.0)
-    assert [np.shape(args[0]) for args in seen["_ah_condition_root"]].count((257, 1)) == 1
+    assert [np.shape(args[0]) for args in seen["_ah_condition_layers"]].count((257, 1)) == 1
     assert len(seen["trace_zero_set"]) == 1
     assert len(seen["_refine_edges"]) == 1
     assert set(seen["_refine_edges"][0][1][:, 2]) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("family, fixed", [(ah_traces_theta_phi, 0.5),
+                                           (ah_traces_theta_k, math.pi / 4)],
+                         ids=["fig8", "fig9"])
+def test_ah_lattice_runs_the_complex_part_only_where_psi_is_real(family, fixed, monkeypatch):
+    """On the fig8 (k = 0.5) and fig9 (phi = pi/4) lattices at c1 = -3,
+    sqrt(w) runs on exactly the in-range theta rows (fig8) or (theta, k)
+    nodes (fig9), the layer values are finite at exactly the in-range
+    nodes, and the (2, 257, 257) node array is the dense form's bit for
+    bit, NaN pattern included."""
+    lattice = []
+    original = sc._ah_condition_layers
+
+    def spy(*args):
+        out = original(*args)
+        if np.shape(args[0]) == (257, 1):
+            lattice.append((args, out))
+        return out
+
+    monkeypatch.setattr(sc, "_ah_condition_layers", spy)
+    sqrt_calls = _spy_calls(monkeypatch, "_ah_sqrt_w", lambda: family(fixed, -3.0))
+    (args, nodes), = lattice
+    theta, phi, k, c1, h = args
+    in_range = sc._in_range(ah_cos2psi_level(theta, k, c1, h)[0])
+    assert in_range.shape == ((257, 1) if family is ah_traces_theta_phi else (257, 257))
+    assert 0 < in_range.sum() < in_range.size
+    assert len(sqrt_calls[0][0][0]) == in_range.sum()
+    assert nodes.shape == (2, 257, 257)
+    assert np.array_equal(np.isfinite(nodes), np.broadcast_to(in_range, nodes.shape))
+    assert nodes.tobytes() == _dense_condition_layers(*args).tobytes()

@@ -9,6 +9,10 @@ writes under OUT:
 - families/: every CSV of the 126 Atiyah-Hitchin family-flag calls,
   `trace --ah-theta-phi --k K --c1 C` (fig8) and `trace --ah-theta-k
   --phi PHI --c1 C` (fig9) over the preset parameters (456 files);
+- calls/presets.txt and calls/families.txt: for each of those trace calls,
+  its arguments, exit code and stdout and stderr lines, with the `--out`
+  directory stripped from them (so an empty family shows its message and
+  its exit code 2);
 - checks/seed_NNN.txt: the `verify` and `oracle` lines at seeds 0-119, with
   the timing at the end of each line removed.
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -40,12 +45,26 @@ SEEDS = range(120)
 _TIMING = re.compile(r" \(\d+\.\d+s\)$")
 
 
-def _run(argv: list[str]) -> str:
-    """stdout of one in-process CLI call; stderr is kept out of the snapshot."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        cli.main(argv)
-    return out.getvalue()
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _trace_calls(out: Path, name: str, calls: list[tuple[list[str], Path]]) -> None:
+    """Run each trace call (arguments, --out directory) and write calls/<name>.txt:
+    per call its arguments, exit code and output lines, the directory stripped."""
+    records = []
+    for args, dest in calls:
+        code, stdout, stderr = _run(["trace", *args, "--out", str(dest)])
+        records.append(f"$ trace {' '.join(args)}\nexit {code}\n"
+                       + "".join(f"{stream}: {line}\n"
+                                 for stream, text in (("stdout", stdout), ("stderr", stderr))
+                                 for line in text.replace(f"{dest}{os.sep}", "").splitlines()))
+    (out / "calls").mkdir(parents=True, exist_ok=True)
+    (out / "calls" / f"{name}.txt").write_text("".join(records))
 
 
 def family_calls():
@@ -55,20 +74,20 @@ def family_calls():
 
 
 def write_presets(out: Path, names=PRESETS) -> None:
-    for name in names:
-        _run(["trace", "--preset", name, "--out", str(out / "presets" / name)])
+    _trace_calls(out, "presets", [(["--preset", name], out / "presets" / name)
+                                  for name in names])
 
 
 def write_families(out: Path, calls=None) -> None:
-    for args in family_calls() if calls is None else calls:
-        _run(["trace", *args, "--out", str(out / "families")])
+    _trace_calls(out, "families", [(args, out / "families")
+                                   for args in (family_calls() if calls is None else calls)])
 
 
 def write_checks(out: Path, seeds=SEEDS) -> None:
     (out / "checks").mkdir(parents=True, exist_ok=True)
     for seed in seeds:
-        lines = (_run(["--seed", str(seed), "verify"])
-                 + _run(["--seed", str(seed), "oracle"])).splitlines()
+        lines = (_run(["--seed", str(seed), "verify"])[1]
+                 + _run(["--seed", str(seed), "oracle"])[1]).splitlines()
         text = "".join(_TIMING.sub("", line) + "\n" for line in lines)
         (out / "checks" / f"seed_{seed:03d}.txt").write_text(text)
 
