@@ -551,7 +551,7 @@ def check_slag_ah_traces(rng) -> tuple[bool, str]:
     phase of Omega(v1, v2) drifts along them, so the calibration-phase
     residual Im(Omega(v1, v2)) is O(1): this check reports it honestly.
     omega vanishes on mu = c1 up to the finite-difference tangent error,
-    ~1.2e-3 on these two 32-sample traces, so it is above 1e-4 as well.
+    ~4e-5 on these two 32-sample traces, under 1e-4: only Im Omega fails.
     """
     p = ah.AHParams(1.0, 1)
     traces = sc.ah_traces_theta_phi(0.5, -2.0, n=192)

@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--samples", type=int, default=400)
     p_trace.add_argument("--out", type=str, default="traces")
     p_trace.add_argument("--format", choices=("csv", "svg"), default="csv",
-                         help="svg additionally writes one overlay per preset")
+                         help="svg additionally writes the preset's overlay "
+                              "(with --preset only)")
 
     p_oracle = sub.add_parser("oracle", help="run the contour-integral oracles")
     p_oracle.add_argument("--samples", type=int, default=50,
@@ -146,9 +147,10 @@ def cmd_verify(args, seed: int) -> int:
     return _run_checks(((name, checks.VERIFY_CHECKS[name]) for name in names), seed)
 
 
-def _emit_traces(families, out_dir: Path, fmt: str, preset: str | None) -> int:
-    """Write one CSV per trace; each family (one manifold, one params) is one
-    batch, verified in one pass and formatted by one traces_to_csv call."""
+def _emit_traces(families, out_dir: Path, overlay: str | None) -> int:
+    """Write one CSV per trace, and the SVG overlay of the preset named by
+    `overlay` unless it is None; each family (one manifold, one params) is
+    one batch, verified in one pass and formatted by one traces_to_csv call."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for family in filter(None, families):
         _, manifold, _, params = family[0]
@@ -160,21 +162,24 @@ def _emit_traces(families, out_dir: Path, fmt: str, preset: str | None) -> int:
             write_trace_csv(path, text)
             print(f"wrote {path}  omega={res['omega_max']:.2e} "
                   f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
-    if fmt == "svg" and preset is not None:
-        xcol, ycol = presets.preset_plane_columns(preset)
+    if overlay is not None:
+        xcol, ycol = presets.preset_plane_columns(overlay)
         polys = [np.column_stack([tr.cols[xcol], tr.cols[ycol]])
                  for family in families for _, _, tr, _ in family]
-        svg_path = out_dir / f"{preset}.svg"
-        write_svg(svg_path, polys, xcol, ycol, title=preset)
+        svg_path = out_dir / f"{overlay}.svg"
+        write_svg(svg_path, polys, xcol, ycol, title=overlay)
         print(f"wrote {svg_path}")
     return 0 if any(families) else 2
 
 
 def cmd_trace(args) -> int:
     out_dir = Path(args.out)
+    if args.format == "svg" and not args.preset:
+        print("--format svg writes a preset's overlay: pass --preset", file=sys.stderr)
+        return 2
     if args.preset:
         families = list(presets.preset_families(args.preset, grid_n=args.grid))
-        return _emit_traces(families, out_dir, args.format, args.preset)
+        return _emit_traces(families, out_dir, args.preset if args.format == "svg" else None)
     pm = {"+": "plus", "-": "minus"}
     families = []
     if args.tn_u1_case1:
@@ -207,10 +212,13 @@ def cmd_trace(args) -> int:
         else:
             print("nothing to trace: pass --preset or a family flag", file=sys.stderr)
         return 2
-    return _emit_traces(families, out_dir, args.format, None)
+    return _emit_traces(families, out_dir, None)
 
 
 def cmd_oracle(args, seed: int) -> int:
+    if args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     return _run_checks(((name, functools.partial(fn, samples=args.samples))
                         for name, (fn, manifold) in checks.ORACLE_CHECKS.items()
                         if args.manifold in ("all", manifold)), seed)

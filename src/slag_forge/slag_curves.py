@@ -633,73 +633,34 @@ def _residuals(block: tn.MetricBlock, v1u, v1z, v2u, v2z):
     return omega / scale, (v1u * v2z - v1z * v2u).imag / scale
 
 
+# slot k's four other stencil nodes, (k + 1) % 5 ... (k + 4) % 5
+_OTHER_NODES = (np.arange(5) + np.arange(1, 5)[:, None]) % 5
+
+
 def _segment_deriv(w: np.ndarray, t: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Derivative of each row of w along t, segment by segment.
 
     Segment j holds samples [ends[j-1], ends[j]) (from 0), at least 3 of
-    them.  A segment of 7 or more samples whose steps all lie within 1e-10
-    of its first takes 4th-order stencils, 5-point one-sided at both ends
-    and central elsewhere; any other takes np.gradient(..., edge_order=2)'s
-    stencils, in its uniform form where all steps are equal.  Each sample's
-    value is written with the arithmetic of that per-segment formula, so it
-    has its bits.
+    them.  Each sample i takes the derivative of the polynomial through the
+    min(5, n) samples of its segment nearest it, centred where the segment
+    allows and one-sided at its ends, on any spacing: with the node offsets
+    d_k = t_k - t_i, it is sum_k c_k (w_k - w_i) over the other nodes, with
+    the barycentric weights c_k = 1 / (d_k prod_{l != i, k} (1 - d_k / d_l))
+    (Berrut & Trefethen, SIAM Rev. 46, 2004).  The stencils are the columns
+    of one (node, sample) array; a segment of fewer than 5 samples fills
+    its columns with the sample itself, whose 1 / d is taken as 0.  Each
+    sample's value is the same arithmetic in any batch.
     """
     n = np.diff(ends, prepend=0)
-    starts = ends - n
-    seg = np.repeat(np.arange(len(n)), n)
-    dt = np.diff(t)
-    h = dt[starts]                # each segment's first step
-    hd = h[seg[:-1]]
-    between = ends[:-1] - 1       # the steps from one segment to the next
-    close = np.abs(dt - hd) <= 1e-10 * np.abs(hd)
-    close[between] = True
-    four = (n >= 7) & np.logical_and.reduceat(close, starts)
-    d = np.empty_like(w)
-    if four.any():
-        # central differences over the whole batch: the samples of other
-        # stencils, and of other segments, are written again below
-        d[:, 2:-2] = (-w[:, 4:] + 8.0 * w[:, 3:-1] - 8.0 * w[:, 1:-3] + w[:, :-4]) \
-            / (12 * h[seg[2:-2]])
-        a, b, dx = starts[four], ends[four], 12 * h[four]
-        f = w[:, a[:, None] + np.arange(5)]        # the first five samples, f[..., j]
-        d[:, a] = (-25 * f[..., 0] + 48 * f[..., 1] - 36 * f[..., 2] + 16 * f[..., 3]
-                   - 3 * f[..., 4]) / dx
-        d[:, a + 1] = (-3 * f[..., 0] - 10 * f[..., 1] + 18 * f[..., 2] - 6 * f[..., 3]
-                       + f[..., 4]) / dx
-        f = w[:, b[:, None] + np.arange(-1, -6, -1)]   # the last five, f[..., j] at -1 - j
-        d[:, b - 2] = (3 * f[..., 0] + 10 * f[..., 1] - 18 * f[..., 2] + 6 * f[..., 3]
-                       - f[..., 4]) / dx
-        d[:, b - 1] = (25 * f[..., 0] - 48 * f[..., 1] + 36 * f[..., 2] - 16 * f[..., 3]
-                       + 3 * f[..., 4]) / dx
-    if not four.all():
-        # np.gradient: central differences, uniform or not, then one-sided ends
-        same = dt == hd
-        same[between] = True
-        equal = np.logical_and.reduceat(same, starts)
-        pos = np.arange(len(t)) - starts[seg]
-        inside = ~four[seg] & (pos >= 1) & (pos < n[seg] - 1)
-        i = np.flatnonzero(inside & equal[seg])
-        d[:, i] = (w[:, i + 1] - w[:, i - 1]) / (2. * h[seg[i]])
-        i = np.flatnonzero(inside & ~equal[seg])
-        dx1, dx2 = dt[i - 1], dt[i]
-        a = -(dx2) / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
-        d[:, i] = a * w[:, i - 1] + b * w[:, i] + c * w[:, i + 1]
-        e, dx = equal[~four], h[~four]
-        i = starts[~four]
-        dx1, dx2 = dt[i], dt[i + 1]
-        a = np.where(e, -1.5 / dx, -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)))
-        b = np.where(e, 2. / dx, (dx1 + dx2) / (dx1 * dx2))
-        c = np.where(e, -0.5 / dx, - dx1 / (dx2 * (dx1 + dx2)))
-        d[:, i] = a * w[:, i] + b * w[:, i + 1] + c * w[:, i + 2]
-        i = ends[~four] - 1
-        dx1, dx2 = dt[i - 2], dt[i - 1]
-        a = np.where(e, 0.5 / dx, (dx2) / (dx1 * (dx1 + dx2)))
-        b = np.where(e, -2. / dx, - (dx2 + dx1) / (dx1 * dx2))
-        c = np.where(e, 1.5 / dx, (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
-        d[:, i] = a * w[:, i - 2] + b * w[:, i - 1] + c * w[:, i]
-    return d
+    size = np.repeat(np.minimum(n, 5), n)
+    i = np.arange(len(t))
+    first = np.clip(i - 2, np.repeat(ends - n, n), np.repeat(ends, n) - size)
+    node = first + np.arange(5)[:, None]
+    node = np.where(node < first + size, node, i)
+    d = t.take(node) - t
+    r = 1.0 / np.where(d != 0.0, d, np.inf)
+    c = r / np.prod(1.0 - d * r.take(_OTHER_NODES, axis=0), axis=0)
+    return (c * (w.take(node, axis=1) - w[:, None])).sum(axis=1)
 
 
 _MANIFOLDS = {"tn": "TaubNUT", "ah": "AtiyahHitchin"}
@@ -811,8 +772,8 @@ def verify_slag(trace: CurveTrace, manifold: str, params) -> dict:
     that depends on the manifold: it gives the holomorphic coordinates
     (w0, w1) of every sample ((u, z) on Taub-NUT, (U, Z) on Atiyah-Hitchin
     with the sqrt(z) branch continued), the metric block and the point that
-    mu is read at.  v2 is the sample-to-sample derivative of (w0, w1) (4th-order
-    stencils on uniform parameter grids); v1 and mu are the trace action's
+    mu is read at.  v2 is the derivative of (w0, w1) along the trace
+    parameter (_segment_deriv); v1 and mu are the trace action's
     ActionSpec.field and ActionSpec.moment.  The omega and Im Omega
     residuals are normalized per sample by max(1, |v1| |v2|), making them
     parametrization-invariant misalignment measures.  Taub-NUT axis traces

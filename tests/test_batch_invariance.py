@@ -122,7 +122,7 @@ def test_tn_x_solve(seed):
 
 
 def _short(trace, m=5):
-    """The first m samples of a trace: under 7, so the tangent takes np.gradient's stencils."""
+    """The first m samples of a trace: with m = 5, every tangent stencil spans the whole run."""
     return sc.CurveTrace(action=trace.action, t=trace.t[:m].copy(),
                          cols={c: v[:m].copy() for c, v in trace.cols.items()},
                          params=dict(trace.params), tag=trace.tag + "-short")
@@ -160,7 +160,7 @@ def test_verify_slag_batch_matches_single_trace_reports(case):
     """Each report of a batch has the bits of the trace's own verify_slag
     report, for every key, whatever traces share the batch."""
     traces, manifold, params = _verify_batches()[case]
-    assert len(traces) > 2 and min(len(tr.t) for tr in traces) < 7
+    assert len(traces) > 2 and min(len(tr.t) for tr in traces) <= 5
     if case == "fig7-axis":
         assert sum(np.all(np.abs(np.sin(tr.cols["theta"])) < 1e-12) for tr in traces) == 2
     batch = sc.verify_slag_batch(traces, manifold, params)

@@ -105,6 +105,35 @@ def test_trace_requires_family(capsys):
     assert main(["trace"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_oracle_rejects_samples_below_one(samples, monkeypatch, capsys):
+    """--samples under 1 would check nothing and print PASS; it is a usage
+    error before any oracle runs."""
+    def ran(rng, samples):
+        raise AssertionError("an oracle ran")
+
+    for name, (_, manifold) in list(checks.ORACLE_CHECKS.items()):
+        monkeypatch.setitem(checks.ORACLE_CHECKS, name, (ran, manifold))
+    assert main(["oracle", "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--samples" in err
+
+
+@pytest.mark.parametrize("flag", ["--tn-u1-case1", "--tn-u1-case2", "--tn-so2",
+                                  "--ah-theta-phi", "--ah-theta-k"])
+def test_trace_svg_without_preset_is_a_usage_error(flag, tmp_path, monkeypatch, capsys):
+    """--format svg writes a preset's overlay, so a family flag with it exits
+    2 with a message before anything is traced or written."""
+    for family in ("tn_u1_case1", "tn_u1_case2", "tn_so2_curve",
+                   "ah_traces_theta_phi", "ah_traces_theta_k"):
+        monkeypatch.setattr(cli.sc, family, None)
+    out = tmp_path / "out"
+    assert main(["trace", flag, "--format", "svg", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "--format svg" in err and "--preset" in err
+    assert not out.exists()
+
+
 def test_trace_case1_csv_contract(tmp_path, capsys):
     rc = main(["trace", "--tn-u1-case1", "--c1", "1", "--c2", "0.5",
                "--out", str(tmp_path)])
@@ -340,7 +369,7 @@ def test_emit_traces_formats_each_family_once(tmp_path, monkeypatch):
     fig8 = ah_traces_theta_phi(0.5, -3.0)
     families = [[(f"a{i}", "ah", tr, pa) for i, tr in enumerate(fig8)],
                 [("b", "tn", tn_u1_case1(1.0, 0.5)[0], p)], []]
-    assert cli._emit_traces(families, tmp_path, "csv", None) == 0
+    assert cli._emit_traces(families, tmp_path, None) == 0
     assert calls == [[len(tr.t) for tr in fig8], [800]]
     assert len(list(tmp_path.glob("*.csv"))) == len(fig8) + 1
     calls.clear()

@@ -55,3 +55,56 @@ def test_snapshot_writer_on_one_family_and_one_seed(tmp_path):
     assert all(re.match(r"(PASS|FAIL) \S+ ", line) for line in lines)
     assert not any(re.search(r"\(\d+\.\d+s\)$", line) for line in lines)
     assert (tmp_path / "b" / "checks" / "seed_000.txt").read_text() == "\n".join(lines) + "\n"
+
+
+DIFF_TOOL = TOOL.with_name("snapshot_diff.py")
+
+
+def _write_tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+def test_snapshot_diff_on_two_synthetic_trees(tmp_path, capsys):
+    """Identical trees exit 0; otherwise the tool names the files under one
+    tree only, counts the differing files and fields per CSV column with the
+    largest relative change (NaN equal to NaN), flags a CSV whose shape
+    changed, prints
+    the differing calls/ and checks/ lines, and exits 1."""
+    spec = importlib.util.spec_from_file_location("snapshot_diff", DIFF_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    head = "# slag-forge v1, manifold=tn, params=c=1\nt,omega_res,mu\n"
+    old = {"presets/fig5/a.csv": head + "0.0,1.0e-06,nan\n1.0,2.0e-06,3.0\n",
+           "presets/fig5/b.csv": head + "0.0,4.0,nan\n",
+           "presets/fig5/c.csv": head + "0.0,4.0,1.0\n",
+           "families/gone.csv": head,
+           "calls/presets.txt": "$ trace --preset fig5\nexit 0\nstdout: wrote a.csv  omega=2.00e-06\n",
+           "checks/seed_000.txt": "PASS x err=1e-16\nFAIL y err=1e-3\n"}
+    _write_tree(tmp_path / "old", old)
+    _write_tree(tmp_path / "same", old)
+    assert tool.main([str(tmp_path / "old"), str(tmp_path / "same")]) == 0
+    assert "omega_res" not in capsys.readouterr().out
+    new = dict(old)
+    del new["families/gone.csv"]
+    new.update({"presets/fig5/a.csv": head + "0.0,1.5e-06,nan\n1.0,2.0e-06,3.0\n",
+                "presets/fig5/b.csv": head + "0.0,2.0,nan\n",
+                "presets/fig5/c.csv": head + "0.0,4.0,1.0\n1.0,4.0,1.0\n",
+                "presets/fig5/d.csv": head,
+                "calls/presets.txt": old["calls/presets.txt"].replace("2.00e-06", "1.00e-07"),
+                "checks/seed_000.txt": "PASS x err=1e-16\nFAIL y err=4e-5\n"})
+    _write_tree(tmp_path / "new", new)
+    assert tool.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "only in OLD: families/gone.csv" in out and "only in NEW: presets/fig5/d.csv" in out
+    assert "csv shape differs: presets/fig5/c.csv" in out
+    assert "csv: 3 files under both trees" in out
+    rows = {line.split()[0]: line.split()[1:] for line in out if line.startswith("  ")}
+    assert rows.keys() == {"column", "omega_res"}
+    assert rows["omega_res"] == ["2", "2", "5.000e-01"]   # |2 - 4| / 4
+    i = out.index("calls/presets.txt:")
+    assert out[i + 1:i + 3] == ["-stdout: wrote a.csv  omega=2.00e-06",
+                                "+stdout: wrote a.csv  omega=1.00e-07"]
+    i = out.index("checks/seed_000.txt:")
+    assert out[i + 1:] == ["-FAIL y err=1e-3", "+FAIL y err=4e-5"]

@@ -1117,21 +1117,26 @@ def test_ah_chart_and_xy_arrays_match_scalar_calls():
 
 
 def _reference_deriv(vals, t):
-    """The per-trace derivative that verify_slag took before its tail became
-    segment-wise: 4th-order stencils on uniform grids of 7 or more samples,
-    np.gradient (2nd-order) otherwise."""
-    dt = np.diff(t)
-    if len(vals) < 7 or not np.all(np.abs(dt - dt[0]) <= 1e-10 * abs(dt[0])):
-        return np.gradient(vals, t, edge_order=2)
-    h = dt[0]
-    d = np.empty_like(vals)
-    d[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12 * h)
-    f = vals
-    d[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
-    d[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * h)
-    d[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * h)
-    d[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
-    return d
+    """The tangent rule one sample at a time in Python floats: the derivative
+    at t_i of the Lagrange polynomial through the min(5, n) samples nearest
+    it (centred where the trace allows, one-sided at its ends), as
+    sum_{k != i} L_k'(t_i) (v_k - v_i), where L_k'(t_i) = prod_{l != i, k}
+    (t_i - t_l) / prod_{l != k} (t_k - t_l) (the L_k sum to 1, so L_i'
+    takes minus the others' sum)."""
+    t = [float(x) for x in t]
+    n, m = len(t), min(5, len(t))
+    out = np.empty(n, dtype=complex)
+    for i in range(n):
+        first = min(max(i - 2, 0), n - m)
+        nodes = range(first, first + m)
+        total = 0j
+        for k in nodes:
+            if k != i:
+                weight = math.prod(t[i] - t[l] for l in nodes if l not in (i, k)) \
+                    / math.prod(t[k] - t[l] for l in nodes if l != k)
+                total += weight * (complex(vals[k]) - complex(vals[i]))
+        out[i] = total
+    return out
 
 
 def _reference_continue_sqrt_branch(Us, Zs):
@@ -1339,15 +1344,17 @@ def _tail_batches():
 
 def _per_trace_tail(monkeypatch, traces, manifold, params):
     """verify_slag_batch's reports with the tail run trace by trace: the
-    reference branch continuation and derivative on each trace, and each
-    trace's maxima and median from np.max and np.median."""
+    reference branch continuation and _segment_deriv on each trace alone,
+    and each trace's maxima and median from np.max and np.median."""
+    deriv = sc._segment_deriv
+
     def continue_each(Us, Zs, ends):
         parts = [_reference_continue_sqrt_branch(Us[a:b], Zs[a:b])
                  for a, b in zip([0, *ends[:-1]], ends)]
         return tuple(np.concatenate(col) for col in zip(*parts))
 
     def deriv_each(w, t, ends):
-        return np.concatenate([np.stack([_reference_deriv(row[a:b], t[a:b]) for row in w])
+        return np.concatenate([deriv(w[:, a:b], t[a:b], np.array([b - a]))
                                for a, b in zip([0, *ends[:-1]], ends)], axis=1)
 
     with monkeypatch.context() as m:
@@ -1369,9 +1376,8 @@ def test_segmented_tail_matches_per_trace_loop(case, monkeypatch):
     derivative pass, per-segment maxima and median) gives every report
     field of the per-trace loop bit for bit: on the fig8 and fig9 families,
     the fig5-fig7 traces, Taub-NUT axis traces beside a plane trace, traces
-    of 3, 5 and 6 samples (the 5 with exactly equal steps, np.gradient's
-    uniform form), and uniform traces of 7 or more samples among uneven
-    ones."""
+    of 3, 5 and 6 samples (stencils of 3 and 5 nodes), and uniform traces
+    among uneven ones."""
     traces, manifold, params = _tail_batches()[case]
     got = sc.verify_slag_batch(traces, manifold, params)
     ref = _per_trace_tail(monkeypatch, traces, manifold, params)
@@ -1382,30 +1388,68 @@ def test_segmented_tail_matches_per_trace_loop(case, monkeypatch):
             assert np.asarray(g[key]).tobytes() == np.asarray(r[key]).tobytes(), (trace.tag, key)
 
 
+def _uneven(rng, m, h=1.0):
+    """m increasing samples whose steps are h times uniform draws from [0.3, 1]."""
+    return rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(h * rng.uniform(0.3, 1.0, m - 1))])
+
+
 def test_segment_deriv_and_branches_match_per_segment_references():
-    """Each kind of segment of one batch has the bits of the per-trace
-    derivative (4th-order uniform, np.gradient uniform and uneven, 3 to 12
-    samples) and branch continuation (flips inside segments, none carried
-    across a boundary, either sign of Im Z at a first sample)."""
+    """In a shuffled batch of segments of 3 to 40 samples, uniform and uneven,
+    each segment has the bits of _segment_deriv on that segment alone and
+    the per-sample reference's values to rounding, and the branch
+    continuation has the per-trace bits (flips inside segments, none
+    carried across a boundary, either sign of Im Z at a first sample)."""
     rng = np.random.default_rng(11)
     ts = [np.sort(rng.uniform(0.0, 5.0, m)) for m in (3, 4, 6, 7, 12)]
-    ts += [0.1 * np.arange(m) for m in (3, 5, 7, 12)] + [0.25 * np.arange(m) for m in (4, 5)]
+    ts += [0.1 * np.arange(m) for m in (3, 5, 7, 12, 40)] + [0.25 * np.arange(m) for m in (4, 5)]
     ts += [np.linspace(-1.0, 2.0, m) for m in (6, 7, 9)]
     ts += [np.linspace(0.0, 1.0, 8) * (1.0 + 1e-12 * rng.standard_normal(8))]
+    ts += [_uneven(rng, m, h) for m, h in zip(rng.integers(3, 41, 30), rng.uniform(0.01, 1.0, 30))]
     rng.shuffle(ts)
     ends = np.cumsum([len(t) for t in ts])
     t = np.concatenate(ts)
     w = rng.standard_normal((2, len(t))) + 1j * rng.standard_normal((2, len(t)))
     d = sc._segment_deriv(w, t, ends)
     for a, b in zip([0, *ends[:-1]], ends):
+        assert d[:, a:b].tobytes() == sc._segment_deriv(w[:, a:b], t[a:b], np.array([b - a])).tobytes()
+        scale = np.max(np.abs(w[:, a:b])) / np.min(np.diff(t[a:b]))
         for row in range(2):
-            assert d[row, a:b].tobytes() == _reference_deriv(w[row, a:b], t[a:b]).tobytes()
+            assert np.max(np.abs(d[row, a:b] - _reference_deriv(w[row, a:b], t[a:b]))) \
+                <= 1e-12 * scale
     Z = np.exp(1j * rng.uniform(-3.0, 3.0, len(t))) * np.sign(rng.standard_normal(len(t)))
     U = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
     got = sc._continue_sqrt_branches(U, Z, ends)
     for a, b in zip([0, *ends[:-1]], ends):
         ref = _reference_continue_sqrt_branch(U[a:b], Z[a:b])
         assert all(g[a:b].tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+
+def test_segment_deriv_exact_on_polynomials():
+    """On uneven spacings of 3 to 12 samples, the derivative of a polynomial of
+    degree below min(5, n), real and imaginary parts, is exact to rounding."""
+    rng = np.random.default_rng(3)
+    for m in range(3, 13):
+        for _ in range(20):
+            t = _uneven(rng, m)
+            coef = rng.standard_normal((2, min(5, m))) + 1j * rng.standard_normal((2, min(5, m)))
+            w = np.stack([np.polyval(c, t) for c in coef])
+            want = np.stack([np.polyval(np.polyder(c), t) for c in coef])
+            d = sc._segment_deriv(w, t, np.array([m]))
+            assert np.max(np.abs(d - want)) <= 1e-12 * np.max(np.abs(w)) / np.min(np.diff(t))
+
+
+def test_segment_deriv_converges_at_fourth_order():
+    """For sin on uneven grids, halving the spacing cuts the error at the
+    interior samples (those with a centred stencil) at least 12-fold."""
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        steps = rng.uniform(0.3, 1.0, 7)      # one period of the step pattern
+        errs = []
+        for h in (0.04, 0.02, 0.01):
+            t = 0.3 + np.concatenate([[0.0], np.cumsum(h * np.resize(steps, round(2.8 / h)))])
+            d = sc._segment_deriv(np.stack([np.sin(t), 1j * np.sin(t)]), t, np.array([len(t)]))
+            errs.append(np.max(np.abs(d[:, 2:-2] - [np.cos(t[2:-2]), 1j * np.cos(t[2:-2])])))
+        assert errs[0] >= 12 * errs[1] and errs[1] >= 12 * errs[2], errs
 
 
 LAYER_PAIRS = {

@@ -16,7 +16,8 @@ writes under OUT:
 - checks/seed_NNN.txt: the `verify` and `oracle` lines at seeds 0-119, with
   the timing at the end of each line removed.
 
-`diff -r` of the snapshots of two checkouts is the identity check.  It
+`diff -r` of the snapshots of two checkouts is the identity check, and
+`tools/snapshot_diff.py OLD NEW` sums up where they differ.  It
 imports slag-forge from src/ of the checkout it sits in and runs the CLI in
 this process; the whole snapshot takes about 25 s on a 2-core x86-64 host,
 most of it in the check seeds.
