@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticData, quad_adaptive
-from .errors import ContourCollisionError, DegenerateError, DomainError, PoleError
+from .errors import (ContourCollisionError, ConvergenceError, DegenerateError, DomainError,
+                     PoleError)
 
 
 @dataclass(frozen=True)
@@ -86,25 +87,45 @@ def o4_modulus(m: O4Multiplet) -> float:
     return num / den
 
 
-# trapezoid nodes on the unit circle and on the log-term loop of the
-# F-function, and the second-difference step in x as a share of r
-_FXX_NODES_CIRCLE = 4096
-_FXX_NODES_LOOP = 8192
+# trapezoid nodes on the unit circle (eta^2 is a Laurent polynomial of degree
+# 2, so any count above 4 is exact); the first and the largest node count of
+# the log-term loop, and the relative gap between the F_xx of the loop's
+# even-indexed half and of the whole loop that stops its doubling; the
+# second-difference step in x as a share of r
+_FXX_NODES_CIRCLE = 64
+_FXX_NODES_LOOP = 1024
+_FXX_NODES_LOOP_MAX = 8192
+_FXX_HALF_GAP = 5e-6
 _FXX_STEP_REL = 1e-4
+
+
+class FxxValue(float):
+    """An F_xx value of tn_Fxx_contour_oracle with the loop nodes it took."""
+
+    __slots__ = ("loop_nodes",)
+
+    def __new__(cls, value: float, loop_nodes: int):
+        self = super().__new__(cls, value)
+        self.loop_nodes = loop_nodes
+        return self
 
 
 def tn_Fxx_contour_oracle(m: O2Multiplet, h: float, mcharge: float) -> float:
     """F_xx by second central differences of the contour-integral F-function.
 
-    F(x) is evaluated as the unit-circle trapezoid of the quadratic term plus
-    the log term integrated along a closed ellipse enclosing the cut segment
-    [0, zeta_minus], doubled with its reality image.  The log branch is
-    continued along the loop by unwrapping arg eta at its jumps only: the
-    phase steps by less than pi between neighbouring nodes except at a few
-    (usually none), and only there is a 2 pi correction computed, bit for
-    bit what np.unwrap gives on the whole loop.  For the Taub-NUT
-    F-function this must reproduce F_xx = -2(1/h + 2 mcharge / r).  The
-    loop uses more nodes than the circle: its clearance pinches as x -> -r.
+    F(x) is the unit-circle trapezoid of the quadratic term plus the log term
+    integrated along a closed ellipse around the cut [0, zeta_-], doubled
+    with its reality image.  F at x + step, x and x - step is one (3, N)
+    array pass on one circle and one loop: the ellipse that x builds, which
+    encloses the three cuts and keeps zeta_+ outside, so the loop's
+    discretization errors cancel in the second difference.  The log branch
+    is continued along each row by np.unwrap.  The loop starts at
+    _FXX_NODES_LOOP nodes and doubles while the F_xx of its even-indexed
+    half differs from the full one by more than _FXX_HALF_GAP relative; the
+    loop clearance pinches as x -> -r, and an input still unconverged at
+    _FXX_NODES_LOOP_MAX raises ConvergenceError.  The value is an FxxValue,
+    a float whose loop_nodes is the node count it took.  For the Taub-NUT
+    F-function this must reproduce F_xx = -2(1/h + 2 mcharge / r).
     """
     if m.z == 0 or m.r == 0:
         raise DegenerateError("tn_Fxx_contour_oracle: z = 0 or r = 0")
@@ -112,10 +133,39 @@ def tn_Fxx_contour_oracle(m: O2Multiplet, h: float, mcharge: float) -> float:
     if abs(zp - zm) < 1e-6:
         raise ContourCollisionError(
             f"roots too close: |zeta_+ - zeta_-| = {abs(zp - zm):.3e}")
+    z, zb = m.z, np.conjugate(m.z)
     step = _FXX_STEP_REL * m.r
-    f0, fp, fm = (_tn_F_value(x, m.z, h, mcharge, _FXX_NODES_CIRCLE, _FXX_NODES_LOOP)
-                  for x in (m.x, m.x + step, m.x - step))
-    return (fp - 2.0 * f0 + fm) / (step * step)
+    xs = np.array([[m.x + step], [m.x], [m.x - step]])
+    zeta = _trig_nodes(_FXX_NODES_CIRCLE)[0]
+    eta = zb / zeta + xs - z * zeta
+    # Gamma_0 term: -(1/(2 pi i h)) oint (dzeta/zeta) eta^2, dzeta/zeta = i dth
+    f_quad = -np.real(np.sum(eta * eta, axis=1)) / (h * _FXX_NODES_CIRCLE)
+    # ellipse around the segment [0, zeta_-]; overshoot and transverse width
+    # bounded by the distance to zeta_+ (which sits on the opposite ray)
+    pad = min(0.2 * abs(zm), 0.45 * abs(zp))
+    u_hat = zm / abs(zm)
+    a_ax, b_ax = 0.5 * abs(zm) + pad, pad
+    n = _FXX_NODES_LOOP
+    while True:
+        _, cos_th, sin_th = _trig_nodes(n)
+        loop = 0.5 * zm + (a_ax * cos_th + 1j * b_ax * sin_th) * u_hat
+        dlog = (-a_ax * sin_th + 1j * b_ax * cos_th) * u_hat / loop
+        eta_l = zb / loop + xs - z * loop
+        log_eta = np.log(np.abs(eta_l)) + 1j * np.unwrap(np.angle(eta_l), axis=1)
+        terms = eta_l * log_eta * dlog
+        # (1/(2 pi i)) oint eta log(eta) dzeta/zeta is -i times the mean of the
+        # terms, and the loop with its reality image gives -4 mcharge Re of it;
+        # row 0 from the whole loop, row 1 from its even-indexed half
+        f = f_quad - 4.0 * mcharge * np.imag([np.mean(terms, axis=1),
+                                              np.mean(terms[:, ::2], axis=1)])
+        full, half = (f[:, 0] - 2.0 * f[:, 1] + f[:, 2]) / (step * step)
+        if abs(full - half) <= _FXX_HALF_GAP * abs(full):
+            return FxxValue(full, n)
+        if n >= _FXX_NODES_LOOP_MAX:
+            raise ConvergenceError(
+                f"tn_Fxx_contour_oracle: half-node gap {abs(full - half):.3e} "
+                f"of F_xx = {full:.6e} at {n} loop nodes")
+        n *= 2
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,62 +179,6 @@ def _trig_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in nodes:
         arr.setflags(write=False)
     return nodes
-
-
-def _unwrap_jumps(phase: np.ndarray) -> np.ndarray:
-    """np.unwrap(phase) for a 1-d float array, bit for bit, from its jumps alone.
-
-    np.unwrap adds to each entry the running sum of the corrections of the
-    steps before it, and a step's correction is zero unless |step| >= pi.
-    Here the correction (np.unwrap's mod formula and its tie rule at -pi) is
-    computed at those steps only and summed in the same order; the first
-    entry is kept as it is.
-    """
-    dd = np.diff(phase)
-    jump = np.flatnonzero(~(np.abs(dd) < math.pi))
-    dj = dd[jump]
-    low, period = -math.pi, 2.0 * math.pi
-    ddmod = np.mod(dj - low, period) + low
-    ddmod[(ddmod == low) & (dj > 0)] = math.pi
-    offset = np.cumsum(np.concatenate(([0.0], ddmod - dj)))
-    up = phase.copy()
-    # entry i > 0 takes the running sum over steps 0 .. i-1, constant between jumps
-    runs = np.concatenate(([1], jump + 1, [phase.size]))
-    for lo, hi, value in zip(runs[:-1], runs[1:], offset):
-        up[lo:hi] += value
-    return up
-
-
-def _tn_F_value(x: float, z: complex, h: float, mcharge: float,
-                nodes_circle: int, nodes_loop: int) -> float:
-    zb = np.conjugate(z)
-    zeta = _trig_nodes(nodes_circle)[0]
-    eta = zb / zeta + x - z * zeta
-    # Gamma_0 term: -(1/(2 pi i h)) oint (dzeta/zeta) eta^2, dzeta/zeta = i dth
-    f_quad = np.real(-(1.0 / (2.0 * math.pi * 1j * h))
-                     * np.sum(eta * eta * 1j) * (2.0 * math.pi / nodes_circle))
-
-    r = math.sqrt(x * x + 4.0 * abs(z) ** 2)
-    zm = (x - r) / (2.0 * z)
-    zp = (x + r) / (2.0 * z)
-    # ellipse around the segment [0, zeta_-]; overshoot and transverse width
-    # bounded by the distance to zeta_+ (which sits on the opposite ray)
-    pad = min(0.2 * abs(zm), 0.45 * abs(zp))
-    u_hat = zm / abs(zm)
-    center = 0.5 * zm
-    a_ax = 0.5 * abs(zm) + pad
-    b_ax = pad
-    _, cos_th, sin_th = _trig_nodes(nodes_loop)
-    loop = center + a_ax * cos_th * u_hat + b_ax * sin_th * (1j * u_hat)
-    dloop = (-a_ax * sin_th * u_hat + b_ax * cos_th * (1j * u_hat)) \
-        * (2.0 * math.pi / nodes_loop)
-    eta_l = zb / loop + x - z * loop
-    log_eta = np.log(np.abs(eta_l)) + 1j * _unwrap_jumps(np.angle(eta_l))
-    s_val = np.sum(eta_l * log_eta / loop * dloop) / (2.0 * math.pi * 1j)
-    # the second loop (around the image cut through infinity) contributes the
-    # complex conjugate by the reality condition
-    f_log = np.real(-2.0 * mcharge * (s_val + np.conjugate(s_val)))
-    return float(f_quad + f_log)
 
 
 def ah_In_contour_oracle(data: EllipticData, mult: O4Multiplet, n: int,

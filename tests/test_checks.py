@@ -15,6 +15,7 @@ from slag_forge.cli import main
 from slag_forge.errors import ConvergenceError
 
 from test_atiyah_hitchin import regular_point
+from test_multiplets import pinched_o2
 
 
 class _CountingRng:
@@ -422,3 +423,24 @@ def test_h_constraint_fails_on_a_broken_chart_rho(monkeypatch, capsys):
     assert main(["verify", "--only", "ah-h-constraint"]) == 1
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("FAIL ah-h-constraint max_err=")
+
+
+def test_fxx_oracle_reports_its_loop_nodes(monkeypatch):
+    """fxx-contour reports the most loop nodes that any sample needed: 1 024
+    on the sampler's inputs at seed 0, and 8 192 once the samples sit at
+    x/r = -0.996."""
+    ok, detail = checks.oracle_fxx(np.random.default_rng(0), 50)
+    assert ok and " nodes_max=1024 tol=1.0e-05" in detail, detail
+    monkeypatch.setattr(checks, "_random_o2", lambda rng: pinched_o2(3.05))
+    ok, detail = checks.oracle_fxx(np.random.default_rng(0), 3)
+    assert ok and " nodes_max=8192 tol=1.0e-05" in detail, detail
+
+
+def test_unconverged_fxx_loop_is_a_fail_line(monkeypatch, capsys):
+    """At x/r = -0.9991 the F_xx loop is unconverged at 8 192 nodes: the
+    oracle prints a FAIL line and exits 1, where it used to print a value
+    off by 1e6."""
+    monkeypatch.setattr(checks, "_random_o2", lambda rng: pinched_o2(3.1))
+    assert main(["oracle", "--manifold", "tn", "--samples", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL fxx-contour error: tn_Fxx_contour_oracle: half-node gap ")

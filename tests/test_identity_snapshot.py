@@ -108,3 +108,30 @@ def test_snapshot_diff_on_two_synthetic_trees(tmp_path, capsys):
                                 "+stdout: wrote a.csv  omega=1.00e-07"]
     i = out.index("checks/seed_000.txt:")
     assert out[i + 1:] == ["-FAIL y err=1e-3", "+FAIL y err=4e-5"]
+
+
+def test_snapshot_diff_sums_up_the_check_lines(tmp_path, capsys):
+    """Per check name, the tool counts the seed files whose line differs,
+    lists each seed where the verdict flips between PASS and FAIL, keeps
+    the raw line diff, and exits 1; equal check lines give no count."""
+    spec = importlib.util.spec_from_file_location("snapshot_diff", DIFF_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = {"checks/seed_000.txt": "PASS x err=1e-16\nPASS y err=1e-7\nFAIL z err=0.6\n",
+           "checks/seed_001.txt": "PASS x err=2e-16\nPASS y err=2e-7\nFAIL z err=0.6\n",
+           "checks/seed_002.txt": "PASS x err=3e-16\nPASS y err=3e-7\nFAIL z err=0.6\n"}
+    new = {"checks/seed_000.txt": "PASS x err=1e-16\nPASS y err=5e-8\nFAIL z err=0.6 (text)\n",
+           "checks/seed_001.txt": "PASS x err=2e-16\nFAIL y err=2e-4\nFAIL z err=0.6 (text)\n",
+           "checks/seed_002.txt": "PASS x err=3e-16\nPASS y err=3e-7\nPASS z err=1e-5\n"}
+    _write_tree(tmp_path / "old", old)
+    _write_tree(tmp_path / "new", new)
+    assert tool.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    summary = [line for line in out if line.startswith(("checks:", "verdict flips:"))]
+    assert summary == ["checks: 3 files under both trees",
+                       "checks: y differs at 2 seeds",
+                       "checks: z differs at 3 seeds",
+                       "verdict flips: y at seed_001: PASS -> FAIL",
+                       "verdict flips: z at seed_002: FAIL -> PASS"]
+    i = out.index("checks/seed_002.txt:")
+    assert out[i + 1:] == ["-FAIL z err=0.6", "+PASS z err=1e-5"]

@@ -8,7 +8,7 @@ import pytest
 from slag_forge import multiplets
 from slag_forge.atiyah_hitchin import pi_pair_from_zvx
 from slag_forge.elliptic import elliptic_data
-from slag_forge.errors import DegenerateError, PoleError
+from slag_forge.errors import ConvergenceError, DegenerateError, PoleError
 from slag_forge.multiplets import (O2Multiplet, ah_I1_closed_form,
                                    ah_I2_closed_form, ah_In_contour_oracle,
                                    best_branch_integer, o2_eval, o2_roots,
@@ -125,43 +125,79 @@ def test_fxx_contour_oracle_random_points():
     assert worst < 1e-5
 
 
-def _tn_F_value_reference(x, z, h, mcharge, nodes_circle=4096, nodes_loop=8192):
-    """The contour F-function with its nodes built on every call."""
-    zb = np.conjugate(z)
-    th = np.linspace(0.0, 2.0 * math.pi, nodes_circle, endpoint=False)
-    zeta = np.exp(1j * th)
-    eta = zb / zeta + x - z * zeta
-    f_quad = np.real(-(1.0 / (2.0 * math.pi * 1j * h))
-                     * np.sum(eta * eta * 1j) * (2.0 * math.pi / nodes_circle))
-    r = math.sqrt(x * x + 4.0 * abs(z) ** 2)
-    zm = (x - r) / (2.0 * z)
-    zp = (x + r) / (2.0 * z)
+def _tn_Fxx_reference(m, h, mcharge):
+    """The shared-loop F_xx on 1 024 loop nodes, its nodes built on every call."""
+    z, zb = m.z, np.conjugate(m.z)
+    step = 1e-4 * m.r
+    xs = np.array([[m.x + step], [m.x], [m.x - step]])
+    zeta = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    eta = zb / zeta + xs - z * zeta
+    f_quad = -np.real(np.sum(eta * eta, axis=1)) / (h * 64)
+    zp, zm = o2_roots(m)
     pad = min(0.2 * abs(zm), 0.45 * abs(zp))
     u_hat = zm / abs(zm)
     a_ax, b_ax = 0.5 * abs(zm) + pad, pad
-    th = np.linspace(0.0, 2.0 * math.pi, nodes_loop, endpoint=False)
-    loop = 0.5 * zm + a_ax * np.cos(th) * u_hat + b_ax * np.sin(th) * (1j * u_hat)
-    dloop = (-a_ax * np.sin(th) * u_hat + b_ax * np.cos(th) * (1j * u_hat)) \
-        * (2.0 * math.pi / nodes_loop)
-    eta_l = zb / loop + x - z * loop
-    log_eta = np.log(np.abs(eta_l)) + 1j * np.unwrap(np.angle(eta_l))
-    s_val = np.sum(eta_l * log_eta / loop * dloop) / (2.0 * math.pi * 1j)
-    return float(f_quad + np.real(-2.0 * mcharge * (s_val + np.conjugate(s_val))))
+    th = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    loop = 0.5 * zm + (a_ax * np.cos(th) + 1j * b_ax * np.sin(th)) * u_hat
+    dlog = (-a_ax * np.sin(th) + 1j * b_ax * np.cos(th)) * u_hat / loop
+    eta_l = zb / loop + xs - z * loop
+    log_eta = np.log(np.abs(eta_l)) + 1j * np.unwrap(np.angle(eta_l), axis=1)
+    f = f_quad - 4.0 * mcharge * np.imag(np.mean(eta_l * log_eta * dlog, axis=1))
+    return (f[0] - 2.0 * f[1] + f[2]) / (step * step)
 
 
 def test_fxx_contour_oracle_matches_per_call_nodes():
-    """The shared read-only nodes give the oracle bit for bit."""
+    """The shared read-only nodes give the one-loop rule bit for bit."""
     rng = np.random.default_rng(13)
     for _ in range(4):
         m = random_o2(rng)
         h, mc = rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0)
-        step = 1e-4 * m.r
-        f0, fp, fm = (_tn_F_value_reference(m.x + d, m.z, h, mc) for d in (0.0, step, -step))
-        assert tn_Fxx_contour_oracle(m, h, mc) == (fp - 2.0 * f0 + fm) / (step * step)
-    for arr in multiplets._trig_nodes(4096) + multiplets._trig_nodes(8192):
+        val = tn_Fxx_contour_oracle(m, h, mc)
+        assert val == _tn_Fxx_reference(m, h, mc) and val.loop_nodes == 1024
+    for arr in multiplets._trig_nodes(64) + multiplets._trig_nodes(1024):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def pinched_o2(angle):
+    """r = 5 at polar angle `angle`, so x/r = cos(angle) -> -1 pinches the loop."""
+    return O2Multiplet(2.5 * math.sin(angle) * complex(math.cos(0.7), math.sin(0.7)),
+                       5.0 * math.cos(angle))
+
+
+@pytest.mark.parametrize("angle, nodes", [(2.9, 2048), (3.0, 8192), (3.05, 8192)])
+def test_fxx_contour_oracle_pinched_inputs(angle, nodes):
+    """Near x = -r (x/r = -0.971, -0.990, -0.996) the loop doubles until its
+    even-indexed half agrees, and F_xx holds to 1e-6."""
+    m = pinched_o2(angle)
+    target = -2.0 * (1.0 + 2.0 / m.r)
+    val = tn_Fxx_contour_oracle(m, 1.0, 1.0)
+    assert abs(val - target) < 1e-6 * abs(target) and val.loop_nodes == nodes
+
+
+def test_fxx_contour_oracle_unconverged_raises():
+    """At x/r = -0.9991 the half-node gap is still open at 8 192 loop nodes."""
+    with pytest.raises(ConvergenceError, match="8192 loop nodes"):
+        tn_Fxx_contour_oracle(pinched_o2(3.1), 1.0, 1.0)
+
+
+def test_fxx_contour_oracle_step_scaling(monkeypatch):
+    """The second difference is second order in its step: each halving of
+    the step cuts the median relative error of 20 samples by 3-5x."""
+    medians = []
+    for step_rel in (1.6e-2, 8e-3, 4e-3, 2e-3):
+        monkeypatch.setattr(multiplets, "_FXX_STEP_REL", step_rel)
+        rng = np.random.default_rng(31)
+        errs = []
+        for _ in range(20):
+            m = random_o2(rng)
+            h, mc = rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0)
+            target = -2.0 * (1.0 / h + 2.0 * mc / m.r)
+            errs.append(abs(tn_Fxx_contour_oracle(m, h, mc) - target) / abs(target))
+        medians.append(np.median(errs))
+    ratios = [a / b for a, b in zip(medians, medians[1:])]
+    assert all(3.0 <= q <= 5.0 for q in ratios), ratios
 
 
 def test_o2_root_separation_invariant():
@@ -244,43 +280,3 @@ def test_ah_In_pole_on_path():
     if abs(Xinf.imag) < 1e-10 and data.e3 <= Xinf.real <= data.e2:
         with pytest.raises(PoleError):
             ah_In_contour_oracle(data, m4, 1)
-
-
-def _assert_same_bits(got, want):
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize("phase", [
-    [0.0, math.pi, 0.0, -math.pi, 0.0, 1.0],
-    [3.0, -3.0, 3.0, -0.5, 2.9, -2.9, 0.1],
-    list(np.linspace(-3.0, 3.0, 64)),
-    [-0.0, 0.25, -0.0, 0.5, -0.0],
-    [0.5],
-], ids=["steps-of-exactly-pi", "jumps-both-signs", "no-jump", "negative-zero", "one-node"])
-def test_unwrap_jumps_matches_np_unwrap(phase):
-    """The jump-only unwrap gives np.unwrap's array bit for bit, the sign of
-    zero included; a step of exactly +pi or -pi takes np.unwrap's tie rule."""
-    phase = np.array(phase)
-    _assert_same_bits(multiplets._unwrap_jumps(phase), np.unwrap(phase))
-
-
-def test_unwrap_jumps_on_oracle_loops(monkeypatch):
-    """The loop phases of the F_xx oracle, and a loop phase that winds seven
-    times, unwrap as np.unwrap unwraps them."""
-    phases = []
-    original = multiplets._unwrap_jumps
-
-    def spy(phase):
-        phases.append(phase)
-        return original(phase)
-
-    monkeypatch.setattr(multiplets, "_unwrap_jumps", spy)
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        tn_Fxx_contour_oracle(random_o2(rng), rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
-    assert len(phases) == 15
-    _, cos_th, sin_th = multiplets._trig_nodes(8192)
-    wound = np.angle((cos_th + 1j * sin_th) ** 7)
-    assert np.count_nonzero(np.abs(np.diff(wound)) >= math.pi) == 7
-    for phase in phases + [wound]:
-        _assert_same_bits(original(phase), np.unwrap(phase))

@@ -9,6 +9,9 @@ prints
   fields that differ, and the largest |new - old| / max(1, |old|) (a NaN
   field equals a NaN field), and each CSV whose comment line, header or
   row count differs;
+- for the checks/ files under both: per check name, the number of seed
+  files whose line for it differs, then each seed at which its verdict
+  flips between PASS and FAIL;
 - the differing lines of the calls/ and checks/ files, each file's name
   followed by its lines from OLD ('-') and from NEW ('+').
 
@@ -19,8 +22,12 @@ from __future__ import annotations
 
 import difflib
 import math
+import re
 import sys
 from pathlib import Path
+
+
+_CHECK_LINE = re.compile(r"(PASS|FAIL) (\S+)")
 
 
 def _files(root: Path) -> set[str]:
@@ -55,6 +62,36 @@ def _csv_changes(old: list[str], new: list[str]) -> dict[str, list] | None:
     return changes
 
 
+def _check_lines(path: Path) -> dict[str, tuple[str, str]]:
+    """Check name -> (verdict, line) of one checks/ file."""
+    found = {}
+    for line in path.read_text().splitlines():
+        if m := _CHECK_LINE.match(line):
+            found[m.group(2)] = (m.group(1), line)
+    return found
+
+
+def _checks_summary(old: Path, new: Path, names: list[str]) -> None:
+    """Print, per check name, the number of checks/ files whose line for it
+    differs, and then each seed at which its verdict flips."""
+    differ: dict[str, int] = {}
+    flips = []
+    for name in names:
+        a, b = _check_lines(old / name), _check_lines(new / name)
+        for check in {**a, **b}:
+            if a.get(check) == b.get(check):
+                continue
+            differ[check] = differ.get(check, 0) + 1
+            if check in a and check in b and a[check][0] != b[check][0]:
+                flips.append(f"verdict flips: {check} at {Path(name).stem}: "
+                             f"{a[check][0]} -> {b[check][0]}")
+    print(f"checks: {len(names)} files under both trees")
+    for check, seeds in differ.items():
+        print(f"checks: {check} differs at {seeds} seeds")
+    for line in flips:
+        print(line)
+
+
 def compare(old: Path, new: Path) -> bool:
     """Print the differences of the two trees; True if they are identical."""
     old_files, new_files = _files(old), _files(new)
@@ -84,6 +121,7 @@ def compare(old: Path, new: Path) -> bool:
         print(f"  {'column':<14}{'files':>7}{'fields':>9}  max |new-old|/max(1,|old|)")
         for column, (files, fields, change) in columns.items():
             print(f"  {column:<14}{files:>7}{fields:>9}  {change:.3e}")
+    _checks_summary(old, new, [name for name in common if name.startswith("checks/")])
     for name in common:
         if name.endswith(".csv"):
             continue
