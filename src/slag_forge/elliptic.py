@@ -33,6 +33,10 @@ _AGM_CAP = 60
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _QUAD_MAX_DEPTH = 40
 
+# quad_periodic's first and largest node count on [0, pi), and the relative
+# half-node gap that stops a row (10x under the 1e-10 eta1-pair gate it serves)
+_TRAP_NODES, _TRAP_NODES_MAX, _TRAP_HALF_GAP = 32, 65536, 1e-11
+
 
 def elliptic_KE(k: float) -> tuple[float, float]:
     """(K(k), E(k)) for a scalar 0 <= k < 1 from one extended-AGM sequence (DLMF 19.8.5-6).
@@ -329,49 +333,64 @@ def quad_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return recurse(float(a), float(b), whole0, tol, 0)
 
 
-def _period_integrand(data: EllipticData, numer: Callable[[np.ndarray], np.ndarray]):
-    """Integrand of int numer(X) dX / Y over [e3, e2] after X = e3 + (e2-e3) sin^2 t.
+def quad_periodic(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int):
+    """int_0^{pi/2} f(i, sin^2 t) dt for the rows i of a batch of even, pi-periodic integrands.
 
-    The substitution removes both endpoint singularities; what remains is
-    numer(X(t)) / (sqrt(rho) sqrt(1 - k^2 sin^2 t)) on t in [0, pi/2].
+    f maps row indices i, shape (m, 1), and sin^2 t at nodes t, shape (n,), to
+    values of shape (..., m, n).  The trapezoid rule on [0, pi) converges
+    geometrically here (Trefethen & Weideman, SIAM Rev. 56, 2014) and needs
+    only its nodes in [0, pi/2].  Each doubling evaluates the new midpoints,
+    T_2N = (T_N + M_N) / 2, on the rows not yet converged, and a row stops
+    once |T_2N - T_N| <= _TRAP_HALF_GAP max(1, |T_2N|) in every component, so
+    its value does not depend on its batch.  Returns the values, shape
+    (..., rows), and each row's node count on [0, pi); a row unconverged at
+    _TRAP_NODES_MAX raises ConvergenceError.
     """
-    k2 = (data.e2 - data.e3) / data.rho
-    span = data.e2 - data.e3
-    sr = math.sqrt(data.rho)
+    idx, nodes = np.arange(rows), np.zeros(rows, dtype=int)
+    n, h = _TRAP_NODES, math.pi / _TRAP_NODES
+    vals = f(idx[:, None], np.sin(h * np.arange(n // 2 + 1)) ** 2)
+    total = h * (np.sum(vals, axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1]))
+    while idx.size:
+        if n >= _TRAP_NODES_MAX:
+            raise ConvergenceError(f"quad_periodic: {idx.size} of {rows} rows unconverged "
+                                   f"at {n} nodes")
+        old = total[..., idx]
+        mid = f(idx[:, None], np.sin(h * (np.arange(n // 2) + 0.5)) ** 2)
+        new = 0.5 * (old + h * np.sum(mid, axis=-1))
+        n, h, total[..., idx] = 2 * n, 0.5 * h, new
+        gap = np.abs(new - old) <= _TRAP_HALF_GAP * np.maximum(1.0, np.abs(new))
+        done = gap.reshape(-1, idx.size).all(axis=0)
+        nodes[idx[done]] = n
+        idx = idx[~done]
+    return total, nodes
 
-    def g(t):
-        s2 = np.sin(t) ** 2
-        X = data.e3 + span * s2
-        return numer(X) / (sr * np.sqrt(1.0 - k2 * s2))
 
-    return g
+def _sin2_quadrature(data: EllipticData, m, a, b):
+    """int_0^{pi/2} (a + b sin^2 t) dt / (sqrt(rho) sqrt(1 - m sin^2 t)): a cycle integral of
+    (affine in X) dX/Y after X = e3 + (e2 - e3) sin^2 t or e1 - (e1 - e2) sin^2 t, which
+    removes both endpoint singularities.  A float for one curve, an array for a batch."""
+    sr, m, a, b = np.broadcast_arrays(*(np.atleast_1d(v) for v in (np.sqrt(data.rho), m, a, b)))
+    vals = quad_periodic(lambda i, s2: (a[i] + b[i] * s2) / (sr[i] * np.sqrt(1.0 - m[i] * s2)),
+                         sr.size)[0]
+    return float(vals[0]) if np.ndim(data.k) == 0 else vals
 
 
-def omega1_quadrature(data: EllipticData) -> float:
+def omega1_quadrature(data: EllipticData):
     """Half-period int_{e3}^{e2} dX/Y by quadrature (equals K(k)/sqrt(rho))."""
-    g = _period_integrand(data, lambda X: np.ones_like(X))
-    return float(np.real(quad_adaptive(g, 0.0, math.pi / 2.0, 1e-12)))
+    return _sin2_quadrature(data, data.k * data.k, 1.0, 0.0)
 
 
-def eta1_quadrature(data: EllipticData) -> float:
+def eta1_quadrature(data: EllipticData):
     """Quasi-half-period -int_{e3}^{e2} X dX/Y by quadrature."""
-    g = _period_integrand(data, lambda X: X)
-    return -float(np.real(quad_adaptive(g, 0.0, math.pi / 2.0, 1e-11)))
+    return -_sin2_quadrature(data, data.k * data.k, data.e3, data.e2 - data.e3)
 
 
-def omega3_quadrature(data: EllipticData) -> complex:
+def omega3_quadrature(data: EllipticData):
     """Imaginary half-period i K(k')/sqrt(rho) via the [e2, e1] cycle."""
-    kp2 = 1.0 - data.k * data.k
-    sr = math.sqrt(data.rho)
-
-    def g(t):
-        s2 = np.sin(t) ** 2
-        return 1.0 / (sr * np.sqrt(1.0 - kp2 * s2))
-
-    return 1j * quad_adaptive(g, 0.0, math.pi / 2.0, 1e-12)
+    return 1j * _sin2_quadrature(data, 1.0 - data.k * data.k, 1.0, 0.0)
 
 
-def eta3_quadrature(data: EllipticData) -> complex:
+def eta3_quadrature(data: EllipticData):
     """Imaginary quasi-half-period -int over the [e2, e1] cycle of X dX/Y.
 
     The branch of Y on [e2, e1] is fixed so that the companion period comes
@@ -379,16 +398,7 @@ def eta3_quadrature(data: EllipticData) -> complex:
     eta3 = -(i/sqrt(rho)) (e3 K(k') + rho E(k')), which the Legendre relation
     eta1 omega3 - eta3 omega1 = pi i / 2 pins down.
     """
-    kp2 = 1.0 - data.k * data.k
-    span = data.e1 - data.e2
-    sr = math.sqrt(data.rho)
-
-    def g(t):
-        s2 = np.sin(t) ** 2
-        X = data.e1 - span * s2
-        return X / (sr * np.sqrt(1.0 - kp2 * s2))
-
-    return -1j * quad_adaptive(g, 0.0, math.pi / 2.0, 1e-11)
+    return -1j * _sin2_quadrature(data, 1.0 - data.k * data.k, data.e1, data.e2 - data.e1)
 
 
 def weierstrass_p(u: float, data: EllipticData) -> float:

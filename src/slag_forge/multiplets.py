@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticData, quad_adaptive
+from .elliptic import EllipticData, quad_adaptive, quad_periodic  # noqa: F401
 from .errors import (ContourCollisionError, ConvergenceError, DegenerateError, DomainError,
                      PoleError)
+from .masks import mask_any
 
 
 @dataclass(frozen=True)
@@ -181,37 +182,49 @@ def _trig_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes
 
 
-def ah_In_contour_oracle(data: EllipticData, mult: O4Multiplet, n: int,
-                         tol: float = 1e-10) -> complex:
-    """I_n(Gamma_m) = oint (beta (X - X0)/(X - Xinf))^n dX/Y over the [e3,e2] cut.
-
-    Realized as twice the straight-line integral along the cut with the
-    positive real branch of Y, endpoint singularities removed by the sin^2
-    substitution.  n = 0 must give 2 omega1.
-    """
-    if n not in (0, 1, 2):
-        raise DomainError(f"ah_In_contour_oracle: n must be 0, 1 or 2, got {n!r}")
-    if data.delta == 0:
-        raise DomainError("ah_In_contour_oracle: singular curve (delta = 0)")
-    al, be, rho = mult.alpha, mult.beta, data.rho
-    cross = (1.0 + np.conjugate(al) * be) / (1.0 + abs(al) ** 2)
-    X0 = data.e3 + rho * (al / be) * cross
-    Xinf = data.e3 + rho * cross
+def ah_In_poles(data: EllipticData, alpha, beta):
+    """(X0, Xinf) of multiplets with roots alpha, beta; PoleError where an Xinf is on the cut."""
+    cross = (1.0 + np.conjugate(alpha) * beta) / (1.0 + np.abs(alpha) ** 2)
+    Xinf = data.e3 + data.rho * cross
     pad = 1e-9 * (data.e2 - data.e3)
-    if abs(Xinf.imag) < pad and data.e3 - pad <= Xinf.real <= data.e2 + pad:
+    cut = (np.abs(Xinf.imag) < pad) & (data.e3 - pad <= Xinf.real) & (Xinf.real <= data.e2 + pad)
+    if mask_any(cut):
         raise PoleError(f"ah_In_contour_oracle: X_inf = {Xinf!r} lies on the cut")
+    return data.e3 + data.rho * (alpha / beta) * cross, Xinf
 
-    k2 = (data.e2 - data.e3) / rho
-    span = data.e2 - data.e3
-    sr = math.sqrt(rho)
 
-    def g(t):
-        s2 = np.sin(t) ** 2
-        X = data.e3 + span * s2
-        w = (be * (X - X0) / (X - Xinf)) ** n if n else np.ones_like(X)
-        return w / (sr * np.sqrt(1.0 - k2 * s2))
+def ah_In_contour_oracle(data: EllipticData, alpha, beta):
+    """I_n(Gamma_m) = oint (beta (X - X0)/(X - Xinf))^n dX/Y over the [e3,e2] cut, n = 0, 1, 2.
 
-    return 2.0 * quad_adaptive(g, 0.0, math.pi / 2.0, tol)
+    Twice the integral along the cut with the positive real branch of Y,
+    after the sin^2 substitution, for multiplets with roots alpha, beta on
+    their curves (arrays, and an array EllipticData), in one quad_periodic
+    pass.  There dX/Y = V dt with V = (e1 - X)^(-1/2); with d = X - Xinf and
+    w = beta + c/d, I_n sums the integrals of V, V/d and V/d^2, which the
+    kernel takes less their pole parts V(Xinf)/d and V(Xinf)/d^2 +
+    V'(Xinf)/d.  Those integrate in closed form, so the kernel converges
+    however near the cut Xinf lies.  Returns I_0..I_2, shape (3, samples),
+    and the nodes each sample took; I_0 must give 2 omega1.
+    """
+    if mask_any(data.delta == 0):
+        raise DomainError("ah_In_contour_oracle: singular curve (delta = 0)")
+    X0, Xinf = ah_In_poles(data, alpha, beta)
+    c, lo, hi = beta * (Xinf - X0), data.e3 - Xinf, data.e2 - Xinf
+    j1 = math.pi / (2.0 * lo * np.sqrt(hi / lo))                  # int_0^{pi/2} dt / d
+    rho, span, s = np.broadcast_arrays(*(np.atleast_1d(v) for v in (
+        data.rho, data.e2 - data.e3, np.sqrt(data.e1 - Xinf))))    # 1/V(Xinf), Re s >= 0
+
+    def g(i, s2):
+        r = np.sqrt(rho[i] - span[i] * s2)                           # 1 / V, > 0
+        p = 1.0 / (r * s[i] * (r + s[i]))                            # (V - V(Xinf)) / d
+        q = p * (2.0 * s[i] + r) / (2.0 * s[i] ** 2 * (r + s[i]))    # (p - V'(Xinf)) / d
+        return np.stack([1.0 / r + 0j, p, q])
+
+    (v0, v1, v2), nodes = quad_periodic(g, rho.size)
+    # add the pole parts back: int dt/d^2 = j1 (lo + hi) / (2 lo hi), V' = V^3 / 2
+    v1, v2 = v1 + j1 / s, v2 + j1 * (lo + hi) / (2.0 * lo * hi * s) + j1 / (2.0 * s ** 3)
+    i1 = beta * v0 + c * v1
+    return 2.0 * np.array([v0, i1, beta * (i1 + c * v1) + c * c * v2]), nodes
 
 
 def ah_I1_closed_form(z: complex, pi_plus: complex, pi_minus: float,

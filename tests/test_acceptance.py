@@ -102,7 +102,7 @@ def test_criterion_3_contour_oracles():
             if abs(m4.z) > 0.05 * m4.rho and abs(m4.beta) > 0.05:
                 break
         data = elliptic_data(mp.o4_modulus(m4), m4.rho)
-        val = mp.ah_In_contour_oracle(data, m4, 0)
+        (val,), _, _ = mp.ah_In_contour_oracle(data, m4.alpha, m4.beta)[0]
         worst_i0 = max(worst_i0, abs(val - 2 * data.omega1) / (2 * data.omega1))
     worst_eta = 0.0
     for _ in range(20):

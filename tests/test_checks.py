@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from slag_forge import multiplets as mp
 from slag_forge import slag_curves as sc, taub_nut as tn
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
-from slag_forge.errors import ConvergenceError
+from slag_forge.errors import ConvergenceError, PoleError
 
 from test_atiyah_hitchin import regular_point
 from test_multiplets import pinched_o2
@@ -444,3 +445,72 @@ def test_unconverged_fxx_loop_is_a_fail_line(monkeypatch, capsys):
     assert main(["oracle", "--manifold", "tn", "--samples", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL fxx-contour error: tn_Fxx_contour_oracle: half-node gap ")
+
+
+@pytest.mark.parametrize("check, n, lo, hi", [
+    (checks.check_eta1_pair, 20, (0.05, 0.2), (0.95, 5.0)),
+    (checks.check_legendre_quasi_periods, 10, (0.1, 0.3), (0.9, 3.0))])
+def test_period_checks_draw_their_curves_as_one_batch(check, n, lo, hi, monkeypatch):
+    """eta1-pair and legendre-quasi-periods build all their curves in one
+    elliptic_data call, with the (k, rho) a per-curve loop would draw."""
+    seen = []
+    original = checks.elliptic_data
+
+    def spy(k, rho):
+        seen.append((k, rho))
+        return original(k, rho)
+
+    monkeypatch.setattr(checks, "elliptic_data", spy)
+    assert check(np.random.default_rng(6))[0]
+    rng = np.random.default_rng(6)
+    want = [(rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])) for _ in range(n)]
+    ((k, rho),) = seen
+    assert np.array_equal(np.column_stack([k, rho]), want)
+
+
+def _field_names(detail):
+    return re.findall(r"(\w+)=", detail)
+
+
+def test_in_oracles_report_nodes_and_skips(monkeypatch):
+    """ah-i0 reports the most nodes a sample took; ah-i1-i2-closed also how
+    many drawn samples it skipped, keyed by error class."""
+    ok, detail = checks.oracle_ah_i0(np.random.default_rng(0), 50)
+    assert ok and _field_names(detail) == ["rel_err", "nodes_max", "tol"], detail
+    ok, detail = checks.oracle_ah_i1_i2(np.random.default_rng(0), 50)
+    assert ok and " skipped=0 tol=1.0e-07" in detail, detail
+    assert _field_names(detail) == ["rel_err", "nodes_max", "skipped", "tol"], detail
+    pi_pair, calls = ah.pi_pair_from_zvx, []
+
+    def first_two_on_a_pole(*args):
+        calls.append(args)
+        if len(calls) <= 2:
+            raise PoleError("pi_pair_from_zvx: x_pm at a cut end")
+        return pi_pair(*args)
+
+    monkeypatch.setattr(ah, "pi_pair_from_zvx", first_two_on_a_pole)
+    ok, detail = checks.oracle_ah_i1_i2(np.random.default_rng(0), 5)
+    assert ok and " skipped=PoleError:2 tol=" in detail and len(calls) == 7, detail
+
+
+def test_i1_i2_oracle_with_no_usable_draw_is_a_prompt_fail_line(monkeypatch, capsys):
+    """If every draw is skipped, ah-i1-i2-closed gives up after 20 draws per
+    sample with a FAIL line naming the skips, where it used to loop for ever."""
+    def always_a_pole(*args):
+        raise PoleError("pi_pair_from_zvx: x_pm at a cut end")
+
+    monkeypatch.setattr(ah, "pi_pair_from_zvx", always_a_pole)
+    assert main(["oracle", "--manifold", "ah", "--samples", "5"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if " ah-i1-i2-closed " in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL ah-i1-i2-closed 0 of 5 samples drawn, skipped=PoleError:100 (")
+
+
+def test_o4_sampler_with_no_acceptable_draw_is_a_fail_line(monkeypatch, capsys):
+    """A multiplet sampler that never meets its |z| and |beta| guards raises
+    after 20 draws, and the check that called it prints a FAIL line."""
+    monkeypatch.setattr(mp, "o4_from_roots",
+                        lambda al, be, rho: mp.O4Multiplet(0j, 0j, 0.0, al, be, rho))
+    assert main(["verify", "--only", "o4-roots"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL o4-roots error: _random_o4: no multiplet kept in 20 draws (")

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slag_forge import elliptic
+from slag_forge import checks, elliptic, multiplets
 from slag_forge.elliptic import (elliptic_data, elliptic_E, elliptic_E_vec,
                                  elliptic_K, elliptic_K_vec, elliptic_KE,
                                  elliptic_KE_vec, eta1_quadrature,
                                  eta3_quadrature, jacobi_sn, omega1_quadrature,
-                                 omega3_quadrature, quad_adaptive, weierstrass_p,
-                                 weierstrass_p_half_periods)
+                                 omega3_quadrature, quad_adaptive, quad_periodic,
+                                 weierstrass_p, weierstrass_p_half_periods)
 from slag_forge.errors import ConvergenceError, DomainError, PoleError
 
 K_SQRT_HALF = 1.8540746773013714      # midpoint oracle, 1e6 nodes
@@ -353,3 +353,149 @@ def test_quad_adaptive_depth_limit():
     # a genuine non-integrable singularity must trip the depth cap
     with pytest.raises(ConvergenceError):
         quad_adaptive(lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0, 1e-10)
+
+
+# ------------------------------------------------------- periodic trapezoid
+
+def test_quad_periodic_exact_on_trigonometric_polynomials():
+    """An even trigonometric polynomial of degree under the first node count
+    is integrated exactly, to rounding, and stops at the first doubling:
+    int_0^{pi/2} (1 + c cos 2t + d cos 4t + sin^2 3t) dt = 3 pi / 4."""
+    c, d = np.array([0.0, 1.5, -3.0]), np.array([2.0, 0.0, 0.25])
+
+    def f(i, s2):
+        cos2 = 1.0 - 2.0 * s2
+        sin2_3t = s2 * (3.0 - 4.0 * s2) ** 2
+        return 1.0 + c[i] * cos2 + d[i] * (2.0 * cos2 ** 2 - 1.0) + sin2_3t
+
+    vals, nodes = quad_periodic(f, 3)
+    assert np.allclose(vals, 0.75 * math.pi, rtol=4e-16, atol=0.0)
+    assert np.array_equal(nodes, [2 * elliptic._TRAP_NODES] * 3)
+
+
+@pytest.mark.parametrize("k", [0.05, 0.5, 0.95, 0.995])
+def test_quad_periodic_matches_K_and_E(k):
+    m = np.array([k * k])
+    ((K,), (E,)), _ = quad_periodic(
+        lambda i, s2: np.stack([1.0 / np.sqrt(1.0 - m[i] * s2), np.sqrt(1.0 - m[i] * s2)]), 1)
+    assert abs(K - elliptic_K(k)) <= 1e-14 * elliptic_K(k)
+    assert abs(E - elliptic_E(k)) <= 1e-14 * elliptic_E(k)
+
+
+# moduli that stop after 64 nodes and ones that need thousands
+_MIXED_K = np.concatenate([np.linspace(0.05, 0.6, 25), 1.0 - np.geomspace(1e-2, 1e-6, 25)])
+
+
+def _K_rows(k):
+    return lambda i, s2: 1.0 / np.sqrt(1.0 - k[i] ** 2 * s2)
+
+
+def test_quad_periodic_row_does_not_depend_on_its_batch():
+    """Each row's value and node count are bit-identical alone and inside a
+    batch of 50 easy and hard rows, in either order."""
+    vals, nodes = quad_periodic(_K_rows(_MIXED_K), _MIXED_K.size)
+    rev_vals, rev_nodes = quad_periodic(_K_rows(_MIXED_K[::-1]), _MIXED_K.size)
+    assert nodes.min() <= 128 and nodes.max() >= 4096
+    for j, k in enumerate(_MIXED_K):
+        alone, alone_nodes = quad_periodic(_K_rows(np.array([k])), 1)
+        assert alone[0] == vals[j] == rev_vals[-1 - j] and alone_nodes[0] == nodes[j]
+    assert np.array_equal(nodes, rev_nodes[::-1])
+
+
+def test_quad_periodic_doubles_only_the_unconverged_rows():
+    """A row stopping at N nodes on [0, pi) costs N/2 + 1 integrand elements:
+    the N/2 + 1 first nodes in [0, pi/2], then only the new midpoints of the
+    doublings it is still live for."""
+    evals = []
+
+    def f(i, s2):
+        evals.append(np.size(i) * np.size(s2))
+        return _K_rows(_MIXED_K)(i, s2)
+
+    _, nodes = quad_periodic(f, _MIXED_K.size)
+    assert sum(evals) == int(np.sum(nodes // 2 + 1))
+    assert len(evals) == 1 + int(math.log2(nodes.max() // elliptic._TRAP_NODES))
+
+
+def test_quad_periodic_pole_near_the_cut_raises_at_the_cap():
+    """A pole 1e-7 span off the middle of the cut is left unconverged at the
+    node cap, and that is a ConvergenceError."""
+    d = elliptic_data(0.5, 1.0)
+    xinf = np.array([d.e3 + (d.e2 - d.e3) * (0.5 + 1e-7j)])
+    with pytest.raises(ConvergenceError, match="1 of 1 rows unconverged at 65536 nodes"):
+        quad_periodic(lambda i, s2: 1.0 / (d.e3 + (d.e2 - d.e3) * s2 - xinf[i]), 1)
+
+
+def _adaptive(g):
+    return quad_adaptive(g, 0.0, math.pi / 2.0, 1e-12)
+
+
+def test_period_quadratures_match_quad_adaptive():
+    """The four period integrals of 200 seeded curves, batched, agree with
+    quad_adaptive on their sin^2 integrands to 1e-11 relative, and a scalar
+    curve gives the batch's float."""
+    rng = np.random.default_rng(23)
+    k, rho = rng.uniform((0.05, 0.2), (0.995, 5.0), size=(200, 2)).T
+    d = elliptic_data(k, rho)
+    got = [omega1_quadrature(d), eta1_quadrature(d), omega3_quadrature(d), eta3_quadrature(d)]
+    for j in range(200):
+        dj = elliptic_data(k[j], rho[j])
+        sr, kp2 = math.sqrt(rho[j]), 1.0 - k[j] ** 2
+        span1, span3 = dj.e2 - dj.e3, dj.e1 - dj.e2
+        want = [_adaptive(lambda t: 1.0 / (sr * np.sqrt(1.0 - k[j] ** 2 * np.sin(t) ** 2))),
+                -_adaptive(lambda t: (dj.e3 + span1 * np.sin(t) ** 2)
+                           / (sr * np.sqrt(1.0 - k[j] ** 2 * np.sin(t) ** 2))),
+                1j * _adaptive(lambda t: 1.0 / (sr * np.sqrt(1.0 - kp2 * np.sin(t) ** 2))),
+                -1j * _adaptive(lambda t: (dj.e1 - span3 * np.sin(t) ** 2)
+                                / (sr * np.sqrt(1.0 - kp2 * np.sin(t) ** 2)))]
+        for batch, ref in zip(got, want):
+            assert abs(batch[j] - ref) <= 1e-11 * abs(ref), (j, batch[j], ref)
+    assert omega1_quadrature(elliptic_data(k[0], rho[0])) == got[0][0]
+    assert isinstance(eta1_quadrature(elliptic_data(k[0], rho[0])), float)
+
+
+def test_contour_oracle_matches_quad_adaptive():
+    """I_0, I_1 and I_2 of 200 seeded oracle samples, in one batched pass,
+    agree with quad_adaptive on the plain (unsubtracted) integrands
+    (beta (X - X0) / (X - Xinf))^n / Y to 1e-11 relative."""
+    rng = np.random.default_rng(29)
+    m4s = [checks._random_o4(rng) for _ in range(200)]
+    k = np.array([multiplets.o4_modulus(m) for m in m4s])
+    d = elliptic_data(k, np.array([m.rho for m in m4s]))
+    al, be = np.array([m.alpha for m in m4s]), np.array([m.beta for m in m4s])
+    got, nodes = multiplets.ah_In_contour_oracle(d, al, be)
+    assert nodes.shape == (200,) and got.shape == (3, 200)
+    X0, Xinf = multiplets.ah_In_poles(d, al, be)
+    for j in range(200):
+        span, sr = d.e2[j] - d.e3[j], math.sqrt(d.rho[j])
+        for n in range(3):
+            def g(t, n=n):
+                X = d.e3[j] + span * np.sin(t) ** 2
+                w = (be[j] * (X - X0[j]) / (X - Xinf[j])) ** n
+                return w / (sr * np.sqrt(1.0 - k[j] ** 2 * np.sin(t) ** 2))
+            ref = 2.0 * _adaptive(g)
+            assert abs(got[n, j] - ref) <= 1e-11 * max(1.0, abs(ref)), (j, n, got[n, j], ref)
+
+
+@pytest.mark.parametrize("frac, off", [(0.5, 1e-7), (0.02, -1e-8)])
+def test_contour_oracle_converges_next_to_the_cut(frac, off):
+    """With Xinf at frac of the cut and off of its span beside it, the plain
+    integrand is unconverged at the node cap, but the oracle integrates the
+    pole parts in closed form: it stops within 128 nodes and agrees with a
+    25-digit mpmath quadrature split at the pole to 1e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    d = elliptic_data(0.5, 1.0)
+    span = d.e2 - d.e3
+    cross = span * (frac + 1j * off) / d.rho
+    al, be = np.array([1.0 + 0j]), np.array([2.0 * cross - 1.0])    # cross = (1 + be) / 2
+    got, nodes = multiplets.ah_In_contour_oracle(d, al, be)
+    assert nodes[0] <= 128
+    (x0,), (xinf,) = multiplets.ah_In_poles(d, al, be)
+    with mpmath.workdps(25):
+        for n in range(3):
+            def f(t, n=n):
+                X = d.e3 + span * mpmath.sin(t) ** 2
+                return (be[0] * (X - x0) / (X - xinf)) ** n / mpmath.sqrt(d.rho - span
+                                                                          * mpmath.sin(t) ** 2)
+            ref = complex(2 * mpmath.quad(f, [0, mpmath.asin(math.sqrt(frac)), mpmath.pi / 2]))
+            assert abs(got[n, 0] - ref) <= 1e-14 * max(1.0, abs(ref)), (n, got[n, 0], ref)

@@ -135,3 +135,25 @@ def test_snapshot_diff_sums_up_the_check_lines(tmp_path, capsys):
                        "verdict flips: z at seed_002: FAIL -> PASS"]
     i = out.index("checks/seed_002.txt:")
     assert out[i + 1:] == ["-FAIL z err=0.6", "+PASS z err=1e-5"]
+
+
+def test_snapshot_diff_prints_the_worst_field_values(tmp_path, capsys):
+    """For a check whose lines differ, the tool prints the largest value of
+    key=value field over all seeds of each side ('-' where a side lacks
+    it), leaving out a field with a value that is not a number; a check
+    whose lines are equal gets none, and the exit codes hold."""
+    spec = importlib.util.spec_from_file_location("snapshot_diff", DIFF_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = {"checks/seed_000.txt": "PASS x e=1e-16\nPASS y err=1.006e-10 tol=1e-9/1e-10\n",
+           "checks/seed_001.txt": "PASS x e=3e-16\nPASS y err=2e-11 tol=1e-9/1e-10\n"}
+    new = {"checks/seed_000.txt": "PASS x e=1e-16\nPASS y err=9e-11 n=64 skip=Pole:2\n",
+           "checks/seed_001.txt": "PASS x e=3e-16\nPASS y err=3e-11 n=4096 skip=0\n"}
+    _write_tree(tmp_path / "old", old)
+    _write_tree(tmp_path / "same", old)
+    _write_tree(tmp_path / "new", new)
+    assert tool.main([str(tmp_path / "old"), str(tmp_path / "same")]) == 0
+    assert not [line for line in capsys.readouterr().out.splitlines() if line.startswith("worst:")]
+    assert tool.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    worst = [line for line in capsys.readouterr().out.splitlines() if line.startswith("worst:")]
+    assert worst == ["worst: y err 1.006e-10 -> 9e-11", "worst: y n - -> 4096"]

@@ -218,7 +218,7 @@ def test_ah_I0_equals_twice_half_period():
     for _ in range(50):
         m4 = random_o4(rng)
         data = elliptic_data(o4_modulus(m4), m4.rho)
-        val = ah_In_contour_oracle(data, m4, 0)
+        (val,), _, _ = ah_In_contour_oracle(data, m4.alpha, m4.beta)[0]
         assert abs(val - 2.0 * data.omega1) < 1e-8 * abs(2 * data.omega1)
 
 
@@ -247,8 +247,7 @@ def test_ah_I1_I2_closed_forms():
         data = elliptic_data(o4_modulus(m4), m4.rho)
         try:
             pi_p, pi_m = pi_pair_from_zvx(m4.z, m4.v, m4.x, data)
-            i1 = ah_In_contour_oracle(data, m4, 1, tol=1e-12)
-            i2 = ah_In_contour_oracle(data, m4, 2, tol=1e-12)
+            _, (i1,), (i2,) = ah_In_contour_oracle(data, m4.alpha, m4.beta)[0]
         except PoleError:
             continue
         a_best, res1 = best_branch_integer(i1, m4.z, pi_p, pi_m)
@@ -270,7 +269,7 @@ def test_ah_In_pole_on_path():
         Xinf = data.e3 + m4.rho * cross
         if abs(Xinf.imag) < 1e-10 and data.e3 <= Xinf.real <= data.e2:
             with pytest.raises(PoleError):
-                ah_In_contour_oracle(data, m4, 1)
+                ah_In_contour_oracle(data, m4.alpha, m4.beta)
             return
     # the locus has measure zero; if unsampled, construct it directly
     m4 = o4_from_roots(0.5 + 0j, -0.5 + 0j, 1.0)
@@ -279,4 +278,4 @@ def test_ah_In_pole_on_path():
     Xinf = data.e3 + m4.rho * cross
     if abs(Xinf.imag) < 1e-10 and data.e3 <= Xinf.real <= data.e2:
         with pytest.raises(PoleError):
-            ah_In_contour_oracle(data, m4, 1)
+            ah_In_contour_oracle(data, m4.alpha, m4.beta)

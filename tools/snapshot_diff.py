@@ -10,8 +10,10 @@ prints
   field equals a NaN field), and each CSV whose comment line, header or
   row count differs;
 - for the checks/ files under both: per check name, the number of seed
-  files whose line for it differs, then each seed at which its verdict
-  flips between PASS and FAIL;
+  files whose line for it differs and, for each key=value field of its
+  lines whose every value is a number, the largest value over all seeds in
+  OLD and in NEW; then each seed at which a verdict flips between PASS and
+  FAIL;
 - the differing lines of the calls/ and checks/ files, each file's name
   followed by its lines from OLD ('-') and from NEW ('+').
 
@@ -28,6 +30,7 @@ from pathlib import Path
 
 
 _CHECK_LINE = re.compile(r"(PASS|FAIL) (\S+)")
+_FIELD = re.compile(r"(\w+)=(\S+)")
 
 
 def _files(root: Path) -> set[str]:
@@ -71,13 +74,34 @@ def _check_lines(path: Path) -> dict[str, tuple[str, str]]:
     return found
 
 
+def _fold_fields(lines: dict[str, tuple[str, str]], side: int, worst: dict) -> None:
+    """Fold each key=value field of one file's check lines into
+    worst[check][key][side], the largest value seen on that side; a key
+    with a value that is not a number on either side is set to None."""
+    for check, (_, line) in lines.items():
+        fields = worst.setdefault(check, {})
+        for key, text in _FIELD.findall(line):
+            try:
+                value = float(text)
+            except ValueError:
+                fields[key] = None
+                continue
+            entry = fields.setdefault(key, [None, None])
+            if entry is not None:
+                entry[side] = value if entry[side] is None else max(entry[side], value)
+
+
 def _checks_summary(old: Path, new: Path, names: list[str]) -> None:
     """Print, per check name, the number of checks/ files whose line for it
-    differs, and then each seed at which its verdict flips."""
+    differs and the largest value of each numeric field on either side, and
+    then each seed at which its verdict flips."""
     differ: dict[str, int] = {}
+    worst: dict[str, dict[str, list]] = {}
     flips = []
     for name in names:
         a, b = _check_lines(old / name), _check_lines(new / name)
+        _fold_fields(a, 0, worst)
+        _fold_fields(b, 1, worst)
         for check in {**a, **b}:
             if a.get(check) == b.get(check):
                 continue
@@ -88,6 +112,10 @@ def _checks_summary(old: Path, new: Path, names: list[str]) -> None:
     print(f"checks: {len(names)} files under both trees")
     for check, seeds in differ.items():
         print(f"checks: {check} differs at {seeds} seeds")
+        for key, sides in worst.get(check, {}).items():
+            if sides is not None:
+                print(f"worst: {check} {key} " + " -> ".join("-" if v is None else f"{v:.4g}"
+                                                          for v in sides))
     for line in flips:
         print(line)
 
