@@ -16,9 +16,11 @@ from . import moment_maps as mm
 from . import multiplets as mp
 from . import slag_curves as sc
 from . import taub_nut as tn
-from .elliptic import (_elliptic_KE, elliptic_data, elliptic_E, elliptic_K, eta1_quadrature,
+from .elliptic import (_elliptic_KE, elliptic_data, elliptic_KE_vec, eta1_quadrature,
                        eta3_quadrature, omega1_quadrature, omega3_quadrature,
                        weierstrass_p, weierstrass_p_half_periods)
+# unused here: bench/tracing.py wraps it by name, tests/test_bench_bindings.py checks it
+from .elliptic import elliptic_K  # noqa: F401
 from .errors import ConvergenceError, SlagForgeError
 from .masks import mask_all
 
@@ -31,13 +33,9 @@ def _result(err: float, tol: float, label: str = "max_err"):
 
 def check_legendre_relation(rng) -> tuple[bool, str]:
     ks = np.linspace(0.01, 0.95, 60)
-    worst = 0.0
-    for k in ks:
-        kp = math.sqrt(1.0 - k * k)
-        val = (elliptic_E(k) * elliptic_K(kp) + elliptic_E(kp) * elliptic_K(k)
-               - elliptic_K(k) * elliptic_K(kp))
-        worst = max(worst, abs(val - math.pi / 2.0))
-    return _result(worst, 1e-12)
+    # one AGM call on the rows k and k' = sqrt(1 - k^2)
+    (K, Kp), (E, Ep) = elliptic_KE_vec(np.stack([ks, np.sqrt(1.0 - ks * ks)]))
+    return _result(np.max(np.abs(E * Kp + Ep * K - K * Kp - math.pi / 2.0)), 1e-12)
 
 
 def check_wp_ode(rng) -> tuple[bool, str]:
@@ -116,18 +114,15 @@ def check_o2_reality_roots(rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(50):
         m = _random_o2(rng)
-        for _ in range(16):
-            zeta = complex(rng.normal(), rng.normal())
-            if abs(zeta) < 1e-3:
-                continue
-            lhs = mp.o2_eval(m, -1.0 / np.conjugate(zeta))
-            rhs = np.conjugate(mp.o2_eval(m, zeta))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        # 16 zeta as (re, im) normal pairs, those within 1e-3 of the pole skipped
+        zeta = rng.normal(size=(16, 2)).view(complex)[:, 0]
+        zeta = zeta[np.abs(zeta) >= 1e-3]
+        lhs = mp.o2_eval(m, -1.0 / np.conjugate(zeta))
+        rhs = np.conjugate(mp.o2_eval(m, zeta))
         zp, zm = mp.o2_roots(m)
-        scale = max(1.0, m.r)
-        worst = max(worst, abs(mp.o2_eval(m, zp)) / scale,
-                    abs(mp.o2_eval(m, zm)) / scale)
-        worst = max(worst, abs(zp * zm + np.conjugate(m.z) / m.z))
+        worst = max(worst, np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)), initial=0.0),
+                    np.max(np.abs(mp.o2_eval(m, np.array([zp, zm])))) / max(1.0, m.r),
+                    abs(zp * zm + np.conjugate(m.z) / m.z))
     return _result(worst, 1e-12)
 
 
@@ -150,10 +145,9 @@ def check_o4_roots(rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(50):
         m = _random_o4(rng)
-        roots = [m.alpha, -1.0 / np.conjugate(m.alpha),
-                 m.beta, -1.0 / np.conjugate(m.beta)]
-        for root in roots:
-            worst = max(worst, abs(mp.o4_eval(m, root)) / m.rho)
+        roots = np.array([m.alpha, -1.0 / np.conjugate(m.alpha),
+                          m.beta, -1.0 / np.conjugate(m.beta)])
+        worst = max(worst, np.max(np.abs(mp.o4_eval(m, roots))) / m.rho)
     return _result(worst, 1e-10)
 
 
@@ -192,16 +186,13 @@ def check_tn_monge_ampere(rng) -> tuple[bool, str]:
 
 def check_tn_pullback(rng) -> tuple[bool, str]:
     p = tn.TNParams(1.0, 1.0)
-    worst = 0.0
-    for _ in range(20):
-        pt = tn.TNSphericalPoint(rng.uniform(0.3, 10.0),
-                                 rng.uniform(0.2, math.pi - 0.2),
-                                 rng.uniform(0.0, 2.0 * math.pi),
-                                 rng.uniform(0.0, 4.0 * math.pi))
-        g1 = tn.tn_metric_spherical(pt, p)
-        g2 = tn.tn_metric_spherical_from_holo(pt, p)
-        worst = max(worst, float(np.max(np.abs(g1 - g2))))
-    return _result(worst, 1e-8)
+    # one (r, theta, phi, psi) row per sample, as drawn one sample at a time
+    pt = tn.TNSphericalPoint(*rng.uniform((0.3, 0.2, 0.0, 0.0),
+                                          (10.0, math.pi - 0.2, 2.0 * math.pi, 4.0 * math.pi),
+                                          size=(20, 4)).T)
+    g1 = tn.tn_metric_spherical(pt, p)
+    g2 = tn.tn_metric_spherical_from_holo(pt, p)
+    return _result(np.max(np.abs(g1 - g2)), 1e-8)
 
 
 def check_tn_chart_roundtrip(rng) -> tuple[bool, str]:
@@ -433,18 +424,16 @@ def check_so3_equivariance(rng) -> tuple[bool, str]:
     e3 = mm.so3_cotangent_moment([1, 0, 0], [0, 1, 0])
     if not np.allclose(e3, [0, 0, 1]):
         return False, f"mu(q=e1, p=e2)={np.asarray(e3).tolist()} expected e3=[0, 0, 1]"
-    worst = 0.0
-    for _ in range(20):
-        q = rng.normal(size=3)
-        p_vec = rng.normal(size=3)
-        # random rotation via QR of a Gaussian matrix
-        mat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        if np.linalg.det(mat) < 0:
-            mat[:, 0] = -mat[:, 0]
-        lhs = mm.so3_cotangent_moment(mat @ q, mat @ p_vec)
-        rhs = mat @ mm.so3_cotangent_moment(q, p_vec)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result(worst, 1e-12)
+    # one row per sample: q, p and a Gaussian matrix, as drawn one sample at a time
+    draws = rng.normal(size=(20, 15))
+    q, p_vec = draws[:, :3], draws[:, 3:6]
+    # random rotations via QR of the Gaussian matrices, turned into SO(3)
+    mat, _ = np.linalg.qr(draws[:, 6:].reshape(20, 3, 3))
+    mat[:, :, 0] *= np.where(np.linalg.det(mat) < 0, -1.0, 1.0)[:, None]
+    # q, p and mu(q, p), each rotated by its sample's matrix
+    vecs = np.stack([q, p_vec, mm.so3_cotangent_moment(q, p_vec)])
+    rq, rp, rmu = (mat @ vecs[..., None])[..., 0]
+    return _result(np.max(np.abs(mm.so3_cotangent_moment(rq, rp) - rmu)), 1e-12)
 
 
 # ------------------------------------------------------------------- slag

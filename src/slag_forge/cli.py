@@ -118,7 +118,11 @@ def cmd_metric(args) -> int:
 def _run_checks(jobs, seed: int) -> int:
     """Run each (name, check) job on a fresh generator at the seed and print
     one PASS or FAIL line for it; a library error is that check's FAIL, and
-    the jobs after it still run.  Returns 0 if every check passes, else 1."""
+    the jobs after it still run.  Returns 0 if every check passes, else 1,
+    and 2 before any check runs if the seed is negative."""
+    if seed < 0:
+        print(f"--seed must be non-negative, got {seed}", file=sys.stderr)
+        return 2
     failures = 0
     for name, check in jobs:
         rng = np.random.default_rng(seed)

@@ -5,7 +5,8 @@ obeying the reality condition eta(-1/conj(zeta)) = conj(eta(zeta)).  The
 contour oracles here evaluate the defining integrals of the construction
 numerically (trapezoid loops in the zeta-plane, branch-cut quadratures in
 the Weierstrass X-plane) so the closed-form metric data can be checked
-against them without sharing any code path.
+against them without sharing any code path.  o2_eval and o4_eval take a
+scalar zeta or an array of them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class O2Multiplet:
 
 
 def o2_eval(m: O2Multiplet, zeta: complex) -> complex:
-    if zeta == 0:
+    if mask_any(zeta == 0):
         raise PoleError("o2_eval: zeta = 0 is a pole of the multiplet")
     return np.conjugate(m.z) / zeta + m.x - m.z * zeta
 
@@ -75,7 +76,7 @@ def o4_from_roots(alpha: complex, beta: complex, rho: float) -> O4Multiplet:
 
 
 def o4_eval(m: O4Multiplet, zeta: complex) -> complex:
-    if zeta == 0:
+    if mask_any(zeta == 0):
         raise PoleError("o4_eval: zeta = 0 is a pole of the multiplet")
     return (np.conjugate(m.z) / zeta**2 + np.conjugate(m.v) / zeta + m.x
             - m.v * zeta + m.z * zeta**2)

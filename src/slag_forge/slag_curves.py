@@ -25,7 +25,7 @@ import numpy as np
 from . import atiyah_hitchin as ah
 from . import moment_maps as mm
 from . import taub_nut as tn
-from .elliptic import _elliptic_KE, elliptic_KE_vec
+from .elliptic import _elliptic_KE
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
 from .elliptic import elliptic_E_vec, elliptic_K, elliptic_K_vec  # noqa: F401
 from .errors import ChartError, DomainError, EmptyDomainError
@@ -157,11 +157,11 @@ def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
     (psi_rate != 0, imaginary case with psi = -(c/2m) t).
     axis branch: r = c1/(2m), theta in {0, pi}, phi free.
     """
-    if c1 <= 0:
-        raise DomainError(f"tn_so2_curve requires c1 > 0, got {c1!r}")
+    if not 0.0 < c1 < math.inf:
+        raise DomainError(f"tn_so2_curve requires finite c1 > 0, got {c1!r}")
+    if p.m == 0 and (branch == "axis" or psi_rate):
+        raise DomainError("the axis branch (r = c1/(2m)) and psi_rate != 0 need m > 0")
     if branch == "axis":
-        if p.m == 0:
-            raise DomainError("axis branch needs m > 0 (r = c1/(2m))")
         r_ax = c1 / (2.0 * p.m)
         phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         traces = []
@@ -206,19 +206,14 @@ def ah_cos2psi_level(theta, k, c1: float, h: float):
 
     cos 2psi = ((2k^2-1)(1-3cos^2 th) + (3h/(4K^2))(c1 + 16hK((k^2-2)K/3 + E)))
     / (3 sin^2 th), affine in c1 with slope h/(4K^2 sin^2 th).  Scalars or
-    arrays; K and E come from one extended-AGM run, for an array k once per
-    distinct value (a (theta, k) grid has one k per column) and scattered
-    back: each element has the bits of its own scalar run.  The K and E
-    returned serve the chart and curve data of the same samples.
+    arrays; K and E come from one extended-AGM run over k as given (a
+    (theta, k) grid passes its k row, not the full lattice), each element
+    with the bits of its own scalar run.  The K and E returned serve the
+    chart and curve data of the same samples.
     The value may leave [-1, 1] (no real psi) and is not finite where
     sin theta = 0.
     """
-    if np.ndim(k) == 0:
-        K, E = _elliptic_KE(k)
-    else:
-        ku, inv = np.unique(k, return_inverse=True)
-        K, E = elliptic_KE_vec(ku)
-        K, E = K[inv].reshape(np.shape(k)), E[inv].reshape(np.shape(k))
+    K, E = _elliptic_KE(k)
     bracket = (3.0 * h / (4.0 * K * K)) * (
         c1 + 16.0 * h * K * ((k * k - 2.0) * K / 3.0 + E))
     st2 = np.sin(theta) ** 2

@@ -11,11 +11,13 @@ drives every metric component.  The chart to spherical coordinates
 valid away from the axis sin(theta) = 0.
 
 The parameters, points, potential, forward map Re(u), both chart maps, the
-metric block, the x-solve (tn_solve_x, tn_point_from_uz) and the moment maps
-built on them take one point as scalars or a batch as equal-length arrays;
-scalar input gives scalars back.  The x-solve runs every element of a batch
-through the same bracket doubling and Newton steps, each held once it
-converges, so an element's iterates do not depend on the batch it is in.
+metric block, the x-solve (tn_solve_x, tn_point_from_uz), the moment maps
+built on them and the spherical metric and its pullback take one point as
+scalars or a batch as equal-length arrays; scalar input gives scalars back
+(a 4x4 block per point, on the last two axes, for the spherical metrics).
+The x-solve runs every element of a batch through the same bracket doubling
+and Newton steps, each held once it converges, so an element's iterates do
+not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ class TNParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if mask_any(self.h <= 0):
+        if not mask_all(self.h > 0):
             raise DomainError(f"TNParams requires h > 0, got {self.h!r}")
-        if mask_any(self.m < 0):
+        if not mask_all(self.m >= 0):
             raise DomainError(f"TNParams requires m >= 0, got {self.m!r}")
 
 
@@ -59,7 +61,7 @@ class TNSphericalPoint:
     psi: float
 
     def __post_init__(self):
-        if mask_any(self.r <= 0):
+        if not mask_all(self.r > 0):
             raise DomainError(f"r must be positive, got {self.r!r}")
         if not mask_all((0.0 <= self.theta) & (self.theta <= math.pi)):
             raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
@@ -223,33 +225,28 @@ def tn_metric_spherical(pt: TNSphericalPoint, p: TNParams) -> np.ndarray:
     (1 + 2m/r)(dr^2 + r^2 dtheta^2 + r^2 sin^2(theta) dphi^2)
       + 4m^2 (1 + 2m/r)^{-1} (dpsi + cos(theta) dphi)^2
     """
-    if p.h != 1.0:
+    if mask_any(p.h != 1.0):
         raise DomainError("the spherical closed form is stated for h = 1")
     V = 1.0 + 2.0 * p.m / pt.r
-    st, ct = math.sin(pt.theta), math.cos(pt.theta)
-    g = np.zeros((4, 4))
-    g[0, 0] = V
-    g[1, 1] = V * pt.r**2
-    g[2, 2] = V * pt.r**2 * st**2 + 4.0 * p.m**2 / V * ct**2
-    g[3, 3] = 4.0 * p.m**2 / V
-    g[2, 3] = g[3, 2] = 4.0 * p.m**2 / V * ct
+    st, ct = np.sin(pt.theta), np.cos(pt.theta)
+    g = np.zeros(np.broadcast(V, st).shape + (4, 4))
+    g[..., 0, 0] = V
+    g[..., 1, 1] = V * pt.r**2
+    g[..., 2, 2] = V * pt.r**2 * st**2 + 4.0 * p.m**2 / V * ct**2
+    g[..., 3, 3] = 4.0 * p.m**2 / V
+    g[..., 2, 3] = g[..., 3, 2] = 4.0 * p.m**2 / V * ct
     return g
 
 
-def _chart_jacobian(pt: TNSphericalPoint, p: TNParams) -> tuple[np.ndarray, np.ndarray]:
-    """du/dq and dz/dq for q = (r, theta, phi, psi), analytic."""
-    st, ct = math.sin(pt.theta), math.cos(pt.theta)
-    eip = complex(math.cos(pt.phi), math.sin(pt.phi))
-    z_q = np.array([0.5 * st * eip,
-                    0.5 * pt.r * ct * eip,
-                    0.5j * pt.r * st * eip,
-                    0.0])
+def _chart_jacobian(pt: TNSphericalPoint, p: TNParams) -> np.ndarray:
+    """The rows du/dq and dz/dq, q = (r, theta, phi, psi), on the last two axes."""
+    st, ct = np.sin(pt.theta), np.cos(pt.theta)
+    eip = _complex(np.cos(pt.phi), np.sin(pt.phi))
     # d/dtheta of log((1+cos)/sin) = -1/sin
-    u_q = np.array([complex(-ct / p.h),
-                    complex(pt.r * st / p.h + 2.0 * p.m / st),
-                    0.0,
-                    complex(0.0, -2.0 * p.m)])
-    return u_q, z_q
+    J = np.stack(np.broadcast_arrays(
+        -ct / p.h, pt.r * st / p.h + 2.0 * p.m / st, 0.0, -2j * p.m,
+        0.5 * st * eip, 0.5 * pt.r * ct * eip, 0.5j * pt.r * st * eip, 0.0), axis=-1)
+    return J.reshape(J.shape[:-1] + (2, 4))
 
 
 def tn_metric_spherical_from_holo(pt: TNSphericalPoint, p: TNParams) -> np.ndarray:
@@ -257,17 +254,11 @@ def tn_metric_spherical_from_holo(pt: TNSphericalPoint, p: TNParams) -> np.ndarr
 
     The factor 2 matches the stated spherical closed form ("equal, up to an
     overall factor 1/2" between the holomorphic line element and the
-    Gibbons-Hawking form).
+    Gibbons-Hawking form).  g = 2 Re(J^T K conj(J)), J the chart Jacobian.
     """
-    hol = tn_chart_spherical_to_holo(pt, p)
-    blk = tn_metric_holo(hol, p)
-    u_q, z_q = _chart_jacobian(pt, p)
-    g = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(4):
-            val = (blk.kuubar * u_q[a] * np.conjugate(u_q[b])
-                   + blk.kuzbar * u_q[a] * np.conjugate(z_q[b])
-                   + blk.kzubar * z_q[a] * np.conjugate(u_q[b])
-                   + blk.kzzbar * z_q[a] * np.conjugate(z_q[b]))
-            g[a, b] = val.real
-    return 2.0 * g
+    blk = tn_metric_holo(tn_chart_spherical_to_holo(pt, p), p)
+    K = np.stack(np.broadcast_arrays(blk.kuubar, blk.kuzbar, blk.kzubar, blk.kzzbar),
+                 axis=-1)
+    J = _chart_jacobian(pt, p)
+    return 2.0 * np.einsum("...ia,...ij,...jb->...ab", J, K.reshape(K.shape[:-1] + (2, 2)),
+                           np.conjugate(J)).real

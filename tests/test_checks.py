@@ -98,6 +98,118 @@ def test_tn_monge_ampere_draws_match_per_sample_loop(monkeypatch):
         assert (pt.x[i], pt.z[i]) == pytest.approx((r * math.cos(ang), z), rel=1e-15)
 
 
+def test_legendre_relation_makes_one_agm_call_on_k_and_kprime(monkeypatch):
+    """The check's one elliptic_KE_vec call takes the rows k and k' that the
+    per-sample loop passed to its scalar K and E, and gives their bits."""
+    seen = []
+    original = checks.elliptic_KE_vec
+
+    def spy(k):
+        seen.append(k)
+        return original(k)
+
+    monkeypatch.setattr(checks, "elliptic_KE_vec", spy)
+    assert checks.check_legendre_relation(np.random.default_rng(0))[0]
+    (k,) = seen
+    ks = np.linspace(0.01, 0.95, 60)
+    assert np.array_equal(k, [ks, [math.sqrt(1.0 - x * x) for x in ks]])
+    assert np.array_equal(np.stack(original(k), axis=-1),
+                          [[elliptic.elliptic_KE(x) for x in row] for row in k.tolist()])
+
+
+def test_so3_equivariance_draws_match_per_sample_loop(monkeypatch):
+    """One (20, 15) normal draw gives the q, p and rotation of each sample
+    that drawing them one sample at a time gave, and the stacked QR and
+    products give the per-sample moment inputs bit for bit."""
+    seen = []
+    original = mm.so3_cotangent_moment
+
+    def spy(q, p):
+        seen.append((np.asarray(q, dtype=float), np.asarray(p, dtype=float)))
+        return original(q, p)
+
+    monkeypatch.setattr(mm, "so3_cotangent_moment", spy)
+    assert checks.check_so3_equivariance(np.random.default_rng(9))[0]
+    _, plain, rotated = seen
+    rng = np.random.default_rng(9)
+    for i in range(20):
+        q, p_vec = rng.normal(size=3), rng.normal(size=3)
+        mat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        if np.linalg.det(mat) < 0:
+            mat[:, 0] = -mat[:, 0]
+        assert np.array_equal(plain[0][i], q) and np.array_equal(plain[1][i], p_vec)
+        assert np.array_equal(rotated[0][i], mat @ q)
+        assert np.array_equal(rotated[1][i], mat @ p_vec)
+
+
+def test_o2_reality_roots_draws_match_per_sample_loop(monkeypatch):
+    """Each multiplet's one (16, 2) normal draw gives the zeta that drawing
+    them as complex(normal, normal) one at a time kept, and o2_eval takes
+    those zeta, their reality images and both roots as arrays."""
+    seen = []
+    original = mp.o2_eval
+
+    def spy(m, zeta):
+        seen.append((m, zeta))
+        return original(m, zeta)
+
+    monkeypatch.setattr(mp, "o2_eval", spy)
+    assert checks.check_o2_reality_roots(np.random.default_rng(4))[0]
+    rng = np.random.default_rng(4)
+    assert len(seen) == 3 * 50
+    for j in range(50):
+        m = checks._random_o2(rng)
+        zetas = [z for z in (complex(rng.normal(), rng.normal()) for _ in range(16))
+                 if abs(z) >= 1e-3]
+        (m1, images), (m2, zeta), (m3, roots) = seen[3 * j:3 * j + 3]
+        assert m1 == m2 == m3 == m
+        assert np.array_equal(zeta, zetas)
+        assert images == pytest.approx([-1.0 / np.conjugate(z) for z in zetas], rel=1e-15)
+        assert np.array_equal(roots, mp.o2_roots(m))
+
+
+def test_o4_roots_evaluates_each_multiplets_roots_as_one_array(monkeypatch):
+    """o4_eval takes the four roots of each multiplet the per-sample loop
+    drew, as one array."""
+    seen = []
+    original = mp.o4_eval
+
+    def spy(m, zeta):
+        seen.append((m, zeta))
+        return original(m, zeta)
+
+    monkeypatch.setattr(mp, "o4_eval", spy)
+    assert checks.check_o4_roots(np.random.default_rng(6))[0]
+    rng = np.random.default_rng(6)
+    assert len(seen) == 50
+    for m, roots in seen:
+        want = checks._random_o4(rng)
+        assert m == want
+        assert np.array_equal(roots, [want.alpha, -1.0 / np.conjugate(want.alpha),
+                                      want.beta, -1.0 / np.conjugate(want.beta)])
+
+
+def test_tn_pullback_draw_matches_per_sample_loop(monkeypatch):
+    """The check's one (20, 4) draw gives the points that drawing r, theta,
+    phi and psi one sample at a time gave, and both metrics take them as one
+    batch."""
+    seen = []
+    for name in ("tn_metric_spherical", "tn_metric_spherical_from_holo"):
+        def spy(pt, p, original=getattr(tn, name)):
+            seen.append(pt)
+            return original(pt, p)
+
+        monkeypatch.setattr(tn, name, spy)
+    assert checks.check_tn_pullback(np.random.default_rng(8))[0]
+    rng = np.random.default_rng(8)
+    want = [(rng.uniform(0.3, 10.0), rng.uniform(0.2, math.pi - 0.2),
+             rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 4.0 * math.pi))
+            for _ in range(20)]
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert np.array_equal(np.column_stack([seen[0].r, seen[0].theta, seen[0].phi,
+                                           seen[0].psi]), want)
+
+
 @pytest.mark.parametrize("seed, fails", [
     (0, {"slag-ah-traces"}),
     (5, {"slag-ah-traces"}),

@@ -119,6 +119,41 @@ def test_oracle_rejects_samples_below_one(samples, monkeypatch, capsys):
     assert out == "" and "--samples" in err
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1", "verify"], ["--seed", "-3", "oracle"],
+                                  ["--seed", "-1", "verify", "--only", "legendre-relation"]])
+def test_checks_reject_a_negative_seed(argv, monkeypatch, capsys):
+    """np.random.default_rng takes no negative seed: a usage error before any
+    check runs."""
+    def ran(rng, samples=None):
+        raise AssertionError("a check ran")
+
+    for name in list(checks.VERIFY_CHECKS):
+        monkeypatch.setitem(checks.VERIFY_CHECKS, name, ran)
+    for name, (_, manifold) in list(checks.ORACLE_CHECKS.items()):
+        monkeypatch.setitem(checks.ORACLE_CHECKS, name, (ran, manifold))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--tn-so2", "--c1", "nan"],
+    ["trace", "--tn-so2", "--c1", "inf"],
+    ["trace", "--tn-so2", "--m", "0", "--psi-rate", "1"],
+    ["trace", "--tn-so2", "--m", "nan"],
+    ["metric", "--manifold", "tn", "--r", "nan"],
+    ["metric", "--manifold", "tn", "--h", "nan"],
+])
+def test_taub_nut_nan_and_degenerate_inputs_exit2(argv, tmp_path, capsys):
+    """A NaN or infinite parameter, or m = 0 with a psi rate, is a domain
+    error: exit 2 with a message, and no CSV written."""
+    out = tmp_path / "out"
+    assert main(argv + (["--out", str(out)] if argv[0] == "trace" else [])) == 2
+    stdout, err = capsys.readouterr()
+    assert err.startswith("error: ") and "nan" not in stdout
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--tn-u1-case1", "--tn-u1-case2", "--tn-so2",
                                   "--ah-theta-phi", "--ah-theta-k"])
 def test_trace_svg_without_preset_is_a_usage_error(flag, tmp_path, monkeypatch, capsys):

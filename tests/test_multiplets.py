@@ -44,6 +44,19 @@ def test_o2_eval_direct():
         o2_eval(m, 0.0)
 
 
+@pytest.mark.parametrize("evaluate, m", [(o2_eval, O2Multiplet(1j, 0.5)),
+                                         (o4_eval, o4_from_roots(0.3 + 0.2j, -1.1j, 2.0))],
+                         ids=["o2", "o4"])
+def test_eval_takes_an_array_and_flags_its_pole(evaluate, m):
+    """An array zeta gives the scalar values elementwise; one zero entry
+    raises PoleError for the array."""
+    zeta = np.array([0.5 - 0.25j, 1.0 + 0j, -2.0j])
+    assert evaluate(m, zeta) == pytest.approx([evaluate(m, complex(z)) for z in zeta],
+                                              rel=1e-15)
+    with pytest.raises(PoleError):
+        evaluate(m, np.array([1.0 + 1j, 0j, -1.0]))
+
+
 def test_o2_roots_arithmetic():
     zp, zm = o2_roots(O2Multiplet(1.0 + 0j, 0.0))
     assert (zp, zm) == (1.0, -1.0)

@@ -105,6 +105,21 @@ def test_so2_plane_root_and_axis_limit():
         tn_so2_curve(-1.0, p)
 
 
+@pytest.mark.parametrize("c1", [math.nan, math.inf, 0.0])
+def test_so2_curve_rejects_c1_outside_finite_positive(c1):
+    with pytest.raises(DomainError, match="finite c1 > 0"):
+        tn_so2_curve(c1, TNParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("branch", ["plane", "axis"])
+def test_so2_curve_with_psi_rate_needs_positive_m(branch):
+    """psi = -(psi_rate / 2m) t divides by m: m = 0 with psi_rate != 0 is a
+    DomainError on both branches; m = 0 at psi_rate = 0 still gives the plane."""
+    with pytest.raises(DomainError):
+        tn_so2_curve(3.0, TNParams(1.0, 0.0), branch=branch, psi_rate=1.0, n=16)
+    assert len(tn_so2_curve(3.0, TNParams(1.0, 0.0), n=16)) == 2
+
+
 def test_so2_axis_branch():
     p = TNParams(1.0, 2.0)
     traces = tn_so2_curve(4.0, p, branch="axis", n=32)
@@ -212,10 +227,10 @@ def _level_full_array(theta, k, c1, h):
     return (tk * (1.0 - 3.0 * ct * ct) + bracket) / (3.0 * st2), K, E
 
 
-def test_ah_cos2psi_level_distinct_k_matches_full_array():
-    """K and E once per distinct k give the bits of K and E on every element:
-    on the fig9 (theta, k) grid, on a bisection-like k with repeats and at a
-    0-d k."""
+def test_ah_cos2psi_level_bits_match_full_array_reference():
+    """The level set, K and E have the bits of the reference that takes K and
+    E on every element of k: on the fig9 (theta, k) grid, on a bisection-like
+    k with repeats and at a 0-d k."""
     th_axis = np.linspace(0.02, math.pi - 0.02, 257)
     k_axis = np.linspace(0.02, 0.98, 257)
     rng = np.random.default_rng(7)
@@ -1042,8 +1057,7 @@ def test_ah_polyline_runs_one_agm(family, fixed, monkeypatch):
         calls.append(np.shape(k))
         return original(k)
 
-    for module in (elliptic, sc):
-        monkeypatch.setattr(module, "elliptic_KE_vec", spy)
+    monkeypatch.setattr(elliptic, "elliptic_KE_vec", spy)
     to_traces = sc._ah_traces_from_polylines
 
     def counted(*args):

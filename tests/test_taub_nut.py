@@ -69,6 +69,20 @@ def test_params_validation():
     TNParams(1.0, 0.0)  # flat limit allowed
 
 
+@pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan),
+                                  (np.array([1.0, math.nan]), np.array([1.0, 1.0]))])
+def test_params_reject_nan(args):
+    with pytest.raises(DomainError):
+        TNParams(*args)
+
+
+def test_spherical_point_rejects_nan_radius():
+    with pytest.raises(DomainError, match="r must be positive"):
+        TNSphericalPoint(math.nan, 1.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="r must be positive"):
+        TNSphericalPoint(np.array([1.0, math.nan]), np.ones(2), np.zeros(2), np.zeros(2))
+
+
 def test_solve_x_zero_and_monotone():
     p = TNParams(1.0, 1.0)
     assert tn_solve_x(0.0, 1.0, p) == pytest.approx(0.0, abs=1e-12)
@@ -224,6 +238,50 @@ def test_pullback_matches_closed_form():
         g1 = tn_metric_spherical(pt, p)
         g2 = tn_metric_spherical_from_holo(pt, p)
         assert np.max(np.abs(g1 - g2)) < 1e-8
+
+
+def pullback_reference(pt, p):
+    """The holomorphic metric pulled back to (r, theta, phi, psi), times 2,
+    for one point: the analytic chart Jacobian and a 4 x 4 loop over its
+    entries."""
+    blk = tn_metric_holo(tn_chart_spherical_to_holo(pt, p), p)
+    st, ct = math.sin(pt.theta), math.cos(pt.theta)
+    eip = complex(math.cos(pt.phi), math.sin(pt.phi))
+    z_q = np.array([0.5 * st * eip, 0.5 * pt.r * ct * eip, 0.5j * pt.r * st * eip, 0.0])
+    u_q = np.array([complex(-ct / p.h), complex(pt.r * st / p.h + 2.0 * p.m / st), 0.0,
+                    complex(0.0, -2.0 * p.m)])
+    g = np.zeros((4, 4))
+    for a in range(4):
+        for b in range(4):
+            val = (blk.kuubar * u_q[a] * np.conjugate(u_q[b])
+                   + blk.kuzbar * u_q[a] * np.conjugate(z_q[b])
+                   + blk.kzubar * z_q[a] * np.conjugate(u_q[b])
+                   + blk.kzzbar * z_q[a] * np.conjugate(z_q[b]))
+            g[a, b] = val.real
+    return 2.0 * g
+
+
+def test_batched_pullback_matches_per_point_loop():
+    """A batch gives one 4 x 4 block per point, each within 1e-14 of the
+    largest entry of the per-point loop's block; one point gives a (4, 4)
+    array, and the closed form of a batch is that of each point (np.sin of
+    an array and of a scalar may round differently)."""
+    rng = np.random.default_rng(31)
+    n = 500
+    p = TNParams(1.0, rng.uniform(0.0, 2.0, n))
+    pt = TNSphericalPoint(*rng.uniform((0.3, 0.2, 0.0, 0.0),
+                                       (10.0, math.pi - 0.2, 2.0 * math.pi, 4.0 * math.pi),
+                                       size=(n, 4)).T)
+    pulled, closed = tn_metric_spherical_from_holo(pt, p), tn_metric_spherical(pt, p)
+    assert pulled.shape == closed.shape == (n, 4, 4)
+    for i in range(n):
+        pt_i = TNSphericalPoint(*(float(c[i]) for c in dataclasses.astuple(pt)))
+        p_i = TNParams(1.0, float(p.m[i]))
+        ref = pullback_reference(pt_i, p_i)
+        assert np.max(np.abs(pulled[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        one = tn_metric_spherical_from_holo(pt_i, p_i)
+        assert one.shape == tn_metric_spherical(pt_i, p_i).shape == (4, 4)
+        assert np.allclose(tn_metric_spherical(pt_i, p_i), closed[i], rtol=4e-15, atol=0.0)
 
 
 def test_chart_examples():
