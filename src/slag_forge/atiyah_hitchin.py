@@ -44,7 +44,7 @@ from .elliptic import (EllipticData, _check_curve, _curve_data, _elliptic_KE,
 # unused here: bench/tracing.py wraps them by name, tests/test_bench_bindings.py checks them
 from .elliptic import elliptic_data, elliptic_K, quad_adaptive  # noqa: F401
 from .errors import ChartError, DegenerateError, DomainError, PoleError
-from .masks import mask_all, mask_any
+from .masks import bad_entry, mask_all, mask_any
 from .taub_nut import MetricBlock
 
 
@@ -75,12 +75,12 @@ class AHSphericalPoint:
         if mask_all(in_k & in_theta & in_phi & in_psi):
             return
         if not mask_all(in_k):
-            raise DomainError(f"k must lie in (0, 1), got {self.k!r}")
+            raise DomainError(f"k must lie in (0, 1), got {bad_entry(self.k, in_k)}")
         if not mask_all(in_theta):
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
+            raise DomainError(f"theta must lie in [0, pi], got {bad_entry(self.theta, in_theta)}")
         if not mask_all(in_phi):
-            raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi!r}")
-        raise DomainError(f"psi must lie in [0, 4 pi), got {self.psi!r}")
+            raise DomainError(f"phi must lie in [0, 2 pi), got {bad_entry(self.phi, in_phi)}")
+        raise DomainError(f"psi must lie in [0, 4 pi), got {bad_entry(self.psi, in_psi)}")
 
 
 @dataclass(frozen=True)

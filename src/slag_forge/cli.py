@@ -2,9 +2,10 @@
 
 Exit codes: 0 all requested checks pass, 1 an invariant or oracle failed,
 2 usage or domain error.  All randomness flows from --seed (default 0);
-identical invocations produce byte-identical CSV output.  The traces of
-each family are verified in one batch, in one thread; the environment
-variable SLAG_FORGE_THREADS is accepted and ignored.
+identical invocations produce byte-identical CSV output.  Consecutive
+families of one manifold, params and action are verified in one batch, in
+one thread; the environment variable SLAG_FORGE_THREADS is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -151,21 +152,46 @@ def cmd_verify(args, seed: int) -> int:
     return _run_checks(((name, checks.VERIFY_CHECKS[name]) for name in names), seed)
 
 
+def _verify_batches(families):
+    """Join consecutive non-empty families that share a manifold, one params
+    object and one action into batches of fewer than
+    slag_curves.EXACT_BATCH_SAMPLES samples, where each trace's report has
+    the bits of its own verify_slag; a family that alone reaches that size
+    is a batch of its own."""
+    batch, batch_key, size = [], None, 0
+    for family in filter(None, families):
+        _, manifold, trace, params = family[0]
+        key = (manifold, id(params), trace.action)
+        n = sum(len(tr.t) for _, _, tr, _ in family)
+        if batch and (key != batch_key or size + n >= sc.EXACT_BATCH_SAMPLES):
+            yield batch
+            batch, size = [], 0
+        batch.append(family)
+        batch_key, size = key, size + n
+    if batch:
+        yield batch
+
+
 def _emit_traces(families, out_dir: Path, overlay: str | None) -> int:
     """Write one CSV per trace, and the SVG overlay of the preset named by
-    `overlay` unless it is None; each family (one manifold, one params) is
-    one batch, verified in one pass and formatted by one traces_to_csv call."""
+    `overlay` unless it is None.  Each batch of _verify_batches is verified
+    in one verify_slag_batch pass; each family of it is then formatted by
+    one traces_to_csv call and written, so a verification error stops a
+    batch before any of its files is written."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for family in filter(None, families):
-        _, manifold, _, params = family[0]
-        traces = [trace for _, _, trace, _ in family]
-        reports = sc.verify_slag_batch(traces, manifold, params)
-        texts = traces_to_csv(traces, manifold, reports)
-        for (stem, _, _, _), res, text in zip(family, reports, texts):
-            path = out_dir / f"{stem}.csv"
-            write_trace_csv(path, text)
-            print(f"wrote {path}  omega={res['omega_max']:.2e} "
-                  f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
+    for batch in _verify_batches(families):
+        _, manifold, _, params = batch[0][0]
+        reports = sc.verify_slag_batch(
+            [trace for family in batch for _, _, trace, _ in family], manifold, params)
+        for family in batch:
+            family_reports, reports = reports[:len(family)], reports[len(family):]
+            texts = traces_to_csv([trace for _, _, trace, _ in family], manifold,
+                                  family_reports)
+            for (stem, _, _, _), res, text in zip(family, family_reports, texts):
+                path = out_dir / f"{stem}.csv"
+                write_trace_csv(path, text)
+                print(f"wrote {path}  omega={res['omega_max']:.2e} "
+                      f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
     if overlay is not None:
         xcol, ycol = presets.preset_plane_columns(overlay)
         polys = [np.column_stack([tr.cols[xcol], tr.cols[ycol]])

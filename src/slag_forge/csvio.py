@@ -51,11 +51,16 @@ def trace_to_csv(trace: CurveTrace, manifold: str, report: dict) -> str:
 # An element x with 1e-300 <= |x| < 1e300 gets e = floor(log10|x|) and
 # P = |x| * 10^(16-e) in long double.  With u the long double unit roundoff,
 # the table entry and the product each err by at most a factor (1 + u), so
-# P lies within (2u + u^2) 10^17 = _SLACK of |x| 10^(16-e) when that is below
-# 10^17.  If P is farther than _SLACK from every half-integer and from 10^16,
-# round(P) is the correctly rounded 17-digit mantissa of x and e its
-# exponent, unless round(P) = 10^17.  Zeros are exact.  Every other element
-# (nan, inf, near-ties, decade edges, out of range) is formatted by Python,
+# P lies within (2u + u^2) 10^17 = _SLACK of T = |x| 10^(16-e) when T is
+# below 10^17.  If P is farther than _SLACK from every half-integer and at
+# least 10^16 - _SLACK, round(P) is the correctly rounded 17-digit mantissa
+# of x and e its exponent, unless round(P) = 10^17.  The lower bound admits
+# the exact powers of ten (P = 10^16): if the float log10 gave an e one too
+# large, then T < 10^16 and 10 T >= 10^17 - 20 _SLACK > 10^17 - 1/2, so x is
+# written 1.0000000000000000e at exponent e either way (this needs
+# 20 _SLACK < 1/2, which holds for 64- and 113-bit mantissas).  Zeros are
+# exact.  Every other element (nan, inf, near-ties, the rest of the decade
+# edges, out of range) is formatted by Python,
 # so the output is the same on every platform; where long double is plain
 # double, _SLACK > 1/2 and Python formats every nonzero element.  The bound
 # needs each operation correctly rounded, which IEEE formats (52, 63 or 112
@@ -98,7 +103,7 @@ def _format_e16(tables: list[np.ndarray]) -> list[str]:
     e = np.floor(np.log10(ax)).astype(np.intp)
     P = ax.astype(np.longdouble) * scale[e - _E_MIN]
     R = np.rint(P)
-    fast = (fast & (np.abs(P - R) < 0.5 - _SLACK) & (P >= _TEN16 + _SLACK)
+    fast = (fast & (np.abs(P - R) < 0.5 - _SLACK) & (P >= _TEN16 - _SLACK)
             & (R < 10**17)) | zero
     lead, rest = np.divmod(np.where(zero, 0, R.astype(np.int64)), 10**16)
     # a family's table is large: each temporary is dropped once written

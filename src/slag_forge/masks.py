@@ -20,3 +20,14 @@ def mask_any(mask) -> bool:
 def mask_all(mask) -> bool:
     """True when every entry of the mask (an ndarray or a single bool) holds."""
     return bool(mask.all() if isinstance(mask, np.ndarray) else mask)
+
+
+def bad_entry(value, ok) -> str:
+    """How a failed guard names its input: the value itself for one point;
+    for a batch, its first entry where the mask `ok` fails, that entry's
+    index and how many entries fail, not the whole array."""
+    if not isinstance(ok, np.ndarray):
+        return repr(value)
+    bad = np.flatnonzero(~ok)
+    return (f"{np.asarray(value).flat[bad[0]].item()!r} at index {bad[0]} "
+            f"({bad.size} of {ok.size} entries)")

@@ -159,6 +159,8 @@ def tn_so2_curve(c1: float, p: tn.TNParams, branch: str = "plane",
     """
     if not 0.0 < c1 < math.inf:
         raise DomainError(f"tn_so2_curve requires finite c1 > 0, got {c1!r}")
+    if not math.isfinite(psi_rate):
+        raise DomainError(f"tn_so2_curve requires a finite psi_rate, got {psi_rate!r}")
     if p.m == 0 and (branch == "axis" or psi_rate):
         raise DomainError("the axis branch (r = c1/(2m)) and psi_rate != 0 need m > 0")
     if branch == "axis":
@@ -628,10 +630,6 @@ def _residuals(block: tn.MetricBlock, v1u, v1z, v2u, v2z):
     return omega / scale, (v1u * v2z - v1z * v2u).imag / scale
 
 
-# slot k's four other stencil nodes, (k + 1) % 5 ... (k + 4) % 5
-_OTHER_NODES = (np.arange(5) + np.arange(1, 5)[:, None]) % 5
-
-
 def _segment_deriv(w: np.ndarray, t: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Derivative of each row of w along t, segment by segment.
 
@@ -643,8 +641,11 @@ def _segment_deriv(w: np.ndarray, t: np.ndarray, ends: np.ndarray) -> np.ndarray
     the barycentric weights c_k = 1 / (d_k prod_{l != i, k} (1 - d_k / d_l))
     (Berrut & Trefethen, SIAM Rev. 46, 2004).  The stencils are the columns
     of one (node, sample) array; a segment of fewer than 5 samples fills
-    its columns with the sample itself, whose 1 / d is taken as 0.  Each
-    sample's value is the same arithmetic in any batch.
+    its columns with the sample itself, whose 1 / d is taken as 0.  Slot
+    k's product runs over slots k + 1, ..., k + 4 (mod 5) in that order, and
+    the sum over k = 0, ..., 4; both accumulate in place, so no temporary is
+    larger than (5, n).  Each sample's value is the same arithmetic in any
+    batch.
     """
     n = np.diff(ends, prepend=0)
     size = np.repeat(np.minimum(n, 5), n)
@@ -654,8 +655,14 @@ def _segment_deriv(w: np.ndarray, t: np.ndarray, ends: np.ndarray) -> np.ndarray
     node = np.where(node < first + size, node, i)
     d = t.take(node) - t
     r = 1.0 / np.where(d != 0.0, d, np.inf)
-    c = r / np.prod(1.0 - d * r.take(_OTHER_NODES, axis=0), axis=0)
-    return (c * (w.take(node, axis=1) - w[:, None])).sum(axis=1)
+    prod = 1.0 - d * np.roll(r, -1, axis=0)
+    for shift in range(2, 5):
+        prod *= 1.0 - d * np.roll(r, -shift, axis=0)
+    c = np.divide(r, prod, out=prod)
+    deriv = c[0] * (w.take(node[0], axis=1) - w)
+    for k in range(1, 5):
+        deriv += c[k] * (w.take(node[k], axis=1) - w)
+    return deriv
 
 
 _MANIFOLDS = {"tn": "TaubNUT", "ah": "AtiyahHitchin"}
@@ -687,6 +694,13 @@ def _continue_sqrt_branches(Us: np.ndarray, Zs: np.ndarray, ends: np.ndarray):
     return Us * sign, Zs * sign
 
 
+# verify_slag_batch gives each trace the bits of its own verify_slag while
+# the batch holds fewer samples than this: from 256 KiB (16 384 complex128
+# elements) NumPy reuses temporaries in place, and the complex products of
+# omega (moment_maps.kahler_omega) round differently there.
+EXACT_BATCH_SAMPLES = 16_384
+
+
 def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[dict]:
     """verify_slag's report for each trace of a batch (traces of one action).
 
@@ -695,8 +709,7 @@ def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[d
     branch continuation (_continue_sqrt_branches), the tangent
     (_segment_deriv) and each trace's maxima and median (reductions over
     its segment).  Each report is the trace's own bit for bit while a batch
-    is under 16 384 samples (from there NumPy reuses temporaries in place,
-    and omega's complex products round differently).  A degenerate sample
+    holds fewer than EXACT_BATCH_SAMPLES samples.  A degenerate sample
     raises for the whole batch.
     """
     if any(len(trace.t) < 3 for trace in traces):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError, ConvergenceError, DomainError
-from .masks import mask_all, mask_any
+from .masks import bad_entry, mask_all, mask_any
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,18 @@ class TNSphericalPoint:
     psi: float
 
     def __post_init__(self):
-        if not mask_all(self.r > 0):
-            raise DomainError(f"r must be positive, got {self.r!r}")
-        if not mask_all((0.0 <= self.theta) & (self.theta <= math.pi)):
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not mask_all((0.0 <= self.phi) & (self.phi < 2.0 * math.pi)):
-            raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi!r}")
-        if not mask_all((0.0 <= self.psi) & (self.psi < 4.0 * math.pi)):
-            raise DomainError(f"psi must lie in [0, 4 pi), got {self.psi!r}")
+        ok = np.isfinite(self.r) & (self.r > 0)
+        if not mask_all(ok):
+            raise DomainError(f"r must be positive and finite, got {bad_entry(self.r, ok)}")
+        ok = (0.0 <= self.theta) & (self.theta <= math.pi)
+        if not mask_all(ok):
+            raise DomainError(f"theta must lie in [0, pi], got {bad_entry(self.theta, ok)}")
+        ok = (0.0 <= self.phi) & (self.phi < 2.0 * math.pi)
+        if not mask_all(ok):
+            raise DomainError(f"phi must lie in [0, 2 pi), got {bad_entry(self.phi, ok)}")
+        ok = (0.0 <= self.psi) & (self.psi < 4.0 * math.pi)
+        if not mask_all(ok):
+            raise DomainError(f"psi must lie in [0, 4 pi), got {bad_entry(self.psi, ok)}")
 
 
 @dataclass(frozen=True)

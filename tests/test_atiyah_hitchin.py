@@ -245,11 +245,12 @@ def test_params_and_point_validation():
     ((0.5, 1.0, 0.5, 4.0 * math.pi), "psi must lie in [0, 4 pi), got 12.56"),
     ((0.5, 1.0, 0.5, float("nan")), "psi must lie in [0, 4 pi), got nan"),
     ((np.array([0.5, 0.6]), np.array([1.0, 4.0]), np.array([0.5, 0.5]),
-      np.array([0.3, 0.3])), "theta must lie in [0, pi], got array([1., 4.])"),
+      np.array([0.3, 0.3])), "theta must lie in [0, pi], got 4.0 at index 1 (1 of 2 entries)"),
 ])
 def test_point_validation_names_the_bad_field(fields, message):
     """One combined range check; on failure the first bad field, in the
-    order k, theta, phi, psi, raises with its own message."""
+    order k, theta, phi, psi, raises with its own message, which names a
+    batch's first bad entry and how many there are."""
     with pytest.raises(DomainError) as err:
         AHSphericalPoint(*fields)
     assert message in str(err.value)

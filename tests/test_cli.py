@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slag_forge import atiyah_hitchin as ah, checks, cli, csvio
+from slag_forge import atiyah_hitchin as ah, checks, cli, csvio, presets
 from slag_forge import slag_curves as sc
 from slag_forge.atiyah_hitchin import AHParams
 from slag_forge.cli import main
@@ -141,7 +141,10 @@ def test_checks_reject_a_negative_seed(argv, monkeypatch, capsys):
     ["trace", "--tn-so2", "--c1", "inf"],
     ["trace", "--tn-so2", "--m", "0", "--psi-rate", "1"],
     ["trace", "--tn-so2", "--m", "nan"],
+    ["trace", "--tn-so2", "--psi-rate", "nan"],
+    ["trace", "--tn-so2", "--psi-rate", "inf"],
     ["metric", "--manifold", "tn", "--r", "nan"],
+    ["metric", "--manifold", "tn", "--r", "inf"],
     ["metric", "--manifold", "tn", "--h", "nan"],
 ])
 def test_taub_nut_nan_and_degenerate_inputs_exit2(argv, tmp_path, capsys):
@@ -151,6 +154,7 @@ def test_taub_nut_nan_and_degenerate_inputs_exit2(argv, tmp_path, capsys):
     assert main(argv + (["--out", str(out)] if argv[0] == "trace" else [])) == 2
     stdout, err = capsys.readouterr()
     assert err.startswith("error: ") and "nan" not in stdout
+    assert "array(" not in err and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -411,6 +415,91 @@ def test_emit_traces_formats_each_family_once(tmp_path, monkeypatch):
     assert main(["trace", "--ah-theta-k", "--phi", repr(math.pi / 4), "--c1", "-3",
                  "--out", str(tmp_path / "fig9")]) == 0
     assert len(calls) == 1 and len(list((tmp_path / "fig9").glob("*.csv"))) > 1
+
+
+def _reference_emit(families, out_dir):
+    """The per-family emitter: one verify_slag_batch call, one traces_to_csv
+    call and one file per trace, family by family."""
+    out_dir.mkdir(parents=True)
+    for family in filter(None, families):
+        _, manifold, _, params = family[0]
+        traces = [trace for _, _, trace, _ in family]
+        reports = sc.verify_slag_batch(traces, manifold, params)
+        for (stem, _, _, _), res, text in zip(family, reports,
+                                              traces_to_csv(traces, manifold, reports)):
+            path = out_dir / f"{stem}.csv"
+            write_trace_csv(path, text)
+            print(f"wrote {path}  omega={res['omega_max']:.2e} "
+                  f"imOmega={res['im_omega_max']:.2e} mu_dev={res['mu_max_dev']:.2e}")
+
+
+def _spy_verify_batches(monkeypatch):
+    """Record (samples, manifolds, params objects, actions) of each
+    verify_slag_batch call."""
+    calls = []
+    original = sc.verify_slag_batch
+
+    def spy(traces, manifold, params):
+        calls.append((sum(len(tr.t) for tr in traces), manifold, params,
+                      {tr.action for tr in traces}))
+        return original(traces, manifold, params)
+
+    monkeypatch.setattr(sc, "verify_slag_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, batches", [("fig5", [8000]), ("fig6", [4000]),
+                                           ("fig7", [8000]), ("fig8", [15474, 6240]),
+                                           ("fig9", [15940, 2806])])
+def test_emit_batches_families_with_the_per_family_bytes(name, batches, tmp_path,
+                                                         monkeypatch, capsys):
+    """The CLI verifies consecutive families of one manifold, params object
+    and action in batches of fewer than EXACT_BATCH_SAMPLES samples, and
+    writes every preset file and output line of the per-family emitter."""
+    families = list(presets.preset_families(name))
+    _reference_emit(families, tmp_path / "ref")
+    want = capsys.readouterr().out.replace(str(tmp_path / "ref"), "OUT")
+    calls = _spy_verify_batches(monkeypatch)
+    assert cli._emit_traces(families, tmp_path / "new", None) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path / "new"), "OUT") == want
+    assert [size for size, _, _, _ in calls] == batches
+    assert all(size < sc.EXACT_BATCH_SAMPLES and len(actions) == 1
+               for size, _, _, actions in calls)
+    assert sum(size for size, _, _, _ in calls) == sum(
+        len(trace.t) for family in families for _, _, trace, _ in family)
+    files = sorted(path.name for path in (tmp_path / "ref").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "new").iterdir())
+    for file in files:
+        assert (tmp_path / "new" / file).read_bytes() == (tmp_path / "ref" / file).read_bytes()
+
+
+def test_emit_splits_batches_by_action_params_and_size(tmp_path, monkeypatch):
+    """--tn-u1-case2 --tn-so2 is two batches (two actions, two params
+    objects); families of one action but of two params objects, or past
+    the size bound, are batches of their own."""
+    calls = _spy_verify_batches(monkeypatch)
+    assert main(["trace", "--tn-u1-case2", "--tn-so2", "--out", str(tmp_path / "a")]) == 0
+    assert [(size, actions) for size, _, _, actions in calls] == [(800, {"u1"}), (800, {"so2"})]
+    p, q = TNParams(1.0, 1.0), TNParams(1.0, 1.0)
+    trace = tn_u1_case1(1.0, 0.5, n=4096)[0]   # four of them make 16 384 samples
+    calls.clear()
+    families = [[(f"f{i}", "tn", trace, params)] for i, params in enumerate((p, p, q, q, q, q, q))]
+    assert cli._emit_traces(families, tmp_path / "b", None) == 0
+    assert [size for size, _, _, _ in calls] == [8192, 12288, 8192]
+    assert calls[0][2] is p and all(params is q for _, _, params, _ in calls[1:])
+
+
+def test_emit_verification_error_writes_none_of_its_batch(tmp_path):
+    """A trace that fails verification stops its batch before any file of
+    the batch is written (main reports the DomainError with exit code 2)."""
+    p = TNParams(1.0, 1.0)
+    good = tn_u1_case1(1.0, 0.5, n=50)[0]
+    bad = CurveTrace(action="u1", t=good.t, cols={**good.cols, "r": np.full(50, math.inf)},
+                     params=good.params)
+    families = [[("good", "tn", good, p)], [("bad", "tn", bad, p)]]
+    with pytest.raises(DomainError, match="r must be positive and finite"):
+        cli._emit_traces(families, tmp_path, None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_roundtrip_is_bit_exact(tmp_path):

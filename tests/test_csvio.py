@@ -53,6 +53,15 @@ def test_kernel_at_decade_edges():
     _assert_percent_e16(np.concatenate([near, -near]), 12)
 
 
+def test_kernel_at_powers_of_ten_and_their_multiples():
+    """10^e, 2 10^e and 5 10^e for |e| <= 307, and their negatives: the
+    kernel writes an exact power (P = 10^16) itself, and 2 10^e and 5 10^e
+    (P = 2 10^16, 5 10^16, or the rounded product) as Python does."""
+    powers = np.array([float(f"1e{e}") for e in range(-307, 308)])
+    values = np.concatenate([powers, 2.0 * powers, 5.0 * powers])
+    _assert_percent_e16(np.concatenate([values, -values]), 12)
+
+
 def test_kernel_at_ties_and_near_ties():
     """k/2^j with odd k has a terminating expansion; at 18 significant digits
     ending in 5 (2^-25, 3 * 2^-27, ...) it is an exact tie, rounded to even."""

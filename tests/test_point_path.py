@@ -105,7 +105,8 @@ def test_domain_error_per_field(form, field, bad, message):
     args = _forms(*values.values())[form]
     with pytest.raises(DomainError) as err:
         ah.ah_from_spherical(ah.AHSphericalPoint(*args), P)
-    assert str(err.value) == message.format(args[list(values).index(field)])
+    # a batch names its first bad entry, its index and the count
+    assert str(err.value) == message.format(bad) + ("" if form == 0 else " at index 0 (1 of 1 entries)")
 
 
 @pytest.mark.parametrize("form", [0, 1], ids=["scalar", "array"])

@@ -3,6 +3,7 @@
 import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_so2_plane_root_and_axis_limit():
 def test_so2_curve_rejects_c1_outside_finite_positive(c1):
     with pytest.raises(DomainError, match="finite c1 > 0"):
         tn_so2_curve(c1, TNParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("psi_rate", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("branch", ["plane", "axis"])
+def test_so2_curve_rejects_a_non_finite_psi_rate(branch, psi_rate):
+    """A NaN or infinite psi rate is a DomainError up front that names it,
+    not a NaN psi column that fails later in the chart."""
+    with pytest.raises(DomainError) as err:
+        tn_so2_curve(3.0, TNParams(1.0, 1.0), branch=branch, psi_rate=psi_rate)
+    assert str(err.value) == f"tn_so2_curve requires a finite psi_rate, got {psi_rate!r}"
 
 
 @pytest.mark.parametrize("branch", ["plane", "axis"])
@@ -1436,6 +1447,59 @@ def test_segment_deriv_and_branches_match_per_segment_references():
     for a, b in zip([0, *ends[:-1]], ends):
         ref = _reference_continue_sqrt_branch(U[a:b], Z[a:b])
         assert all(g[a:b].tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+
+def _stacked_segment_deriv(w, t, ends):
+    """_segment_deriv's arithmetic on one (4, 5, n) array: np.prod over each
+    slot's four other nodes, then the sum over the five stencil terms."""
+    n = np.diff(ends, prepend=0)
+    size = np.repeat(np.minimum(n, 5), n)
+    i = np.arange(len(t))
+    first = np.clip(i - 2, np.repeat(ends - n, n), np.repeat(ends, n) - size)
+    node = first + np.arange(5)[:, None]
+    node = np.where(node < first + size, node, i)
+    d = t.take(node) - t
+    r = 1.0 / np.where(d != 0.0, d, np.inf)
+    other = (np.arange(5) + np.arange(1, 5)[:, None]) % 5
+    c = r / np.prod(1.0 - d * r.take(other, axis=0), axis=0)
+    return (c * (w.take(node, axis=1) - w[:, None])).sum(axis=1)
+
+
+def _random_segments(rng, count, longest):
+    """count uneven segments of 3 to longest samples, and complex rows on them
+    with a signed zero in every seventh entry."""
+    lengths = rng.integers(3, longest + 1, count)
+    t = np.concatenate([_uneven(rng, m, h) for m, h in zip(lengths, rng.uniform(1e-3, 1.0, count))])
+    w = rng.standard_normal((2, len(t))) * 10.0 ** rng.integers(-6, 6, (2, len(t))) \
+        + 1j * rng.standard_normal((2, len(t)))
+    w[0, ::7] = -0.0
+    return w, t, np.cumsum(lengths)
+
+
+def test_segment_deriv_has_the_bits_of_the_stacked_reference():
+    """The rolled in-place products and sums give the (4, 5, n) reference's
+    bits, on batches of a few samples up to past 16 384."""
+    rng = np.random.default_rng(12)
+    for count, longest in [(1, 3), (1, 4), (3, 5), (40, 12), (200, 60), (120, 300)]:
+        w, t, ends = _random_segments(rng, count, longest)
+        assert sc._segment_deriv(w, t, ends).tobytes() == \
+            _stacked_segment_deriv(w, t, ends).tobytes(), (count, longest)
+
+
+def test_segment_deriv_peak_memory_on_8000_samples():
+    """Its temporaries are (5, n) and (2, n) arrays, no (4, 5, n) one: the
+    traced peak of 8 000 samples stays at 3 MB (the stacked form takes 4.2)."""
+    rng = np.random.default_rng(13)
+    t = np.concatenate([_uneven(rng, 100) for _ in range(80)])
+    w = rng.standard_normal((2, 8000)) + 1j * rng.standard_normal((2, 8000))
+    ends = np.arange(100, 8001, 100)
+    tracemalloc.start()
+    try:
+        sc._segment_deriv(w, t, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, peak
 
 
 def test_segment_deriv_exact_on_polynomials():

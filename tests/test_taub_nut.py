@@ -83,6 +83,20 @@ def test_spherical_point_rejects_nan_radius():
         TNSphericalPoint(np.array([1.0, math.nan]), np.ones(2), np.zeros(2), np.zeros(2))
 
 
+def test_spherical_point_rejects_infinite_radius():
+    """r = +-inf is a DomainError, as NaN is; a batch names its first bad
+    entry, its index and how many there are, not the whole array."""
+    for r in (math.inf, -math.inf):
+        with pytest.raises(DomainError) as err:
+            TNSphericalPoint(r, 1.0, 0.0, 0.0)
+        assert str(err.value) == f"r must be positive and finite, got {r!r}"
+    r = np.full(400, 2.0)
+    r[[7, 300]] = math.inf
+    with pytest.raises(DomainError) as err:
+        TNSphericalPoint(r, np.ones(400), np.zeros(400), np.zeros(400))
+    assert str(err.value) == "r must be positive and finite, got inf at index 7 (2 of 400 entries)"
+
+
 def test_solve_x_zero_and_monotone():
     p = TNParams(1.0, 1.0)
     assert tn_solve_x(0.0, 1.0, p) == pytest.approx(0.0, abs=1e-12)
