@@ -3,15 +3,16 @@
 Exit codes: 0 all requested checks pass, 1 an invariant or oracle failed,
 2 usage or domain error.  All randomness flows from --seed (default 0);
 identical invocations produce byte-identical CSV output.  Consecutive
-families of one manifold, params and action are verified in one batch, in
-one thread; the environment variable SLAG_FORGE_THREADS is accepted and
-ignored.
+families of one manifold, params value and action are verified by one
+verify_slag_batch call (which holds the batch-size rule), in one thread;
+the environment variable SLAG_FORGE_THREADS is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 import time
@@ -27,6 +28,23 @@ from . import taub_nut as tn
 from .csvio import traces_to_csv, write_trace_csv
 from .errors import SlagForgeError
 from .svg import write_svg
+
+
+_PM = {"+": "plus", "-": "minus"}
+# the family flags of trace: flag -> (manifold, a trace's file stem from the
+# arguments a and its tag t, the family's traces from a and the params p)
+_FAMILY_FLAGS = {
+    "tn_u1_case1": ("tn", lambda a, t: f"tn_u1_case1_c1_{a.c1:g}_c2_{a.c2:g}_{_PM[t]}",
+                    lambda a, p: sc.tn_u1_case1(a.c1, a.c2, n=a.samples)),
+    "tn_u1_case2": ("tn", lambda a, t: f"tn_u1_case2_c_{a.c:g}_{_PM[t]}",
+                    lambda a, p: sc.tn_u1_case2(a.c, n=a.samples)),
+    "tn_so2": ("tn", lambda a, t: f"tn_so2_c1_{a.c1:g}_{t}",
+               lambda a, p: sc.tn_so2_curve(a.c1, p, a.branch, a.psi_rate, a.samples)),
+    "ah_theta_phi": ("ah", lambda a, t: presets.stem(f"ah_thetaphi_k_{a.k:g}_c1_{a.c1:g}_{t}"),
+                     lambda a, p: sc.ah_traces_theta_phi(a.k, a.c1, h=a.h, n=a.grid)),
+    "ah_theta_k": ("ah", lambda a, t: presets.stem(f"ah_thetak_phi_{a.phi:g}_c1_{a.c1:g}_{t}"),
+                   lambda a, p: sc.ah_traces_theta_k(a.phi, a.c1, h=a.h, n=a.grid)),
+}
 
 
 @functools.cache
@@ -49,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--psi", type=float, default=0.3)
     p_metric.add_argument("--m", type=float, default=1.0)
     p_metric.add_argument("--h", type=float, default=1.0)
-    p_metric.add_argument("--a-int", type=int, default=1)
     p_metric.add_argument("--tol", type=float, default=None,
                           help="det residual gate (default 1e-10 tn / 1e-8 ah)")
 
@@ -60,11 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="emit solution-curve CSV (and SVG) files")
     p_trace.add_argument("--preset", choices=presets.PRESET_NAMES)
-    p_trace.add_argument("--tn-u1-case1", action="store_true")
-    p_trace.add_argument("--tn-u1-case2", action="store_true")
-    p_trace.add_argument("--tn-so2", action="store_true")
-    p_trace.add_argument("--ah-theta-phi", action="store_true")
-    p_trace.add_argument("--ah-theta-k", action="store_true")
+    for flag in _FAMILY_FLAGS:
+        p_trace.add_argument("--" + flag.replace("_", "-"), action="store_true")
     p_trace.add_argument("--c1", type=float, default=1.0)
     p_trace.add_argument("--c2", type=float, default=0.5)
     p_trace.add_argument("--c", type=float, default=1.0)
@@ -102,7 +116,7 @@ def cmd_metric(args) -> int:
         names = ("K_uu", "K_uz", "K_zu", "K_zz")
     else:
         tol = 1e-8 if tol is None else tol
-        p = ah.AHParams(args.h, args.a_int)
+        p = ah.AHParams(args.h)
         sph = ah.AHSphericalPoint(args.k, args.theta,
                                   args.phi % (2 * math.pi), args.psi % (4 * math.pi))
         state = ah.ah_from_spherical(sph, p)
@@ -152,42 +166,23 @@ def cmd_verify(args, seed: int) -> int:
     return _run_checks(((name, checks.VERIFY_CHECKS[name]) for name in names), seed)
 
 
-def _verify_batches(families):
-    """Join consecutive non-empty families that share a manifold, one params
-    object and one action into batches of fewer than
-    slag_curves.EXACT_BATCH_SAMPLES samples, where each trace's report has
-    the bits of its own verify_slag; a family that alone reaches that size
-    is a batch of its own."""
-    batch, batch_key, size = [], None, 0
-    for family in filter(None, families):
-        _, manifold, trace, params = family[0]
-        key = (manifold, id(params), trace.action)
-        n = sum(len(tr.t) for _, _, tr, _ in family)
-        if batch and (key != batch_key or size + n >= sc.EXACT_BATCH_SAMPLES):
-            yield batch
-            batch, size = [], 0
-        batch.append(family)
-        batch_key, size = key, size + n
-    if batch:
-        yield batch
-
-
 def _emit_traces(families, out_dir: Path, overlay: str | None) -> int:
     """Write one CSV per trace, and the SVG overlay of the preset named by
-    `overlay` unless it is None.  Each batch of _verify_batches is verified
-    in one verify_slag_batch pass; each family of it is then formatted by
-    one traces_to_csv call and written, so a verification error stops a
-    batch before any of its files is written."""
+    `overlay` unless it is None.  Consecutive non-empty families of one
+    manifold, params value and action are verified by one verify_slag_batch
+    call, then formatted (one traces_to_csv call per family) and written, so
+    a verification error stops its group before any file of it is written."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for batch in _verify_batches(families):
-        _, manifold, _, params = batch[0][0]
-        reports = sc.verify_slag_batch(
-            [trace for family in batch for _, _, trace, _ in family], manifold, params)
-        for family in batch:
-            family_reports, reports = reports[:len(family)], reports[len(family):]
-            texts = traces_to_csv([trace for _, _, trace, _ in family], manifold,
-                                  family_reports)
-            for (stem, _, _, _), res, text in zip(family, family_reports, texts):
+    for (manifold, params, _), group in itertools.groupby(
+            (family for family in families if family[2]),
+            key=lambda family: (family[0], family[1], family[2][0][1].action)):
+        group = [items for _, _, items in group]
+        reports = sc.verify_slag_batch([trace for items in group for _, trace in items],
+                                       manifold, params)
+        for items in group:
+            family_reports, reports = reports[:len(items)], reports[len(items):]
+            texts = traces_to_csv([trace for _, trace in items], manifold, family_reports)
+            for (stem, _), res, text in zip(items, family_reports, texts):
                 path = out_dir / f"{stem}.csv"
                 write_trace_csv(path, text)
                 print(f"wrote {path}  omega={res['omega_max']:.2e} "
@@ -195,11 +190,11 @@ def _emit_traces(families, out_dir: Path, overlay: str | None) -> int:
     if overlay is not None:
         xcol, ycol = presets.preset_plane_columns(overlay)
         polys = [np.column_stack([tr.cols[xcol], tr.cols[ycol]])
-                 for family in families for _, _, tr, _ in family]
+                 for _, _, items in families for _, tr in items]
         svg_path = out_dir / f"{overlay}.svg"
         write_svg(svg_path, polys, xcol, ycol, title=overlay)
         print(f"wrote {svg_path}")
-    return 0 if any(families) else 2
+    return 0 if any(items for _, _, items in families) else 2
 
 
 def cmd_trace(args) -> int:
@@ -210,33 +205,13 @@ def cmd_trace(args) -> int:
     if args.preset:
         families = list(presets.preset_families(args.preset, grid_n=args.grid))
         return _emit_traces(families, out_dir, args.preset if args.format == "svg" else None)
-    pm = {"+": "plus", "-": "minus"}
     families = []
-    if args.tn_u1_case1:
-        p = tn.TNParams(args.h, args.m)
-        stem = f"tn_u1_case1_c1_{args.c1:g}_c2_{args.c2:g}_"
-        families.append([(stem + pm[tr.tag], "tn", tr, p)
-                         for tr in sc.tn_u1_case1(args.c1, args.c2, n=args.samples)])
-    if args.tn_u1_case2:
-        p = tn.TNParams(args.h, args.m)
-        families.append([(f"tn_u1_case2_c_{args.c:g}_{pm[tr.tag]}", "tn", tr, p)
-                         for tr in sc.tn_u1_case2(args.c, n=args.samples)])
-    if args.tn_so2:
-        p = tn.TNParams(args.h, args.m)
-        families.append([(f"tn_so2_c1_{args.c1:g}_{tr.tag}", "tn", tr, p)
-                         for tr in sc.tn_so2_curve(args.c1, p, branch=args.branch,
-                                                   psi_rate=args.psi_rate, n=args.samples)])
-    if args.ah_theta_phi:
-        p = ah.AHParams(args.h, args.a_int)
-        stem = f"ah_thetaphi_k_{args.k:g}_c1_{args.c1:g}_"
-        families.append([((stem + tr.tag).replace("+", "p").replace("-", "m"), "ah", tr, p)
-                         for tr in sc.ah_traces_theta_phi(args.k, args.c1, h=args.h, n=args.grid)])
-    if args.ah_theta_k:
-        p = ah.AHParams(args.h, args.a_int)
-        stem = f"ah_thetak_phi_{args.phi:g}_c1_{args.c1:g}_"
-        families.append([((stem + tr.tag).replace("+", "p").replace("-", "m"), "ah", tr, p)
-                         for tr in sc.ah_traces_theta_k(args.phi, args.c1, h=args.h, n=args.grid)])
-    if not any(families):
+    for flag, (manifold, stem, traces) in _FAMILY_FLAGS.items():
+        if getattr(args, flag):
+            p = (tn.TNParams(args.h, args.m) if manifold == "tn"
+                 else ah.AHParams(args.h, args.a_int))
+            families.append((manifold, p, [(stem(args, tr.tag), tr) for tr in traces(args, p)]))
+    if not any(items for _, _, items in families):
         if families:
             print("no trace found for the given family parameters", file=sys.stderr)
         else:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .masks import mask_all, mask_any
+from .masks import bad_entry, mask_all, mask_any
 
 # a stop test below half an ulp (|a - b| < 1e-16 a) never fires where a and b
 # settle into a 1-ulp cycle, so the AGM loops stop by the quadratic rule instead
@@ -258,12 +258,12 @@ def _elliptic_KE(k):
 
 
 def _check_curve(k, rho) -> None:
-    """Raise DomainError, naming the bad field, unless 0 < k < 1 and rho > 0."""
-    in_k = (0.0 < k) & (k < 1.0)
-    if not mask_all(in_k & (rho > 0.0)):
+    """Raise DomainError, naming the bad entry, unless 0 < k < 1 and rho > 0."""
+    in_k, in_rho = (0.0 < k) & (k < 1.0), rho > 0.0
+    if not mask_all(in_k & in_rho):
         if not mask_all(in_k):
-            raise DomainError(f"elliptic_data requires 0 < k < 1, got k={k!r}")
-        raise DomainError(f"elliptic_data requires rho > 0, got rho={rho!r}")
+            raise DomainError(f"elliptic_data requires 0 < k < 1, got k={bad_entry(k, in_k)}")
+        raise DomainError(f"elliptic_data requires rho > 0, got rho={bad_entry(rho, in_rho)}")
 
 
 def _curve_data(k, rho, K, E) -> EllipticData:

@@ -26,53 +26,42 @@ PRESET_NAMES = ("fig5", "fig6", "fig7", "fig8", "fig9")
 AH_C1_SET = tuple(float(c) for c in range(-10, 11))
 
 
-def _fnum(v: float) -> str:
-    return f"{v:g}".replace("-", "m")
+def stem(text: str) -> str:
+    """The file stem of an Atiyah-Hitchin trace: its name with + and - spelt p and m."""
+    return text.replace("+", "p").replace("-", "m")
 
 
 def preset_families(name: str, grid_n: int = 256):
-    """Yield the families of a preset, one list of
-    (filename_stem, manifold, trace, params_object) per family call."""
+    """Yield the families of a preset, one (manifold, params_object,
+    [(filename_stem, trace), ...]) record per family call."""
+    p = ah.AHParams(1.0, 1) if name in ("fig8", "fig9") else tn.TNParams(1.0, 1.0)
     if name == "fig5":
-        p = tn.TNParams(1.0, 1.0)
         for c1 in (1.0, 2.0, 3.0, 4.0, 5.0):
-            trace = sc.tn_u1_case1(c1, 0.5)[0]
-            yield [(f"fig5_c1_{_fnum(c1)}_c2_0.5", "tn", trace, p)]
+            yield "tn", p, [(f"fig5_c1_{c1:g}_c2_0.5", sc.tn_u1_case1(c1, 0.5)[0])]
         for c2 in (0.2, 0.4, 0.6, 0.8, 1.0):
-            trace = sc.tn_u1_case1(1.0, c2)[0]
-            yield [(f"fig5_c1_1_c2_{_fnum(c2)}", "tn", trace, p)]
+            yield "tn", p, [(f"fig5_c1_1_c2_{c2:g}", sc.tn_u1_case1(1.0, c2)[0])]
     elif name == "fig6":
-        p = tn.TNParams(1.0, 1.0)
         for c in (1.0, 2.0, 3.0, 4.0, 5.0):
-            trace = sc.tn_u1_case2(c)[0]
-            yield [(f"fig6_c_{_fnum(c)}", "tn", trace, p)]
+            yield "tn", p, [(f"fig6_c_{c:g}", sc.tn_u1_case2(c)[0])]
     elif name == "fig7":
-        p = tn.TNParams(1.0, 1.0)
         for c1 in range(1, 11):
-            trace = sc.tn_so2_curve(float(c1), p, branch="plane")[0]
-            yield [(f"fig7_c1_{c1}", "tn", trace, p)]
-    elif name == "fig8":
-        p = ah.AHParams(1.0, 1)
-        for k in (0.3, 0.5, 0.7):
+            yield "tn", p, [(f"fig7_c1_{c1}", sc.tn_so2_curve(float(c1), p, branch="plane")[0])]
+    elif name in ("fig8", "fig9"):
+        family = sc.ah_traces_theta_phi if name == "fig8" else sc.ah_traces_theta_k
+        fixed = ({"k_0.3": 0.3, "k_0.5": 0.5, "k_0.7": 0.7} if name == "fig8" else
+                 {"phi_pi6": math.pi / 6, "phi_pi4": math.pi / 4, "phi_pi3": math.pi / 3})
+        for label, value in fixed.items():
             for c1 in AH_C1_SET:
-                stem = f"fig8_k_{_fnum(k)}_c1_{_fnum(c1)}_"
-                yield [((stem + trace.tag).replace("+", "p").replace("-", "m"), "ah", trace, p)
-                       for trace in sc.ah_traces_theta_phi(k, c1, h=1.0, n=grid_n)]
-    elif name == "fig9":
-        p = ah.AHParams(1.0, 1)
-        for phi, label in ((math.pi / 6, "pi6"), (math.pi / 4, "pi4"),
-                           (math.pi / 3, "pi3")):
-            for c1 in AH_C1_SET:
-                stem = f"fig9_phi_{label}_c1_{_fnum(c1)}_"
-                yield [((stem + trace.tag).replace("+", "p").replace("-", "m"), "ah", trace, p)
-                       for trace in sc.ah_traces_theta_k(phi, c1, h=1.0, n=grid_n)]
+                yield "ah", p, [(stem(f"{name}_{label}_c1_{c1:g}_{trace.tag}"), trace)
+                                for trace in family(value, c1, h=1.0, n=grid_n)]
     else:
         raise EmptyDomainError(f"unknown preset {name!r}")
 
 
 def preset_traces(name: str):
     """Yield (filename_stem, manifold, trace, params_object) for a preset."""
-    return (item for family in preset_families(name) for item in family)
+    return ((file_stem, manifold, trace, params)
+            for manifold, params, family in preset_families(name) for file_stem, trace in family)
 
 
 def preset_plane_columns(name: str) -> tuple[str, str]:

@@ -694,23 +694,23 @@ def _continue_sqrt_branches(Us: np.ndarray, Zs: np.ndarray, ends: np.ndarray):
     return Us * sign, Zs * sign
 
 
-# verify_slag_batch gives each trace the bits of its own verify_slag while
-# the batch holds fewer samples than this: from 256 KiB (16 384 complex128
-# elements) NumPy reuses temporaries in place, and the complex products of
-# omega (moment_maps.kahler_omega) round differently there.
-EXACT_BATCH_SAMPLES = 16_384
+# From 256 KiB (16 384 complex128 elements) NumPy reuses temporaries in
+# place, and the complex products of omega (moment_maps.kahler_omega) round
+# differently: verify_slag_batch keeps each of its runs below this size.
+_EXACT_BATCH_SAMPLES = 16_384
 
 
 def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[dict]:
     """verify_slag's report for each trace of a batch (traces of one action).
 
-    The chart, u coordinate, metric block, mu, action field and residuals
-    run once over the concatenated samples, and so does the tail: the
-    branch continuation (_continue_sqrt_branches), the tangent
-    (_segment_deriv) and each trace's maxima and median (reductions over
-    its segment).  Each report is the trace's own bit for bit while a batch
-    holds fewer than EXACT_BATCH_SAMPLES samples.  A degenerate sample
-    raises for the whole batch.
+    Consecutive traces run together, in runs of fewer than
+    _EXACT_BATCH_SAMPLES samples (a trace that reaches it runs alone).  Per
+    run, the chart, u coordinate, metric block, mu, action field and
+    residuals run once over the concatenated samples, and so does the tail:
+    the branch continuation (_continue_sqrt_branches), the tangent
+    (_segment_deriv) and each trace's maxima and median (reductions over its
+    segment).  So each report is the trace's own bit for bit, in any batch.
+    A degenerate sample raises for the whole batch.
     """
     if any(len(trace.t) < 3 for trace in traces):
         raise DomainError("verify_slag needs at least 3 samples")
@@ -720,6 +720,17 @@ def verify_slag_batch(traces: list[CurveTrace], manifold: str, params) -> list[d
         raise DomainError("a verify_slag batch needs traces, all of one action")
     spec = mm.ActionSpec(_MANIFOLDS[manifold],
                          "U1_triholo" if traces[0].action == "u1" else "SO2_rot")
+    reports, start, size = [], 0, 0
+    for j, trace in enumerate(traces):
+        if j > start and size + len(trace.t) >= _EXACT_BATCH_SAMPLES:
+            reports += _verify_run(traces[start:j], spec, manifold, params)
+            start, size = j, 0
+        size += len(trace.t)
+    return reports + _verify_run(traces[start:], spec, manifold, params)
+
+
+def _verify_run(traces: list[CurveTrace], spec, manifold: str, params) -> list[dict]:
+    """verify_slag_batch's reports for one run of its traces, in one pass."""
     n = np.array([len(trace.t) for trace in traces])
     ends = np.cumsum(n)
     starts = ends - n

@@ -8,7 +8,7 @@ never moves its result.  Covered: K and E (elliptic_KE_vec), Pi
 (elliptic_Pi_vec), the curve data, the Atiyah-Hitchin chart with pi(x_pm),
 (u, U, Z) and the metric block, and the Taub-NUT chart, metric block and
 x-solve.  verify_slag_batch gives each trace of a batch the bits of its
-own verify_slag report.
+own verify_slag report, at any batch size.
 """
 
 import dataclasses
@@ -142,7 +142,7 @@ def _verify_batches():
     """(traces, manifold, params) of each batch: the fig8 (k = 0.5) and fig9
     (phi = pi/4) families at c1 = -3, each after a twisted trace, and the
     fig5, fig6 and fig7 traces, the fig7 ones with the Taub-NUT axis traces;
-    each batch with a short run."""
+    each batch with a short run; and the whole fig8 preset (21 714 samples)."""
     fig8 = sc.ah_traces_theta_phi(0.5, -3.0)
     fig9 = sc.ah_traces_theta_k(math.pi / 4, -3.0)
     tn_by_fig = {name: [tr for _, _, tr, _ in presets.preset_traces(name)]
@@ -152,15 +152,20 @@ def _verify_batches():
             "fig9": ([_twisted(fig9[0])] + fig9 + [_short(fig9[-1])], "ah", AH_P),
             "fig5": (tn_by_fig["fig5"] + [_short(tn_by_fig["fig5"][3])], "tn", TN_P),
             "fig6": (tn_by_fig["fig6"] + [_short(tn_by_fig["fig6"][1])], "tn", TN_P),
-            "fig7-axis": (fig7 + [_short(fig7[0])], "tn", TN_P)}
+            "fig7-axis": (fig7 + [_short(fig7[0])], "tn", TN_P),
+            "fig8-preset": ([tr for _, _, tr, _ in presets.preset_traces("fig8")], "ah", AH_P)}
 
 
-@pytest.mark.parametrize("case", ["fig8", "fig9", "fig5", "fig6", "fig7-axis"])
+@pytest.mark.parametrize("case", ["fig8", "fig9", "fig5", "fig6", "fig7-axis", "fig8-preset"])
 def test_verify_slag_batch_matches_single_trace_reports(case):
     """Each report of a batch has the bits of the trace's own verify_slag
-    report, for every key, whatever traces share the batch."""
+    report, for every key, whatever traces share the batch and however
+    many samples it holds."""
     traces, manifold, params = _verify_batches()[case]
-    assert len(traces) > 2 and min(len(tr.t) for tr in traces) <= 5
+    if case == "fig8-preset":
+        assert sum(len(tr.t) for tr in traces) == 21714   # past 16 384 samples
+    else:
+        assert len(traces) > 2 and min(len(tr.t) for tr in traces) <= 5
     if case == "fig7-axis":
         assert sum(np.all(np.abs(np.sin(tr.cols["theta"])) < 1e-12) for tr in traces) == 2
     batch = sc.verify_slag_batch(traces, manifold, params)

@@ -10,7 +10,7 @@ import pytest
 from slag_forge import atiyah_hitchin as ah, checks, cli, csvio, presets
 from slag_forge import slag_curves as sc
 from slag_forge.atiyah_hitchin import AHParams
-from slag_forge.cli import main
+from slag_forge.cli import build_parser, main
 from slag_forge.csvio import (AH_COLUMNS, TN_COLUMNS, read_trace_csv,
                               trace_to_csv, traces_to_csv, write_trace_csv)
 from slag_forge.errors import ContourCollisionError, DomainError
@@ -63,6 +63,16 @@ def test_metric_bad_domain_exit2(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "k must lie in (0, 1)" in err
+
+
+def test_metric_rejects_a_int(capsys):
+    """metric has no --a-int (the Atiyah-Hitchin chart and metric block do
+    not read it); trace keeps it, as U depends on it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["metric", "--manifold", "ah", "--k", "0.5", "--a-int", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --a-int 1" in capsys.readouterr().err
+    assert build_parser().parse_args(["trace", "--a-int", "2"]).a_int == 2
 
 
 def test_verify_only_and_unknown(capsys):
@@ -406,8 +416,8 @@ def test_emit_traces_formats_each_family_once(tmp_path, monkeypatch):
     monkeypatch.setattr(csvio, "_format_e16", spy)
     pa, p = AHParams(1.0, 1), TNParams(1.0, 1.0)
     fig8 = ah_traces_theta_phi(0.5, -3.0)
-    families = [[(f"a{i}", "ah", tr, pa) for i, tr in enumerate(fig8)],
-                [("b", "tn", tn_u1_case1(1.0, 0.5)[0], p)], []]
+    families = [("ah", pa, [(f"a{i}", tr) for i, tr in enumerate(fig8)]),
+                ("tn", p, [("b", tn_u1_case1(1.0, 0.5)[0])]), ("tn", p, [])]
     assert cli._emit_traces(families, tmp_path, None) == 0
     assert calls == [[len(tr.t) for tr in fig8], [800]]
     assert len(list(tmp_path.glob("*.csv"))) == len(fig8) + 1
@@ -421,12 +431,11 @@ def _reference_emit(families, out_dir):
     """The per-family emitter: one verify_slag_batch call, one traces_to_csv
     call and one file per trace, family by family."""
     out_dir.mkdir(parents=True)
-    for family in filter(None, families):
-        _, manifold, _, params = family[0]
-        traces = [trace for _, _, trace, _ in family]
+    for manifold, params, family in filter(lambda record: record[2], families):
+        traces = [trace for _, trace in family]
         reports = sc.verify_slag_batch(traces, manifold, params)
-        for (stem, _, _, _), res, text in zip(family, reports,
-                                              traces_to_csv(traces, manifold, reports)):
+        for (stem, _), res, text in zip(family, reports,
+                                        traces_to_csv(traces, manifold, reports)):
             path = out_dir / f"{stem}.csv"
             write_trace_csv(path, text)
             print(f"wrote {path}  omega={res['omega_max']:.2e} "
@@ -449,13 +458,14 @@ def _spy_verify_batches(monkeypatch):
 
 
 @pytest.mark.parametrize("name, batches", [("fig5", [8000]), ("fig6", [4000]),
-                                           ("fig7", [8000]), ("fig8", [15474, 6240]),
-                                           ("fig9", [15940, 2806])])
+                                           ("fig7", [8000]), ("fig8", [21714]),
+                                           ("fig9", [18746])])
 def test_emit_batches_families_with_the_per_family_bytes(name, batches, tmp_path,
                                                          monkeypatch, capsys):
-    """The CLI verifies consecutive families of one manifold, params object
-    and action in batches of fewer than EXACT_BATCH_SAMPLES samples, and
-    writes every preset file and output line of the per-family emitter."""
+    """The CLI verifies consecutive families of one manifold, params value
+    and action in one verify_slag_batch call, whatever its size (the call
+    keeps each trace's own bits), and writes every preset file and output
+    line of the per-family emitter."""
     families = list(presets.preset_families(name))
     _reference_emit(families, tmp_path / "ref")
     want = capsys.readouterr().out.replace(str(tmp_path / "ref"), "OUT")
@@ -463,40 +473,46 @@ def test_emit_batches_families_with_the_per_family_bytes(name, batches, tmp_path
     assert cli._emit_traces(families, tmp_path / "new", None) == 0
     assert capsys.readouterr().out.replace(str(tmp_path / "new"), "OUT") == want
     assert [size for size, _, _, _ in calls] == batches
-    assert all(size < sc.EXACT_BATCH_SAMPLES and len(actions) == 1
-               for size, _, _, actions in calls)
+    assert all(len(actions) == 1 for _, _, _, actions in calls)
     assert sum(size for size, _, _, _ in calls) == sum(
-        len(trace.t) for family in families for _, _, trace, _ in family)
+        len(trace.t) for _, _, family in families for _, trace in family)
     files = sorted(path.name for path in (tmp_path / "ref").iterdir())
     assert files == sorted(path.name for path in (tmp_path / "new").iterdir())
     for file in files:
         assert (tmp_path / "new" / file).read_bytes() == (tmp_path / "ref" / file).read_bytes()
 
 
-def test_emit_splits_batches_by_action_params_and_size(tmp_path, monkeypatch):
-    """--tn-u1-case2 --tn-so2 is two batches (two actions, two params
-    objects); families of one action but of two params objects, or past
-    the size bound, are batches of their own."""
+def test_emit_groups_families_by_action_and_params_value(tmp_path, monkeypatch):
+    """--tn-u1-case2 --tn-so2 is two verify_slag_batch calls (two actions)
+    and --tn-u1-case1 --tn-u1-case2 one (one action, equal params); other
+    consecutive families of one action are one call while their params
+    are equal in value, past 16 384 samples too, and a new call where the
+    params value changes."""
     calls = _spy_verify_batches(monkeypatch)
     assert main(["trace", "--tn-u1-case2", "--tn-so2", "--out", str(tmp_path / "a")]) == 0
     assert [(size, actions) for size, _, _, actions in calls] == [(800, {"u1"}), (800, {"so2"})]
-    p, q = TNParams(1.0, 1.0), TNParams(1.0, 1.0)
+    calls.clear()
+    assert main(["trace", "--tn-u1-case1", "--tn-u1-case2", "--out", str(tmp_path / "a")]) == 0
+    assert [(size, actions) for size, _, _, actions in calls] == [(1600, {"u1"})]
+    p, q, r = TNParams(1.0, 1.0), TNParams(1.0, 1.0), TNParams(2.0, 1.0)
     trace = tn_u1_case1(1.0, 0.5, n=4096)[0]   # four of them make 16 384 samples
     calls.clear()
-    families = [[(f"f{i}", "tn", trace, params)] for i, params in enumerate((p, p, q, q, q, q, q))]
+    families = [("tn", params, [(f"f{i}", trace)])
+                for i, params in enumerate((p, q, q, r, r, r, r, p))]
     assert cli._emit_traces(families, tmp_path / "b", None) == 0
-    assert [size for size, _, _, _ in calls] == [8192, 12288, 8192]
-    assert calls[0][2] is p and all(params is q for _, _, params, _ in calls[1:])
+    assert [size for size, _, _, _ in calls] == [12288, 16384, 4096]
+    assert [params for _, _, params, _ in calls] == [p, r, p]
 
 
 def test_emit_verification_error_writes_none_of_its_batch(tmp_path):
-    """A trace that fails verification stops its batch before any file of
-    the batch is written (main reports the DomainError with exit code 2)."""
+    """A trace that fails verification stops its group of families before
+    any file of the group is written (main reports the DomainError with
+    exit code 2)."""
     p = TNParams(1.0, 1.0)
     good = tn_u1_case1(1.0, 0.5, n=50)[0]
     bad = CurveTrace(action="u1", t=good.t, cols={**good.cols, "r": np.full(50, math.inf)},
                      params=good.params)
-    families = [[("good", "tn", good, p)], [("bad", "tn", bad, p)]]
+    families = [("tn", p, [("good", good)]), ("tn", p, [("bad", bad)])]
     with pytest.raises(DomainError, match="r must be positive and finite"):
         cli._emit_traces(families, tmp_path, None)
     assert list(tmp_path.iterdir()) == []

@@ -57,6 +57,19 @@ def test_snapshot_writer_on_one_family_and_one_seed(tmp_path):
     assert (tmp_path / "b" / "checks" / "seed_000.txt").read_text() == "\n".join(lines) + "\n"
 
 
+def test_snapshot_writer_records_the_taub_nut_flag_calls(tmp_path):
+    """The Taub-NUT flag calls go to tn_flags/ and calls/tn_flags.txt, apart
+    from the 126 family calls; a negative c1 keeps its '-' in the stems."""
+    tool = _load_tool()
+    assert ["--tn-so2", "--branch", "axis"] in tool.TN_CALLS
+    tool.write_tn_flags(tmp_path, [["--tn-u1-case1", "--c1", "-2", "--samples", "50"]])
+    assert sorted(f.name for f in (tmp_path / "tn_flags").iterdir()) == [
+        "tn_u1_case1_c1_-2_c2_0.5_minus.csv", "tn_u1_case1_c1_-2_c2_0.5_plus.csv"]
+    assert (tmp_path / "calls" / "tn_flags.txt").read_text().startswith(
+        "$ trace --tn-u1-case1 --c1 -2 --samples 50\nexit 0\n")
+    assert not (tmp_path / "families").exists()
+
+
 DIFF_TOOL = TOOL.with_name("snapshot_diff.py")
 
 

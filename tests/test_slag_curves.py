@@ -1413,6 +1413,32 @@ def test_segmented_tail_matches_per_trace_loop(case, monkeypatch):
             assert np.asarray(g[key]).tobytes() == np.asarray(r[key]).tobytes(), (trace.tag, key)
 
 
+def test_verify_slag_batch_runs_below_16384_samples(monkeypatch):
+    """verify_slag_batch cuts its traces at trace boundaries into runs of
+    fewer than 16 384 samples, where NumPy still rounds omega as for one
+    trace; a trace that alone reaches that size runs alone, and the reports
+    come back in order with each trace's own verify_slag bits."""
+    runs = []
+    run = sc._verify_run
+
+    def spy(traces, *rest):
+        runs.append([len(trace.t) for trace in traces])
+        return run(traces, *rest)
+
+    p = TNParams(1.0, 1.0)
+    small, big = tn_u1_case1(1.0, 0.5, n=4096)[0], tn_u1_case1(1.0, 0.5, n=16384)[1]
+    traces = [small] * 5 + [big, small, big]
+    with monkeypatch.context() as m:
+        m.setattr(sc, "_verify_run", spy)
+        got = sc.verify_slag_batch(traces, "tn", p)
+    assert runs == [[4096] * 3, [4096] * 2, [16384], [4096], [16384]]
+    assert len(got) == len(traces)
+    for trace, report in zip(traces, got):
+        ref = verify_slag(trace, "tn", p)
+        for key in ref:
+            assert np.asarray(report[key]).tobytes() == np.asarray(ref[key]).tobytes(), key
+
+
 def _uneven(rng, m, h=1.0):
     """m increasing samples whose steps are h times uniform draws from [0.3, 1]."""
     return rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(h * rng.uniform(0.3, 1.0, m - 1))])

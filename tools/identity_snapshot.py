@@ -9,10 +9,12 @@ writes under OUT:
 - families/: every CSV of the 126 Atiyah-Hitchin family-flag calls,
   `trace --ah-theta-phi --k K --c1 C` (fig8) and `trace --ah-theta-k
   --phi PHI --c1 C` (fig9) over the preset parameters (456 files);
-- calls/presets.txt and calls/families.txt: for each of those trace calls,
-  its arguments, exit code and stdout and stderr lines, with the `--out`
-  directory stripped from them (so an empty family shows its message and
-  its exit code 2);
+- tn_flags/: every CSV of the Taub-NUT family-flag calls of TN_CALLS, whose
+  file stems the CLI builds from its flag table (16 files);
+- calls/presets.txt, calls/families.txt and calls/tn_flags.txt: for each
+  of those trace calls, its arguments, exit code and stdout and stderr
+  lines, with the `--out` directory stripped from them (so an empty family
+  shows its message and its exit code 2);
 - checks/seed_NNN.txt: the `verify` and `oracle` lines at seeds 0-119, with
   the timing at the end of each line removed.
 
@@ -42,6 +44,11 @@ C1_SET = tuple(float(c) for c in range(-10, 11))
 # (flag, option, values): the fig8 and fig9 families, one CLI call each
 FAMILIES = (("--ah-theta-phi", "--k", (0.3, 0.5, 0.7)),
             ("--ah-theta-k", "--phi", (math.pi / 6, math.pi / 4, math.pi / 3)))
+# the Taub-NUT family flags: each alone, the SO(2) axis branch and psi rate,
+# a negative c1 and one call of all three at other parameters
+TN_CALLS = (["--tn-u1-case1"], ["--tn-u1-case2"], ["--tn-so2", "--branch", "axis"],
+            ["--tn-so2", "--psi-rate", "1"], ["--tn-u1-case1", "--c1", "-2"],
+            ["--tn-u1-case1", "--tn-u1-case2", "--tn-so2", "--c1", "2", "--c", "3"])
 SEEDS = range(120)
 _TIMING = re.compile(r" \(\d+\.\d+s\)$")
 
@@ -84,6 +91,10 @@ def write_families(out: Path, calls=None) -> None:
                                    for args in (family_calls() if calls is None else calls)])
 
 
+def write_tn_flags(out: Path, calls=TN_CALLS) -> None:
+    _trace_calls(out, "tn_flags", [(args, out / "tn_flags") for args in calls])
+
+
 def write_checks(out: Path, seeds=SEEDS) -> None:
     (out / "checks").mkdir(parents=True, exist_ok=True)
     for seed in seeds:
@@ -101,6 +112,7 @@ def main(argv=None) -> int:
     out = Path(argv[0])
     write_presets(out)
     write_families(out)
+    write_tn_flags(out)
     write_checks(out)
     return 0
 
