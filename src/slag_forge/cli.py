@@ -4,8 +4,8 @@ Exit codes: 0 all requested checks pass, 1 an invariant or oracle failed,
 2 usage or domain error.  All randomness flows from --seed (default 0);
 identical invocations produce byte-identical CSV output.  Consecutive
 families of one manifold, params value and action are verified by one
-verify_slag_batch call (which holds the batch-size rule), in one thread;
-the environment variable SLAG_FORGE_THREADS is accepted and ignored.
+verify_slag_batch call, in one thread; the environment variable
+SLAG_FORGE_THREADS is accepted and ignored.
 """
 
 from __future__ import annotations

@@ -142,10 +142,10 @@ def write_trace_csv(path: str | Path, text: str) -> None:
 def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:
     """Rebuild a CurveTrace (chart columns and params) from a written CSV.
 
-    A file without data rows, a row whose length is not the header's, a
-    field that is not a number, a params item that is not name=number, a
-    missing chart column or a manifold other than 'tn' and 'ah' raises
-    DomainError.
+    A header without params=, a file without data rows, a row whose length
+    is not the header's, a field that is not a number, a params item that
+    is not name=number, a missing chart column or a manifold other than
+    'tn' and 'ah' raises DomainError.
     """
     lines = Path(path).read_text().strip().split("\n")
     head = lines[0]
@@ -154,6 +154,8 @@ def read_trace_csv(path: str | Path) -> tuple[CurveTrace, str]:
     manifold = head.split("manifold=")[1].split(",")[0]
     if manifold not in ("tn", "ah"):
         raise DomainError(f"manifold must be 'tn' or 'ah', got {manifold!r}")
+    if "params=" not in head:
+        raise DomainError(f"trace CSV {str(path)!r}: the header has no params=")
     params = {}
     pstr = head.split("params=", 1)[1]
     if pstr:

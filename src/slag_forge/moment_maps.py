@@ -91,10 +91,11 @@ def kahler_omega(block: tn.MetricBlock, v1u, v1z, v2u, v2z):
     (Taub-NUT (u, z) or Atiyah-Hitchin (U, Z)) and the components broadcast.
     """
     c1u, c1z, c2u, c2z = (np.conjugate(v) for v in (v1u, v1z, v2u, v2z))
-    return np.real(0.5j * (block.kuubar * (v1u * c2u - c1u * v2u)
-                           + block.kuzbar * (v1u * c2z - c1z * v2u)
-                           + block.kzubar * (v1z * c2u - c1u * v2z)
-                           + block.kzzbar * (v1z * c2z - c1z * v2z)))
+    # np.multiply, not *: from 256 KiB NumPy computes K * temp in place as temp * K
+    return np.real(0.5j * (np.multiply(block.kuubar, v1u * c2u - c1u * v2u)
+                           + np.multiply(block.kuzbar, v1u * c2z - c1z * v2u)
+                           + np.multiply(block.kzubar, v1z * c2u - c1u * v2z)
+                           + np.multiply(block.kzzbar, v1z * c2z - c1z * v2z)))
 
 
 def moment_tn_u1(pt: tn.TNHoloPoint) -> float:

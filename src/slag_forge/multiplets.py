@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticData, quad_adaptive, quad_periodic  # noqa: F401
+from .elliptic import EllipticData, quad_periodic
+# unused here: bench/tracing.py wraps it by name, tests/test_bench_bindings.py checks it
+from .elliptic import quad_adaptive  # noqa: F401
 from .errors import (ContourCollisionError, ConvergenceError, DegenerateError, DomainError,
                      PoleError)
 from .masks import mask_any

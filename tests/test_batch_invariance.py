@@ -6,9 +6,10 @@ f(batch)[perm].  Every loop that runs until a whole batch has converged
 holds each element from its own last step, so which batch a point sits in
 never moves its result.  Covered: K and E (elliptic_KE_vec), Pi
 (elliptic_Pi_vec), the curve data, the Atiyah-Hitchin chart with pi(x_pm),
-(u, U, Z) and the metric block, and the Taub-NUT chart, metric block and
-x-solve.  verify_slag_batch gives each trace of a batch the bits of its
-own verify_slag report, at any batch size.
+(u, U, Z) and the metric block, the Taub-NUT chart, metric block and
+x-solve, and omega (kahler_omega), also past the 256 KiB from which NumPy
+computes a product with a temporary in place.  verify_slag_batch gives each
+trace of a batch the bits of its own verify_slag report.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from slag_forge import atiyah_hitchin as ah
+from slag_forge import moment_maps as mm
 from slag_forge import presets
 from slag_forge import slag_curves as sc
 from slag_forge import taub_nut as tn
@@ -121,6 +123,22 @@ def test_tn_x_solve(seed):
                            [re_u, absz, h, m], seed)
 
 
+def _omega(*columns):
+    """omega from the block's four fields and the two vectors' four components."""
+    return (mm.kahler_omega(tn.MetricBlock(*columns[:4]), *columns[4:]),)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kahler_omega(seed):
+    """Also 64 rows tiled to 16 448, past 16 384 complex128 elements (256
+    KiB), keep the bits of the 64-row call."""
+    rng = np.random.default_rng(seed)
+    columns = list(rng.standard_normal((8, BATCH)) + 1j * rng.standard_normal((8, BATCH)))
+    assert_batch_invariant(_omega, columns, seed)
+    reps = 16448 // BATCH
+    assert _bits(_omega(*np.tile(columns, reps))[0]) == _bits(np.tile(_omega(*columns)[0], reps))
+
+
 def _short(trace, m=5):
     """The first m samples of a trace: with m = 5, every tangent stencil spans the whole run."""
     return sc.CurveTrace(action=trace.action, t=trace.t[:m].copy(),
@@ -142,7 +160,8 @@ def _verify_batches():
     """(traces, manifold, params) of each batch: the fig8 (k = 0.5) and fig9
     (phi = pi/4) families at c1 = -3, each after a twisted trace, and the
     fig5, fig6 and fig7 traces, the fig7 ones with the Taub-NUT axis traces;
-    each batch with a short run; and the whole fig8 preset (21 714 samples)."""
+    each batch with a short run; the whole fig8 preset (21 714 samples); and
+    the fig5 preset three times with the fig6 preset twice (32 000 samples)."""
     fig8 = sc.ah_traces_theta_phi(0.5, -3.0)
     fig9 = sc.ah_traces_theta_k(math.pi / 4, -3.0)
     tn_by_fig = {name: [tr for _, _, tr, _ in presets.preset_traces(name)]
@@ -153,17 +172,19 @@ def _verify_batches():
             "fig5": (tn_by_fig["fig5"] + [_short(tn_by_fig["fig5"][3])], "tn", TN_P),
             "fig6": (tn_by_fig["fig6"] + [_short(tn_by_fig["fig6"][1])], "tn", TN_P),
             "fig7-axis": (fig7 + [_short(fig7[0])], "tn", TN_P),
-            "fig8-preset": ([tr for _, _, tr, _ in presets.preset_traces("fig8")], "ah", AH_P)}
+            "fig8-preset": ([tr for _, _, tr, _ in presets.preset_traces("fig8")], "ah", AH_P),
+            "tn-presets": (3 * tn_by_fig["fig5"] + 2 * tn_by_fig["fig6"], "tn", TN_P)}
 
 
-@pytest.mark.parametrize("case", ["fig8", "fig9", "fig5", "fig6", "fig7-axis", "fig8-preset"])
+@pytest.mark.parametrize("case", ["fig8", "fig9", "fig5", "fig6", "fig7-axis", "fig8-preset",
+                                  "tn-presets"])
 def test_verify_slag_batch_matches_single_trace_reports(case):
     """Each report of a batch has the bits of the trace's own verify_slag
     report, for every key, whatever traces share the batch and however
     many samples it holds."""
     traces, manifold, params = _verify_batches()[case]
-    if case == "fig8-preset":
-        assert sum(len(tr.t) for tr in traces) == 21714   # past 16 384 samples
+    if case in ("fig8-preset", "tn-presets"):   # past 16 384 samples
+        assert sum(len(tr.t) for tr in traces) == {"fig8-preset": 21714, "tn-presets": 32000}[case]
     else:
         assert len(traces) > 2 and min(len(tr.t) for tr in traces) <= 5
     if case == "fig7-axis":

@@ -260,6 +260,7 @@ MALFORMED_CSV = {
                          "params item 'c2=0.5=1' is not name=number"),
     "param-not-a-number": (lambda ls: [ls[0].replace("c2=0.5", "c2=abc")] + ls[1:],
                            "params item 'c2=abc' is not name=number"),
+    "no-params": (lambda ls: ["# slag-forge v1, manifold=tn"] + ls[1:], "the header has no params="),
 }
 
 

@@ -13,7 +13,9 @@ code 2, not as a traceback.  np.any and np.all cost microseconds of
 dispatch on the NumPy bool of a one-point query, so the library calls
 masks.mask_any / mask_all, the one mask test, instead.  A
 module-level import that nothing in its module reads is dead code, unless
-bench/tracing.py wraps that attribute of the module by name.  The moment
+bench/tracing.py wraps that attribute of the module by name; an import
+marked `# noqa: F401` binds only such names, so the mark hides no other
+unused name.  The moment
 kernels (moment_tn_u1, moment_tn_so2, moment_ah_so2) are called only by
 ActionSpec.moment, the one table that pairs each action with its mu.  A
 defaulted parameter that no call in src/ or bench/ passes is a setting
@@ -141,6 +143,30 @@ def _bench_bound() -> dict[str, set[str]]:
 def test_unread_imports_are_bench_bindings(path):
     unread = _unread_imports(ast.parse(path.read_text(), filename=str(path)))
     assert [name for name in unread if name not in _bench_bound()[path.stem]] == []
+
+
+def _noqa_imports(tree: ast.Module, source: str) -> list[str]:
+    """Names bound by the top-level imports whose lines carry `# noqa: F401`."""
+    lines = source.splitlines()
+    return sorted((a.asname or a.name).split(".")[0] for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any("# noqa: F401" in line
+                          for line in lines[node.lineno - 1:node.end_lineno])
+                  for a in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_noqa_imports_are_bench_bindings(path):
+    source = path.read_text()
+    marked = _noqa_imports(ast.parse(source, filename=str(path)), source)
+    assert [name for name in marked if name not in _bench_bound()[path.stem]] == []
+
+
+def test_noqa_import_scan():
+    src = ("import math  # noqa: F401\n"
+           "from .x import a, b\n"
+           "from .y import (c,\n                d as e)  # noqa: F401\n")
+    assert _noqa_imports(ast.parse(src), src) == ["c", "e", "math"]
 
 
 def test_unread_import_scan():
